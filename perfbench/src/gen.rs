@@ -345,6 +345,7 @@ impl Miss {
 
 /// One caller's `warm_mixed` schedule: Zipf-skewed single hits, the
 /// 24-cell batch, the 38-request `submit_all`, and a 6% miss trickle.
+/// The weights are chosen, not taken from traffic data (NOTES.md).
 pub fn warm_schedule(rng: &mut Rng, warm: usize, len: usize) -> Vec<Op> {
     let zipf = Zipf::new(warm, 1.0);
     (0..len)
@@ -470,7 +471,8 @@ pub fn served_table(seed: u64) -> Vec<Call> {
 
 /// One client's `served_mixed` schedule over [`served_table`]: JSON hits
 /// (Zipf over the hit rows), batches, binary hits, streams, decks and
-/// stats polls in fixed proportions.
+/// stats polls in fixed proportions, chosen rather than taken from
+/// traffic data (NOTES.md).
 pub fn served_schedule(rng: &mut Rng, len: usize) -> Vec<Op> {
     // Row layout of `served_table`: 0..10 JSON hits, 10 batch, 11–12
     // binary, 13 stream, 14 stats, 15..21 decks.

@@ -30,8 +30,13 @@ use std::process::ExitCode;
 use std::time::{Duration, Instant};
 use workloads::{CallerLog, Workload};
 
-/// Set-ups per run; `setup_s` is their median.
-const SETUPS: usize = 11;
+/// Set-up probes per run; `setup_s` is their median.
+const SETUP_PROBES: usize = 15;
+
+/// The first argument of a set-up probe: a child run of this program
+/// that generates its inputs, sets up, prints `ready` where the first
+/// timed request would start, and exits.
+const PROBE_FLAG: &str = "--setup-probe";
 
 pub struct Args {
     pub workload: Workload,
@@ -88,17 +93,21 @@ fn main() -> ExitCode {
     if argv.first().map(String::as_str) == Some("--record-reference") {
         return record_reference(root);
     }
-    let args = match parse_args(&argv) {
+    let probe = argv.first().map(String::as_str) == Some(PROBE_FLAG);
+    let args = match parse_args(&argv[usize::from(probe)..]) {
         Ok(args) => args,
         Err(e) => {
             eprintln!("perfbench: {e}");
             return ExitCode::from(2);
         }
     };
+    if probe {
+        return setup_probe(&args, root);
+    }
     let result = if args.trace {
         traced::traced_run(&args, root)
     } else {
-        timed_run(&args, root, started)
+        timed_run(&args, &argv, root, started)
     };
     match result {
         Ok((info, outcome)) => {
@@ -251,20 +260,63 @@ fn run_callers(fixture: &Fixture, inputs: &Inputs, deadline: Instant) -> Vec<Cal
     })
 }
 
-fn timed_run(args: &Args, root: &Path, started: Instant) -> Result<(Json, Outcome), String> {
+/// Child side of a set-up probe.
+fn setup_probe(args: &Args, root: &Path) -> ExitCode {
+    let inputs = inputs(args);
+    match setup(args, workloads::POOL_WIDTH, root, None) {
+        Ok(fixture) => {
+            println!("ready");
+            std::hint::black_box(inputs);
+            fixture.close();
+            ExitCode::SUCCESS
+        }
+        Err(e) => {
+            eprintln!("perfbench: set-up probe: {e}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+/// Time from starting a child run of this program to its `ready` line:
+/// process start to the first timed request, with nothing warm that the
+/// process builds for itself.
+fn probe_setup_s(argv: &[String]) -> Result<f64, String> {
+    use std::io::BufRead;
+    use std::process::{Command, Stdio};
+    let exe = std::env::current_exe().map_err(|e| format!("set-up probe: {e}"))?;
+    let started = Instant::now();
+    let mut child = Command::new(exe)
+        .arg(PROBE_FLAG)
+        .args(argv)
+        .stdin(Stdio::null())
+        .stdout(Stdio::piped())
+        .spawn()
+        .map_err(|e| format!("set-up probe: {e}"))?;
+    let mut line = String::new();
+    let stdout = child.stdout.take().expect("piped stdout");
+    let read = std::io::BufReader::new(stdout).read_line(&mut line);
+    let elapsed = started.elapsed().as_secs_f64();
+    if read.is_err() {
+        let _ = child.kill();
+    }
+    let status = child.wait().map_err(|e| format!("set-up probe: {e}"))?;
+    if line.trim_end() == "ready" && status.success() {
+        Ok(elapsed)
+    } else {
+        Err(format!("set-up probe failed ({status})"))
+    }
+}
+
+fn timed_run(
+    args: &Args,
+    argv: &[String],
+    root: &Path,
+    started: Instant,
+) -> Result<(Json, Outcome), String> {
     let inputs = inputs(args);
     let generated_s = started.elapsed().as_secs_f64();
-    let mut setups = Vec::with_capacity(SETUPS);
-    let mut fixture = None;
-    for _ in 0..SETUPS {
-        if let Some(previous) = fixture.take() {
-            Fixture::close(previous);
-        }
-        let t = Instant::now();
-        fixture = Some(setup(args, workloads::POOL_WIDTH, root, None)?);
-        setups.push(t.elapsed().as_secs_f64());
-    }
-    let fixture = fixture.expect("at least one set-up");
+    let fixture = setup(args, workloads::POOL_WIDTH, root, None)?;
+    let own_setup_s = started.elapsed().as_secs_f64();
     let warm_digest = match &fixture {
         Fixture::Engine(e) => e.warm_digest,
         Fixture::Served(s) => s.digest(),
@@ -280,6 +332,9 @@ fn timed_run(args: &Args, root: &Path, started: Instant) -> Result<(Json, Outcom
     let window = t0.elapsed().as_secs_f64();
     let cpu = machine::cpu_seconds() - cpu0;
     fixture.close();
+    let setups = (0..SETUP_PROBES)
+        .map(|_| probe_setup_s(argv))
+        .collect::<Result<Vec<_>, _>>()?;
 
     let mut digest = checks::Fnv::default();
     digest.u64(warm_digest);
@@ -298,6 +353,7 @@ fn timed_run(args: &Args, root: &Path, started: Instant) -> Result<(Json, Outcom
     }
     let completed = all.attempted - all.failed;
     let mut lat = std::mem::take(&mut all.latencies_us);
+    let components = components_json(&lat, &all.components);
     lat.sort_by(f64::total_cmp);
     let mut outcome = Outcome {
         correct: all.failed == 0,
@@ -316,14 +372,17 @@ fn timed_run(args: &Args, root: &Path, started: Instant) -> Result<(Json, Outcom
     let mut fields = info(args, workloads::POOL_WIDTH, workloads::POOL_WIDTH);
     let tail = stats::resolved_tail(lat.len()).map_or(Json::Null, Json::Num);
     fields.extend([
+        ("operations_timed".to_string(), Json::from(all.timed)),
         ("samples".to_string(), Json::from(lat.len())),
         ("tail_percentile_resolved".to_string(), tail),
         ("window_s".to_string(), Json::Num(window)),
         ("inputs_generated_s".to_string(), Json::Num(generated_s)),
+        ("own_setup_s".to_string(), Json::Num(own_setup_s)),
         (
             "setups_s".to_string(),
             setups.iter().map(|&s| Json::Num(s)).collect(),
         ),
+        ("components".to_string(), components),
         (
             "error_rate".to_string(),
             Json::Num(all.failed as f64 / all.attempted.max(1) as f64),
@@ -339,4 +398,45 @@ fn timed_run(args: &Args, root: &Path, started: Instant) -> Result<(Json, Outcom
         Json::Obj(vec![("info".to_string(), Json::Obj(fields))]),
         outcome,
     ))
+}
+
+/// Per traffic component: its share of operations and of summed latency,
+/// its own median and p90, and its share of the samples above the run's
+/// p90 and p99 (which component sets each tail).
+fn components_json(lat_us: &[f64], components: &[u8]) -> Json {
+    let mut sorted = lat_us.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    let (p90, p99) = (
+        stats::percentile(&sorted, 90.0),
+        stats::percentile(&sorted, 99.0),
+    );
+    let share = |part: usize, whole: usize| part as f64 / whole.max(1) as f64;
+    let above = |limit: f64| lat_us.iter().filter(|&&l| l > limit).count();
+    let (above_p90, above_p99) = (above(p90), above(p99));
+    let total_us: f64 = lat_us.iter().sum();
+    let mut by: Vec<Vec<f64>> = vec![Vec::new(); workloads::COMPONENTS.len()];
+    for (&l, &c) in lat_us.iter().zip(components) {
+        by[usize::from(c)].push(l);
+    }
+    let fields = by
+        .into_iter()
+        .zip(workloads::COMPONENTS)
+        .filter(|(v, _)| !v.is_empty())
+        .map(|(mut v, name)| {
+            let tail = |limit: f64| v.iter().filter(|&&l| l > limit).count();
+            let (tail90, tail99) = (tail(p90), tail(p99));
+            let time_share = v.iter().sum::<f64>() / total_us;
+            v.sort_by(f64::total_cmp);
+            let value = Json::obj([
+                ("ops_share", Json::Num(share(v.len(), lat_us.len()))),
+                ("time_share", Json::Num(time_share)),
+                ("p50_us", Json::Num(stats::percentile(&v, 50.0))),
+                ("p90_us", Json::Num(stats::percentile(&v, 90.0))),
+                ("above_p90_share", Json::Num(share(tail90, above_p90))),
+                ("above_p99_share", Json::Num(share(tail99, above_p99))),
+            ]);
+            (name.to_string(), value)
+        })
+        .collect();
+    Json::Obj(fields)
 }

@@ -3,7 +3,7 @@
 //! never on the engine's own RNG crate.
 
 /// A SplitMix64 stream.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct Rng(u64);
 
 impl Rng {

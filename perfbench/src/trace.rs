@@ -279,7 +279,9 @@ pub fn coverage(spans: &[Span]) -> f64 {
 // Bottom-up replay of in-process requests
 // ---------------------------------------------------------------------------
 
-/// The full adder's sub-cell mix every macro slice generates.
+/// The full adder's sub-cell mix every macro slice generates (a copy of
+/// the engine's private list; `Replayer::sub_request` fails the run if
+/// the two drift apart).
 const FA_CELL_MIX: [(StdCellKind, u8); 4] = [
     (StdCellKind::Nand(2), 2),
     (StdCellKind::Inv, 4),
@@ -375,10 +377,31 @@ impl Replayer<'_> {
             (true, false) => "dk.characterize",
             (false, _) => "immunity.mc",
         };
-        if characterizes {
-            self.tr.count("dk.characterize.calls", 1.0);
+        self.sub_request(name, request, |s| s.sweeps)
+    }
+
+    /// A composite's sub-request in a span of its own, renamed
+    /// `cache.hit` when its class (`class`) counted no miss. Its cells
+    /// were generated before, each in its own span: a cell miss inside
+    /// this span would book generation under `name`, so it fails the run.
+    fn sub_request<R: SessionRequest>(
+        &mut self,
+        name: &'static str,
+        request: &R,
+        class: fn(&cnfet::SessionStats) -> cnfet::RequestStats,
+    ) -> Res<R::Output> {
+        let before = self.session.stats();
+        let id = self.tr.begin(name);
+        let out = self.session.run(request);
+        self.tr.end(id);
+        let after = self.session.stats();
+        if after.cells.misses != before.cells.misses {
+            return Err(format!("{name} generated cells inside its span"));
         }
-        self.leaf(name, request)
+        if class(&after).misses == class(&before).misses {
+            self.tr.rename(id, "cache.hit");
+        }
+        out.map_err(err)
     }
 
     fn sweep(&mut self, request: &SweepRequest) -> Res<Arc<cnfet::SweepReport>> {
@@ -430,9 +453,7 @@ impl Replayer<'_> {
             let cell = self.library_cell(kind, strength, request.scheme);
             self.cell(&cell)?;
         }
-        // Each slice characterizes the NAND2 stage and both buffers.
-        self.tr.count("dk.characterize.calls", 3.0);
-        self.leaf("dk.characterize", request)
+        self.sub_request("dk.characterize", request, |s| s.macros)
     }
 
     fn macro_adder(&mut self, request: &MacroRequest) -> Res<Arc<cnfet::MacroReport>> {

@@ -5,8 +5,8 @@
 //! time of the same replay).
 
 use crate::gen::{Call, Op};
-use crate::trace::{self, Replayer, Tracer};
-use crate::workloads::{self, Answer, CallerLog, Fresh, Workload};
+use crate::trace::{self, Tracer};
+use crate::workloads::{self, Answer, CallerLog, Fresh, Replay, Workload};
 use crate::{checks, errors_json, info, inputs, setup, stats, Args, Fixture};
 use cnfet::{RequestKind, ResponseKind, Session};
 use cnfet_serve::jobtable::{JobTable, Polled};
@@ -148,11 +148,13 @@ fn replay(
                 };
                 pass.log.attempted += 1;
                 let ool = tr.out_of_line_ns();
-                let started = Instant::now();
                 let root_id = tr.begin_request(i as u32 + 1, "request");
-                let verdict = replay_op(tr, engine, op, request, plan.as_deref());
+                let replay = Replay {
+                    plan: plan.as_deref(),
+                };
+                let (elapsed, verdict) = workloads::exec_op(tr, engine, op, request, Some(replay));
                 tr.end(root_id);
-                let wall = started.elapsed().as_nanos() as u64 - (tr.out_of_line_ns() - ool);
+                let wall = elapsed.as_nanos() as u64 - (tr.out_of_line_ns() - ool);
                 pass.wall_us.push(wall as f64 / 1e3);
                 let verdict = verdict.and_then(|digest| {
                     let Some(digest) = digest else { return Ok(()) };
@@ -206,63 +208,6 @@ fn engine_agrees(
         Ok(())
     } else {
         Err("replayed transient differs from the engine's".into())
-    }
-}
-
-/// One in-process operation; returns the digest of a fresh output.
-fn replay_op(
-    tr: &mut Tracer,
-    engine: &workloads::Engine,
-    op: Op,
-    fresh: Option<&RequestKind>,
-    plan: Option<&cnfet::OptimizeReport>,
-) -> Result<Option<u64>, String> {
-    let session = &engine.session;
-    let all_same = |results: Vec<cnfet::Result<ResponseKind>>, firsts: &[ResponseKind]| {
-        results
-            .into_iter()
-            .zip(firsts)
-            .try_for_each(|(r, first)| match r {
-                Ok(r) if checks::same_output(first, &r) => Ok(()),
-                Ok(r) => Err(format!("{} hit changed", checks::kind_name(&r))),
-                Err(e) => Err(e.to_string()),
-            })
-    };
-    match op {
-        Op::Hit(i) => {
-            let i = i as usize;
-            let request = &engine.warm[i];
-            let key = tr.time("cache.key", || trace::cache_key(request, session));
-            std::hint::black_box(key);
-            let out = tr.time("cache.hit", || session.run(request));
-            all_same(vec![out], &engine.warm_first[i..=i]).map(|()| None)
-        }
-        Op::Batch => {
-            let results = tr.time("batch", || session.run_batch(&engine.matrix));
-            tr.count("batch.requests", results.len() as f64);
-            let results = results
-                .into_iter()
-                .map(|r| r.map(ResponseKind::Cell))
-                .collect();
-            all_same(results, &engine.matrix_first).map(|()| None)
-        }
-        Op::SubmitAll => {
-            let results: Vec<_> = tr.time("jobs", || {
-                let handles = session.submit_all(engine.mixed.iter().cloned());
-                handles.into_iter().map(|h| h.wait()).collect()
-            });
-            tr.count("jobs.jobs", results.len() as f64);
-            all_same(results, &engine.mixed_first).map(|()| None)
-        }
-        Op::Fresh => {
-            let request = fresh.ok_or("fresh op without a request")?;
-            let key = tr.time("cache.key", || trace::cache_key(request, session));
-            std::hint::black_box(key);
-            let out = Replayer { tr, session }.exec(request, plan)?;
-            checks::sanity(&out)?;
-            Ok(Some(checks::digest(&out)))
-        }
-        Op::Http(_) => Err("HTTP op in an in-process schedule".into()),
     }
 }
 
@@ -372,11 +317,7 @@ fn replay_exchange(
             tr.count("serve.refused", 1.0);
         }
     }
-    if &answer == expected {
-        Ok(roundtrip_ns as f64 / 1e3)
-    } else {
-        Err(format!("served row {i} answered differently"))
-    }
+    workloads::check_answer(i as usize, &answer, expected).map(|()| roundtrip_ns as f64 / 1e3)
 }
 
 /// Session counter deltas over a pass.
@@ -438,7 +379,7 @@ fn layer_metrics(
         ratio(c("repair.sat_dies"), c("repair.dies")),
         "ratio",
     );
-    push("dk.characterize.calls", c("dk.characterize.calls"), "count");
+    push("dk.characterize.calls", calls("dk.characterize"), "count");
     push("dk.characterize.self_ms", self_ms("dk.characterize"), "ms");
     push("dk.library.self_ms", self_ms("dk.library"), "ms");
     push("spice.parse.self_ms", self_ms("spice.parse"), "ms");

@@ -6,11 +6,12 @@ use crate::gen::{self, Call, Op};
 use crate::rng::Rng;
 use crate::trace::{self, Tracer};
 use cnfet::{CellRequest, RequestKind, ResponseKind, Session, SessionBuilder};
+use cnfet_serve::json::Json;
 use cnfet_serve::{Client, Format, ServeConfig, Server, StreamEvent};
 use std::borrow::Cow;
 use std::path::Path;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Workload {
@@ -67,10 +68,21 @@ impl Workload {
 /// machine's parallelism leaks in.
 pub const POOL_WIDTH: usize = 2;
 
+/// Latency samples a caller keeps: a uniform reservoir over all its
+/// operations, so the benchmark's own memory (part of `peak_rss_mb`)
+/// stops growing with throughput.
+pub const RESERVOIR: usize = 1 << 18;
+
 /// What one caller measured.
 #[derive(Debug, Default)]
 pub struct CallerLog {
+    /// A uniform sample of at most [`RESERVOIR`] operation latencies.
     pub latencies_us: Vec<f64>,
+    /// Traffic component of each latency, an index into [`COMPONENTS`].
+    pub components: Vec<u8>,
+    /// Operations timed, sampled or not.
+    pub timed: u64,
+    sampler: Rng,
     pub attempted: u64,
     pub failed: u64,
     pub errors: Vec<String>,
@@ -83,6 +95,58 @@ pub struct CallerLog {
 /// commits.
 pub const DIGEST_PREFIX: usize = 16;
 
+/// The traffic components the results break latency down by: what kind
+/// of operation each sample was.
+pub const COMPONENTS: [&str; 13] = [
+    "macro",
+    "sweep",
+    "deck",
+    "repair",
+    "optimize",
+    "hit",
+    "batch",
+    "submit_all",
+    "miss",
+    "json_hit",
+    "binary",
+    "stream",
+    "stats",
+];
+
+fn component(name: &str) -> u8 {
+    COMPONENTS
+        .iter()
+        .position(|&c| c == name)
+        .expect("a listed component") as u8
+}
+
+/// The component of an in-process operation (`fresh` is its drawn request).
+pub fn component_of_op(op: Op, fresh: Option<&RequestKind>) -> u8 {
+    component(match (op, fresh) {
+        (Op::Batch, _) => "batch",
+        (Op::SubmitAll, _) => "submit_all",
+        (Op::Fresh, Some(RequestKind::Macro(_))) => "macro",
+        (Op::Fresh, Some(RequestKind::Sweep(_))) => "sweep",
+        (Op::Fresh, Some(RequestKind::Tran(_))) => "deck",
+        (Op::Fresh, Some(RequestKind::Repair(_))) => "repair",
+        (Op::Fresh, Some(RequestKind::Optimize(_))) => "optimize",
+        (Op::Fresh, _) => "miss",
+        (Op::Hit(_) | Op::Http(_), _) => "hit",
+    })
+}
+
+/// The component of a served exchange.
+pub fn component_of_call(call: &Call) -> u8 {
+    component(match call {
+        Call::Run(body) if body.get("type").and_then(Json::as_str) == Some("tran") => "deck",
+        Call::Run(_) => "json_hit",
+        Call::Batch(_) => "batch",
+        Call::Binary(_) => "binary",
+        Call::Stream(_) => "stream",
+        Call::Stats => "stats",
+    })
+}
+
 impl CallerLog {
     pub fn fail(&mut self, error: String) {
         self.failed += 1;
@@ -91,8 +155,37 @@ impl CallerLog {
         }
     }
 
+    fn with_reservoir() -> CallerLog {
+        CallerLog {
+            latencies_us: Vec::with_capacity(RESERVOIR),
+            components: Vec::with_capacity(RESERVOIR),
+            ..CallerLog::default()
+        }
+    }
+
+    /// Reservoir-samples one operation's latency (Algorithm R).
+    pub fn record(&mut self, elapsed: Duration, component: u8) {
+        self.timed += 1;
+        let us = elapsed.as_secs_f64() * 1e6;
+        if self.latencies_us.len() < RESERVOIR {
+            self.latencies_us.push(us);
+            self.components.push(component);
+        } else {
+            let slot = self.sampler.below(self.timed) as usize;
+            if slot < RESERVOIR {
+                self.latencies_us[slot] = us;
+                self.components[slot] = component;
+            }
+        }
+    }
+
+    /// Pools another caller's log. The callers of one workload are
+    /// symmetric closed loops that time about as many operations each, so
+    /// their pooled reservoirs stay close to a uniform sample.
     pub fn merge(&mut self, other: CallerLog) {
         self.latencies_us.extend(other.latencies_us);
+        self.components.extend(other.components);
+        self.timed += other.timed;
         self.attempted += other.attempted;
         self.failed += other.failed;
         self.errors.extend(other.errors);
@@ -217,17 +310,14 @@ pub fn run_caller(
     deadline: Instant,
     limit: usize,
 ) -> CallerLog {
-    let session = &engine.session;
-    let mut log = CallerLog {
-        latencies_us: Vec::with_capacity(1 << 16),
-        ..CallerLog::default()
-    };
+    let mut tr = Tracer::disabled();
+    let mut log = CallerLog::with_reservoir();
     let mut next_fresh = 0usize;
     for op in schedule.iter().cycle().take(limit) {
         if Instant::now() >= deadline {
             break;
         }
-        let fresh_request = match op {
+        let request = match op {
             Op::Fresh => match fresh.get(next_fresh) {
                 Some(request) => {
                     next_fresh += 1;
@@ -238,65 +328,101 @@ pub fn run_caller(
             _ => None,
         };
         log.attempted += 1;
-        let started = Instant::now();
-        let verdict = match op {
-            Op::Hit(i) => {
-                let i = *i as usize;
-                let result = session.run(&engine.warm[i]);
-                let elapsed = started.elapsed();
-                log.latencies_us.push(elapsed.as_secs_f64() * 1e6);
-                match result {
-                    Ok(r) if checks::same_output(&engine.warm_first[i], &r) => Ok(()),
-                    Ok(r) => Err(format!("warm {} hit changed", checks::kind_name(&r))),
-                    Err(e) => Err(e.to_string()),
-                }
-            }
-            Op::Batch => {
-                let results = session.run_batch(&engine.matrix);
-                log.latencies_us.push(started.elapsed().as_secs_f64() * 1e6);
-                results
-                    .into_iter()
-                    .zip(&engine.matrix_first)
-                    .try_for_each(|(r, first)| match r {
-                        Ok(r) if checks::same_output(first, &ResponseKind::Cell(r.clone())) => {
-                            Ok(())
-                        }
-                        Ok(_) => Err("batch cell changed".to_string()),
-                        Err(e) => Err(e.to_string()),
-                    })
-            }
-            Op::SubmitAll => {
-                let handles = session.submit_all(engine.mixed.iter().cloned());
-                let results: Vec<_> = handles.into_iter().map(|h| h.wait()).collect();
-                log.latencies_us.push(started.elapsed().as_secs_f64() * 1e6);
-                results
-                    .into_iter()
-                    .zip(&engine.mixed_first)
-                    .try_for_each(|(r, first)| match r {
-                        Ok(r) if checks::same_output(first, &r) => Ok(()),
-                        Ok(r) => Err(format!("submitted {} changed", checks::kind_name(&r))),
-                        Err(e) => Err(e.to_string()),
-                    })
-            }
-            Op::Fresh => {
-                let request = fresh_request.as_deref().expect("drawn above");
-                let result = session.run(request);
-                log.latencies_us.push(started.elapsed().as_secs_f64() * 1e6);
-                match result {
-                    Ok(r) => {
-                        log.fresh_digests.push(checks::digest(&r));
-                        checks::sanity(&r)
-                    }
-                    Err(e) => Err(e.to_string()),
-                }
-            }
-            Op::Http(_) => Err("HTTP op in an in-process schedule".to_string()),
-        };
-        if let Err(e) = verdict {
-            log.fail(e);
+        let (elapsed, verdict) = exec_op(&mut tr, engine, *op, request.as_deref(), None);
+        log.record(elapsed, component_of_op(*op, request.as_deref()));
+        match verdict {
+            Ok(Some(digest)) => log.fresh_digests.push(digest),
+            Ok(None) => {}
+            Err(e) => log.fail(e),
         }
     }
     log
+}
+
+/// How the traced run executes an operation: the cache key is timed on
+/// its own, and a fresh request is replayed bottom-up through its public
+/// sub-requests. `plan` is the search an optimize request will walk.
+#[derive(Clone, Copy)]
+pub struct Replay<'a> {
+    pub plan: Option<&'a cnfet::OptimizeReport>,
+}
+
+/// Runs one in-process operation and checks its output. The timed run
+/// passes a disabled tracer and no `replay`; the traced run's passes
+/// replay. Returns the operation's time, output check excluded, and for a
+/// fresh request the digest of its output.
+pub fn exec_op(
+    tr: &mut Tracer,
+    engine: &Engine,
+    op: Op,
+    fresh: Option<&RequestKind>,
+    replay: Option<Replay<'_>>,
+) -> (Duration, Result<Option<u64>, String>) {
+    let session = &engine.session;
+    let started = Instant::now();
+    let (elapsed, results, firsts): (_, Vec<cnfet::Result<ResponseKind>>, &[ResponseKind]) =
+        match op {
+            Op::Hit(i) => {
+                let i = i as usize;
+                let request = &engine.warm[i];
+                if replay.is_some() {
+                    let key = tr.time("cache.key", || trace::cache_key(request, session));
+                    std::hint::black_box(key);
+                }
+                let out = tr.time("cache.hit", || session.run(request));
+                (started.elapsed(), vec![out], &engine.warm_first[i..=i])
+            }
+            Op::Batch => {
+                let out = tr.time("batch", || session.run_batch(&engine.matrix));
+                let elapsed = started.elapsed();
+                tr.count("batch.requests", out.len() as f64);
+                let out = out.into_iter().map(|r| r.map(ResponseKind::Cell)).collect();
+                (elapsed, out, &engine.matrix_first)
+            }
+            Op::SubmitAll => {
+                let out: Vec<_> = tr.time("jobs", || {
+                    let handles = session.submit_all(engine.mixed.iter().cloned());
+                    handles.into_iter().map(|h| h.wait()).collect()
+                });
+                let elapsed = started.elapsed();
+                tr.count("jobs.jobs", out.len() as f64);
+                (elapsed, out, &engine.mixed_first)
+            }
+            Op::Fresh => {
+                let Some(request) = fresh else {
+                    return (started.elapsed(), Err("fresh op without a request".into()));
+                };
+                let out = match replay {
+                    Some(Replay { plan }) => {
+                        let key = tr.time("cache.key", || trace::cache_key(request, session));
+                        std::hint::black_box(key);
+                        trace::Replayer { tr, session }.exec(request, plan)
+                    }
+                    None => session.run(request).map_err(|e| e.to_string()),
+                };
+                let elapsed = started.elapsed();
+                let verdict = out.and_then(|r| {
+                    checks::sanity(&r)?;
+                    Ok(Some(checks::digest(&r)))
+                });
+                return (elapsed, verdict);
+            }
+            Op::Http(_) => {
+                return (
+                    Duration::ZERO,
+                    Err("HTTP op in an in-process schedule".into()),
+                );
+            }
+        };
+    let verdict = results
+        .into_iter()
+        .zip(firsts)
+        .try_for_each(|(r, first)| match r {
+            Ok(r) if checks::same_output(first, &r) => Ok(()),
+            Ok(r) => Err(format!("warm {} hit changed", checks::kind_name(&r))),
+            Err(e) => Err(e.to_string()),
+        });
+    (elapsed, verdict.map(|()| None))
 }
 
 // ---------------------------------------------------------------------------
@@ -440,10 +566,7 @@ pub fn setup_served(
 /// deadline or `limit` exchanges.
 pub fn run_client(served: &Served, schedule: &[Op], deadline: Instant, limit: usize) -> CallerLog {
     let mut client = Client::new(served.server.addr());
-    let mut log = CallerLog {
-        latencies_us: Vec::with_capacity(1 << 16),
-        ..CallerLog::default()
-    };
+    let mut log = CallerLog::with_reservoir();
     for op in schedule.iter().cycle().take(limit) {
         if Instant::now() >= deadline {
             break;
@@ -456,22 +579,28 @@ pub fn run_client(served: &Served, schedule: &[Op], deadline: Instant, limit: us
         log.attempted += 1;
         let started = Instant::now();
         let answer = exchange(&mut client, &served.table[i]);
-        log.latencies_us.push(started.elapsed().as_secs_f64() * 1e6);
-        match answer {
-            Ok(answer) if answer == served.answers[i] => {}
-            Ok(Answer::Body(status, _)) => {
-                log.fail(format!("row {i}: status {status} or changed body"))
-            }
-            Ok(Answer::Stream(rows, _)) => {
-                log.fail(format!("row {i}: stream of {rows} rows changed"))
-            }
+        log.record(started.elapsed(), component_of_call(&served.table[i]));
+        let verdict = match answer {
+            Ok(answer) => check_answer(i, &answer, &served.answers[i]),
             Err(e) => {
-                log.fail(format!("row {i}: {e}"));
                 client = Client::new(served.server.addr());
+                Err(format!("row {i}: {e}"))
             }
+        };
+        if let Err(e) = verdict {
+            log.fail(e);
         }
     }
     log
+}
+
+/// A served answer must equal the one recorded at set-up for its row.
+pub fn check_answer(row: usize, answer: &Answer, expected: &Answer) -> Result<(), String> {
+    match answer {
+        _ if answer == expected => Ok(()),
+        Answer::Body(status, _) => Err(format!("row {row}: status {status} or changed body")),
+        Answer::Stream(rows, _) => Err(format!("row {row}: stream of {rows} rows changed")),
+    }
 }
 
 /// Fresh-request list for a cold workload, sized well past what `seconds`
@@ -507,4 +636,30 @@ pub fn warm_misses(seed: u64, caller: usize, seconds: f64) -> Vec<gen::Miss> {
     // About 6% of ~30k operations per second per caller, with headroom.
     let n = (seconds * 4_000.0) as usize + 1000;
     (0..n).map(|_| gen::Miss::draw(&mut rng)).collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn reservoir_keeps_a_bounded_uniform_sample() {
+        let mut log = CallerLog::with_reservoir();
+        let n = 4 * RESERVOIR as u64;
+        for i in 0..n {
+            log.record(Duration::from_nanos(i * 1000), (i % 2) as u8);
+        }
+        assert_eq!(log.timed, n);
+        assert_eq!(log.latencies_us.len(), RESERVOIR);
+        assert_eq!(log.components.len(), RESERVOIR);
+        // A uniform sample of 0..n µs has its median near n / 2.
+        let mut sorted = log.latencies_us.clone();
+        sorted.sort_by(f64::total_cmp);
+        let median = crate::stats::percentile(&sorted, 50.0);
+        assert!((median / (n as f64 / 2.0) - 1.0).abs() < 0.02, "{median}");
+        // Samples keep their own component.
+        for (&us, &c) in log.latencies_us.iter().zip(&log.components) {
+            assert_eq!(us.round() as u64 % 2, u64::from(c));
+        }
+    }
 }
