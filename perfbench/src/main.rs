@@ -16,6 +16,7 @@
 mod checks;
 mod gen;
 mod machine;
+mod pace;
 mod rng;
 mod stats;
 mod trace;
@@ -27,7 +28,7 @@ use cnfet_serve::json::Json;
 use stats::Outcome;
 use std::path::Path;
 use std::process::ExitCode;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 use workloads::{CallerLog, Workload};
 
 /// Set-up probes per run; `setup_s` is their median.
@@ -236,27 +237,19 @@ pub fn inputs(args: &Args) -> Inputs {
     }
 }
 
-fn run_callers(fixture: &Fixture, inputs: &Inputs, deadline: Instant) -> Vec<CallerLog> {
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = inputs
-            .schedules
-            .iter()
-            .zip(&inputs.fresh)
-            .map(|(schedule, fresh)| {
-                scope.spawn(move || match fixture {
-                    Fixture::Engine(engine) => {
-                        workloads::run_caller(engine, fresh, schedule, deadline, usize::MAX)
-                    }
-                    Fixture::Served(served) => {
-                        workloads::run_client(served, schedule, deadline, usize::MAX)
-                    }
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("caller thread panicked"))
-            .collect()
+fn run_callers(
+    fixture: &Fixture,
+    inputs: &Inputs,
+    seconds: f64,
+) -> (Vec<CallerLog>, Vec<pace::Segment>) {
+    pace::run(inputs.schedules.len(), seconds, |gate, c| {
+        let schedule = &inputs.schedules[c];
+        match fixture {
+            Fixture::Engine(engine) => {
+                workloads::run_caller(engine, &inputs.fresh[c], schedule, gate, c)
+            }
+            Fixture::Served(served) => workloads::run_client(served, schedule, gate, c),
+        }
     })
 }
 
@@ -322,19 +315,25 @@ fn timed_run(
         Fixture::Served(s) => s.digest(),
     };
 
-    let cpu0 = machine::cpu_seconds();
-    let t0 = Instant::now();
-    let logs = run_callers(
-        &fixture,
-        &inputs,
-        t0 + Duration::from_secs_f64(args.seconds),
-    );
-    let window = t0.elapsed().as_secs_f64();
-    let cpu = machine::cpu_seconds() - cpu0;
+    let (logs, segments) = run_callers(&fixture, &inputs, args.seconds);
     fixture.close();
-    let setups = (0..SETUP_PROBES)
-        .map(|_| probe_setup_s(argv))
-        .collect::<Result<Vec<_>, _>>()?;
+    // Every time below is reported at the reference speed (see `pace`):
+    // each segment's wall and CPU time, each latency by the factor of its
+    // segment, each set-up probe by the calibrations on either side.
+    let window: f64 = segments.iter().map(|s| s.wall_s).sum();
+    let scaled_window: f64 = segments.iter().map(|s| s.wall_s * s.factor).sum();
+    let cpu: f64 = segments.iter().map(|s| s.cpu_s).sum();
+    let scaled_cpu: f64 = segments.iter().map(|s| s.cpu_s * s.factor).sum();
+    let mut raw_setups = Vec::with_capacity(SETUP_PROBES);
+    let mut setups = Vec::with_capacity(SETUP_PROBES);
+    let mut before = pace::calibrate();
+    for _ in 0..SETUP_PROBES {
+        let raw = probe_setup_s(argv)?;
+        let after = pace::calibrate();
+        raw_setups.push(raw);
+        setups.push(raw * pace::factor(before, after));
+        before = after;
+    }
 
     let mut digest = checks::Fnv::default();
     digest.u64(warm_digest);
@@ -351,10 +350,16 @@ fn timed_run(
     if all.latencies_us.is_empty() {
         return Err("no request completed in the window".into());
     }
-    let completed = all.attempted - all.failed;
-    let mut lat = std::mem::take(&mut all.latencies_us);
+    let completed = (all.attempted - all.failed).max(1) as f64;
+    let mut raw_lat = std::mem::take(&mut all.latencies_us);
+    let mut lat: Vec<f64> = raw_lat
+        .iter()
+        .zip(&all.segments)
+        .map(|(&us, &s)| us * segments[s as usize].factor)
+        .collect();
     let components = components_json(&lat, &all.components);
     lat.sort_by(f64::total_cmp);
+    raw_lat.sort_by(f64::total_cmp);
     let mut outcome = Outcome {
         correct: all.failed == 0,
         attempted: all.attempted,
@@ -362,12 +367,34 @@ fn timed_run(
         metrics: Vec::new(),
     };
     outcome.push("setup_s", stats::median(&setups), "s");
-    outcome.push("throughput_rps", completed as f64 / window, "1/s");
+    outcome.push("throughput_rps", completed / scaled_window, "1/s");
     outcome.push("p50_us", stats::percentile(&lat, 50.0), "us");
     outcome.push("p90_us", stats::percentile(&lat, 90.0), "us");
     outcome.push("p99_us", stats::percentile(&lat, 99.0), "us");
-    outcome.push("cpu_ms_per_req", cpu * 1e3 / completed.max(1) as f64, "ms");
+    outcome.push("cpu_ms_per_req", scaled_cpu * 1e3 / completed, "ms");
     outcome.push("peak_rss_mb", machine::peak_rss_mb(), "MB");
+    let raw = Json::obj([
+        ("setup_s", Json::Num(stats::median(&raw_setups))),
+        ("throughput_rps", Json::Num(completed / window)),
+        ("p50_us", Json::Num(stats::percentile(&raw_lat, 50.0))),
+        ("p90_us", Json::Num(stats::percentile(&raw_lat, 90.0))),
+        ("p99_us", Json::Num(stats::percentile(&raw_lat, 99.0))),
+        ("cpu_ms_per_req", Json::Num(cpu * 1e3 / completed)),
+    ]);
+    let factors: Vec<f64> = segments.iter().map(|s| s.factor).collect();
+    let speed = Json::obj([
+        ("segments", Json::from(segments.len())),
+        ("factor_median", Json::Num(stats::median(&factors))),
+        (
+            "factor_min",
+            Json::Num(factors.iter().copied().fold(f64::INFINITY, f64::min)),
+        ),
+        (
+            "factor_max",
+            Json::Num(factors.iter().copied().fold(0.0, f64::max)),
+        ),
+        ("factors", factors.iter().map(|&f| Json::Num(f)).collect()),
+    ]);
 
     let mut fields = info(args, workloads::POOL_WIDTH, workloads::POOL_WIDTH);
     let tail = stats::resolved_tail(lat.len()).map_or(Json::Null, Json::Num);
@@ -376,11 +403,13 @@ fn timed_run(
         ("samples".to_string(), Json::from(lat.len())),
         ("tail_percentile_resolved".to_string(), tail),
         ("window_s".to_string(), Json::Num(window)),
+        ("speed".to_string(), speed),
+        ("unscaled".to_string(), raw),
         ("inputs_generated_s".to_string(), Json::Num(generated_s)),
         ("own_setup_s".to_string(), Json::Num(own_setup_s)),
         (
             "setups_s".to_string(),
-            setups.iter().map(|&s| Json::Num(s)).collect(),
+            raw_setups.iter().map(|&s| Json::Num(s)).collect(),
         ),
         ("components".to_string(), components),
         (

@@ -3,6 +3,7 @@
 
 use crate::checks::{self, Fnv};
 use crate::gen::{self, Call, Op};
+use crate::pace::Gate;
 use crate::rng::Rng;
 use crate::trace::{self, Tracer};
 use cnfet::{CellRequest, RequestKind, ResponseKind, Session, SessionBuilder};
@@ -80,6 +81,8 @@ pub struct CallerLog {
     pub latencies_us: Vec<f64>,
     /// Traffic component of each latency, an index into [`COMPONENTS`].
     pub components: Vec<u8>,
+    /// Timed segment of each latency (see `pace`).
+    pub segments: Vec<u32>,
     /// Operations timed, sampled or not.
     pub timed: u64,
     sampler: Rng,
@@ -159,22 +162,25 @@ impl CallerLog {
         CallerLog {
             latencies_us: Vec::with_capacity(RESERVOIR),
             components: Vec::with_capacity(RESERVOIR),
+            segments: Vec::with_capacity(RESERVOIR),
             ..CallerLog::default()
         }
     }
 
     /// Reservoir-samples one operation's latency (Algorithm R).
-    pub fn record(&mut self, elapsed: Duration, component: u8) {
+    pub fn record(&mut self, elapsed: Duration, component: u8, segment: u32) {
         self.timed += 1;
         let us = elapsed.as_secs_f64() * 1e6;
         if self.latencies_us.len() < RESERVOIR {
             self.latencies_us.push(us);
             self.components.push(component);
+            self.segments.push(segment);
         } else {
             let slot = self.sampler.below(self.timed) as usize;
             if slot < RESERVOIR {
                 self.latencies_us[slot] = us;
                 self.components[slot] = component;
+                self.segments[slot] = segment;
             }
         }
     }
@@ -185,6 +191,7 @@ impl CallerLog {
     pub fn merge(&mut self, other: CallerLog) {
         self.latencies_us.extend(other.latencies_us);
         self.components.extend(other.components);
+        self.segments.extend(other.segments);
         self.timed += other.timed;
         self.attempted += other.attempted;
         self.failed += other.failed;
@@ -300,23 +307,20 @@ pub fn setup_engine(
     })
 }
 
-/// One in-process closed-loop caller: runs `schedule` (cycled) until the
-/// deadline or `limit` operations, drawing `Fresh` requests from `fresh`
-/// in order and stopping early if they run out.
+/// One in-process closed-loop caller: runs `schedule` (cycled) while the
+/// gate lets it, drawing `Fresh` requests from `fresh` in order and
+/// stopping early if they run out.
 pub fn run_caller(
     engine: &Engine,
     fresh: &Fresh,
     schedule: &[Op],
-    deadline: Instant,
-    limit: usize,
+    gate: &Gate,
+    caller: usize,
 ) -> CallerLog {
     let mut tr = Tracer::disabled();
     let mut log = CallerLog::with_reservoir();
     let mut next_fresh = 0usize;
-    for op in schedule.iter().cycle().take(limit) {
-        if Instant::now() >= deadline {
-            break;
-        }
+    for op in schedule.iter().cycle() {
         let request = match op {
             Op::Fresh => match fresh.get(next_fresh) {
                 Some(request) => {
@@ -327,9 +331,13 @@ pub fn run_caller(
             },
             _ => None,
         };
+        let Some(segment) = gate.enter(caller) else {
+            break;
+        };
         log.attempted += 1;
         let (elapsed, verdict) = exec_op(&mut tr, engine, *op, request.as_deref(), None);
-        log.record(elapsed, component_of_op(*op, request.as_deref()));
+        gate.leave(caller);
+        log.record(elapsed, component_of_op(*op, request.as_deref()), segment);
         match verdict {
             Ok(Some(digest)) => log.fresh_digests.push(digest),
             Ok(None) => {}
@@ -485,9 +493,35 @@ pub fn exchange(client: &mut Client, call: &Call) -> std::io::Result<Answer> {
             Answer::Body(if ok { r.status } else { 599 }, Vec::new())
         }
         Call::Stream(json) => {
+            // Submit, poll the job until it has settled, then stream it.
+            // Streaming a job that is still pending waits out the
+            // server's 200 ms read poll whenever the job finishes between
+            // the stream's first poll and its wait, which happens on a
+            // varying share of exchanges and would set the mix's
+            // throughput by itself.
+            let submit = Json::obj([("requests", Json::Arr(vec![json.clone()]))]);
+            let submitted = client.request("POST", "/v1/submit").body(&submit).send()?;
+            let id = submitted
+                .body
+                .get("jobs")
+                .and_then(Json::as_arr)
+                .and_then(|jobs| jobs.first())
+                .and_then(Json::as_u64)
+                .ok_or_else(|| {
+                    std::io::Error::other(format!("submit answered {}", submitted.status))
+                })?;
+            let path = format!("/v1/jobs/{id}");
+            while client
+                .request("GET", &path)
+                .send()?
+                .body
+                .get("status")
+                .and_then(Json::as_str)
+                == Some("pending")
+            {}
             let mut rows = 0usize;
             let mut done = String::from("no terminal event");
-            client.submit_and_stream(json, Format::Json, |event| match event {
+            client.stream_job(id, Format::Json, |event| match event {
                 StreamEvent::Row { .. } => rows += 1,
                 StreamEvent::Done(result) => done = result.render(),
                 StreamEvent::Error(e) => done = format!("error {}", e.render()),
@@ -522,10 +556,14 @@ pub fn setup_served(
     root: &Path,
     tracer: Option<&mut Tracer>,
 ) -> Result<Served, String> {
+    // Settled jobs expire after a second, so the job table holds about a
+    // second of streamed jobs instead of growing with throughput for the
+    // whole window (and `peak_rss_mb` with it).
     let config = ServeConfig::default()
         .addr("127.0.0.1:0")
         .workers(workers)
-        .engine_workers(workers);
+        .engine_workers(workers)
+        .job_ttl(Duration::from_secs(1));
     let server = Server::start(config).map_err(|e| format!("server start: {e}"))?;
     let fixture = (|| {
         if let Some(tr) = tracer {
@@ -562,24 +600,26 @@ pub fn setup_served(
     }
 }
 
-/// One keep-alive client's closed loop over the served table, until the
-/// deadline or `limit` exchanges.
-pub fn run_client(served: &Served, schedule: &[Op], deadline: Instant, limit: usize) -> CallerLog {
+/// One keep-alive client's closed loop over the served table, while the
+/// gate lets it.
+pub fn run_client(served: &Served, schedule: &[Op], gate: &Gate, caller: usize) -> CallerLog {
     let mut client = Client::new(served.server.addr());
     let mut log = CallerLog::with_reservoir();
-    for op in schedule.iter().cycle().take(limit) {
-        if Instant::now() >= deadline {
-            break;
-        }
+    for op in schedule.iter().cycle() {
         let Op::Http(i) = *op else {
             log.fail("in-process op in a served schedule".to_string());
             break;
         };
         let i = i as usize;
+        let Some(segment) = gate.enter(caller) else {
+            break;
+        };
         log.attempted += 1;
         let started = Instant::now();
         let answer = exchange(&mut client, &served.table[i]);
-        log.record(started.elapsed(), component_of_call(&served.table[i]));
+        let elapsed = started.elapsed();
+        gate.leave(caller);
+        log.record(elapsed, component_of_call(&served.table[i]), segment);
         let verdict = match answer {
             Ok(answer) => check_answer(i, &answer, &served.answers[i]),
             Err(e) => {
@@ -647,7 +687,7 @@ mod tests {
         let mut log = CallerLog::with_reservoir();
         let n = 4 * RESERVOIR as u64;
         for i in 0..n {
-            log.record(Duration::from_nanos(i * 1000), (i % 2) as u8);
+            log.record(Duration::from_nanos(i * 1000), (i % 2) as u8, 0);
         }
         assert_eq!(log.timed, n);
         assert_eq!(log.latencies_us.len(), RESERVOIR);
