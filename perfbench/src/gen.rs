@@ -44,8 +44,8 @@ pub fn cold_stream(seed: u64, n: usize, timing: bool) -> Vec<RequestKind> {
     // one component's spread rather than on the edge between two, where
     // a small change of share would move it far:
     // - cold_timing, 6 per cycle: 2 sweeps (33%) < 3 decks (50%) < 1
-    //   macro (17%), so p50 falls among the decks, p90 among the 32-bit
-    //   macros and p99 among the 64-bit ones;
+    //   macro (17%), so p50 falls among the decks, p90 two fifths of the
+    //   way into the macros' spread and p99 near its top;
     // - cold_yield, 8 per cycle: 3 sweeps (38%) < 3 searches (38%) < 2
     //   lots (25%), so p50 falls among the searches, p90 and p99 among
     //   the lots.

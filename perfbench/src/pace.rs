@@ -18,11 +18,11 @@ use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// Length of one timed segment.
-pub const SEGMENT: Duration = Duration::from_millis(500);
+const SEGMENT: Duration = Duration::from_millis(500);
 
 /// Threads the calibration kernel runs on: the two cores every workload
 /// keeps busy.
-pub const CAL_THREADS: usize = 2;
+const CAL_THREADS: usize = 2;
 
 /// Kernel repetitions per calibration thread; a calibration is the
 /// median repetition time over every thread.
@@ -38,7 +38,7 @@ pub const REFERENCE_REP_S: f64 = 2e-3;
 /// the engine's MNA work), then string-keyed hash-map inserts and
 /// lookups (the shape of its cache keys and JSON). Deterministic; the
 /// checksum keeps the work from being optimized away.
-pub fn kernel() -> f64 {
+fn kernel() -> f64 {
     const N: usize = 24;
     let mut sum = 0.0;
     for round in 0..60 {
@@ -138,7 +138,7 @@ pub struct Gate {
 
 impl Gate {
     /// A closed gate for `callers` callers.
-    pub fn new(callers: usize) -> Gate {
+    fn new(callers: usize) -> Gate {
         Gate {
             open: AtomicBool::new(false),
             finished: AtomicBool::new(false),
