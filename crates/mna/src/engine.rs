@@ -7,6 +7,16 @@
 //! records a pivot order that [`crate::LuFactor::refactor`] then reuses
 //! across Newton iterations and timesteps, so the steady-state transient
 //! loop performs no allocation and no fresh pivot search.
+//!
+//! A pattern without FETs is linear: its matrix depends only on the
+//! element values and the system solved — DC, or a transient step of a
+//! given method and companion step. Every full transient step uses the
+//! nominal `dt` as its companion step, so such an analysis factors once
+//! for the whole DC ladder and once per distinct step length, and
+//! otherwise only re-stamps and re-solves the right-hand side. The
+//! engine remembers which system its factorization belongs to and
+//! forgets it at the start of every [`Engine::dc`], so circuits with new
+//! values never meet a stale LU.
 
 use crate::circuit::MnaCircuit;
 use crate::pattern::Pattern;
@@ -96,6 +106,17 @@ impl TranSpec {
     }
 }
 
+/// Which system matrix of a linear (FET-free) pattern a factorization
+/// belongs to. Gmin and source scaling never touch such a matrix, so it
+/// is fixed by the circuit's values plus this.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum LinearSystem {
+    /// The DC system: capacitors open, inductors shorted.
+    Dc,
+    /// A transient step: companion step length (as bits) and method.
+    Tran(u64, Method),
+}
+
 /// The numeric engine for one topology: preallocated factorization,
 /// right-hand side and solution buffers, reused across every DC solve,
 /// Newton iteration and timestep.
@@ -106,6 +127,9 @@ pub struct Engine {
     b: Vec<f64>,
     x: Vec<f64>,
     saved: Vec<f64>,
+    /// For a linear pattern, the system `lu` currently holds factored for
+    /// the circuit of the running analysis; `None` when unknown.
+    factored: Option<LinearSystem>,
 }
 
 impl Engine {
@@ -117,6 +141,7 @@ impl Engine {
             b: vec![0.0; dim],
             x: vec![0.0; dim],
             saved: vec![0.0; dim],
+            factored: None,
             pattern,
         }
     }
@@ -147,6 +172,14 @@ impl Engine {
         let dim = self.pattern.dim();
         let n_nodes = self.pattern.n_nodes();
         let linear = !self.pattern.has_fets();
+        // A linear matrix is fixed by its system: when the factorization
+        // already belongs to it, only the right-hand side needs solving.
+        let system = match &dynamics {
+            _ if !linear => None,
+            Dynamics::Dc => Some(LinearSystem::Dc),
+            Dynamics::Tran { method, dt, .. } => Some(LinearSystem::Tran(dt.to_bits(), *method)),
+        };
+        let reuse = system.is_some() && system == self.factored;
         let spec = StampSpec {
             t,
             source_scale,
@@ -164,7 +197,10 @@ impl Engine {
                 &mut self.b,
                 &spec,
             );
-            self.lu.refactor().map_err(|_| MnaError::Singular)?;
+            if !reuse {
+                self.lu.refactor().map_err(|_| MnaError::Singular)?;
+                self.factored = system;
+            }
             self.lu.solve_in_place(&mut self.b);
             if linear {
                 // No nonlinear elements: the first solve is exact.
@@ -207,6 +243,9 @@ impl Engine {
             "circuit topology does not match the engine's pattern"
         );
         self.x.fill(0.0);
+        // The circuit may carry new values: no factorization survives
+        // into a new analysis.
+        self.factored = None;
         // Source stepping at heavy gmin, then gmin stepping at full
         // sources — no circuit cloning, scaling happens in the stamp.
         for step in 1..=SOURCE_RAMP_STEPS {
@@ -221,15 +260,16 @@ impl Engine {
         Ok(volts)
     }
 
-    /// Advances one step of size `dt` from time `t0`; on convergence
-    /// failure, locally halves the step (recording the accepted interior
-    /// points) up to `halvings` deep.
+    /// Advances one step from `t0` to `t1` with companion step `h`; on
+    /// convergence failure, locally halves the step (recording the
+    /// accepted interior points) up to `halvings` deep.
     #[allow(clippy::too_many_arguments)]
     fn advance(
         &mut self,
         circuit: &MnaCircuit,
         t0: f64,
-        dt: f64,
+        t1: f64,
+        h: f64,
         method: Method,
         halvings: u32,
         step: usize,
@@ -239,30 +279,42 @@ impl Engine {
         self.saved.copy_from_slice(&self.x);
         let attempt = self.newton(
             circuit,
-            t0 + dt,
+            t1,
             1.0,
             GMIN,
             Dynamics::Tran {
                 method,
-                dt,
+                dt: h,
                 state: &*state,
             },
             step,
         );
         match attempt {
             Ok(()) => {
-                state.accept(&self.pattern, circuit, &self.x, method, dt);
-                wave.push(t0 + dt, &self.x);
+                state.accept(&self.pattern, circuit, &self.x, method, h);
+                wave.push(t1, &self.x);
                 Ok(())
             }
             Err(MnaError::NoConvergence { .. }) if halvings > 0 => {
                 // Retry from the last accepted solution at half the step.
                 self.x.copy_from_slice(&self.saved);
-                let half = dt / 2.0;
-                self.advance(circuit, t0, half, method, halvings - 1, step, state, wave)?;
+                let half = h / 2.0;
+                let mid = t0 + half;
                 self.advance(
                     circuit,
-                    t0 + half,
+                    t0,
+                    mid,
+                    half,
+                    method,
+                    halvings - 1,
+                    step,
+                    state,
+                    wave,
+                )?;
+                self.advance(
+                    circuit,
+                    mid,
+                    t1,
                     half,
                     method,
                     halvings - 1,
@@ -299,16 +351,25 @@ impl Engine {
         wave.push(0.0, &self.x);
         // Nominal times come from the step index (`k·dt`, not
         // accumulation), clamped to `t_stop` so the run ends exactly there
-        // regardless of how `t_stop/dt` rounds.
+        // regardless of how `t_stop/dt` rounds. Every full step integrates
+        // over exactly `dt` (not the rounded `t1 − t0`), so a linear
+        // circuit keeps one factorization; only a clamped last step uses
+        // its own length.
         let mut t0 = 0.0;
         let mut k = 0usize;
         while t0 < spec.t_stop {
             k += 1;
-            let t1 = (k as f64 * spec.dt).min(spec.t_stop);
+            let nominal = k as f64 * spec.dt;
+            let (t1, h) = if nominal <= spec.t_stop {
+                (nominal, spec.dt)
+            } else {
+                (spec.t_stop, spec.t_stop - t0)
+            };
             self.advance(
                 circuit,
                 t0,
-                t1 - t0,
+                t1,
+                h,
                 spec.method,
                 spec.max_halvings,
                 k,
@@ -381,7 +442,7 @@ mod tests {
             c.capacitor(2, 0, 1e-12); // tau = 1 ns
             let mut e = engine_for(&c);
             let wave = e
-                .tran(&c, &TranSpec::new(2e-12, 5e-9).method(method))
+                .tran(&c, &TranSpec::new(2e-12, 5.001e-9).method(method))
                 .unwrap();
             for (k, &t) in wave.time().iter().enumerate() {
                 if t < 1e-10 {
@@ -394,13 +455,78 @@ mod tests {
                     "{method:?} t={t}: got {got}, expected {expected}"
                 );
             }
-            // Linear circuit: one full factorization, everything after
-            // reuses the recorded pivot order.
+            // Linear circuit: one full factorization for the whole DC
+            // ladder, one refactor per companion step (the nominal `dt`
+            // and the clamped last step), and solves only after that.
             let stats = e.stats();
             assert_eq!(stats.factorizations, 1);
             assert_eq!(stats.pivot_rebuilds, 0);
-            assert!(stats.refactorizations > 2000, "{stats:?}");
+            assert_eq!(stats.refactorizations, 2, "{stats:?}");
+            assert!(stats.solves > 2000, "{stats:?}");
         }
+    }
+
+    /// A two-section RLC ladder with a resistive load, stepped from a
+    /// non-zero DC level; `scale` changes every value (and so the DC
+    /// point), never the topology.
+    fn rlc_ladder(scale: f64) -> MnaCircuit {
+        let mut c = MnaCircuit::new();
+        c.vsource(1, 0, SourceWave::Pwl(vec![(0.0, 0.2), (5e-12, 1.0)]));
+        c.resistor(1, 2, 50.0 * scale);
+        c.inductor(2, 3, 1e-9 / scale);
+        c.capacitor(3, 0, 1e-12 * scale);
+        c.resistor(3, 4, 1e3 / scale);
+        c.capacitor(4, 0, 0.5e-12 * scale);
+        c.resistor(4, 0, 2e3 * scale);
+        c
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Every probe of a waveform, as raw bits.
+    fn wave_bits(wave: &Waveform, nodes: usize) -> Vec<Vec<u64>> {
+        let mut out = vec![bits(wave.time())];
+        out.extend((1..=nodes).map(|n| bits(wave.voltage(n))));
+        out.push(bits(wave.probe(Probe::InductorCurrent(0))));
+        out
+    }
+
+    /// One engine reused across same-topology circuits with different
+    /// values must never solve against the previous circuit's factors:
+    /// each waveform and DC point equals a fresh engine's, bit for bit.
+    /// A `t_stop` that is a multiple of `dt` ends every run on the
+    /// full-step factorization; one that is not adds a clamped last step.
+    /// The trailing DC solve leaves the previous circuit's DC system
+    /// factored when the next circuit's transient starts.
+    #[test]
+    fn reused_engine_never_solves_against_a_stale_factorization() {
+        // ≈ 1.8 ps, exact in binary, so `k·dt` lands on `t_stop` exactly.
+        let dt = 2f64.powi(-39);
+        let circuits = [rlc_ladder(1.0), rlc_ladder(1.7), rlc_ladder(1.0)];
+        for method in [Method::BackwardEuler, Method::Trapezoidal] {
+            let mut reused = engine_for(&circuits[0]);
+            for t_stop in [550.0 * dt, 550.5 * dt] {
+                let spec = TranSpec::new(dt, t_stop).method(method);
+                for c in &circuits {
+                    let got = reused.tran(c, &spec).unwrap();
+                    let fresh = engine_for(c).tran(c, &spec).unwrap();
+                    assert_eq!(
+                        wave_bits(&got, 4),
+                        wave_bits(&fresh, 4),
+                        "{method:?} t_stop={t_stop:e}"
+                    );
+                    let dc = reused.dc(c).unwrap();
+                    assert_eq!(bits(&dc), bits(&engine_for(c).dc(c).unwrap()));
+                }
+            }
+        }
+        // The two value sets really are different circuits.
+        let spec = TranSpec::new(2e-12, 1.001e-9);
+        let a = engine_for(&circuits[0]).tran(&circuits[0], &spec).unwrap();
+        let b = engine_for(&circuits[1]).tran(&circuits[1], &spec).unwrap();
+        assert_ne!(wave_bits(&a, 4), wave_bits(&b, 4));
     }
 
     /// Series RLC step response against the underdamped analytic form.

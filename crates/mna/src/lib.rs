@@ -15,7 +15,8 @@
 //!   is re-stamped and re-factored **in place** per Newton iteration and
 //!   per timestep, reusing the recorded pivot order
 //!   ([`LuFactor::refactor`]) so steady-state solving allocates nothing
-//!   and searches no pivots.
+//!   and searches no pivots. A circuit without FETs skips even the
+//!   refactor while its system (DC, or the companion step) is unchanged.
 //!
 //! Transient analysis ([`Engine::tran`]) integrates capacitors and
 //! inductors through companion models (backward-Euler or trapezoidal,

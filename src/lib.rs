@@ -101,8 +101,9 @@
 //! * [`device`] — CNT physics, the screened CNFET compact model, the CMOS
 //!   65 nm baseline, FO4 analytics;
 //! * [`mna`] — the reusable-factorization MNA engine: one symbolic
-//!   analysis per topology, in-place LU re-factorization per timestep,
-//!   transient + AC analysis, `.measure`-style extraction;
+//!   analysis per topology, in-place LU re-factorization per timestep
+//!   (once per step size for linear circuits), transient + AC analysis,
+//!   `.measure`-style extraction;
 //! * [`spice`] — netlists, deck parsing/rendering, and DC/transient
 //!   simulation lowered onto [`mna`];
 //! * [`core`] — the paper's contribution: the compact misaligned-CNT-immune

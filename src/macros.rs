@@ -26,7 +26,10 @@
 //! each bit slice in the [`RequestClass::Macros`](crate::RequestClass)
 //! cache, and the full-adder's cell mix in the `Cell` class — a second
 //! macro over the same cells (any width, any kind) re-executes zero cell
-//! generations. Slice keys include the macro width: a CLA bit's carry
+//! generations. A slice's two fixed-load internal stages (NAND2 core and
+//! 4X buffer) are ordinary nominal [`SweepCornerRequest`]s, so every bit
+//! of every macro on a kit recalls them from the `Sweeps` class after
+//! the first. Slice keys include the macro width: a CLA bit's carry
 //! fan-out depends on where the prefix tree puts it, so bit 3 of an
 //! 8-bit adder and bit 3 of a 64-bit adder are *not* the same work.
 //!
@@ -50,9 +53,11 @@ use crate::core::{Scheme, StdCellKind};
 use crate::dk::{self, CellLibrary, CharCorner, LibCell};
 use crate::error::{CnfetError, Result};
 use crate::flow::{assemble_macro_gds, place_macro, MacroAdder};
+use crate::immunity::McOptions;
 use crate::logic::{AdderKind, AdderPlan};
 use crate::request::RequestKind;
 use crate::session::{CellRequest, LibraryRequest, Session};
+use crate::sweep::{SweepCornerRequest, SweepMetrics, VariationCorner};
 use cnfet_rng::{Rng, SeedableRng};
 use std::sync::Arc;
 use std::time::Duration;
@@ -417,8 +422,9 @@ fn critical_path(kind: AdderKind, plan: &AdderPlan, slices: &[SliceOutcome]) -> 
 }
 
 /// Executes one bit slice: generate (or recall) the full adder's cell
-/// mix through the session cell cache, then characterize the sum and
-/// carry arcs at the slice's seeded wire load on the MNA engine (whose
+/// mix through the session cell cache, recall the fixed-load NAND and
+/// 4X stage delays from the `Sweeps` class, then characterize the 9X
+/// buffer at the slice's seeded wire load on the MNA engine (whose
 /// process-wide `PatternCache` makes repeated same-cell transients skip
 /// symbolic re-analysis).
 pub(crate) fn execute_slice(
@@ -440,15 +446,15 @@ pub(crate) fn execute_slice(
 
     let kit = session.kit();
     let opts = dk::library_options(kit, request.scheme);
+    let cell_request = |kind, strength| CellRequest {
+        kind,
+        strength,
+        options: Some(opts.clone()),
+        name: Some(CellLibrary::cell_name(kind, strength)),
+    };
     let mut lib_cells = Vec::with_capacity(FA_CELL_MIX.len());
     for (kind, strength) in FA_CELL_MIX {
-        let req = CellRequest {
-            kind,
-            strength,
-            options: Some(opts.clone()),
-            name: Some(CellLibrary::cell_name(kind, strength)),
-        };
-        let cell = session.run(&req)?.cell;
+        let cell = session.run(&cell_request(kind, strength))?.cell;
         lib_cells.push(LibCell::from_layout(
             kit,
             kind,
@@ -457,15 +463,32 @@ pub(crate) fn execute_slice(
             kit.tubes_per_4lambda,
         ));
     }
-    let (nand, inv4, inv9) = (&lib_cells[0], &lib_cells[1], &lib_cells[3]);
+    let (nand, inv9) = (&lib_cells[0], &lib_cells[3]);
 
     // Internal stages drive gate pins; the output buffers drive the
-    // slice's wire load.
+    // slice's wire load. The internal load is the same for every bit of
+    // every macro on a kit, so those two stages are recalled as nominal
+    // timing corners from the `Sweeps` class; the 9X buffer's jittered
+    // load is unique per bit and characterizes directly.
     let internal_f = (2.0 * nand.input_cap_f).min(load_f);
-    let corner = CharCorner::nominal(kit);
-    let d_nand = dk::characterize_cell_at(kit, nand, &[internal_f], corner)?.delay_at(internal_f);
-    let d_inv4 = dk::characterize_cell_at(kit, inv4, &[internal_f], corner)?.delay_at(internal_f);
-    let d_inv9 = dk::characterize_cell_at(kit, inv9, &[load_f], corner)?.delay_at(load_f);
+    let stage_delay = |(kind, strength): (StdCellKind, u8)| -> Result<f64> {
+        let row = session.run(&SweepCornerRequest {
+            cell: cell_request(kind, strength),
+            corner: VariationCorner {
+                tubes_per_4lambda: kit.tubes_per_4lambda,
+                ..VariationCorner::nominal()
+            },
+            metrics: SweepMetrics::TIMING,
+            mc: McOptions::default(),
+            loads_f: vec![internal_f],
+        })?;
+        let table = row.timing.expect("timing corners carry a timing table");
+        Ok(table.delay_at(internal_f))
+    };
+    let d_nand = stage_delay(FA_CELL_MIX[0])?;
+    let d_inv4 = stage_delay(FA_CELL_MIX[1])?;
+    let d_inv9 =
+        dk::characterize_cell_at(kit, inv9, &[load_f], CharCorner::nominal(kit))?.delay_at(load_f);
 
     // Stage counts of the nine-NAND2 core: the sum arc crosses six NAND
     // stages (a→s1→s2→axb→s5→s6→sum_raw), the carry arc five
@@ -483,6 +506,7 @@ pub(crate) fn execute_slice(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dk::DesignKit;
 
     fn outcome(bit: u32, carry: f64, sum: f64) -> SliceOutcome {
         SliceOutcome {
@@ -510,6 +534,70 @@ mod tests {
         let depth = f64::from(plan.carry_depth());
         assert!((path - (depth * 1e-12 + 3e-12)).abs() < 1e-18);
         assert!(path < 64.0 * 1e-12, "CLA beats the ripple chain");
+    }
+
+    /// Recalling the fixed-load stages from the `Sweeps` class changes no
+    /// outcome: every slice equals, exactly, the one direct
+    /// characterization gives — and a ripple-8 macro on a fresh session
+    /// characterizes each fixed stage once (2 misses) and recalls it for
+    /// every other bit (14 hits). The second kit's tube count differs
+    /// from `VariationCorner::nominal()`'s, so the recalled corner must
+    /// follow the kit.
+    #[test]
+    fn slices_recall_fixed_stages_from_sweeps_and_match_direct_characterization() {
+        let sparse = DesignKit {
+            tubes_per_4lambda: 20,
+            ..DesignKit::cnfet65()
+        };
+        for kit in [DesignKit::cnfet65(), sparse] {
+            let session = Session::builder().kit(kit).build();
+            let report = session
+                .run(&MacroRequest::new(AdderKind::Ripple, 8))
+                .unwrap();
+            let sweeps = session.stats().sweeps;
+            assert_eq!((sweeps.misses, sweeps.hits), (2, 14), "{sweeps:?}");
+
+            let kit = session.kit();
+            let opts = dk::library_options(kit, Scheme::Scheme2);
+            let lib_cell = |(kind, strength): (StdCellKind, u8)| {
+                let request = CellRequest {
+                    kind,
+                    strength,
+                    options: Some(opts.clone()),
+                    name: Some(CellLibrary::cell_name(kind, strength)),
+                };
+                let cell = session.run(&request).unwrap().cell;
+                LibCell::from_layout(kit, kind, strength, cell, kit.tubes_per_4lambda)
+            };
+            let (nand, inv4, inv9) = (
+                lib_cell(FA_CELL_MIX[0]),
+                lib_cell(FA_CELL_MIX[1]),
+                lib_cell(FA_CELL_MIX[3]),
+            );
+            let delay = |cell: &LibCell, load: f64| {
+                dk::characterize_cell_at(kit, cell, &[load], CharCorner::nominal(kit))
+                    .unwrap()
+                    .delay_at(load)
+            };
+            for slice in &report.slices {
+                let internal_f = (2.0 * nand.input_cap_f).min(slice.load_f);
+                let d_nand = delay(&nand, internal_f);
+                let buffer = delay(&inv4, internal_f) + delay(&inv9, slice.load_f);
+                let expected = SliceOutcome {
+                    sum_delay_s: 6.0 * d_nand + buffer,
+                    carry_delay_s: 5.0 * d_nand + buffer,
+                    ..*slice
+                };
+                assert_eq!(
+                    (slice.sum_delay_s.to_bits(), slice.carry_delay_s.to_bits()),
+                    (
+                        expected.sum_delay_s.to_bits(),
+                        expected.carry_delay_s.to_bits()
+                    ),
+                    "{slice:?}"
+                );
+            }
+        }
     }
 
     #[test]

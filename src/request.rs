@@ -461,8 +461,10 @@ impl SessionRequest for TranRequest {
     }
 
     /// Parses the deck, lowers it to MNA form, and integrates: one
-    /// symbolic analysis, one factorization, pivot-order reuse across
-    /// every timestep ([`crate::mna`]).
+    /// symbolic analysis, one pivot search reused across every timestep,
+    /// and — for a deck without FETs — one numeric factorization for the
+    /// DC point and one per step size, after which each step only
+    /// re-solves ([`crate::mna`]).
     fn execute(&self, _session: &Session) -> Result<TranResult> {
         let spec_err =
             |message: String| CnfetError::Deck(crate::spice::DeckError { line: 0, message });
