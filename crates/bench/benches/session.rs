@@ -164,7 +164,7 @@ fn main() {
     }
 
     // Skewed batch: many cheap cells plus a heavy tail, cold every
-    // iteration — measures how well the batch executor load-balances.
+    // iteration — measures how well the pool load-balances a batch.
     let skewed_requests = skewed(48);
     let sn = skewed_requests.len();
     h.bench(format!("skewed_batch_{sn}_cells"), 30, || {

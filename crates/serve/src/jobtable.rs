@@ -13,16 +13,15 @@
 //! → `410 Gone`), while an id the table never issued is
 //! [`Polled::Unknown`] (`404`).
 //!
-//! Every job also carries a [`Progress`] handle. For composite requests
-//! the table attaches the matching observer before submitting — a
-//! [`RowObserver`] on sweeps, a [`DieObserver`] on repair lots, a
-//! [`CandidateObserver`] on optimize searches, a [`SliceObserver`] on
-//! adder macros — so corner rows / die outcomes / candidate rows /
-//! bit-slice outcomes land on the progress as the engine
-//! harvests them — the feed under `/stream`. Whole-report cache hits
-//! never execute (the observer stays silent); the missing rows are
-//! back-filled from the final report when the job settles, so a
-//! streamed job always delivers every row before its terminal event.
+//! Every job also carries a [`Progress`] handle. For the four composite
+//! requests (sweeps, repair lots, optimize searches, adder macros) the
+//! table attaches an [`Observer`] before submitting, so corner rows /
+//! die outcomes / candidate rows / bit-slice outcomes land on the
+//! progress as the engine harvests them — the feed under `/stream`.
+//! Whole-report cache hits never execute (the observer stays silent);
+//! the missing rows are back-filled from the final report when the job
+//! settles, so a streamed job always delivers every row before its
+//! terminal event.
 //!
 //! Three bounds keep the table from growing without limit under load:
 //!
@@ -44,8 +43,7 @@ use crate::wire;
 use cnfet::repair::DieOutcome;
 use cnfet::sweep::CornerRow;
 use cnfet::{
-    CandidateObserver, CandidateRow, CnfetError, DieObserver, JobHandle, RequestKind, ResponseKind,
-    RowObserver, Session, SliceObserver, SliceOutcome,
+    CandidateRow, CnfetError, JobHandle, Observer, RequestKind, ResponseKind, Session, SliceOutcome,
 };
 use std::collections::HashMap;
 use std::sync::{Arc, Condvar, Mutex, Weak};
@@ -82,8 +80,8 @@ pub enum Polled {
 }
 
 /// One streamed progress row: a sweep's corner row, a repair lot's die
-/// outcome, or an optimize search's candidate row, in canonical report
-/// order either way.
+/// outcome, an optimize search's candidate row, or an adder macro's bit
+/// slice, in canonical report order in every case.
 #[derive(Clone, Debug)]
 pub enum StreamRow {
     /// One cell × corner row of an executing sweep.
@@ -96,11 +94,10 @@ pub enum StreamRow {
     Slice(SliceOutcome),
 }
 
-/// The live row feed of one job, shared between the engine's observer
-/// ([`RowObserver`] for sweeps, [`DieObserver`] for repair lots —
-/// producers) and `/stream` handlers (consumers). Non-composite jobs
-/// carry one too, with `total` 0 — a stream of no rows and one terminal
-/// event.
+/// The live row feed of one job, shared between the engine's
+/// [`Observer`] on a composite (the producer) and `/stream` handlers
+/// (consumers). Non-composite jobs carry one too, with `total` 0 — a
+/// stream of no rows and one terminal event.
 pub struct Progress {
     total: usize,
     state: Mutex<ProgressState>,
@@ -125,7 +122,8 @@ impl Progress {
     }
 
     /// Total rows this job will deliver (cells × corners for a sweep,
-    /// dies for a repair lot; 0 for non-composite jobs).
+    /// dies for a repair lot, candidates for an optimize search, bits
+    /// for an adder macro; 0 for non-composite jobs).
     pub fn total(&self) -> usize {
         self.total
     }
@@ -167,6 +165,21 @@ impl Progress {
         let rows = state.rows.get(seen..).unwrap_or(&[]).to_vec();
         (rows, state.finished.clone())
     }
+}
+
+/// A fresh progress of `total` rows plus the engine observer that feeds
+/// it, converting each harvested item with `row`. The observer holds the
+/// progress weakly: once the job's entry expires, pushes from an
+/// execution another client re-triggered go nowhere.
+fn feed<T: 'static>(total: usize, row: fn(&T) -> StreamRow) -> (Arc<Progress>, Observer<T>) {
+    let progress = Arc::new(Progress::new(total));
+    let feed: Weak<Progress> = Arc::downgrade(&progress);
+    let observer = Observer::new(move |index, item| {
+        if let Some(progress) = feed.upgrade() {
+            progress.push(index, row(item));
+        }
+    });
+    (progress, observer)
 }
 
 enum JobState {
@@ -281,56 +294,39 @@ impl JobTable {
     /// Submits one request on the session's pool and returns its job id,
     /// or refuses with [`Backpressure`] when `capacity` jobs are already
     /// pending. Expired jobs are purged first, so a full table recovers
-    /// on its own as work drains. Composite requests get an observer
-    /// attached ([`RowObserver`] on sweeps, [`DieObserver`] on repair
-    /// lots) so their rows feed the job's [`Progress`] live.
+    /// on its own as work drains. The four composite requests get an
+    /// [`Observer`] attached so their rows feed the job's [`Progress`]
+    /// live.
     pub fn submit(&self, session: &Session, request: RequestKind) -> Result<u64, Backpressure> {
         // Build the progress (and, for composites, wire the observer)
         // before taking the table lock: the observer closure only touches
         // the progress's own lock, never the table's.
         let (request, progress) = match request {
             RequestKind::Sweep(sweep) => {
-                let progress = Arc::new(Progress::new(sweep.row_count()));
-                // Weak: once the entry expires, the engine's pushes (for
-                // a sweep another client re-triggered) go nowhere.
-                let feed: Weak<Progress> = Arc::downgrade(&progress);
-                let sweep = sweep.observe_rows(RowObserver::new(move |index, row| {
-                    if let Some(progress) = feed.upgrade() {
-                        progress.push(index, StreamRow::Corner(row.clone()));
-                    }
-                }));
-                (RequestKind::Sweep(sweep), progress)
+                let (progress, observer) = feed(sweep.row_count(), |row: &CornerRow| {
+                    StreamRow::Corner(row.clone())
+                });
+                (RequestKind::Sweep(sweep.observe_rows(observer)), progress)
             }
             RequestKind::Repair(repair) => {
-                let progress = Arc::new(Progress::new(repair.die_count()));
-                let feed: Weak<Progress> = Arc::downgrade(&progress);
-                let repair = repair.observe_dies(DieObserver::new(move |index, outcome| {
-                    if let Some(progress) = feed.upgrade() {
-                        progress.push(index, StreamRow::Die(outcome.clone()));
-                    }
-                }));
-                (RequestKind::Repair(repair), progress)
+                let (progress, observer) = feed(repair.die_count(), |die: &DieOutcome| {
+                    StreamRow::Die(die.clone())
+                });
+                (RequestKind::Repair(repair.observe_dies(observer)), progress)
             }
             RequestKind::Optimize(optimize) => {
-                let progress = Arc::new(Progress::new(optimize.candidate_count()));
-                let feed: Weak<Progress> = Arc::downgrade(&progress);
-                let optimize =
-                    optimize.observe_candidates(CandidateObserver::new(move |index, row| {
-                        if let Some(progress) = feed.upgrade() {
-                            progress.push(index, StreamRow::Candidate(row.clone()));
-                        }
-                    }));
+                let (progress, observer) =
+                    feed(optimize.candidate_count(), |row: &CandidateRow| {
+                        StreamRow::Candidate(row.clone())
+                    });
+                let optimize = optimize.observe_candidates(observer);
                 (RequestKind::Optimize(optimize), progress)
             }
             RequestKind::Macro(makro) => {
-                let progress = Arc::new(Progress::new(makro.slice_count()));
-                let feed: Weak<Progress> = Arc::downgrade(&progress);
-                let makro = makro.observe_slices(SliceObserver::new(move |index, outcome| {
-                    if let Some(progress) = feed.upgrade() {
-                        progress.push(index, StreamRow::Slice(*outcome));
-                    }
-                }));
-                (RequestKind::Macro(makro), progress)
+                let (progress, observer) = feed(makro.slice_count(), |slice: &SliceOutcome| {
+                    StreamRow::Slice(*slice)
+                });
+                (RequestKind::Macro(makro.observe_slices(observer)), progress)
             }
             other => (other, Arc::new(Progress::new(0))),
         };

@@ -10,7 +10,7 @@
 use cnfet::core::StdCellKind;
 use cnfet::immunity::McOptions;
 use cnfet::{
-    CandidateObserver, OptimizeRequest, OptimizeTarget, Session, SweepMetrics, VariationGrid,
+    CandidateRow, Observer, OptimizeRequest, OptimizeTarget, Session, SweepMetrics, VariationGrid,
 };
 
 fn main() -> cnfet::Result<()> {
@@ -36,7 +36,7 @@ fn main() -> cnfet::Result<()> {
         .loads([1e-15])
         // Candidates stream in schedule order as the pool harvests them
         // — the same feed `/v1/jobs/{id}/stream` serves over the wire.
-        .observe_candidates(CandidateObserver::new(|index, row| {
+        .observe_candidates(Observer::new(|index, row: &CandidateRow| {
             println!(
                 "  candidate {index:>2} (pass {}, {:>8} axis): {:>2} tubes/4λ, pitch×{:.3}, metallic {:>4.1}% → score {:.4}{}",
                 row.pass,

@@ -1,17 +1,20 @@
-//! Non-blocking job submission: the persistent work-stealing pool behind
-//! [`Session::submit`](crate::Session::submit) and the [`JobHandle`] it
-//! returns.
+//! The persistent work-stealing pool — the session's one executor —
+//! and the [`JobHandle`] it returns.
 //!
-//! [`Session::run_batch`](crate::Session::run_batch) blocks until a whole
-//! request list finishes; serving heavy heterogeneous traffic needs the
-//! opposite shape — enqueue thousands of requests and harvest results as
-//! they land. This std-only module provides it:
+//! Every multi-request path runs here: [`Session::submit`] and
+//! [`Session::submit_all`] hand the handles back to the caller, while
+//! [`Session::run_batch`] and the four composite requests (sweep,
+//! repair, optimize, macro) harvest theirs through the session's
+//! ordered fan-out, helping their own batch while they wait. This
+//! std-only module provides:
 //!
-//! * [`Pool`] — a lazily-started set of worker threads popping through
-//!   the shared work-stealing core (`crate::steal`, the same injector +
-//!   per-worker-deque + steal-from-the-fullest logic the batch executor
-//!   uses), but persistent: workers park on a condvar when idle and live
-//!   as long as the session.
+//! * [`Pool`] — a lazily-started set of worker threads, persistent:
+//!   workers park on a condvar when idle and live as long as the
+//!   session. Each worker pops through [`next_item`]: its own deque
+//!   front-to-back, then a chunk refilled from the shared FIFO
+//!   injector, then the back half of the fullest other deque, so a
+//!   skewed tail of expensive jobs is redistributed instead of pinning
+//!   one thread.
 //! * [`JobHandle`] — the caller's side of one submitted job: [`wait`],
 //!   [`try_get`], [`wait_timeout`], [`is_done`]. Dropping a handle never
 //!   cancels the job — the work still runs and still populates the
@@ -22,6 +25,9 @@
 //!   resolves the handle with [`CnfetError::Canceled`] instead of
 //!   stranding a waiter.
 //!
+//! [`Session::submit`]: crate::Session::submit
+//! [`Session::submit_all`]: crate::Session::submit_all
+//! [`Session::run_batch`]: crate::Session::run_batch
 //! [`wait`]: JobHandle::wait
 //! [`try_get`]: JobHandle::try_get
 //! [`wait_timeout`]: JobHandle::wait_timeout
@@ -35,21 +41,16 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// A unit of work queued on the pool, tagged with the submission batch it
-/// belongs to. The tag is what makes *targeted helping* safe: a composite
-/// request draining the queue while it waits runs only jobs of its own
-/// batch — never an arbitrary queued job, which could itself block on the
-/// very single-flight claim the helper is holding (a re-entrant
-/// deadlock).
+/// belongs to. The tag is what makes *targeted helping* safe: a caller
+/// draining the queue while it waits runs only jobs of its own batch —
+/// never an arbitrary queued job, which could itself block on the very
+/// single-flight claim the helper is holding (a re-entrant deadlock).
 pub(crate) struct Job {
-    /// Batch the job was submitted under ([`UNBATCHED`] for solo
-    /// submissions).
+    /// Batch the job was submitted under.
     pub(crate) batch: u64,
     /// The work itself.
     pub(crate) run: Box<dyn FnOnce() + Send>,
 }
-
-/// Batch tag of jobs submitted outside any batch.
-pub(crate) const UNBATCHED: u64 = 0;
 
 /// Allocates a fresh nonzero batch id (process-global, so ids never
 /// collide across sessions).
@@ -236,8 +237,8 @@ struct PoolShared {
     shutdown: AtomicBool,
 }
 
-/// The persistent work-stealing executor of a session's submitted jobs.
-/// Started lazily on the first `submit`; shut down (draining the queue as
+/// The persistent work-stealing executor of a session's jobs. Started
+/// lazily on the first submission; shut down (draining the queue as
 /// cancellations) when the session's last handle drops.
 pub(crate) struct Pool {
     shared: Arc<PoolShared>,
@@ -279,25 +280,21 @@ impl Pool {
         }
     }
 
-    /// Enqueues one job and wakes a parked worker.
-    pub(crate) fn submit(&self, job: Job) {
-        self.shared
-            .injector
-            .lock()
-            .expect("pool injector lock")
-            .push_back(job);
-        self.shared.available.notify_one();
-    }
-
-    /// Enqueues a batch under one injector lock and wakes every parked
-    /// worker, so a heterogeneous fan-out starts on all threads at once.
-    pub(crate) fn submit_many(&self, jobs: impl IntoIterator<Item = Job>) {
+    /// Enqueues jobs under one injector lock. A lone job wakes one
+    /// parked worker; a fan-out wakes them all, so a heterogeneous batch
+    /// starts on every thread at once.
+    pub(crate) fn submit(&self, jobs: Vec<Job>) {
+        let count = jobs.len();
         self.shared
             .injector
             .lock()
             .expect("pool injector lock")
             .extend(jobs);
-        self.shared.available.notify_all();
+        match count {
+            0 => {}
+            1 => self.shared.available.notify_one(),
+            _ => self.shared.available.notify_all(),
+        }
     }
 
     /// Deque-to-deque steal operations performed so far.
@@ -310,14 +307,14 @@ impl Pool {
     /// front to back, then every worker deque back to front. Returns
     /// whether a job ran.
     ///
-    /// This is the deadlock escape hatch for *composite* requests — a
-    /// request whose `execute` submits a batch of sub-requests onto the
-    /// same pool and waits for them. On a bounded worker set the
-    /// executing worker would otherwise park forever on handles nobody
-    /// is left to serve; instead it calls this in its wait loop and
-    /// drains its own batch itself. Helping is restricted to that batch
-    /// on purpose: an arbitrary queued job (say, a second copy of the
-    /// same composite) can block on the single-flight claim the helping
+    /// This is the deadlock escape hatch of the session's fan-out: a
+    /// caller that submitted a batch and waits for it — possibly a
+    /// composite request executing *on* this pool — would otherwise
+    /// park forever on handles nobody is left to serve when the worker
+    /// set is bounded; instead it calls this in its wait loop and drains
+    /// its own batch itself. Helping is restricted to that batch on
+    /// purpose: an arbitrary queued job (say, a second copy of the same
+    /// composite) can block on the single-flight claim the helping
     /// thread currently holds, which would deadlock the helper on
     /// itself. Sub-requests only ever wait *downward* (corners on cells,
     /// never on sweeps), so batch-targeted helping cannot cycle.
@@ -387,17 +384,79 @@ impl Drop for Pool {
     }
 }
 
-/// One worker: run everything reachable through the shared steal core
-/// ([`crate::steal`]: local deque → injector chunk → steal-from-the-
-/// fullest), then park until new work or shutdown. Refill/steal residue
-/// notifies the condvar so parked peers wake to steal it.
+/// Pops worker `me`'s next item: its own deque front-to-back; else a
+/// small chunk refilled from the injector (keeping the tail available
+/// to other workers while amortizing the injector lock); else the back
+/// half of the fullest other deque. Whenever the call leaves extra
+/// items in the worker's own deque (refill or steal residue) it wakes
+/// the parked peers on `available`, so the residue is stealable at once.
+fn next_item<T>(
+    me: usize,
+    injector: &Mutex<VecDeque<T>>,
+    locals: &[Mutex<VecDeque<T>>],
+    steals: &AtomicU64,
+    available: &Condvar,
+) -> Option<T> {
+    if let Some(item) = locals[me].lock().expect("local deque lock").pop_front() {
+        return Some(item);
+    }
+
+    // Refill from the injector.
+    {
+        let mut inj = injector.lock().expect("injector lock");
+        if !inj.is_empty() {
+            let chunk = (inj.len() / (2 * locals.len())).max(1).min(inj.len());
+            let first = inj.pop_front().expect("non-empty injector");
+            let mut residue = 0;
+            {
+                let mut local = locals[me].lock().expect("local deque lock");
+                for _ in 1..chunk {
+                    match inj.pop_front() {
+                        Some(item) => {
+                            local.push_back(item);
+                            residue += 1;
+                        }
+                        None => break,
+                    }
+                }
+            }
+            drop(inj);
+            if residue > 0 {
+                available.notify_all();
+            }
+            return Some(first);
+        }
+    }
+
+    // Steal the back half of the fullest victim deque.
+    let victim = (0..locals.len())
+        .filter(|&w| w != me)
+        .max_by_key(|&w| locals[w].lock().expect("victim deque lock").len())?;
+    let mut stolen: VecDeque<T> = {
+        let mut v = locals[victim].lock().expect("victim deque lock");
+        let keep = v.len() / 2;
+        v.split_off(keep)
+    };
+    let first = stolen.pop_front()?;
+    steals.fetch_add(1, Ordering::Relaxed);
+    if !stolen.is_empty() {
+        locals[me].lock().expect("local deque lock").extend(stolen);
+        available.notify_all();
+    }
+    Some(first)
+}
+
+/// One worker: run everything reachable through [`next_item`], then
+/// park until new work or shutdown.
 fn worker(shared: &PoolShared, me: usize) {
     loop {
-        while let Some(job) =
-            crate::steal::next_item(me, &shared.injector, &shared.locals, &shared.steals, || {
-                shared.available.notify_all()
-            })
-        {
+        while let Some(job) = next_item(
+            me,
+            &shared.injector,
+            &shared.locals,
+            &shared.steals,
+            &shared.available,
+        ) {
             // A panicking request must not kill the worker; the job's
             // Completion resolves the handle to Canceled while unwinding.
             let _ = catch_unwind(AssertUnwindSafe(job.run));
@@ -431,12 +490,12 @@ mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
 
-    /// An unbatched test job.
-    fn job(run: impl FnOnce() + Send + 'static) -> Job {
-        Job {
-            batch: UNBATCHED,
+    /// A test job in a batch of its own.
+    fn job(run: impl FnOnce() + Send + 'static) -> Vec<Job> {
+        vec![Job {
+            batch: next_batch_id(),
             run: Box::new(run),
-        }
+        }]
     }
 
     #[test]
@@ -535,10 +594,10 @@ mod tests {
         let handles: Vec<_> = (1..=4u32)
             .map(|i| {
                 let (completion, handle) = job_channel::<u32>();
-                pool.submit(Job {
+                pool.submit(vec![Job {
                     batch,
                     run: Box::new(move || completion.complete(Ok(i))),
-                });
+                }]);
                 handle
             })
             .collect();
@@ -596,5 +655,44 @@ mod tests {
             Ok(2) | Err(CnfetError::Canceled) => {}
             other => panic!("queued job resolved unexpectedly: {other:?}"),
         }
+    }
+
+    #[test]
+    fn drains_everything_exactly_once() {
+        let injector: Mutex<VecDeque<u32>> = Mutex::new((0..100).collect());
+        let locals: Vec<Mutex<VecDeque<u32>>> =
+            (0..4).map(|_| Mutex::new(VecDeque::new())).collect();
+        let (steals, available) = (AtomicU64::new(0), Condvar::new());
+        let mut seen = [false; 100];
+        for me in (0..4).cycle() {
+            match next_item(me, &injector, &locals, &steals, &available) {
+                Some(item) => {
+                    assert!(!seen[item as usize], "{item} popped twice");
+                    seen[item as usize] = true;
+                }
+                None if seen.iter().all(|&s| s) => break,
+                None => {}
+            }
+        }
+        assert!(seen.iter().all(|&s| s));
+    }
+
+    #[test]
+    fn chunked_refill_leaves_residue_for_peers() {
+        let injector: Mutex<VecDeque<u32>> = Mutex::new((0..64).collect());
+        let locals: Vec<Mutex<VecDeque<u32>>> =
+            (0..2).map(|_| Mutex::new(VecDeque::new())).collect();
+        let (steals, available) = (AtomicU64::new(0), Condvar::new());
+        let item = next_item(0, &injector, &locals, &steals, &available);
+        assert_eq!(item, Some(0));
+        let residue = locals[0].lock().unwrap().len();
+        assert!(residue > 0, "the chunk left residue in worker 0's deque");
+        // With the injector drained, worker 1 steals the residue's back
+        // half rather than idling.
+        injector.lock().unwrap().clear();
+        let back_half_front = locals[0].lock().unwrap()[residue / 2];
+        let stolen = next_item(1, &injector, &locals, &steals, &available);
+        assert_eq!(stolen, Some(back_half_front));
+        assert_eq!(steals.load(Ordering::Relaxed), 1);
     }
 }

@@ -19,11 +19,12 @@
 //! them all: [`Session::run`]. Results are memoized by their complete
 //! generation input, so repeated requests — the shape of any
 //! co-optimization sweep — cost one execution plus
-//! [`Arc`](std::sync::Arc) clones. [`Session::run_batch`] fans a request
-//! list out across threads, and [`Session::submit`] /
-//! [`Session::submit_all`] enqueue work **non-blocking** on a persistent
-//! work-stealing pool, returning [`JobHandle`]s (heterogeneous mixes go
-//! through [`RequestKind`]). All failures converge on one hierarchy,
+//! [`Arc`](std::sync::Arc) clones. Every multi-request path runs on one
+//! persistent work-stealing pool per session: [`Session::run_batch`]
+//! fans a request list out on it and helps until the ordered results
+//! are in, and [`Session::submit`] / [`Session::submit_all`] enqueue
+//! work **non-blocking**, returning [`JobHandle`]s (heterogeneous mixes
+//! go through [`RequestKind`]). All failures converge on one hierarchy,
 //! [`CnfetError`], with a workspace-wide [`Result`] alias.
 //!
 //! | Request | `run` output | What runs |
@@ -60,7 +61,9 @@
 //! 8/32/64-bit ripple-carry or carry-look-ahead macro whose slices hold
 //! an `Arc` reference to one shared sub-cell (never flattened copies),
 //! fanning per-bit-slice characterizations out on the same pool
-//! ([`macros`]).
+//! ([`macros`]). Every composite can stream its items as they land
+//! through one generic [`Observer`] (`observe_rows`, `observe_dies`,
+//! `observe_candidates`, `observe_slices`).
 //!
 //! The per-kind methods of the 0.1 line (`Session::generate`,
 //! `::library`, `::immunity`, `::flow`, `::generate_batch`) were
@@ -120,8 +123,9 @@
 //! optimizations, macros) is memoized by
 //! its own sharded, bounded, single-flight LRU cache ([`cache`]) — tune
 //! it with [`SessionBuilder::cache_capacity`] and
-//! [`SessionBuilder::cache_shards`] — and batches and submitted jobs run
-//! on std-only work-stealing executors. The per-crate free functions
+//! [`SessionBuilder::cache_shards`] — and batches, submitted jobs and
+//! composite fan-outs all run on the session's one std-only
+//! work-stealing pool. The per-crate free functions
 //! ([`core::generate_cell`], `dk::build_library`, …) remain available
 //! for one-shot use; the deprecated PR-1 shims that rebuilt state on
 //! every call (`dk::DesignKit::build_library`, `flow::place_cnfet`, …)
@@ -149,7 +153,6 @@ pub use cnfet_logic as logic;
 pub use cnfet_mna as mna;
 pub use cnfet_spice as spice;
 
-mod batch;
 pub mod cache;
 mod error;
 mod jobs;
@@ -159,26 +162,148 @@ pub mod repair;
 mod request;
 mod session;
 pub mod snapshot;
-mod steal;
 pub mod sweep;
 
 pub use cache::{CacheStats, ShardStats};
 pub use error::{CnfetError, Result};
 pub use jobs::JobHandle;
-pub use macros::{MacroReport, MacroRequest, MacroSliceRequest, SliceObserver, SliceOutcome};
+pub use macros::{MacroReport, MacroRequest, MacroSliceRequest, SliceOutcome};
 pub use optimize::{
-    CandidateObserver, CandidateOutcome, CandidateRow, OptimizeAxis, OptimizeCandidateRequest,
-    OptimizeReport, OptimizeRequest, OptimizeTarget,
+    CandidateOutcome, CandidateRow, OptimizeAxis, OptimizeCandidateRequest, OptimizeReport,
+    OptimizeRequest, OptimizeTarget,
 };
-pub use repair::{DieObserver, DieRequest, RepairReport, RepairRequest};
+pub use repair::{DieRequest, RepairReport, RepairRequest};
 pub use request::{CacheKey, RequestClass, RequestKind, ResponseKind, SessionRequest};
 pub use session::{
     CellRequest, CellResult, FlowRequest, FlowResult, FlowSource, FlowTarget, ImmunityEngine,
-    ImmunityReport, ImmunityRequest, LibraryRequest, RequestStats, Session, SessionBuilder,
-    SessionStats, SimSpec, TranRequest, TranResult,
+    ImmunityReport, ImmunityRequest, LibraryRequest, Observer, RequestStats, Session,
+    SessionBuilder, SessionStats, SimSpec, TranRequest, TranResult,
 };
 pub use snapshot::SnapshotError;
 pub use sweep::{
-    CornerRow, CornerSummary, RowObserver, SweepCornerRequest, SweepMetrics, SweepReport,
-    SweepRequest, VariationCorner, VariationGrid,
+    CornerRow, CornerSummary, SweepCornerRequest, SweepMetrics, SweepReport, SweepRequest,
+    VariationCorner, VariationGrid,
 };
+
+/// Batch execution on the persistent pool: the order, exactly-once and
+/// skew contract of [`Session::run_batch`], checked with a request that
+/// records which thread ran it.
+#[cfg(test)]
+mod batch {
+    mod tests {
+        use crate::request::sealed::Sealed;
+        use crate::{CacheKey, Result, Session, SessionBuilder, SessionRequest};
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::{Arc, Mutex};
+        use std::thread::ThreadId;
+        use std::time::Duration;
+
+        /// An uncached request that counts its runs and doubles its index.
+        #[derive(Clone)]
+        struct Probe {
+            index: usize,
+            sleep: Duration,
+            runs: Arc<Vec<AtomicUsize>>,
+            threads: Arc<Mutex<Vec<ThreadId>>>,
+        }
+
+        impl Sealed for Probe {}
+
+        impl SessionRequest for Probe {
+            type Output = usize;
+
+            fn cache_key(&self, _: &Session) -> Option<CacheKey> {
+                None
+            }
+
+            fn execute(&self, _: &Session) -> Result<usize> {
+                std::thread::sleep(self.sleep);
+                self.runs[self.index].fetch_add(1, Ordering::Relaxed);
+                self.threads
+                    .lock()
+                    .unwrap()
+                    .push(std::thread::current().id());
+                Ok(self.index * 2)
+            }
+        }
+
+        /// `n` probes, the ones in `slow` sleeping 30 ms.
+        fn probes(n: usize, slow: &[usize]) -> Vec<Probe> {
+            let runs: Arc<Vec<AtomicUsize>> =
+                Arc::new((0..n).map(|_| AtomicUsize::new(0)).collect());
+            let threads = Arc::new(Mutex::new(Vec::new()));
+            (0..n)
+                .map(|index| Probe {
+                    index,
+                    sleep: Duration::from_millis(if slow.contains(&index) { 30 } else { 0 }),
+                    runs: Arc::clone(&runs),
+                    threads: Arc::clone(&threads),
+                })
+                .collect()
+        }
+
+        fn run(requests: &[Probe], workers: usize) -> Vec<usize> {
+            let session = SessionBuilder::new().batch_workers(workers).build();
+            session
+                .run_batch(requests)
+                .into_iter()
+                .map(|r| r.unwrap())
+                .collect()
+        }
+
+        #[test]
+        fn results_keep_task_order() {
+            let out = run(&probes(100, &[]), 4);
+            assert_eq!(out, (0..100).map(|i| i * 2).collect::<Vec<_>>());
+        }
+
+        #[test]
+        fn every_task_runs_exactly_once() {
+            let requests = probes(257, &[]);
+            run(&requests, 8);
+            assert!(requests[0]
+                .runs
+                .iter()
+                .all(|c| c.load(Ordering::Relaxed) == 1));
+        }
+
+        #[test]
+        fn single_worker_runs_inline() {
+            // One pool worker plus the helping caller: no other thread
+            // runs any of the batch.
+            let requests = probes(5, &[]);
+            assert_eq!(run(&requests, 1), vec![0, 2, 4, 6, 8]);
+            let mut threads = requests[0].threads.lock().unwrap().clone();
+            threads.sort_by_key(|t| format!("{t:?}"));
+            threads.dedup();
+            assert!(
+                threads.len() <= 2,
+                "{} threads ran the batch",
+                threads.len()
+            );
+        }
+
+        #[test]
+        fn zero_tasks() {
+            assert!(run(&[], 8).is_empty());
+        }
+
+        #[test]
+        fn skewed_costs_are_stolen() {
+            // One task sleeps; the cheap tail behind it must be run by
+            // other threads rather than wait behind it.
+            let requests = probes(64, &[0]);
+            let out = run(&requests, 4);
+            assert_eq!(out, (0..64).map(|i| i * 2).collect::<Vec<_>>());
+            assert!(requests[0]
+                .runs
+                .iter()
+                .all(|c| c.load(Ordering::Relaxed) == 1));
+            let threads = requests[0].threads.lock().unwrap();
+            assert!(
+                threads.iter().any(|t| *t != threads[0]),
+                "the cheap tail ran on another thread than the slow task"
+            );
+        }
+    }
+}

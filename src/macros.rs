@@ -15,9 +15,8 @@
 //!
 //! [`MacroRequest`] is the engine's fourth composite request, shaped
 //! exactly like a repair lot: its `execute` fans one
-//! [`MacroSliceRequest`] per bit out through
-//! [`Session::submit_all`](crate::Session::submit_all), helping drain
-//! its own batch while harvesting (batch-targeted helping, so a bounded
+//! [`MacroSliceRequest`] per bit out on the session's job pool, helping
+//! drain its own batch while harvesting (batch-targeted helping, so a bounded
 //! worker set never deadlocks on the fan-out), and reduces the per-bit
 //! [`SliceOutcome`]s — plus the placed/assembled hierarchy — into a
 //! [`MacroReport`].
@@ -55,54 +54,10 @@ use crate::error::{CnfetError, Result};
 use crate::flow::{assemble_macro_gds, place_macro, MacroAdder};
 use crate::immunity::McOptions;
 use crate::logic::{AdderKind, AdderPlan};
-use crate::request::RequestKind;
-use crate::session::{CellRequest, LibraryRequest, Session};
+use crate::session::{CellRequest, LibraryRequest, Observer, Session};
 use crate::sweep::{SweepCornerRequest, SweepMetrics, VariationCorner};
 use cnfet_rng::{Rng, SeedableRng};
 use std::sync::Arc;
-use std::time::Duration;
-
-// ---------------------------------------------------------------------------
-// Slice observation
-// ---------------------------------------------------------------------------
-
-/// A callback invoked with each harvested [`SliceOutcome`] of an
-/// executing macro, in bit order — the hook incremental-delivery front
-/// ends (the `cnfet-serve` job streaming endpoint) use to flush
-/// per-bit-slice progress as slices complete instead of waiting for the
-/// whole report.
-///
-/// Like [`DieObserver`](crate::DieObserver), the observer is **not**
-/// part of the request's identity: it is excluded from the cache key, so
-/// an observed and an unobserved macro share one memoized report, and
-/// the observer only fires when the macro actually *executes* — a
-/// whole-report cache hit skips execution, and the caller already holds
-/// every outcome in the report it received.
-#[derive(Clone)]
-pub struct SliceObserver(SliceCallback);
-
-/// The shared callback behind a [`SliceObserver`].
-type SliceCallback = Arc<dyn Fn(usize, &SliceOutcome) + Send + Sync>;
-
-impl SliceObserver {
-    /// Wraps a callback. It may be called from whichever thread executes
-    /// the macro and must not block for long — it runs inside the
-    /// harvest loop, between slice completions.
-    pub fn new(f: impl Fn(usize, &SliceOutcome) + Send + Sync + 'static) -> SliceObserver {
-        SliceObserver(Arc::new(f))
-    }
-
-    /// Invokes the callback for bit index `index`.
-    pub(crate) fn notify(&self, index: usize, outcome: &SliceOutcome) {
-        (self.0)(index, outcome);
-    }
-}
-
-impl std::fmt::Debug for SliceObserver {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("SliceObserver")
-    }
-}
 
 // ---------------------------------------------------------------------------
 // Requests
@@ -136,9 +91,9 @@ pub struct MacroRequest {
     pub scheme: Scheme,
     /// Seed for the deterministic per-bit wire-load jitter.
     pub seed: u64,
-    /// Per-slice progress hook; excluded from the cache key (see
-    /// [`SliceObserver`]).
-    observer: Option<SliceObserver>,
+    /// Per-slice progress hook, fed outcomes in bit order; excluded
+    /// from the cache key (see [`Observer`]).
+    observer: Option<Observer<SliceOutcome>>,
 }
 
 impl MacroRequest {
@@ -168,10 +123,11 @@ impl MacroRequest {
         self
     }
 
-    /// Attaches a per-slice progress observer (see [`SliceObserver`] for
-    /// the ordering and cache-interaction contract).
+    /// Attaches a per-slice progress observer, fed outcomes in
+    /// [`MacroReport::slices`] order (see [`Observer`] for the
+    /// cache-interaction contract).
     #[must_use]
-    pub fn observe_slices(mut self, observer: SliceObserver) -> MacroRequest {
+    pub fn observe_slices(mut self, observer: Observer<SliceOutcome>) -> MacroRequest {
         self.observer = Some(observer);
         self
     }
@@ -325,11 +281,6 @@ impl MacroReport {
 // Execution
 // ---------------------------------------------------------------------------
 
-/// How long a macro blocks on a pending handle when there is nothing of
-/// its own batch to help with (same rationale as the repair layer's
-/// constant: helping is the fast path).
-const HELP_WAIT: Duration = Duration::from_millis(2);
-
 /// The full adder's cell mix: what every slice generates (or recalls)
 /// through the session cell cache. The CLA glue draws from the same set
 /// (2X NAND2s and 4X inverters), so this list covers the whole
@@ -347,39 +298,9 @@ const FA_CELL_MIX: [(StdCellKind, u8); 4] = [
 /// hierarchy, reduce into a [`MacroReport`].
 pub(crate) fn execute_macro(request: &MacroRequest, session: &Session) -> Result<Arc<MacroReport>> {
     request.validate()?;
-    let submissions: Vec<RequestKind> = (0..request.width)
-        .map(|bit| RequestKind::MacroSlice(request.slice_request(bit)))
-        .collect();
-    let (batch, handles) = session.submit_all_batched(submissions);
-
-    let mut slices = Vec::with_capacity(handles.len());
-    for mut handle in handles {
-        // Harvest in bit order, helping the pool in between — this
-        // thread may BE the pool's only worker, so parking outright on a
-        // handle whose job is still queued would deadlock. Helping is
-        // restricted to the macro's own batch: popping an arbitrary job
-        // (e.g. a second copy of this very macro) could block on the
-        // single-flight claim this thread holds.
-        let response = loop {
-            if let Some(response) = handle.try_get() {
-                break response;
-            }
-            if !session.help_run_queued_job(batch) {
-                if let Some(response) = handle.wait_timeout(HELP_WAIT) {
-                    break response;
-                }
-            }
-        }?;
-        let outcome = response
-            .into_macro_slice()
-            .expect("slice submissions resolve to slice outcomes");
-        // Flush the outcome to any observer before moving on: outcomes
-        // stream in exactly the `MacroReport::slices` order.
-        if let Some(observer) = &request.observer {
-            observer.notify(slices.len(), &outcome);
-        }
-        slices.push(outcome);
-    }
+    let slices = session
+        .fan_out((0..request.width).map(|bit| request.slice_request(bit)))
+        .observed(request.observer.as_ref())?;
 
     // Compose, place and assemble the hierarchy (the library build is a
     // Library-class hit after the slices warmed the cell cache).

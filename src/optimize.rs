@@ -84,13 +84,11 @@
 
 use crate::error::Result;
 use crate::immunity::McOptions;
-use crate::request::RequestKind;
-use crate::session::{CellRequest, Session};
+use crate::session::{CellRequest, Observer, Session};
 use crate::sweep::{
     canonical_axis_value, check_axis_value, SweepMetrics, SweepRequest, VariationGrid,
 };
 use std::sync::Arc;
-use std::time::Duration;
 
 // ---------------------------------------------------------------------------
 // Targets
@@ -221,47 +219,6 @@ impl OptimizeTarget {
 }
 
 // ---------------------------------------------------------------------------
-// Candidate observation
-// ---------------------------------------------------------------------------
-
-/// A callback invoked with each scored [`CandidateRow`] of an executing
-/// search, in schedule order — the hook incremental-delivery front ends
-/// (the `cnfet-serve` job streaming endpoint) use to flush per-candidate
-/// progress as rounds complete instead of waiting for the whole report.
-///
-/// Like the sweep layer's [`RowObserver`](crate::RowObserver), the
-/// observer is **not** part of the request's identity: it is excluded
-/// from the cache key, so an observed and an unobserved search share one
-/// memoized report, and the observer only fires when the search actually
-/// *executes* — a whole-trajectory cache hit skips execution, and the
-/// caller already holds every candidate in the report it received.
-#[derive(Clone)]
-pub struct CandidateObserver(CandidateCallback);
-
-/// The shared callback behind a [`CandidateObserver`].
-type CandidateCallback = Arc<dyn Fn(usize, &CandidateRow) + Send + Sync>;
-
-impl CandidateObserver {
-    /// Wraps a callback. It may be called from whichever thread executes
-    /// the search and must not block for long — it runs inside the
-    /// harvest loop, between candidate completions.
-    pub fn new(f: impl Fn(usize, &CandidateRow) + Send + Sync + 'static) -> CandidateObserver {
-        CandidateObserver(Arc::new(f))
-    }
-
-    /// Invokes the callback for candidate index `index`.
-    pub(crate) fn notify(&self, index: usize, row: &CandidateRow) {
-        (self.0)(index, row);
-    }
-}
-
-impl std::fmt::Debug for CandidateObserver {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("CandidateObserver")
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Requests
 // ---------------------------------------------------------------------------
 
@@ -307,9 +264,9 @@ pub struct OptimizeRequest {
     pub mc: McOptions,
     /// Characterization loads, farads.
     pub loads_f: Vec<f64>,
-    /// Per-candidate progress hook; excluded from the cache key (see
-    /// [`CandidateObserver`]).
-    observer: Option<CandidateObserver>,
+    /// Per-candidate progress hook, fed rows in schedule order; excluded
+    /// from the cache key (see [`Observer`]).
+    observer: Option<Observer<CandidateRow>>,
 }
 
 impl OptimizeRequest {
@@ -371,11 +328,11 @@ impl OptimizeRequest {
         self
     }
 
-    /// Attaches a per-candidate progress observer (see
-    /// [`CandidateObserver`] for the ordering and cache-interaction
-    /// contract).
+    /// Attaches a per-candidate progress observer, fed rows in
+    /// [`OptimizeReport::candidates`] order (see [`Observer`] for the
+    /// cache-interaction contract).
     #[must_use]
-    pub fn observe_candidates(mut self, observer: CandidateObserver) -> OptimizeRequest {
+    pub fn observe_candidates(mut self, observer: Observer<CandidateRow>) -> OptimizeRequest {
         self.observer = Some(observer);
         self
     }
@@ -708,11 +665,6 @@ impl OptimizeReport {
 // Execution
 // ---------------------------------------------------------------------------
 
-/// How long a search blocks on a pending handle when there is nothing of
-/// its own batch to help with (same rationale as the sweep and repair
-/// layers: helping is the fast path).
-const HELP_WAIT: Duration = Duration::from_millis(2);
-
 /// Executes a whole search on a session: per axis round, fan one
 /// memoized candidate sweep per axis value through the job pool, help
 /// drain the round's own batch while harvesting, score the outcomes, and
@@ -837,37 +789,18 @@ fn evaluate_round(
     session: &Session,
     coords: &[(u32, f64, f64)],
 ) -> Result<Vec<CandidateOutcome>> {
-    let submissions: Vec<RequestKind> = coords
-        .iter()
-        .map(|&c| RequestKind::Sweep(request.candidate_request(c).sweep_request()))
-        .collect();
-    let (batch, handles) = session.submit_all_batched(submissions);
-
-    let mut outcomes = Vec::with_capacity(handles.len());
-    for (i, mut handle) in handles.into_iter().enumerate() {
-        // Harvest in schedule order, helping the pool in between — this
-        // thread may BE the pool's only worker, so parking outright on a
-        // handle whose job is still queued would deadlock. Helping is
-        // restricted to the round's own batch: popping an arbitrary job
-        // (e.g. a second copy of this very search) could block on the
-        // single-flight claim this thread holds.
-        let response = loop {
-            if let Some(response) = handle.try_get() {
-                break response;
-            }
-            if !session.help_run_queued_job(batch) {
-                if let Some(response) = handle.wait_timeout(HELP_WAIT) {
-                    break response;
-                }
-            }
-        }?;
-        let _report = response
-            .into_sweep()
-            .expect("candidate submissions resolve to sweep reports");
+    let sweeps = session.fan_out(
+        coords
+            .iter()
+            .map(|&c| request.candidate_request(c).sweep_request()),
+    );
+    let mut outcomes = Vec::with_capacity(coords.len());
+    for (sweep, &c) in sweeps.zip(coords) {
+        sweep?;
         // The candidate reduction runs through the session so the
         // outcome memoizes in the Optimizations class; its inner sweep
         // re-run is a pure hit on the report just harvested.
-        outcomes.push(session.run(&request.candidate_request(coords[i]))?);
+        outcomes.push(session.run(&request.candidate_request(c))?);
     }
     Ok(outcomes)
 }

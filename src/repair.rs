@@ -16,8 +16,8 @@
 //!
 //! [`RepairRequest`] is the engine's second composite request, shaped
 //! exactly like a sweep: its `execute` fans one [`DieRequest`] per die
-//! out through [`Session::submit_all`], helping drain its own batch
-//! while harvesting (the pool's batch-targeted helping protocol, so a
+//! out on the session's job pool, helping drain its own batch while
+//! harvesting (the pool's batch-targeted helping protocol, so a
 //! bounded worker set never deadlocks on the fan-out), and reduces the
 //! per-die outcomes into a [`RepairReport`].
 //!
@@ -47,8 +47,6 @@
 //! assert!(std::sync::Arc::ptr_eq(&report, &again));
 //! # Ok::<(), cnfet::CnfetError>(())
 //! ```
-//!
-//! [`Session::submit_all`]: crate::Session::submit_all
 
 pub use cnfet_repair::{
     max_matching, mix_seed, repair_die, solve, Assignment, Cnf, DefectKind, DefectMap,
@@ -57,52 +55,8 @@ pub use cnfet_repair::{
 };
 
 use crate::error::Result;
-use crate::request::RequestKind;
-use crate::session::{CellRequest, Session};
+use crate::session::{CellRequest, Observer, Session};
 use std::sync::Arc;
-use std::time::Duration;
-
-// ---------------------------------------------------------------------------
-// Die observation
-// ---------------------------------------------------------------------------
-
-/// A callback invoked with each harvested [`DieOutcome`] of an
-/// executing repair lot, in die order — the hook incremental-delivery
-/// front ends (the `cnfet-serve` job streaming endpoint) use to flush
-/// per-die progress as dies complete instead of waiting for the whole
-/// report.
-///
-/// Like the sweep layer's [`RowObserver`](crate::RowObserver), the
-/// observer is **not** part of the request's identity: it is excluded
-/// from the cache key, so an observed and an unobserved lot share one
-/// memoized report, and the observer only fires when the lot actually
-/// *executes* — a whole-report cache hit skips execution, and the
-/// caller already holds every outcome in the report it received.
-#[derive(Clone)]
-pub struct DieObserver(DieCallback);
-
-/// The shared callback behind a [`DieObserver`].
-type DieCallback = Arc<dyn Fn(usize, &DieOutcome) + Send + Sync>;
-
-impl DieObserver {
-    /// Wraps a callback. It may be called from whichever thread executes
-    /// the lot and must not block for long — it runs inside the harvest
-    /// loop, between die completions.
-    pub fn new(f: impl Fn(usize, &DieOutcome) + Send + Sync + 'static) -> DieObserver {
-        DieObserver(Arc::new(f))
-    }
-
-    /// Invokes the callback for die index `index`.
-    pub(crate) fn notify(&self, index: usize, outcome: &DieOutcome) {
-        (self.0)(index, outcome);
-    }
-}
-
-impl std::fmt::Debug for DieObserver {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("DieObserver")
-    }
-}
 
 // ---------------------------------------------------------------------------
 // Requests
@@ -141,9 +95,9 @@ pub struct RepairRequest {
     /// Pairs of logical cells (by index) that must land on adjacent
     /// sites.
     pub adjacent: Vec<(u32, u32)>,
-    /// Per-die progress hook; excluded from the cache key (see
-    /// [`DieObserver`]).
-    observer: Option<DieObserver>,
+    /// Per-die progress hook, fed outcomes in die order; excluded from
+    /// the cache key (see [`Observer`]).
+    observer: Option<Observer<DieOutcome>>,
 }
 
 impl RepairRequest {
@@ -205,10 +159,11 @@ impl RepairRequest {
         self
     }
 
-    /// Attaches a per-die progress observer (see [`DieObserver`] for the
-    /// ordering and cache-interaction contract).
+    /// Attaches a per-die progress observer, fed outcomes in
+    /// [`RepairReport::dies`] order (see [`Observer`] for the
+    /// cache-interaction contract).
     #[must_use]
-    pub fn observe_dies(mut self, observer: DieObserver) -> RepairRequest {
+    pub fn observe_dies(mut self, observer: Observer<DieOutcome>) -> RepairRequest {
         self.observer = Some(observer);
         self
     }
@@ -388,11 +343,6 @@ impl RepairReport {
 // Execution
 // ---------------------------------------------------------------------------
 
-/// How long a lot blocks on a pending handle when there is nothing of
-/// its own batch to help with (same rationale as the sweep layer's
-/// constant: helping is the fast path).
-const HELP_WAIT: Duration = Duration::from_millis(2);
-
 /// Executes a whole lot on a session: fan out one [`DieRequest`] per
 /// die through the job pool, help drain the lot's own batch while
 /// waiting, reduce into a [`RepairReport`].
@@ -400,39 +350,9 @@ pub(crate) fn execute_repair(
     request: &RepairRequest,
     session: &Session,
 ) -> Result<Arc<RepairReport>> {
-    let submissions: Vec<RequestKind> = (0..request.dies)
-        .map(|die| RequestKind::Die(request.die_request(die)))
-        .collect();
-    let (batch, handles) = session.submit_all_batched(submissions);
-
-    let mut dies = Vec::with_capacity(handles.len());
-    for mut handle in handles {
-        // Harvest in die order, helping the pool in between — this
-        // thread may BE the pool's only worker, so parking outright on
-        // a handle whose job is still queued would deadlock. Helping is
-        // restricted to the lot's own batch: popping an arbitrary job
-        // (e.g. a second copy of this very lot) could block on the
-        // single-flight claim this thread holds.
-        let response = loop {
-            if let Some(response) = handle.try_get() {
-                break response;
-            }
-            if !session.help_run_queued_job(batch) {
-                if let Some(response) = handle.wait_timeout(HELP_WAIT) {
-                    break response;
-                }
-            }
-        }?;
-        let outcome = response
-            .into_die()
-            .expect("die submissions resolve to die outcomes");
-        // Flush the outcome to any observer before moving on: outcomes
-        // stream in exactly the `RepairReport::dies` order.
-        if let Some(observer) = &request.observer {
-            observer.notify(dies.len(), &outcome);
-        }
-        dies.push(outcome);
-    }
+    let dies = session
+        .fan_out((0..request.dies).map(|die| request.die_request(die)))
+        .observed(request.observer.as_ref())?;
     Ok(Arc::new(assemble(
         request.cells.len(),
         request.spares,

@@ -216,7 +216,7 @@ impl CacheKey {
     }
 }
 
-mod sealed {
+pub(crate) mod sealed {
     /// Seals [`SessionRequest`](super::SessionRequest): the request-kind
     /// set is fixed per release so cache keys stay class-exact.
     pub trait Sealed {}
@@ -230,7 +230,7 @@ mod sealed {
 ///
 /// Implementations define where a result is memoized ([`cache_key`]) and
 /// how it is produced on a miss ([`execute`]); the session supplies the
-/// rest — sharded caching, per-key single-flight, stats accounting, batch
+/// rest — sharded caching, per-key single-flight, stats accounting, pool
 /// fan-out ([`Session::run_batch`](crate::Session::run_batch)) and
 /// non-blocking submission ([`Session::submit`](crate::Session::submit)).
 ///
@@ -600,7 +600,7 @@ impl SessionRequest for RepairRequest {
     /// defaults (implicit and explicit defaults share one entry), then
     /// combined with the lot size, seed, spare count, process
     /// parameters, solver, and adjacency constraints. The attached
-    /// [`DieObserver`](crate::DieObserver), if any, is deliberately
+    /// [`Observer`](crate::Observer), if any, is deliberately
     /// excluded — observation is not identity.
     fn cache_key(&self, session: &Session) -> Option<CacheKey> {
         let cell_keys: Vec<CellKey> = self
@@ -664,8 +664,8 @@ impl SessionRequest for OptimizeRequest {
     /// metric/MC/load configuration. An invalid request (NaN axis, empty
     /// schedule, zero passes) gets no key — `execute` rejects it before
     /// it can occupy a cache slot. The attached
-    /// [`CandidateObserver`](crate::optimize::CandidateObserver), if
-    /// any, is deliberately excluded — observation is not identity.
+    /// [`Observer`](crate::Observer), if any, is deliberately excluded —
+    /// observation is not identity.
     fn cache_key(&self, session: &Session) -> Option<CacheKey> {
         if self.validate().is_err() {
             return None;
@@ -748,7 +748,7 @@ impl SessionRequest for MacroRequest {
     /// Whole-macro memoization: kind, width, scheme, jitter seed. A
     /// request with an unsupported width gets no key — `execute` rejects
     /// it before it can occupy a cache slot. The attached
-    /// [`SliceObserver`](crate::SliceObserver), if any, is deliberately
+    /// [`Observer`](crate::Observer), if any, is deliberately
     /// excluded — observation is not identity.
     fn cache_key(&self, _session: &Session) -> Option<CacheKey> {
         if self.validate().is_err() {
@@ -898,11 +898,9 @@ pub enum RequestKind {
 
 impl RequestKind {
     /// The wrapped sweep, if this is a [`RequestKind::Sweep`]. Mutable so
-    /// embedders can attach a
-    /// [`RowObserver`](crate::sweep::RowObserver) to a sweep arriving as
-    /// a heterogeneous submission (the serve tier's job streaming does
-    /// exactly this before handing the mix to
-    /// [`Session::submit_all`](crate::Session::submit_all)).
+    /// embedders can attach an [`Observer`](crate::Observer) to a
+    /// composite arriving in a heterogeneous mix before handing the mix
+    /// to [`Session::submit_all`](crate::Session::submit_all).
     pub fn as_sweep_mut(&mut self) -> Option<&mut SweepRequest> {
         match self {
             RequestKind::Sweep(r) => Some(r),
@@ -910,11 +908,8 @@ impl RequestKind {
         }
     }
 
-    /// The wrapped repair lot, if this is a [`RequestKind::Repair`].
-    /// Mutable for the same reason as [`RequestKind::as_sweep_mut`]: the
-    /// serve tier attaches a [`DieObserver`](crate::DieObserver) to lots
-    /// arriving as heterogeneous submissions before handing the mix to
-    /// [`Session::submit_all`](crate::Session::submit_all).
+    /// The wrapped repair lot, if this is a [`RequestKind::Repair`];
+    /// mutable for the same reason as [`RequestKind::as_sweep_mut`].
     pub fn as_repair_mut(&mut self) -> Option<&mut RepairRequest> {
         match self {
             RequestKind::Repair(r) => Some(r),
@@ -922,12 +917,8 @@ impl RequestKind {
         }
     }
 
-    /// The wrapped optimization, if this is a [`RequestKind::Optimize`].
-    /// Mutable for the same reason as [`RequestKind::as_sweep_mut`]: the
-    /// serve tier attaches a
-    /// [`CandidateObserver`](crate::optimize::CandidateObserver) to
-    /// searches arriving as heterogeneous submissions before handing the
-    /// mix to [`Session::submit_all`](crate::Session::submit_all).
+    /// The wrapped optimization, if this is a [`RequestKind::Optimize`];
+    /// mutable for the same reason as [`RequestKind::as_sweep_mut`].
     pub fn as_optimize_mut(&mut self) -> Option<&mut OptimizeRequest> {
         match self {
             RequestKind::Optimize(r) => Some(r),
@@ -935,11 +926,8 @@ impl RequestKind {
         }
     }
 
-    /// The wrapped macro, if this is a [`RequestKind::Macro`]. Mutable
-    /// for the same reason as [`RequestKind::as_sweep_mut`]: the serve
-    /// tier attaches a [`SliceObserver`](crate::SliceObserver) to macros
-    /// arriving as heterogeneous submissions before handing the mix to
-    /// [`Session::submit_all`](crate::Session::submit_all).
+    /// The wrapped macro, if this is a [`RequestKind::Macro`]; mutable
+    /// for the same reason as [`RequestKind::as_sweep_mut`].
     pub fn as_macro_mut(&mut self) -> Option<&mut MacroRequest> {
         match self {
             RequestKind::Macro(r) => Some(r),

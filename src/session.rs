@@ -16,9 +16,10 @@
 //!
 //! * [`Session::run`] — synchronous, one request;
 //! * [`Session::run_batch`] — synchronous, a slice of one request kind,
-//!   fanned out across a scoped work-stealing executor;
+//!   fanned out across the session's persistent work-stealing pool with
+//!   the caller helping;
 //! * [`Session::submit`] / [`Session::submit_all`] — **non-blocking**:
-//!   the request is queued on a persistent work-stealing pool and a
+//!   the request is queued on the same pool and a
 //!   [`JobHandle`] comes back immediately, with `wait()` / `try_get()` /
 //!   `wait_timeout()` / `is_done()` to harvest the result.
 //!   `submit_all` accepts heterogeneous mixes via [`RequestKind`] — the
@@ -58,20 +59,20 @@
 //! # Ok::<(), cnfet::CnfetError>(())
 //! ```
 
-use crate::batch;
 use crate::cache::{CacheStats, ShardedCache, DEFAULT_CAPACITY, DEFAULT_SHARDS};
 use crate::core::{GenerateOptions, GeneratedCell, RowPolicy, Scheme, Sizing, StdCellKind, Style};
 use crate::dk::DesignKit;
 use crate::error::Result;
 use crate::flow::{Netlist, NetlistMetrics, Placement};
 use crate::immunity::{CertReport, McOptions, McReport};
-use crate::jobs::{job_channel, JobHandle, Pool};
+use crate::jobs::{job_channel, next_batch_id, Job, JobHandle, Pool};
 use crate::logic::{SpNetwork, VarTable};
 use crate::request::{CustomCellRequest, RequestClass, RequestKind, ResponseKind, SessionRequest};
 use std::any::Any;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
+use std::time::Duration;
 
 // ---------------------------------------------------------------------------
 // Requests
@@ -389,7 +390,6 @@ impl TranResult {
 #[derive(Debug, Default)]
 struct StatsInner {
     batches: AtomicU64,
-    batch_steals: AtomicU64,
     submitted: AtomicU64,
 }
 
@@ -455,10 +455,14 @@ pub struct SessionStats {
     pub inflight_waits: u64,
     /// [`Session::run_batch`] invocations.
     pub batches: u64,
-    /// Deque-to-deque steals performed by the batch executor and the job
-    /// pool combined.
+    /// Deque-to-deque steals performed by the job pool, including jobs a
+    /// waiting caller took from a worker's deque to help its own batch.
     pub steals: u64,
-    /// Jobs enqueued through [`Session::submit`] / [`Session::submit_all`].
+    /// Every job enqueued on the pool: [`Session::submit`] /
+    /// [`Session::submit_all`] jobs, one per [`Session::run_batch`]
+    /// request, and every sub-request a composite fans out (a sweep's
+    /// corners, a lot's dies, a search's candidate sweeps, a macro's
+    /// slices).
     pub submitted: u64,
 }
 
@@ -623,9 +627,11 @@ impl SessionBuilder {
         self
     }
 
-    /// Fixes the number of worker threads used by [`Session::run_batch`]
-    /// and by the persistent [`Session::submit`] pool. `0` (the default)
-    /// uses the machine's available parallelism.
+    /// Fixes the pool width: the number of worker threads of the
+    /// session's one persistent pool, which runs [`Session::run_batch`],
+    /// [`Session::submit`] / [`Session::submit_all`] and every composite
+    /// fan-out. `0` (the default) uses the machine's available
+    /// parallelism.
     #[must_use]
     pub fn batch_workers(mut self, workers: usize) -> SessionBuilder {
         self.batch_workers = workers;
@@ -679,11 +685,12 @@ struct SessionCore {
 ///
 /// Sessions are internally synchronized and cheap to clone — a clone is
 /// another handle on the same caches, stats, and job pool. `&Session`
-/// methods may be called from many threads; [`Session::run_batch`] and
-/// the [`Session::submit`] pool do exactly that. Caches are sharded
-/// ([`crate::cache`]): hits on different keys take different locks, and
-/// builds are single-flight per key — concurrent requests for the same
-/// key run one execution; the rest wait on their shard and hit.
+/// methods may be called from many threads; the pool behind
+/// [`Session::run_batch`] and [`Session::submit`] does exactly that.
+/// Caches are sharded ([`crate::cache`]): hits on different keys take
+/// different locks, and builds are single-flight per key — concurrent
+/// requests for the same key run one execution; the rest wait on their
+/// shard and hit.
 ///
 /// # Example
 ///
@@ -755,7 +762,6 @@ impl Session {
             };
             inflight_waits += s.inflight_waits;
         }
-        let pool_steals = self.core.pool.get().map_or(0, Pool::steals);
         SessionStats {
             cells: per_class[RequestClass::Cell.index()],
             libraries: per_class[RequestClass::Library.index()],
@@ -767,7 +773,7 @@ impl Session {
             macros: per_class[RequestClass::Macros.index()],
             inflight_waits,
             batches: self.core.stats.batches.load(Ordering::Relaxed),
-            steals: self.core.stats.batch_steals.load(Ordering::Relaxed) + pool_steals,
+            steals: self.core.pool.get().map_or(0, Pool::steals),
             submitted: self.core.stats.submitted.load(Ordering::Relaxed),
         }
     }
@@ -894,47 +900,38 @@ impl Session {
         Ok(R::annotate(output, cached))
     }
 
-    /// Services many requests of one kind at once, fanning out across a
-    /// scoped work-stealing thread pool (the private `batch` module)
-    /// against the shared caches, so cost-skewed request lists keep every
+    /// Services many requests of one kind at once on the session's
+    /// persistent work-stealing pool, against the shared caches: the
+    /// requests are enqueued as one batch and the caller helps run that
+    /// batch while it harvests, so cost-skewed request lists keep every
     /// worker busy. Results keep request order, one per request; all
-    /// requests are attempted even when some fail. Blocks until the whole
-    /// batch finishes — for non-blocking submission use
-    /// [`Session::submit`] / [`Session::submit_all`].
+    /// requests are attempted even when some fail. A request that
+    /// panics resolves to [`CnfetError::Canceled`](crate::CnfetError::Canceled)
+    /// (the same contract as [`Session::submit`]) instead of unwinding
+    /// into the caller. Blocks until the whole batch finishes — for
+    /// non-blocking submission use [`Session::submit`] /
+    /// [`Session::submit_all`].
     pub fn run_batch<R>(&self, requests: &[R]) -> Vec<Result<R::Output>>
     where
-        R: SessionRequest + Sync,
+        R: SessionRequest + Clone + Send + 'static,
     {
         self.core.stats.batches.fetch_add(1, Ordering::Relaxed);
-        let outcome = batch::run(requests.len(), self.worker_count(), |i| {
-            self.run(&requests[i])
-        });
-        self.core
-            .stats
-            .batch_steals
-            .fetch_add(outcome.steals, Ordering::Relaxed);
-        outcome.results
+        self.fan_out(requests.iter().cloned()).collect()
     }
 
     /// Enqueues one request on the session's persistent work-stealing
     /// pool and returns immediately. The [`JobHandle`] resolves to the
     /// same output `run` would produce (hit or miss through the same
     /// caches); dropping the handle abandons the result but not the work.
-    /// If the session's last handle drops with the job still queued, the
-    /// handle resolves to [`CnfetError::Canceled`](crate::CnfetError::Canceled).
+    /// A request that panics, or that is still queued when the session's
+    /// last handle drops, resolves to
+    /// [`CnfetError::Canceled`](crate::CnfetError::Canceled).
     pub fn submit<R>(&self, request: R) -> JobHandle<R::Output>
     where
         R: SessionRequest + Send + 'static,
     {
-        let (completion, handle) = job_channel();
-        self.pool().submit(make_job(
-            &self.core,
-            crate::jobs::UNBATCHED,
-            request,
-            completion,
-        ));
-        self.core.stats.submitted.fetch_add(1, Ordering::Relaxed);
-        handle
+        let (_, mut handles) = self.enqueue([request]);
+        handles.pop().expect("one request, one handle")
     }
 
     /// Enqueues a heterogeneous request mix — any combination of cells,
@@ -947,36 +944,46 @@ impl Session {
     where
         I: IntoIterator<Item = RequestKind>,
     {
-        self.submit_all_batched(requests).1
+        self.enqueue(requests).1
     }
 
-    /// [`Session::submit_all`] returning the fresh batch id the jobs were
-    /// tagged with — composite requests pass it to
-    /// [`Session::help_run_queued_job`] so their wait loops drain exactly
-    /// their own fan-out.
-    pub(crate) fn submit_all_batched<I>(&self, requests: I) -> (u64, Vec<JobHandle<ResponseKind>>)
+    /// Submits `requests` as one batch and yields their results **in
+    /// request order**, helping run the batch while it waits — the one
+    /// fan-out behind [`Session::run_batch`] and every composite request.
+    pub(crate) fn fan_out<R>(&self, requests: impl IntoIterator<Item = R>) -> FanOut<'_, R::Output>
     where
-        I: IntoIterator<Item = RequestKind>,
+        R: SessionRequest + Send + 'static,
     {
-        let batch = crate::jobs::next_batch_id();
-        let mut jobs = Vec::new();
-        let handles: Vec<_> = requests
+        let (batch, handles) = self.enqueue(requests);
+        FanOut {
+            session: self,
+            batch,
+            handles: handles.into_iter(),
+        }
+    }
+
+    /// The one enqueue step: tags the requests' jobs with a fresh batch
+    /// id, counts them in [`SessionStats::submitted`], and pushes them
+    /// under one injector lock. An empty list starts no worker threads.
+    fn enqueue<R>(&self, requests: impl IntoIterator<Item = R>) -> (u64, Vec<JobHandle<R::Output>>)
+    where
+        R: SessionRequest + Send + 'static,
+    {
+        let batch = next_batch_id();
+        let (jobs, handles): (Vec<Job>, Vec<_>) = requests
             .into_iter()
             .map(|request| {
                 let (completion, handle) = job_channel();
-                jobs.push(make_job(&self.core, batch, request, completion));
-                handle
+                (make_job(&self.core, batch, request, completion), handle)
             })
-            .collect();
-        if jobs.is_empty() {
-            // Don't spin up worker threads for an empty fan-out.
-            return (batch, handles);
+            .unzip();
+        if !jobs.is_empty() {
+            self.core
+                .stats
+                .submitted
+                .fetch_add(jobs.len() as u64, Ordering::Relaxed);
+            self.pool().submit(jobs);
         }
-        self.core
-            .stats
-            .submitted
-            .fetch_add(handles.len() as u64, Ordering::Relaxed);
-        self.pool().submit_many(jobs);
         (batch, handles)
     }
 
@@ -988,22 +995,9 @@ impl Session {
             .get_or_init(|| Pool::new(self.worker_count()))
     }
 
-    /// Runs one queued pool job *of the given batch* on the calling
-    /// thread, if any is immediately available. Composite requests
-    /// (sweeps) call this in their handle-wait loops so a bounded worker
-    /// set can never deadlock on a fan-out submitted from inside the
-    /// pool; helping is batch-targeted so a helper can never run a
-    /// foreign job that blocks on the helper's own single-flight claim.
-    pub(crate) fn help_run_queued_job(&self, batch: u64) -> bool {
-        self.core
-            .pool
-            .get()
-            .is_some_and(|pool| pool.help_run_one(batch))
-    }
-
-    /// Effective executor width used by [`Session::run_batch`] and the
-    /// persistent [`Session::submit`] pool: the
-    /// [`SessionBuilder::batch_workers`] knob; else the
+    /// The pool width — worker threads of the one persistent pool behind
+    /// [`Session::run_batch`], [`Session::submit`] and every composite
+    /// fan-out: the [`SessionBuilder::batch_workers`] knob; else the
     /// `CNFET_TEST_WORKERS` environment variable (the CI matrix sets it
     /// to `1` to drive every suite through the single-worker composite
     /// path); else the machine's available parallelism. Public so
@@ -1061,12 +1055,12 @@ fn make_job<R>(
     batch: u64,
     request: R,
     completion: crate::jobs::Completion<R::Output>,
-) -> crate::jobs::Job
+) -> Job
 where
     R: SessionRequest + Send + 'static,
 {
     let weak: Weak<SessionCore> = Arc::downgrade(core);
-    crate::jobs::Job {
+    Job {
         batch,
         run: Box::new(move || match weak.upgrade() {
             Some(core) => {
@@ -1075,5 +1069,121 @@ where
             }
             None => drop(completion),
         }),
+    }
+}
+
+/// How long a fan-out harvest blocks on a pending handle when there is
+/// nothing of its own batch left to help with (the job is mid-flight on
+/// another thread, or in transit between deques). Short, because
+/// helping is the fast path.
+const HELP_WAIT: Duration = Duration::from_millis(2);
+
+/// The results of one [`Session::fan_out`], yielded in request order.
+///
+/// Harvesting helps the pool in between: the harvesting thread may BE
+/// the pool's only worker (a composite executing on the pool), so
+/// parking outright on a handle whose job is still queued would
+/// deadlock. `try_get` → help (own batch) → short timed wait never parks
+/// while the batch's work is queued. Helping is restricted to the
+/// fan-out's own batch: popping an arbitrary job (e.g. a second copy of
+/// the very composite this thread executes) could block on the
+/// single-flight claim this thread holds. Dropping a `FanOut` early
+/// abandons the remaining results but not their work.
+pub(crate) struct FanOut<'s, T> {
+    session: &'s Session,
+    batch: u64,
+    handles: std::vec::IntoIter<JobHandle<T>>,
+}
+
+impl<T> FanOut<'_, T> {
+    /// Collects every result in request order, handing each to
+    /// `observer` (if any) before harvesting the next, and stops at the
+    /// first error — the reduction shape of every per-item composite.
+    pub(crate) fn observed(self, observer: Option<&Observer<T>>) -> Result<Vec<T>> {
+        let mut out = Vec::with_capacity(self.len());
+        for result in self {
+            let item = result?;
+            if let Some(observer) = observer {
+                observer.notify(out.len(), &item);
+            }
+            out.push(item);
+        }
+        Ok(out)
+    }
+}
+
+impl<T> Iterator for FanOut<'_, T> {
+    type Item = Result<T>;
+
+    fn next(&mut self) -> Option<Result<T>> {
+        let mut handle = self.handles.next()?;
+        let pool = self.session.pool();
+        Some(loop {
+            if let Some(result) = handle.try_get() {
+                break result;
+            }
+            if !pool.help_run_one(self.batch) {
+                if let Some(result) = handle.wait_timeout(HELP_WAIT) {
+                    break result;
+                }
+            }
+        })
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.handles.size_hint()
+    }
+}
+
+impl<T> ExactSizeIterator for FanOut<'_, T> {}
+
+// ---------------------------------------------------------------------------
+// Progress observation
+// ---------------------------------------------------------------------------
+
+/// A progress callback a composite request invokes with each harvested
+/// item of its fan-out, in report order — a sweep's
+/// [`CornerRow`](crate::CornerRow)s, a repair lot's
+/// [`DieOutcome`](crate::repair::DieOutcome)s, a search's
+/// [`CandidateRow`](crate::CandidateRow)s, a macro's
+/// [`SliceOutcome`](crate::SliceOutcome)s — together with the item's
+/// index. This is the hook incremental-delivery front ends (the
+/// `cnfet-serve` job streaming endpoint) use to flush items as they
+/// complete instead of waiting for the whole report.
+///
+/// The observer is **not** part of the request's identity: it is
+/// excluded from the cache key, so an observed and an unobserved request
+/// share one memoized report. Consequently the observer only fires when
+/// the request actually *executes* — a whole-report cache hit skips
+/// execution, and the caller already holds every item in the report it
+/// received.
+pub struct Observer<T>(ObserverFn<T>);
+
+/// The shared callback behind an [`Observer`].
+type ObserverFn<T> = Arc<dyn Fn(usize, &T) + Send + Sync>;
+
+impl<T> Observer<T> {
+    /// Wraps a callback. It may be called from whichever thread executes
+    /// the request and must not block for long — it runs inside the
+    /// harvest loop, between item completions.
+    pub fn new(f: impl Fn(usize, &T) + Send + Sync + 'static) -> Observer<T> {
+        Observer(Arc::new(f))
+    }
+
+    /// Invokes the callback for item `index`.
+    pub(crate) fn notify(&self, index: usize, item: &T) {
+        (self.0)(index, item);
+    }
+}
+
+impl<T> Clone for Observer<T> {
+    fn clone(&self) -> Self {
+        Observer(self.0.clone())
+    }
+}
+
+impl<T> std::fmt::Debug for Observer<T> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("Observer")
     }
 }

@@ -16,10 +16,10 @@
 //! # Composite execution
 //!
 //! `SweepRequest` is the engine's first *composite* request: its
-//! `execute` fans the corner × cell cross-product out through
-//! [`Session::submit_all`] — one [`SweepCornerRequest`] per pair, each
-//! memoized in the [`RequestClass::Sweeps`](crate::RequestClass::Sweeps)
-//! cache — and reduces the rows as the handles land. Because the fan-out
+//! `execute` fans the corner × cell cross-product out on the session's
+//! job pool — one [`SweepCornerRequest`] per pair, each memoized in the
+//! [`RequestClass::Sweeps`](crate::RequestClass::Sweeps) cache — and
+//! reduces the rows as they land, in order. Because the fan-out
 //! rides the *same* persistent pool the sweep itself may be executing
 //! on, the executing thread never parks on a pending handle while the
 //! queue is non-empty: it pops and runs queued jobs itself (the pool's
@@ -60,16 +60,12 @@
 //! assert!(std::sync::Arc::ptr_eq(&report, &again));
 //! # Ok::<(), cnfet::CnfetError>(())
 //! ```
-//!
-//! [`Session::submit_all`]: crate::Session::submit_all
 
 use crate::dk::{CharCorner, LibCell, TimingTable};
 use crate::error::Result;
 use crate::immunity::{metallic_yield, simulate, McOptions, MetallicProcess};
-use crate::request::RequestKind;
-use crate::session::{CellRequest, Session};
+use crate::session::{CellRequest, Observer, Session};
 use std::sync::Arc;
-use std::time::Duration;
 
 // ---------------------------------------------------------------------------
 // The variation grid
@@ -357,48 +353,6 @@ impl Default for SweepMetrics {
 }
 
 // ---------------------------------------------------------------------------
-// Row observation
-// ---------------------------------------------------------------------------
-
-/// A callback invoked with each harvested [`CornerRow`] of an executing
-/// sweep, in row order (cell-major over the canonical corner sequence —
-/// exactly the order of [`SweepReport::rows`]). This is the hook
-/// incremental-delivery front ends (the `cnfet-serve` job streaming
-/// endpoint) use to flush rows as corners complete instead of waiting
-/// for the whole report.
-///
-/// The observer is **not** part of the sweep's identity: it is excluded
-/// from the cache key, so an observed and an unobserved sweep share one
-/// memoized report. Consequently the observer only fires when the sweep
-/// actually *executes* — a whole-report cache hit skips execution, and
-/// the caller already holds every row in the report it received.
-#[derive(Clone)]
-pub struct RowObserver(RowCallback);
-
-/// The shared callback behind a [`RowObserver`].
-type RowCallback = Arc<dyn Fn(usize, &CornerRow) + Send + Sync>;
-
-impl RowObserver {
-    /// Wraps a callback. It may be called from whichever thread executes
-    /// the sweep and must not block for long — it runs inside the
-    /// harvest loop, between corner completions.
-    pub fn new(f: impl Fn(usize, &CornerRow) + Send + Sync + 'static) -> RowObserver {
-        RowObserver(Arc::new(f))
-    }
-
-    /// Invokes the callback for row `index`.
-    pub(crate) fn notify(&self, index: usize, row: &CornerRow) {
-        (self.0)(index, row);
-    }
-}
-
-impl std::fmt::Debug for RowObserver {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("RowObserver")
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Requests
 // ---------------------------------------------------------------------------
 
@@ -432,9 +386,9 @@ pub struct SweepRequest {
     pub mc: McOptions,
     /// Output loads for timing/liberty characterization, farads.
     pub loads_f: Vec<f64>,
-    /// Per-row progress hook; excluded from the cache key (see
-    /// [`RowObserver`]).
-    observer: Option<RowObserver>,
+    /// Per-row progress hook, fed rows in [`SweepReport::rows`] order;
+    /// excluded from the cache key (see [`Observer`]).
+    observer: Option<Observer<CornerRow>>,
 }
 
 impl SweepRequest {
@@ -479,10 +433,11 @@ impl SweepRequest {
         self
     }
 
-    /// Attaches a per-row progress observer (see [`RowObserver`] for the
-    /// ordering and cache-interaction contract).
+    /// Attaches a per-row progress observer, fed rows in
+    /// [`SweepReport::rows`] order (see [`Observer`] for the
+    /// cache-interaction contract).
     #[must_use]
-    pub fn observe_rows(mut self, observer: RowObserver) -> SweepRequest {
+    pub fn observe_rows(mut self, observer: Observer<CornerRow>) -> SweepRequest {
         self.observer = Some(observer);
         self
     }
@@ -657,58 +612,20 @@ impl SweepReport {
 // Execution
 // ---------------------------------------------------------------------------
 
-/// How long a sweep blocks on a pending handle when there is nothing to
-/// help with (the sub-request is mid-flight on another thread, or in
-/// transit between deques). Short, because helping is the fast path.
-const HELP_WAIT: Duration = Duration::from_millis(2);
-
 /// Executes a whole sweep on a session: fan out one
 /// [`SweepCornerRequest`] per cell × corner through the job pool, help
-/// drain the pool while waiting, reduce into a [`SweepReport`].
+/// drain the sweep's own batch while waiting, reduce into a
+/// [`SweepReport`].
 pub(crate) fn execute_sweep(request: &SweepRequest, session: &Session) -> Result<Arc<SweepReport>> {
     request.grid.validate("grid")?;
     let corners = request.grid.corners();
-    let submissions: Vec<RequestKind> = request
-        .cells
-        .iter()
-        .flat_map(|cell| {
+    let rows = session
+        .fan_out(request.cells.iter().flat_map(|cell| {
             corners
                 .iter()
-                .map(|&corner| RequestKind::SweepCorner(request.corner_request(cell, corner)))
-        })
-        .collect();
-    let (batch, handles) = session.submit_all_batched(submissions);
-
-    let mut rows = Vec::with_capacity(handles.len());
-    for mut handle in handles {
-        // Harvest in submission order, helping the pool in between: this
-        // thread may BE the pool's only worker, so parking outright on a
-        // handle whose job is still queued would deadlock. `try_get` →
-        // help(own batch) → short timed wait never parks while this
-        // sweep's work is queued. Helping is restricted to the sweep's
-        // own batch: popping an arbitrary job (e.g. a second copy of
-        // this very sweep) could block on the single-flight claim this
-        // thread holds.
-        let response = loop {
-            if let Some(response) = handle.try_get() {
-                break response;
-            }
-            if !session.help_run_queued_job(batch) {
-                if let Some(response) = handle.wait_timeout(HELP_WAIT) {
-                    break response;
-                }
-            }
-        }?;
-        let row = response
-            .into_sweep_corner()
-            .expect("corner submissions resolve to corner rows");
-        // Flush the row to any observer before moving on to the next
-        // handle: rows stream in exactly the `SweepReport::rows` order.
-        if let Some(observer) = &request.observer {
-            observer.notify(rows.len(), &row);
-        }
-        rows.push(row);
-    }
+                .map(|&corner| request.corner_request(cell, corner))
+        }))
+        .observed(request.observer.as_ref())?;
     Ok(Arc::new(assemble(request.cells.len(), corners, rows)))
 }
 

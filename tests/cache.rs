@@ -1,6 +1,6 @@
 //! Integration tests of the sharded session cache (bounded capacity, LRU
 //! eviction, disable switch, per-shard stats, uniform coverage of every
-//! request class) and the work-stealing batch executor under
+//! request class) and `run_batch` on the work-stealing pool under
 //! skewed workloads.
 
 use cnfet::core::{GenerateOptions, Scheme, StdCellKind};
@@ -101,8 +101,9 @@ fn eviction_counters_aggregate_over_shards() {
     assert_eq!(session.stats().cells.evictions, cache.evictions);
 }
 
-/// A cost-skewed batch (cheap inverters + heavy high-strength gates) on a
-/// forced multi-worker pool must match serial results exactly, in order.
+/// A cost-skewed batch (cheap inverters + heavy high-strength gates) on
+/// pools of 1, 2 and 4 workers must match serial results exactly, in
+/// order, running every request exactly once.
 #[test]
 fn work_stealing_batch_matches_serial_under_skew() {
     let mut requests: Vec<CellRequest> = (0..40)
@@ -122,25 +123,33 @@ fn work_stealing_batch_matches_serial_under_skew() {
         .map(|r| serial_session.run(r).unwrap())
         .collect();
 
-    let batch_session = SessionBuilder::new().batch_workers(4).build();
-    let batch: Vec<_> = batch_session
-        .run_batch(&requests)
-        .into_iter()
-        .map(|r| r.unwrap())
-        .collect();
+    for workers in [1, 2, 4] {
+        let batch_session = SessionBuilder::new().batch_workers(workers).build();
+        let batch: Vec<_> = batch_session
+            .run_batch(&requests)
+            .into_iter()
+            .map(|r| r.unwrap())
+            .collect();
 
-    assert_eq!(serial.len(), batch.len());
-    for (s, b) in serial.iter().zip(&batch) {
-        assert_eq!(s.cell.name, b.cell.name, "results keep request order");
-        assert_eq!(s.cell.active_area_l2(), b.cell.active_area_l2());
-        assert_eq!(s.cell.width_lambda, b.cell.width_lambda);
+        assert_eq!(serial.len(), batch.len(), "{workers} workers");
+        for (s, b) in serial.iter().zip(&batch) {
+            assert_eq!(s.cell.name, b.cell.name, "results keep request order");
+            assert_eq!(s.cell.active_area_l2(), b.cell.active_area_l2());
+            assert_eq!(s.cell.width_lambda, b.cell.width_lambda);
+        }
+        let stats = batch_session.stats();
+        assert_eq!(stats.batches, 1);
+        assert_eq!(
+            stats.cells.requests(),
+            requests.len() as u64,
+            "every request ran exactly once ({workers} workers)"
+        );
+        assert_eq!(
+            stats.cells.misses,
+            requests.len() as u64,
+            "every distinct request generated exactly once ({workers} workers)"
+        );
     }
-    assert_eq!(batch_session.stats().batches, 1);
-    assert_eq!(
-        batch_session.stats().cells.misses,
-        requests.len() as u64,
-        "every distinct request generated exactly once"
-    );
 }
 
 /// Single-flight must hold on a forced multi-worker pool: a batch of

@@ -188,7 +188,7 @@ fn batch_equals_serial() {
 
 #[test]
 fn run_batch_generalizes_beyond_cells() {
-    // The batch executor accepts any one request kind — here a slice of
+    // run_batch accepts any one request kind — here a slice of
     // immunity requests, each recalling its batch-generated cell.
     let session = Session::new();
     let requests: Vec<ImmunityRequest> = StdCellKind::ALL
@@ -205,6 +205,44 @@ fn run_batch_generalizes_beyond_cells() {
     assert_eq!(stats.immunity.misses, requests.len() as u64);
     assert_eq!(stats.cells.misses, requests.len() as u64);
     assert_eq!(stats.batches, 1);
+
+    // An empty batch is one more (empty) batch that enqueues nothing.
+    assert!(session.run_batch::<ImmunityRequest>(&[]).is_empty());
+    assert_eq!(session.stats().batches, 2);
+    assert_eq!(session.stats().submitted, stats.submitted);
+}
+
+/// `submitted` counts every job enqueued on the pool: one per
+/// `run_batch` request, and one per sub-request a composite fans out.
+#[test]
+fn submitted_counts_every_pool_job() {
+    let session = Session::new();
+    let requests: Vec<CellRequest> = [StdCellKind::Inv, StdCellKind::Nand(2), StdCellKind::Nor(2)]
+        .into_iter()
+        .map(CellRequest::new)
+        .collect();
+    let before = session.stats();
+    session.run_batch(&requests);
+    let after = session.stats();
+    assert_eq!(after.batches - before.batches, 1);
+    assert_eq!(after.submitted - before.submitted, requests.len() as u64);
+
+    let sweep = SweepRequest::new([StdCellKind::Inv, StdCellKind::Nand(2)])
+        .grid(VariationGrid::nominal().tube_counts([26, 10]).seeds([1, 2]))
+        .metrics(SweepMetrics::IMMUNITY)
+        .mc(cnfet::immunity::McOptions {
+            tubes: 20,
+            ..Default::default()
+        });
+    let report = session.run(&sweep).unwrap();
+    assert_eq!(report.rows.len(), 8);
+    let swept = session.stats();
+    assert_eq!(
+        swept.submitted - after.submitted,
+        report.rows.len() as u64,
+        "a k-row sweep enqueues k corner jobs"
+    );
+    assert_eq!(swept.batches, after.batches, "composites are not batches");
 }
 
 #[test]
