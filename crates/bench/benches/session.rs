@@ -16,7 +16,7 @@ use cnfet::device::Polarity;
 use cnfet::dk::DesignKit;
 use cnfet::logic::AdderKind;
 use cnfet::repair::DefectParams;
-use cnfet::spice::{Circuit, Waveform};
+use cnfet::spice::{Circuit, SourceWave};
 use cnfet::{
     CellRequest, FlowRequest, FlowSource, ImmunityRequest, LibraryRequest, MacroRequest,
     OptimizeRequest, OptimizeTarget, RepairRequest, RequestKind, Session, SweepMetrics,
@@ -33,11 +33,11 @@ fn inverter_circuit() -> Circuit {
     let vdd = ckt.node("vdd");
     let vin = ckt.node("in");
     let out = ckt.node("out");
-    ckt.add_vsource(vdd, Circuit::GROUND, Waveform::Dc(kit.cnfet.vdd));
+    ckt.add_vsource(vdd, Circuit::GROUND, SourceWave::Dc(kit.cnfet.vdd));
     ckt.add_vsource(
         vin,
         Circuit::GROUND,
-        Waveform::Pulse {
+        SourceWave::Pulse {
             v0: 0.0,
             v1: kit.cnfet.vdd,
             delay: 0.2e-9,
@@ -221,10 +221,10 @@ fn main() {
     let inverter = inverter_circuit();
     let inverter_mna = cnfet::spice::to_mna(&inverter);
     h.bench("tran_inverter_cold", 20, || {
-        let pattern = Arc::new(cnfet::mna::Pattern::analyze(&inverter_mna));
+        let pattern = Arc::new(cnfet::mna::Pattern::analyze(inverter_mna));
         let mut engine = cnfet::mna::Engine::new(pattern);
         engine
-            .tran(&inverter_mna, &cnfet::mna::TranSpec::new(20e-12, 4e-9))
+            .tran(inverter_mna, &cnfet::mna::TranSpec::new(20e-12, 4e-9))
             .unwrap()
     });
 

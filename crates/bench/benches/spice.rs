@@ -3,7 +3,8 @@
 
 use cnfet_bench::harness::Harness;
 use cnfet_device::{CnfetModel, Polarity};
-use cnfet_spice::{transient, Circuit, Waveform};
+use cnfet_mna::{Engine, Pattern, SourceWave, TranSpec, Waveform};
+use cnfet_spice::{to_mna, Circuit};
 use std::sync::Arc;
 
 fn inverter_chain(stages: usize) -> Circuit {
@@ -12,12 +13,12 @@ fn inverter_chain(stages: usize) -> Circuit {
     let pd = Arc::new(model.device(Polarity::P, 26, 130e-9));
     let mut ckt = Circuit::new();
     let vdd = ckt.node("vdd");
-    ckt.add_vsource(vdd, Circuit::GROUND, Waveform::Dc(1.0));
+    ckt.add_vsource(vdd, Circuit::GROUND, SourceWave::Dc(1.0));
     let vin = ckt.node("n0");
     ckt.add_vsource(
         vin,
         Circuit::GROUND,
-        Waveform::Pulse {
+        SourceWave::Pulse {
             v0: 0.0,
             v1: 1.0,
             delay: 20e-12,
@@ -37,15 +38,25 @@ fn inverter_chain(stages: usize) -> Circuit {
     ckt
 }
 
+/// One cold fixed-grid transient: symbolic analysis, engine allocation
+/// and every step.
+fn transient(ckt: &Circuit, dt: f64, t_stop: f64) -> Waveform {
+    let mna = to_mna(ckt);
+    let mut engine = Engine::new(Arc::new(Pattern::analyze(mna)));
+    engine
+        .tran(mna, &TranSpec::new(dt, t_stop).max_halvings(0))
+        .unwrap()
+}
+
 fn main() {
     let mut h = Harness::new("spice");
     let ckt5 = inverter_chain(5);
     h.bench("transient_inv5_500steps", 20, || {
-        transient(&ckt5, 1e-12, 0.5e-9).unwrap()
+        transient(&ckt5, 1e-12, 0.5e-9)
     });
     let ckt15 = inverter_chain(15);
     h.bench("transient_inv15_250steps", 20, || {
-        transient(&ckt15, 2e-12, 0.5e-9).unwrap()
+        transient(&ckt15, 2e-12, 0.5e-9)
     });
     h.finish();
 }

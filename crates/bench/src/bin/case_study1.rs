@@ -6,7 +6,9 @@ use cnfet_core::area::inverter_area_gain;
 use cnfet_core::DesignRules;
 use cnfet_device::fo4::{cmos_fo4, gain_curve};
 use cnfet_device::{CmosModel, CnfetModel, Polarity};
-use cnfet_spice::{propagation_delay, transient, Circuit, Edge, Waveform};
+use cnfet_mna::measure::{propagation_delay, Edge};
+use cnfet_mna::{Engine, Pattern, Probe, SourceWave, TranSpec};
+use cnfet_spice::{to_mna, Circuit, Node};
 use std::sync::Arc;
 
 fn main() {
@@ -106,16 +108,16 @@ fn fo4_chain_delay_cmos(model: &CmosModel) -> f64 {
 fn fo4_chain_delay(
     vdd_v: f64,
     cin: f64,
-    mut add_inverter: impl FnMut(&mut Circuit, cnfet_spice::Node, cnfet_spice::Node, cnfet_spice::Node),
+    mut add_inverter: impl FnMut(&mut Circuit, Node, Node, Node),
 ) -> f64 {
     let mut ckt = Circuit::new();
     let vdd = ckt.node("vdd");
-    ckt.add_vsource(vdd, Circuit::GROUND, Waveform::Dc(vdd_v));
+    ckt.add_vsource(vdd, Circuit::GROUND, SourceWave::Dc(vdd_v));
     let vin = ckt.node("n0");
     ckt.add_vsource(
         vin,
         Circuit::GROUND,
-        Waveform::Pulse {
+        SourceWave::Pulse {
             v0: 0.0,
             v1: vdd_v,
             delay: 50e-12,
@@ -135,6 +137,10 @@ fn fo4_chain_delay(
         // FO4: each stage drives 3 extra copies of the next stage's input.
         ckt.add_load(nodes[i + 1], 3.0 * cin);
     }
-    let tran = transient(&ckt, 1e-12, 1e-9).expect("fo4 chain converges");
-    propagation_delay(&tran, nodes[2], nodes[3], vdd_v, Edge::Any, 0.0).expect("stage 3 switches")
+    let mna = to_mna(&ckt);
+    let tran = Engine::new(Arc::new(Pattern::analyze(mna)))
+        .tran(mna, &TranSpec::new(1e-12, 1e-9).max_halvings(0))
+        .expect("fo4 chain converges");
+    let (p_in, p_out) = (Probe::Node(nodes[2].0), Probe::Node(nodes[3].0));
+    propagation_delay(&tran, p_in, p_out, vdd_v, Edge::Any, 0.0).expect("stage 3 switches")
 }

@@ -1,8 +1,8 @@
 //! Spice-based cell characterization: delay vs load and switching energy.
 //!
 //! Measurements run on the [`cnfet_mna`] engine: every cell circuit is
-//! lowered to an [`cnfet_mna::MnaCircuit`], its symbolic [`cnfet_mna::Pattern`]
-//! comes from a process-wide [`PatternCache`], and one
+//! built as an [`cnfet_mna::MnaCircuit`] under named nodes, its symbolic
+//! [`cnfet_mna::Pattern`] comes from a process-wide [`PatternCache`], and one
 //! [`cnfet_mna::Engine`] (with its factorization buffers and recorded
 //! pivot order) is reused across the load sweep. Since variation corners
 //! only change element *values*, repeated same-cell characterizations —
@@ -17,8 +17,9 @@ use cnfet_core::SizedNetwork;
 use cnfet_core::Sizing;
 use cnfet_device::Polarity;
 use cnfet_logic::{NodeKind, PullGraph, SpNetwork};
-use cnfet_mna::{measure, Engine, PatternCache, Probe, TranSpec};
-use cnfet_spice::{to_mna, Circuit, Edge, SimError, Waveform};
+use cnfet_mna::measure::{self, Edge};
+use cnfet_mna::{Engine, MnaError, PatternCache, Probe, SourceWave, TranSpec};
+use cnfet_spice::{to_mna, Circuit, Node};
 use std::sync::{Arc, OnceLock};
 
 /// The process-wide pattern cache shared by all characterization calls.
@@ -95,12 +96,12 @@ impl CharCorner {
 ///
 /// # Errors
 ///
-/// Returns [`SimError`] when a transient fails to converge.
+/// Returns [`MnaError`] when a transient fails to converge.
 pub fn characterize_cell(
     kit: &DesignKit,
     cell: &LibCell,
     loads_f: &[f64],
-) -> Result<TimingTable, SimError> {
+) -> Result<TimingTable, MnaError> {
     characterize_cell_at(kit, cell, loads_f, CharCorner::nominal(kit))
 }
 
@@ -111,13 +112,13 @@ pub fn characterize_cell(
 ///
 /// # Errors
 ///
-/// Returns [`SimError`] when a transient fails to converge.
+/// Returns [`MnaError`] when a transient fails to converge.
 pub fn characterize_cell_at(
     kit: &DesignKit,
     cell: &LibCell,
     loads_f: &[f64],
     corner: CharCorner,
-) -> Result<TimingTable, SimError> {
+) -> Result<TimingTable, MnaError> {
     characterize_with_cache(kit, cell, loads_f, corner, global_patterns(), false)
         .map(|(table, _)| table)
 }
@@ -128,13 +129,13 @@ pub fn characterize_cell_at(
 ///
 /// # Errors
 ///
-/// Returns [`SimError`] when a transient fails to converge.
+/// Returns [`MnaError`] when a transient fails to converge.
 pub fn characterize_cell_traces(
     kit: &DesignKit,
     cell: &LibCell,
     loads_f: &[f64],
     corner: CharCorner,
-) -> Result<(TimingTable, Option<String>), SimError> {
+) -> Result<(TimingTable, Option<String>), MnaError> {
     characterize_with_cache(kit, cell, loads_f, corner, global_patterns(), true)
 }
 
@@ -147,7 +148,7 @@ fn characterize_with_cache(
     corner: CharCorner,
     patterns: &PatternCache,
     retain_waveform: bool,
-) -> Result<(TimingTable, Option<String>), SimError> {
+) -> Result<(TimingTable, Option<String>), MnaError> {
     let (pdn, pun, vars) = cell.kind.networks();
     let n_inputs = vars.len();
     let side_mask = sensitizing_mask(&pdn, n_inputs);
@@ -162,11 +163,11 @@ fn characterize_with_cache(
         let vdd = ckt.node("vdd");
         let out = ckt.node("out");
         let vin = ckt.node("in");
-        let supply = ckt.add_vsource(vdd, Circuit::GROUND, Waveform::Dc(kit.cnfet.vdd));
+        let supply = ckt.add_vsource(vdd, Circuit::GROUND, SourceWave::Dc(kit.cnfet.vdd));
         ckt.add_vsource(
             vin,
             Circuit::GROUND,
-            Waveform::Pulse {
+            SourceWave::Pulse {
                 v0: 0.0,
                 v1: kit.cnfet.vdd,
                 delay: 0.2e-9,
@@ -188,7 +189,7 @@ fn characterize_with_cache(
                 } else {
                     0.0
                 };
-                ckt.add_vsource(node, Circuit::GROUND, Waveform::Dc(v));
+                ckt.add_vsource(node, Circuit::GROUND, SourceWave::Dc(v));
                 input_nodes.push(node);
             }
         }
@@ -216,17 +217,16 @@ fn characterize_with_cache(
         );
         ckt.add_load(out, load);
 
-        // Lower once per load point; the symbolic pattern comes from the
-        // cache (hit on every same-topology load/corner) and the engine —
-        // buffers, pivot order — carries over whenever the pattern is the
-        // same Arc.
+        // The symbolic pattern comes from the cache (hit on every
+        // same-topology load/corner) and the engine — buffers, pivot
+        // order — carries over whenever the pattern is the same Arc.
         let mna = to_mna(&ckt);
-        let pattern = patterns.get_or_analyze(&mna);
+        let pattern = patterns.get_or_analyze(mna);
         let engine = match &mut engine {
             Some(e) if Arc::ptr_eq(e.pattern(), &pattern) => e,
             slot => slot.insert(Engine::new(pattern)),
         };
-        let wave = engine.tran(&mna, &TranSpec::new(2e-12, period * 1.1))?;
+        let wave = engine.tran(mna, &TranSpec::new(2e-12, period * 1.1))?;
 
         let (p_in, p_out) = (Probe::Node(vin.0), Probe::Node(out.0));
         let d1 = measure::propagation_delay(&wave, p_in, p_out, kit.cnfet.vdd, Edge::Rising, 0.0);
@@ -291,9 +291,9 @@ fn instantiate_network(
     ckt: &mut Circuit,
     net: &SpNetwork,
     polarity: Polarity,
-    source: cnfet_spice::Node,
-    out: cnfet_spice::Node,
-    inputs: &[cnfet_spice::Node],
+    source: Node,
+    out: Node,
+    inputs: &[Node],
     strength: u8,
     corner: CharCorner,
 ) {

@@ -7,9 +7,9 @@ use cnfet_core::{SizedNetwork, Sizing};
 use cnfet_device::{FetModel, Polarity};
 use cnfet_dk::DesignKit;
 use cnfet_logic::{NodeKind, PullGraph};
-use cnfet_spice::{
-    energy_from_supply, propagation_delay, transient, Circuit, Edge, Node, SimError, Waveform,
-};
+use cnfet_mna::measure::{energy_from_supply, propagation_delay, Edge};
+use cnfet_mna::{Engine, MnaError, Pattern, Probe, SourceWave, TranSpec};
+use cnfet_spice::{to_mna, Circuit, Node};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -41,7 +41,7 @@ pub struct NetlistMetrics {
 ///
 /// # Errors
 ///
-/// Returns [`SimError`] when the transient fails.
+/// Returns [`MnaError`] when the transient fails.
 ///
 /// # Panics
 ///
@@ -53,7 +53,7 @@ pub fn simulate_netlist(
     toggle_in: &str,
     tie_values: &BTreeMap<String, bool>,
     watch_out: &str,
-) -> Result<NetlistMetrics, SimError> {
+) -> Result<NetlistMetrics, MnaError> {
     simulate_netlist_with(
         &DesignKit::cnfet65(),
         netlist,
@@ -71,7 +71,7 @@ pub fn simulate_netlist(
 ///
 /// # Errors
 ///
-/// Returns [`SimError`] when the transient fails.
+/// Returns [`MnaError`] when the transient fails.
 ///
 /// # Panics
 ///
@@ -84,18 +84,18 @@ pub fn simulate_netlist_with(
     toggle_in: &str,
     tie_values: &BTreeMap<String, bool>,
     watch_out: &str,
-) -> Result<NetlistMetrics, SimError> {
+) -> Result<NetlistMetrics, MnaError> {
     let vdd_v = kit.cnfet.vdd;
     let mut ckt = Circuit::new();
     let vdd = ckt.node("vdd");
-    let supply = ckt.add_vsource(vdd, Circuit::GROUND, Waveform::Dc(vdd_v));
+    let supply = ckt.add_vsource(vdd, Circuit::GROUND, SourceWave::Dc(vdd_v));
 
     let period = 6e-9;
     let vin = ckt.node(toggle_in);
     ckt.add_vsource(
         vin,
         Circuit::GROUND,
-        Waveform::Pulse {
+        SourceWave::Pulse {
             v0: 0.0,
             v1: vdd_v,
             delay: 0.5e-9,
@@ -110,7 +110,7 @@ pub fn simulate_netlist_with(
         ckt.add_vsource(
             node,
             Circuit::GROUND,
-            Waveform::Dc(if *value { vdd_v } else { 0.0 }),
+            SourceWave::Dc(if *value { vdd_v } else { 0.0 }),
         );
     }
 
@@ -151,12 +151,17 @@ pub fn simulate_netlist_with(
     }
 
     let out_node = ckt.node(watch_out);
-    let tran = transient(&ckt, 4e-12, period * 1.05)?;
-    let d1 = propagation_delay(&tran, vin, out_node, vdd_v, Edge::Rising, 0.0);
+    let mna = to_mna(&ckt);
+    let mut engine = Engine::new(Arc::new(Pattern::analyze(mna)));
+    // A fixed uniform step grid: no local halving.
+    let spec = TranSpec::new(4e-12, period * 1.05).max_halvings(0);
+    let tran = engine.tran(mna, &spec)?;
+    let (p_in, p_out) = (Probe::Node(vin.0), Probe::Node(out_node.0));
+    let d1 = propagation_delay(&tran, p_in, p_out, vdd_v, Edge::Rising, 0.0);
     let d2 = propagation_delay(
         &tran,
-        vin,
-        out_node,
+        p_in,
+        p_out,
         vdd_v,
         Edge::Falling,
         0.5e-9 + period / 2.0 - 0.1e-9,
@@ -166,7 +171,13 @@ pub fn simulate_netlist_with(
         (Some(a), None) | (None, Some(a)) => a,
         (None, None) => 0.0,
     };
-    let energy = energy_from_supply(&tran, supply, vdd_v, 0.0, period * 1.05);
+    let energy = energy_from_supply(
+        &tran,
+        Probe::SourceCurrent(supply),
+        vdd_v,
+        0.0,
+        period * 1.05,
+    );
     Ok(NetlistMetrics {
         delay_s: delay,
         energy_j: energy,

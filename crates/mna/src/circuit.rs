@@ -11,7 +11,7 @@ use cnfet_device::FetModel;
 use std::sync::Arc;
 
 /// A time-dependent independent source value (SPICE `DC`/`PULSE`/`PWL`
-/// semantics, mirroring the netlist-level waveforms of `cnfet-spice`).
+/// semantics; `cnfet-spice` decks parse to and render from it).
 #[derive(Clone, Debug, PartialEq)]
 pub enum SourceWave {
     /// Constant voltage.
@@ -131,7 +131,7 @@ pub enum MnaElement {
     },
     /// Quasi-static FET, linearized per Newton iteration. Terminal
     /// capacitances are *not* implied — add explicit [`MnaElement::Capacitor`]s
-    /// (the `cnfet-spice` lowering does).
+    /// (`cnfet-spice`'s `Circuit::add_fet` does).
     Fet {
         /// Drain terminal.
         d: usize,
@@ -264,8 +264,8 @@ impl MnaCircuit {
 
     /// Declares that nodes `0..n` exist even if no element touches them
     /// yet (never shrinks). A declared-but-unconnected node makes the
-    /// system singular — exactly the floating-node diagnostic callers
-    /// lowering from a named netlist want to keep.
+    /// system singular — exactly the floating-node diagnostic a named
+    /// netlist wants to keep for a name no element touches.
     pub fn reserve_nodes(&mut self, n: usize) -> &mut MnaCircuit {
         self.n_nodes = self.n_nodes.max(n);
         self
@@ -332,7 +332,18 @@ mod tests {
         assert_eq!(w.value_at(0.0), 0.0);
         assert_eq!(w.value_at(1.5), 0.5);
         assert_eq!(w.value_at(3.0), 1.0);
+        assert_eq!(w.value_at(4.5), 0.5);
+        assert_eq!(w.value_at(6.0), 0.0);
         assert_eq!(w.value_at(11.5), 0.5);
+    }
+
+    #[test]
+    fn source_wave_pwl_shape() {
+        let w = SourceWave::Pwl(vec![(0.0, 0.0), (1.0, 1.0), (2.0, 0.5)]);
+        assert_eq!(w.value_at(-1.0), 0.0);
+        assert_eq!(w.value_at(0.5), 0.5);
+        assert_eq!(w.value_at(1.5), 0.75);
+        assert_eq!(w.value_at(5.0), 0.5);
     }
 
     #[test]

@@ -399,8 +399,14 @@ mod tests {
         c.vsource(1, 0, SourceWave::Dc(2.0));
         c.resistor(1, 2, 1e3);
         c.resistor(2, 0, 3e3);
-        let v = engine_for(&c).dc(&c).unwrap();
+        let mut e = engine_for(&c);
+        let v = e.dc(&c).unwrap();
         assert!((v[2] - 1.5).abs() < 1e-9);
+        // 0.5 mA flows out of the supply: SPICE sign, negative branch
+        // current.
+        let wave = e.tran(&c, &TranSpec::new(1e-12, 1e-11)).unwrap();
+        let i = *wave.source_current(0).last().unwrap();
+        assert!((i + 0.5e-3).abs() < 1e-9, "supply current {i:e}");
     }
 
     #[test]
@@ -413,6 +419,12 @@ mod tests {
         let mut e = engine_for(&c);
         let v = e.dc(&c).unwrap();
         assert!(v[2].abs() < 1e-9, "inductor node should sit at 0 V");
+        // ... and the steady current is V/R through both branches.
+        let wave = e.tran(&c, &TranSpec::new(1e-12, 1e-11)).unwrap();
+        let i = *wave.source_current(0).last().unwrap();
+        assert!((i.abs() - 1e-3).abs() < 1e-6, "supply current {i:e}");
+        let il = *wave.probe(Probe::InductorCurrent(0)).last().unwrap();
+        assert!((il.abs() - 1e-3).abs() < 1e-6, "inductor current {il:e}");
     }
 
     #[test]
@@ -614,27 +626,16 @@ mod tests {
         );
     }
 
-    #[test]
-    fn cnfet_inverter_transient_switches() {
+    /// A loaded CNFET inverter (supply node 1, input 2, output 3) with
+    /// its terminal capacitances, driven by `input`.
+    fn cnfet_inverter(input: SourceWave) -> MnaCircuit {
         let model = CnfetModel::poly_65nm();
         let nd: Arc<dyn FetModel + Send + Sync> = Arc::new(model.device(Polarity::N, 4, 130e-9));
         let pd: Arc<dyn FetModel + Send + Sync> = Arc::new(model.device(Polarity::P, 4, 130e-9));
         let mut c = MnaCircuit::new();
         let (vdd, vin, vout) = (1, 2, 3);
         c.vsource(vdd, 0, SourceWave::Dc(1.0));
-        c.vsource(
-            vin,
-            0,
-            SourceWave::Pulse {
-                v0: 0.0,
-                v1: 1.0,
-                delay: 10e-12,
-                rise: 2e-12,
-                fall: 2e-12,
-                width: 100e-12,
-                period: 0.0,
-            },
-        );
+        c.vsource(vin, 0, input);
         for (d, g, s, m) in [(vout, vin, vdd, &pd), (vout, vin, 0, &nd)] {
             let cg = m.cgate();
             c.capacitor(g, s, cg / 2.0);
@@ -643,6 +644,31 @@ mod tests {
             c.fet(d, g, s, Arc::clone(m));
         }
         c.capacitor(vout, 0, 50e-18);
+        c
+    }
+
+    #[test]
+    fn cnfet_inverter_transient_switches() {
+        // DC transfer: a low input drives the output high, a high input
+        // drives it low.
+        for (vin, high) in [(0.0, true), (1.0, false)] {
+            let c = cnfet_inverter(SourceWave::Dc(vin));
+            let out = engine_for(&c).dc(&c).unwrap()[3];
+            assert!(
+                if high { out > 0.95 } else { out < 0.05 },
+                "in={vin} -> out={out}"
+            );
+        }
+        let vout = 3;
+        let c = cnfet_inverter(SourceWave::Pulse {
+            v0: 0.0,
+            v1: 1.0,
+            delay: 10e-12,
+            rise: 2e-12,
+            fall: 2e-12,
+            width: 100e-12,
+            period: 0.0,
+        });
         let mut e = engine_for(&c);
         let wave = e.tran(&c, &TranSpec::new(0.25e-12, 80e-12)).unwrap();
         let v = wave.voltage(vout);

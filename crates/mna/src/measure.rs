@@ -17,6 +17,21 @@ pub enum Edge {
 
 /// First time at or after `t_from` where `trace` crosses `threshold` in
 /// the requested direction, linearly interpolated between samples.
+///
+/// # Panics
+///
+/// Panics unless `time` and `trace` have the same length.
+///
+/// # Example
+///
+/// ```
+/// use cnfet_mna::measure::{crossing_time, Edge};
+/// // A trace sampled at 1 s ticks rising from 0 to 1:
+/// let time = [0.0, 1.0, 2.0];
+/// let v = [0.0, 0.4, 1.0];
+/// let t = crossing_time(&time, &v, 0.5, Edge::Rising, 0.0).unwrap();
+/// assert!((t - 1.1666).abs() < 1e-3);
+/// ```
 pub fn crossing_time(
     time: &[f64],
     trace: &[f64],
@@ -24,6 +39,7 @@ pub fn crossing_time(
     edge: Edge,
     t_from: f64,
 ) -> Option<f64> {
+    assert_eq!(time.len(), trace.len(), "waveform length mismatch");
     for k in 1..time.len() {
         if time[k] < t_from {
             continue;
@@ -129,6 +145,19 @@ mod tests {
         assert!((t - 0.5).abs() < 1e-12);
         let t = crossing_time(&time, &trace, 0.5, Edge::Falling, 0.6).unwrap();
         assert!((t - 1.5).abs() < 1e-12);
+
+        // A held top: the search starts at `t_from` and honors the edge.
+        let time = [0.0, 1.0, 2.0, 3.0];
+        let trace = [0.0, 1.0, 1.0, 0.0];
+        assert_eq!(crossing_time(&time, &trace, 0.5, Edge::Rising, 1.0), None);
+        let t = crossing_time(&time, &trace, 0.5, Edge::Any, 1.0).unwrap();
+        assert!((t - 2.5).abs() < 1e-12);
+    }
+
+    #[test]
+    #[should_panic(expected = "length mismatch")]
+    fn mismatched_trace_length_is_rejected() {
+        crossing_time(&[0.0, 1.0], &[0.0, 1.0, 2.0], 0.5, Edge::Any, 0.0);
     }
 
     #[test]

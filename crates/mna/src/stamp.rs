@@ -4,7 +4,7 @@
 //! Dynamic elements use companion models — backward-Euler or trapezoidal
 //! — referencing the previous step's [`DynamicState`]; FETs are
 //! linearized about the candidate solution with numerically-differenced
-//! conductances, exactly the scheme the `cnfet-spice` simulator used.
+//! conductances.
 
 use crate::circuit::{MnaCircuit, MnaElement};
 use crate::pattern::{Pattern, Plan};

@@ -245,6 +245,11 @@ pub fn frame(tag: u8, payload: &[u8]) -> Vec<u8> {
     buf
 }
 
+/// Wraps a JSON stream event as one [`FRAME_EVENT`] frame.
+pub(crate) fn event_frame(event: &Json) -> Vec<u8> {
+    frame(FRAME_EVENT, event.render().as_bytes())
+}
+
 // ---------------------------------------------------------------------------
 // Decoding
 // ---------------------------------------------------------------------------

@@ -18,6 +18,8 @@
 //! table attaches an [`Observer`] before submitting, so corner rows /
 //! die outcomes / candidate rows / bit-slice outcomes land on the
 //! progress as the engine harvests them — the feed under `/stream`.
+//! Each lands as an opaque [`StreamRow`] that renders itself, so the
+//! stream handler never learns which composite produced it.
 //! Whole-report cache hits never execute (the observer stays silent);
 //! the missing rows are back-filled from the final report when the job
 //! settles, so a streamed job always delivers every row before its
@@ -40,11 +42,7 @@
 
 use crate::json::Json;
 use crate::wire;
-use cnfet::repair::DieOutcome;
-use cnfet::sweep::CornerRow;
-use cnfet::{
-    CandidateRow, CnfetError, JobHandle, Observer, RequestKind, ResponseKind, Session, SliceOutcome,
-};
+use cnfet::{CnfetError, JobHandle, Observer, RequestKind, ResponseKind, Session};
 use std::collections::HashMap;
 use std::sync::{Arc, Condvar, Mutex, Weak};
 use std::time::{Duration, Instant};
@@ -79,25 +77,50 @@ pub enum Polled {
     Settled(JobView),
 }
 
-/// One streamed progress row: a sweep's corner row, a repair lot's die
+/// How a composite's row renders on a stream. Each row type implements
+/// it once, next to its `wire::render_*` renderer.
+pub(crate) trait RenderRow: Send + Sync {
+    /// The row's JSON object: the `row` member of a `row` event.
+    fn json(&self) -> Json;
+
+    /// The row as one binary stream frame at stream position `index`.
+    /// Rows without a dedicated frame tag ride in an event frame, as the
+    /// `row` event, like `start` and `done` do.
+    fn frame(&self, index: usize) -> Vec<u8> {
+        crate::encode::event_frame(&wire::row_event(index, self.json()))
+    }
+}
+
+/// One streamed progress row — a sweep's corner row, a repair lot's die
 /// outcome, an optimize search's candidate row, or an adder macro's bit
-/// slice, in canonical report order in every case.
-#[derive(Clone, Debug)]
-pub enum StreamRow {
-    /// One cell × corner row of an executing sweep.
-    Corner(CornerRow),
-    /// One die outcome of an executing repair lot.
-    Die(DieOutcome),
-    /// One evaluated candidate of an executing optimize search.
-    Candidate(CandidateRow),
-    /// One characterized bit slice of an executing adder macro.
-    Slice(SliceOutcome),
+/// slice — in canonical report order. Opaque: it renders itself, and a
+/// clone shares the row rather than copying it.
+#[derive(Clone)]
+pub struct StreamRow(Arc<dyn RenderRow>);
+
+impl StreamRow {
+    fn new<T: RenderRow + Clone + 'static>(row: &T) -> StreamRow {
+        StreamRow(Arc::new(row.clone()))
+    }
+
+    /// The row's JSON object, as a `row` event carries it.
+    pub fn json(&self) -> Json {
+        self.0.json()
+    }
+
+    /// The row as one binary stream frame at stream position `index`:
+    /// a `FRAME_ROW` / `FRAME_DIE` payload for corner and die rows, the
+    /// `row` event in a `FRAME_EVENT` for candidate and slice rows.
+    pub fn frame(&self, index: usize) -> Vec<u8> {
+        self.0.frame(index)
+    }
 }
 
 /// The live row feed of one job, shared between the engine's
 /// [`Observer`] on a composite (the producer) and `/stream` handlers
 /// (consumers). Non-composite jobs carry one too, with `total` 0 — a
-/// stream of no rows and one terminal event.
+/// stream of no rows and one terminal event. Rows are shared, so a
+/// wait hands out refcounts, never row copies.
 pub struct Progress {
     total: usize,
     state: Mutex<ProgressState>,
@@ -168,15 +191,15 @@ impl Progress {
 }
 
 /// A fresh progress of `total` rows plus the engine observer that feeds
-/// it, converting each harvested item with `row`. The observer holds the
-/// progress weakly: once the job's entry expires, pushes from an
-/// execution another client re-triggered go nowhere.
-fn feed<T: 'static>(total: usize, row: fn(&T) -> StreamRow) -> (Arc<Progress>, Observer<T>) {
+/// it each harvested item. The observer holds the progress weakly: once
+/// the job's entry expires, pushes from an execution another client
+/// re-triggered go nowhere.
+fn feed<T: RenderRow + Clone + 'static>(total: usize) -> (Arc<Progress>, Observer<T>) {
     let progress = Arc::new(Progress::new(total));
     let feed: Weak<Progress> = Arc::downgrade(&progress);
-    let observer = Observer::new(move |index, item| {
+    let observer = Observer::new(move |index, item: &T| {
         if let Some(progress) = feed.upgrade() {
-            progress.push(index, row(item));
+            progress.push(index, StreamRow::new(item));
         }
     });
     (progress, observer)
@@ -303,29 +326,20 @@ impl JobTable {
         // the progress's own lock, never the table's.
         let (request, progress) = match request {
             RequestKind::Sweep(sweep) => {
-                let (progress, observer) = feed(sweep.row_count(), |row: &CornerRow| {
-                    StreamRow::Corner(row.clone())
-                });
+                let (progress, observer) = feed(sweep.row_count());
                 (RequestKind::Sweep(sweep.observe_rows(observer)), progress)
             }
             RequestKind::Repair(repair) => {
-                let (progress, observer) = feed(repair.die_count(), |die: &DieOutcome| {
-                    StreamRow::Die(die.clone())
-                });
+                let (progress, observer) = feed(repair.die_count());
                 (RequestKind::Repair(repair.observe_dies(observer)), progress)
             }
             RequestKind::Optimize(optimize) => {
-                let (progress, observer) =
-                    feed(optimize.candidate_count(), |row: &CandidateRow| {
-                        StreamRow::Candidate(row.clone())
-                    });
+                let (progress, observer) = feed(optimize.candidate_count());
                 let optimize = optimize.observe_candidates(observer);
                 (RequestKind::Optimize(optimize), progress)
             }
             RequestKind::Macro(makro) => {
-                let (progress, observer) = feed(makro.slice_count(), |slice: &SliceOutcome| {
-                    StreamRow::Slice(*slice)
-                });
+                let (progress, observer) = feed(makro.slice_count());
                 (RequestKind::Macro(makro.observe_slices(observer)), progress)
             }
             other => (other, Arc::new(Progress::new(0))),
@@ -533,35 +547,14 @@ impl Inner {
 /// whole-report cache hit back-fills into the progress feed in place of
 /// the observer rows that never fired.
 fn backfill_rows(result: &Result<ResponseKind, CnfetError>) -> Option<Vec<StreamRow>> {
+    fn rows<T: RenderRow + Clone + 'static>(items: &[T]) -> Option<Vec<StreamRow>> {
+        Some(items.iter().map(StreamRow::new).collect())
+    }
     match result {
-        Ok(ResponseKind::Sweep(report)) => Some(
-            report
-                .rows
-                .iter()
-                .map(|row| StreamRow::Corner(row.clone()))
-                .collect(),
-        ),
-        Ok(ResponseKind::Repair(report)) => Some(
-            report
-                .dies
-                .iter()
-                .map(|outcome| StreamRow::Die(outcome.clone()))
-                .collect(),
-        ),
-        Ok(ResponseKind::Optimize(report)) => Some(
-            report
-                .candidates
-                .iter()
-                .map(|row| StreamRow::Candidate(row.clone()))
-                .collect(),
-        ),
-        Ok(ResponseKind::Macro(report)) => Some(
-            report
-                .slices
-                .iter()
-                .map(|outcome| StreamRow::Slice(*outcome))
-                .collect(),
-        ),
+        Ok(ResponseKind::Sweep(report)) => rows(&report.rows),
+        Ok(ResponseKind::Repair(report)) => rows(&report.dies),
+        Ok(ResponseKind::Optimize(report)) => rows(&report.candidates),
+        Ok(ResponseKind::Macro(report)) => rows(&report.slices),
         _ => None,
     }
 }
@@ -718,7 +711,7 @@ mod tests {
             seen += rows.len();
             dies_streamed += rows
                 .iter()
-                .filter(|row| matches!(row, StreamRow::Die(_)))
+                .filter(|row| row.frame(0)[0] == crate::encode::FRAME_DIE)
                 .count();
             if let Some(view) = finished {
                 break view;
@@ -767,7 +760,7 @@ mod tests {
             seen += rows.len();
             candidates_streamed += rows
                 .iter()
-                .filter(|row| matches!(row, StreamRow::Candidate(_)))
+                .filter(|row| row.json().get("score").is_some())
                 .count();
             if let Some(view) = finished {
                 break view;

@@ -20,7 +20,7 @@
 
 use crate::encode::{self, Format};
 use crate::http::{self, ReadError, Request};
-use crate::jobtable::{JobTable, JobView, Polled, StreamRow};
+use crate::jobtable::{JobTable, JobView, Polled};
 use crate::json::{self, Json};
 use crate::wire;
 use cnfet::{RequestClass, ResponseKind, Session, SessionBuilder};
@@ -721,10 +721,13 @@ fn run_binary(request: &Request, shared: &Shared) -> Routed {
 }
 
 /// Serves `GET /v1/jobs/{id}/stream`: a chunked response of progress
-/// events and corner/die/candidate rows, flushed as the engine harvests
-/// them, ending in a terminal `done` / `error` / `canceled` event. A write failure
-/// (the peer hung up mid-stream) ends the handler immediately — the
-/// worker is freed and the job settles in the table like any other.
+/// events and rows, flushed as the engine harvests them, ending in a
+/// terminal `done` / `error` / `canceled` event. Each row renders itself
+/// ([`StreamRow`](crate::jobtable::StreamRow)) — a `row` event in JSON
+/// mode, its own frame in binary mode — so this handler serves every
+/// composite alike. A write failure (the peer hung up mid-stream) ends
+/// the handler immediately — the worker is freed and the job settles in
+/// the table like any other.
 fn stream_job(stream: &mut TcpStream, shared: &Shared, id: u64, format: Format) {
     let progress = match shared.jobs.watch(id) {
         Ok(progress) => progress,
@@ -760,58 +763,10 @@ fn stream_job(stream: &mut TcpStream, shared: &Shared, id: u64, format: Format) 
         let _ = shared.jobs.poll(id);
         let (rows, finished) = progress.wait(seen, READ_POLL);
         for (offset, row) in rows.iter().enumerate() {
+            let index = seen + offset;
             let written = match format {
-                Format::Json => {
-                    let rendered = match row {
-                        StreamRow::Corner(row) => wire::render_row(row),
-                        StreamRow::Die(outcome) => wire::render_die_row(outcome),
-                        StreamRow::Candidate(row) => wire::render_candidate(row),
-                        StreamRow::Slice(outcome) => wire::render_slice_row(outcome),
-                    };
-                    emit_event(
-                        stream,
-                        format,
-                        &Json::obj([
-                            ("event", Json::str("row")),
-                            ("index", Json::from(seen + offset)),
-                            ("row", rendered),
-                        ]),
-                    )
-                }
-                Format::Binary => {
-                    let framed = match row {
-                        StreamRow::Corner(row) => {
-                            encode::frame(encode::FRAME_ROW, &encode::encode_row(row))
-                        }
-                        StreamRow::Die(outcome) => {
-                            encode::frame(encode::FRAME_DIE, &encode::encode_die(outcome))
-                        }
-                        // Candidates and slices have no dedicated binary
-                        // frame; they ride in an event frame like
-                        // start/done do.
-                        StreamRow::Candidate(row) => encode::frame(
-                            encode::FRAME_EVENT,
-                            Json::obj([
-                                ("event", Json::str("row")),
-                                ("index", Json::from(seen + offset)),
-                                ("row", wire::render_candidate(row)),
-                            ])
-                            .render()
-                            .as_bytes(),
-                        ),
-                        StreamRow::Slice(outcome) => encode::frame(
-                            encode::FRAME_EVENT,
-                            Json::obj([
-                                ("event", Json::str("row")),
-                                ("index", Json::from(seen + offset)),
-                                ("row", wire::render_slice_row(outcome)),
-                            ])
-                            .render()
-                            .as_bytes(),
-                        ),
-                    };
-                    http::write_chunk(stream, &framed)
-                }
+                Format::Json => emit_event(stream, format, &wire::row_event(index, row.json())),
+                Format::Binary => http::write_chunk(stream, &row.frame(index)),
             };
             if written.is_err() {
                 return;
@@ -856,10 +811,7 @@ fn emit_event(stream: &mut TcpStream, format: Format, event: &Json) -> std::io::
             line.push('\n');
             http::write_chunk(stream, line.as_bytes())
         }
-        Format::Binary => http::write_chunk(
-            stream,
-            &encode::frame(encode::FRAME_EVENT, event.render().as_bytes()),
-        ),
+        Format::Binary => http::write_chunk(stream, &encode::event_frame(event)),
     }
 }
 

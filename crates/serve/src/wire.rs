@@ -68,13 +68,15 @@
 //! [`CnfetError::InvalidRequest`] guard maps to `400` the same way, so
 //! a malformed value can never occupy a cache slot.
 
+use crate::encode;
+use crate::jobtable::RenderRow;
 use crate::json::Json;
 use cnfet::core::{GenerateOptions, Scheme, StdCellKind};
 use cnfet::dk::CellLibrary;
 use cnfet::immunity::McOptions;
 use cnfet::logic::AdderKind;
+use cnfet::mna::MnaError;
 use cnfet::repair::{DefectParams, DieOutcome, Solver};
-use cnfet::spice::SimError;
 use cnfet::sweep::{
     CornerRow, CornerSummary, SweepCornerRequest, SweepMetrics, SweepReport, SweepRequest,
     VariationCorner, VariationGrid,
@@ -137,8 +139,8 @@ pub fn error_response(error: &CnfetError) -> (u16, Json) {
         CnfetError::Generate(_) => "generate",
         CnfetError::Parse(_) => "parse",
         CnfetError::Network(_) => "network",
-        CnfetError::Sim(SimError::Singular) => "sim_singular",
-        CnfetError::Sim(SimError::NoConvergence { .. }) => "sim_no_convergence",
+        CnfetError::Sim(MnaError::Singular) => "sim_singular",
+        CnfetError::Sim(MnaError::NoConvergence { .. }) => "sim_no_convergence",
         CnfetError::Deck(_) => "deck",
         CnfetError::Gds(_) => "gds",
         CnfetError::Library(_) => "library",
@@ -950,6 +952,15 @@ fn render_flow(result: &FlowResult) -> Json {
     ])
 }
 
+/// The `row` stream event: row `index` of a job's feed.
+pub(crate) fn row_event(index: usize, row: Json) -> Json {
+    Json::obj([
+        ("event", Json::str("row")),
+        ("index", Json::from(index)),
+        ("row", row),
+    ])
+}
+
 pub(crate) fn render_corner(corner: &VariationCorner) -> Json {
     Json::obj([
         (
@@ -978,6 +989,16 @@ pub(crate) fn render_row(row: &CornerRow) -> Json {
         ("liberty", Json::from(row.liberty.clone())),
         ("waveform", Json::from(row.waveform.clone())),
     ])
+}
+
+impl RenderRow for CornerRow {
+    fn json(&self) -> Json {
+        render_row(self)
+    }
+
+    fn frame(&self, _index: usize) -> Vec<u8> {
+        encode::frame(encode::FRAME_ROW, &encode::encode_row(self))
+    }
 }
 
 fn render_summary(summary: &CornerSummary) -> Json {
@@ -1039,6 +1060,16 @@ pub(crate) fn render_die_row(outcome: &DieOutcome) -> Json {
     ])
 }
 
+impl RenderRow for DieOutcome {
+    fn json(&self) -> Json {
+        render_die_row(self)
+    }
+
+    fn frame(&self, _index: usize) -> Vec<u8> {
+        encode::frame(encode::FRAME_DIE, &encode::encode_die(self))
+    }
+}
+
 pub(crate) fn render_candidate(row: &CandidateRow) -> Json {
     Json::obj([
         ("index", Json::from(row.index)),
@@ -1061,6 +1092,12 @@ pub(crate) fn render_candidate(row: &CandidateRow) -> Json {
         ("meets_target", Json::from(row.meets_target)),
         ("best_so_far", Json::from(row.best_so_far)),
     ])
+}
+
+impl RenderRow for CandidateRow {
+    fn json(&self) -> Json {
+        render_candidate(self)
+    }
 }
 
 fn render_target(target: &OptimizeTarget) -> Json {
@@ -1098,6 +1135,12 @@ pub(crate) fn render_slice_row(outcome: &SliceOutcome) -> Json {
         ("sum_delay_s", Json::from(outcome.sum_delay_s)),
         ("carry_delay_s", Json::from(outcome.carry_delay_s)),
     ])
+}
+
+impl RenderRow for SliceOutcome {
+    fn json(&self) -> Json {
+        render_slice_row(self)
+    }
 }
 
 fn render_macro(report: &MacroReport) -> Json {
@@ -1290,11 +1333,11 @@ mod tests {
         assert_eq!(error_response(&CnfetError::Canceled).0, 503);
 
         // Simulation failures split by cause on the wire.
-        let (status, body) = error_response(&CnfetError::Sim(SimError::Singular));
+        let (status, body) = error_response(&CnfetError::Sim(MnaError::Singular));
         assert_eq!(status, 422);
         let kind = body.get("error").unwrap().get("kind").unwrap();
         assert_eq!(kind.as_str(), Some("sim_singular"));
-        let (_, body) = error_response(&CnfetError::Sim(SimError::NoConvergence { at_step: 7 }));
+        let (_, body) = error_response(&CnfetError::Sim(MnaError::NoConvergence { at_step: 7 }));
         let error = body.get("error").unwrap();
         assert_eq!(
             error.get("kind").unwrap().as_str(),

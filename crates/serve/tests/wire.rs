@@ -337,6 +337,37 @@ fn tran_requests_run_the_mna_engine_over_the_wire() {
 }
 
 #[test]
+fn malformed_source_specs_answer_errors_and_spare_the_workers() {
+    // One bad deck per HTTP worker, plus one: a request that took its
+    // worker down would leave nobody to answer the health check.
+    let workers = 2;
+    let server =
+        Server::start(ServeConfig::default().addr("127.0.0.1:0").workers(workers)).unwrap();
+    let bad = Json::obj([
+        ("type", Json::str("tran")),
+        ("deck", Json::str("V1 a 0 )(\nR1 a 0 1k\n.end")),
+        ("dt", Json::from(1e-11)),
+        ("t_stop", Json::from(1e-10)),
+    ]);
+    for _ in 0..=workers {
+        let refused = Client::new(server.addr())
+            .request("POST", "/v1/run")
+            .body(&bad)
+            .send()
+            .unwrap();
+        assert_eq!(refused.status, 422);
+        let error = refused.body.get("error").unwrap();
+        assert_eq!(error.get("kind").unwrap().as_str(), Some("deck"));
+    }
+    Client::new(server.addr())
+        .request("GET", "/v1/healthz")
+        .send()
+        .unwrap()
+        .expect_status(200);
+    server.shutdown();
+}
+
+#[test]
 fn json_escaping_survives_the_round_trip() {
     let server = server();
     let mut client = Client::new(server.addr());

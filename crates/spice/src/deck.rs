@@ -7,7 +7,8 @@
 //! magnitude suffixes (`f p n u m k meg g`). Transistor (`M`) cards are
 //! rejected: device models carry behavior a text card cannot round-trip.
 
-use crate::netlist::{Circuit, Waveform};
+use crate::netlist::Circuit;
+use cnfet_mna::SourceWave;
 use std::fmt;
 
 /// A deck parse failure, with the 1-based source line.
@@ -80,7 +81,8 @@ fn parse_call(spec: &str, line: usize) -> Result<(String, Vec<f64>), DeckError> 
         .ok_or_else(|| err(line, "expected `(` in source specification"))?;
     let close = spec
         .rfind(')')
-        .ok_or_else(|| err(line, "expected `)` in source specification"))?;
+        .filter(|&close| close > open)
+        .ok_or_else(|| err(line, "expected `)` after `(` in source specification"))?;
     let keyword = spec[..open].trim().to_ascii_uppercase();
     let mut args = Vec::new();
     for tok in spec[open + 1..close].split_whitespace() {
@@ -89,14 +91,14 @@ fn parse_call(spec: &str, line: usize) -> Result<(String, Vec<f64>), DeckError> 
     Ok((keyword, args))
 }
 
-fn parse_source(spec: &str, line: usize) -> Result<Waveform, DeckError> {
+fn parse_source(spec: &str, line: usize) -> Result<SourceWave, DeckError> {
     let upper = spec.trim().to_ascii_uppercase();
     if let Some(rest) = upper.strip_prefix("DC") {
         let tok = rest.trim();
         if tok.is_empty() {
             return Err(err(line, "DC source missing value"));
         }
-        return Ok(Waveform::Dc(parse_value(tok, line)?));
+        return Ok(SourceWave::Dc(parse_value(tok, line)?));
     }
     let (keyword, args) = parse_call(spec, line)?;
     match keyword.as_str() {
@@ -107,7 +109,7 @@ fn parse_source(spec: &str, line: usize) -> Result<Waveform, DeckError> {
                     format!("PULSE needs 7 arguments, got {}", args.len()),
                 ));
             }
-            Ok(Waveform::Pulse {
+            Ok(SourceWave::Pulse {
                 v0: args[0],
                 v1: args[1],
                 delay: args[2],
@@ -125,7 +127,7 @@ fn parse_source(spec: &str, line: usize) -> Result<Waveform, DeckError> {
             if points.windows(2).any(|w| w[1].0 <= w[0].0) {
                 return Err(err(line, "PWL times must strictly increase"));
             }
-            Ok(Waveform::Pwl(points))
+            Ok(SourceWave::Pwl(points))
         }
         other => Err(err(line, format!("unsupported source kind `{other}`"))),
     }
@@ -193,11 +195,9 @@ impl Circuit {
                     }
                     let p = circuit.node(fields[1]);
                     let n = circuit.node(fields[2]);
-                    let spec_start = trimmed
-                        .match_indices(char::is_whitespace)
-                        .nth(2)
-                        .map(|(i, _)| i)
-                        .unwrap();
+                    // `fields` borrow from `trimmed`: the spec starts at
+                    // the fourth field, however the first three are spaced.
+                    let spec_start = fields[3].as_ptr() as usize - trimmed.as_ptr() as usize;
                     let wave = parse_source(&trimmed[spec_start..], line)?;
                     circuit.add_vsource(p, n, wave);
                 }
@@ -228,7 +228,7 @@ mod tests {
         c.add_vsource(
             a,
             Circuit::GROUND,
-            Waveform::Pulse {
+            SourceWave::Pulse {
                 v0: 0.0,
                 v1: 1.0,
                 delay: 1e-10,
@@ -248,15 +248,15 @@ mod tests {
 
     #[test]
     fn parses_si_suffixes_and_aliases() {
-        use crate::netlist::Element;
+        use cnfet_mna::MnaElement;
         let c = Circuit::from_spice(
-            "V1 a gnd DC 1.0\nR1 a b 2.5k\nC1 b 0 10p\nL1 b 0 1n\nR2 b 0 1meg\n.end\n",
+            "V1  a\tgnd  DC 1.0\nR1 a b 2.5k\nC1 b 0 10p\nL1 b 0 1n\nR2 b 0 1meg\n.end\n",
         )
         .unwrap();
-        let value = |e: &Element| match e {
-            Element::Resistor { ohms, .. } => *ohms,
-            Element::Capacitor { farads, .. } => *farads,
-            Element::Inductor { henries, .. } => *henries,
+        let value = |e: &MnaElement| match e {
+            MnaElement::Resistor { ohms, .. } => *ohms,
+            MnaElement::Capacitor { farads, .. } => *farads,
+            MnaElement::Inductor { henries, .. } => *henries,
             _ => panic!("unexpected element"),
         };
         let close = |got: f64, want: f64| (got - want).abs() <= want * 1e-12;
@@ -266,7 +266,7 @@ mod tests {
         assert!(close(value(&c.elements()[4]), 1e6));
         assert!(matches!(
             &c.elements()[0],
-            Element::VSource { n, .. } if *n == Circuit::GROUND
+            MnaElement::VSource { n: 0, wave: SourceWave::Dc(v), .. } if *v == 1.0
         ));
     }
 
@@ -303,5 +303,9 @@ mod tests {
 
         let e = Circuit::from_spice("V1 a 0 SIN(0 1 1k)\n.end").unwrap_err();
         assert!(e.message.contains("SIN"));
+
+        let e = Circuit::from_spice("R1 a 0 1k\nV1 a 0 )(\n.end").unwrap_err();
+        assert_eq!(e.line, 2);
+        assert!(e.message.contains("expected `)` after `(`"), "{e}");
     }
 }

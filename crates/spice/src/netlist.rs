@@ -1,6 +1,12 @@
-//! Circuit netlists: nodes, passive elements, sources and FETs.
+//! Named-node netlists over the engine's circuit form.
+//!
+//! A [`Circuit`] is a name table in front of one [`MnaCircuit`]: node
+//! names intern to dense indices (`Node(i)` is engine node `i`, ground is
+//! `0`) and every element lands directly in the engine circuit, so the
+//! i-th voltage source added is the i-th source branch of [`to_mna`].
 
 use cnfet_device::FetModel;
+use cnfet_mna::{MnaCircuit, MnaElement, SourceWave};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -8,164 +14,36 @@ use std::sync::Arc;
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Node(pub usize);
 
-/// A time-dependent independent source value.
-#[derive(Clone, Debug, PartialEq)]
-pub enum Waveform {
-    /// Constant voltage.
-    Dc(f64),
-    /// Periodic trapezoidal pulse (SPICE `PULSE` semantics).
-    Pulse {
-        /// Initial level (V).
-        v0: f64,
-        /// Pulsed level (V).
-        v1: f64,
-        /// Delay before the first edge (s).
-        delay: f64,
-        /// Rise time (s).
-        rise: f64,
-        /// Fall time (s).
-        fall: f64,
-        /// Pulse width at `v1` (s).
-        width: f64,
-        /// Period (s); 0 disables repetition.
-        period: f64,
-    },
-    /// Piecewise-linear waveform through `(time, value)` points.
-    Pwl(Vec<(f64, f64)>),
-}
-
-impl Waveform {
-    /// The source value at time `t`.
-    pub fn value_at(&self, t: f64) -> f64 {
-        match self {
-            Waveform::Dc(v) => *v,
-            Waveform::Pulse {
-                v0,
-                v1,
-                delay,
-                rise,
-                fall,
-                width,
-                period,
-            } => {
-                if t < *delay {
-                    return *v0;
-                }
-                let mut tt = t - delay;
-                if *period > 0.0 {
-                    tt %= period;
-                }
-                if tt < *rise {
-                    v0 + (v1 - v0) * tt / rise
-                } else if tt < rise + width {
-                    *v1
-                } else if tt < rise + width + fall {
-                    v1 + (v0 - v1) * (tt - rise - width) / fall
-                } else {
-                    *v0
-                }
-            }
-            Waveform::Pwl(points) => {
-                if points.is_empty() {
-                    return 0.0;
-                }
-                if t <= points[0].0 {
-                    return points[0].1;
-                }
-                for w in points.windows(2) {
-                    let ((t0, v0), (t1, v1)) = (w[0], w[1]);
-                    if t <= t1 {
-                        return v0 + (v1 - v0) * (t - t0) / (t1 - t0);
-                    }
-                }
-                points[points.len() - 1].1
-            }
-        }
-    }
-}
-
-/// A netlist element.
-#[derive(Clone)]
-pub enum Element {
-    /// Linear resistor between two nodes.
-    Resistor {
-        /// First terminal.
-        a: Node,
-        /// Second terminal.
-        b: Node,
-        /// Resistance in ohms.
-        ohms: f64,
-    },
-    /// Linear capacitor between two nodes.
-    Capacitor {
-        /// First terminal.
-        a: Node,
-        /// Second terminal.
-        b: Node,
-        /// Capacitance in farads.
-        farads: f64,
-    },
-    /// Linear inductor between two nodes.
-    Inductor {
-        /// First terminal.
-        a: Node,
-        /// Second terminal.
-        b: Node,
-        /// Inductance in henries.
-        henries: f64,
-    },
-    /// Independent voltage source from `p` to `n`.
-    VSource {
-        /// Positive terminal.
-        p: Node,
-        /// Negative terminal.
-        n: Node,
-        /// Source waveform.
-        wave: Waveform,
-    },
-    /// Quasi-static FET (current element only; add terminal capacitors via
-    /// [`Circuit::add_fet`], which does both).
-    Fet {
-        /// Drain terminal.
-        d: Node,
-        /// Gate terminal.
-        g: Node,
-        /// Source terminal.
-        s: Node,
-        /// Large-signal device model.
-        model: Arc<dyn FetModel + Send + Sync>,
-    },
-}
-
-impl std::fmt::Debug for Element {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Element::Resistor { a, b, ohms } => write!(f, "R({a:?},{b:?},{ohms})"),
-            Element::Capacitor { a, b, farads } => write!(f, "C({a:?},{b:?},{farads})"),
-            Element::Inductor { a, b, henries } => write!(f, "L({a:?},{b:?},{henries})"),
-            Element::VSource { p, n, .. } => write!(f, "V({p:?},{n:?})"),
-            Element::Fet { d, g, s, .. } => write!(f, "FET(d={d:?},g={g:?},s={s:?})"),
-        }
-    }
-}
-
 /// A circuit under construction.
 ///
 /// # Example
 ///
 /// ```
-/// use cnfet_spice::{Circuit, Waveform};
+/// use cnfet_spice::{Circuit, SourceWave};
 /// let mut ckt = Circuit::new();
 /// let a = ckt.node("a");
-/// ckt.add_vsource(a, Circuit::GROUND, Waveform::Dc(1.0));
+/// ckt.add_vsource(a, Circuit::GROUND, SourceWave::Dc(1.0));
 /// ckt.add_resistor(a, Circuit::GROUND, 50.0);
 /// assert_eq!(ckt.node_count(), 2); // ground + a
 /// ```
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct Circuit {
     names: Vec<String>,
     by_name: HashMap<String, Node>,
-    elements: Vec<Element>,
+    mna: MnaCircuit,
+}
+
+impl Default for Circuit {
+    fn default() -> Self {
+        Circuit::new()
+    }
+}
+
+/// The engine circuit behind a netlist, borrowed: node `Node(i)` is
+/// engine node `i`, and interned-but-unconnected nodes stay in it so they
+/// surface as the floating-node (singular) diagnostic.
+pub fn to_mna(circuit: &Circuit) -> &MnaCircuit {
+    &circuit.mna
 }
 
 impl Circuit {
@@ -177,7 +55,7 @@ impl Circuit {
         let mut c = Circuit {
             names: Vec::new(),
             by_name: HashMap::new(),
-            elements: Vec::new(),
+            mna: MnaCircuit::new(),
         };
         let g = c.intern("0");
         debug_assert_eq!(g, Circuit::GROUND);
@@ -191,6 +69,7 @@ impl Circuit {
         let n = Node(self.names.len());
         self.names.push(name.to_string());
         self.by_name.insert(name.to_string(), n);
+        self.mna.reserve_nodes(self.names.len());
         n
     }
 
@@ -222,9 +101,9 @@ impl Circuit {
         self.names.len()
     }
 
-    /// All elements.
-    pub fn elements(&self) -> &[Element] {
-        &self.elements
+    /// All elements, in insertion order.
+    pub fn elements(&self) -> &[MnaElement] {
+        self.mna.elements()
     }
 
     /// Adds a resistor.
@@ -233,27 +112,17 @@ impl Circuit {
     ///
     /// Panics unless the resistance is positive and finite.
     pub fn add_resistor(&mut self, a: Node, b: Node, ohms: f64) -> &mut Circuit {
-        assert!(
-            ohms.is_finite() && ohms > 0.0,
-            "resistance must be positive"
-        );
-        self.elements.push(Element::Resistor { a, b, ohms });
+        self.mna.resistor(a.0, b.0, ohms);
         self
     }
 
-    /// Adds a capacitor.
+    /// Adds a capacitor (no-op when zero).
     ///
     /// # Panics
     ///
     /// Panics unless the capacitance is non-negative and finite.
     pub fn add_capacitor(&mut self, a: Node, b: Node, farads: f64) -> &mut Circuit {
-        assert!(
-            farads.is_finite() && farads >= 0.0,
-            "capacitance must be non-negative"
-        );
-        if farads > 0.0 {
-            self.elements.push(Element::Capacitor { a, b, farads });
-        }
+        self.mna.capacitor(a.0, b.0, farads);
         self
     }
 
@@ -263,24 +132,14 @@ impl Circuit {
     ///
     /// Panics unless the inductance is positive and finite.
     pub fn add_inductor(&mut self, a: Node, b: Node, henries: f64) -> &mut Circuit {
-        assert!(
-            henries.is_finite() && henries > 0.0,
-            "inductance must be positive"
-        );
-        self.elements.push(Element::Inductor { a, b, henries });
+        self.mna.inductor(a.0, b.0, henries);
         self
     }
 
     /// Adds an independent voltage source and returns its index among
-    /// sources (usable with [`crate::Transient::source_current`]).
-    pub fn add_vsource(&mut self, p: Node, n: Node, wave: Waveform) -> usize {
-        let idx = self
-            .elements
-            .iter()
-            .filter(|e| matches!(e, Element::VSource { .. }))
-            .count();
-        self.elements.push(Element::VSource { p, n, wave });
-        idx
+    /// sources (usable with [`cnfet_mna::Probe::SourceCurrent`]).
+    pub fn add_vsource(&mut self, p: Node, n: Node, wave: SourceWave) -> usize {
+        self.mna.vsource(p.0, n.0, wave)
     }
 
     /// Adds a FET plus its terminal capacitances (gate capacitance split
@@ -297,7 +156,7 @@ impl Circuit {
         self.add_capacitor(g, s, cg / 2.0);
         self.add_capacitor(g, d, cg / 2.0);
         self.add_capacitor(d, Circuit::GROUND, cd);
-        self.elements.push(Element::Fet { d, g, s, model });
+        self.mna.fet(d.0, g.0, s.0, model);
         self
     }
 
@@ -316,46 +175,32 @@ impl Circuit {
     /// gate and drain capacitance).
     pub fn to_spice(&self, title: &str) -> String {
         use std::fmt::Write as _;
+        let name = |n: &usize| self.names[*n].as_str();
         let mut out = String::new();
         let _ = writeln!(out, "* {title}");
         let (mut nr, mut nc, mut nl, mut nv, mut nm) = (0u32, 0u32, 0u32, 0u32, 0u32);
-        for e in &self.elements {
+        for e in self.elements() {
             match e {
-                Element::Resistor { a, b, ohms } => {
+                MnaElement::Resistor { a, b, ohms } => {
                     nr += 1;
-                    let _ = writeln!(
-                        out,
-                        "R{nr} {} {} {ohms:.6e}",
-                        self.node_name(*a),
-                        self.node_name(*b)
-                    );
+                    let _ = writeln!(out, "R{nr} {} {} {ohms:.6e}", name(a), name(b));
                 }
-                Element::Capacitor { a, b, farads } => {
+                MnaElement::Capacitor { a, b, farads } => {
                     nc += 1;
-                    let _ = writeln!(
-                        out,
-                        "C{nc} {} {} {farads:.6e}",
-                        self.node_name(*a),
-                        self.node_name(*b)
-                    );
+                    let _ = writeln!(out, "C{nc} {} {} {farads:.6e}", name(a), name(b));
                 }
-                Element::Inductor { a, b, henries } => {
+                MnaElement::Inductor { a, b, henries } => {
                     nl += 1;
-                    let _ = writeln!(
-                        out,
-                        "L{nl} {} {} {henries:.6e}",
-                        self.node_name(*a),
-                        self.node_name(*b)
-                    );
+                    let _ = writeln!(out, "L{nl} {} {} {henries:.6e}", name(a), name(b));
                 }
-                Element::VSource { p, n, wave } => {
+                MnaElement::VSource { p, n, wave } => {
                     nv += 1;
-                    let _ = write!(out, "V{nv} {} {} ", self.node_name(*p), self.node_name(*n));
+                    let _ = write!(out, "V{nv} {} {} ", name(p), name(n));
                     match wave {
-                        Waveform::Dc(v) => {
+                        SourceWave::Dc(v) => {
                             let _ = writeln!(out, "DC {v:.6e}");
                         }
-                        Waveform::Pulse {
+                        SourceWave::Pulse {
                             v0,
                             v1,
                             delay,
@@ -369,7 +214,7 @@ impl Circuit {
                                 "PULSE({v0:.6e} {v1:.6e} {delay:.6e} {rise:.6e} {fall:.6e} {width:.6e} {period:.6e})"
                             );
                         }
-                        Waveform::Pwl(points) => {
+                        SourceWave::Pwl(points) => {
                             let _ = write!(out, "PWL(");
                             for (i, (t, v)) in points.iter().enumerate() {
                                 let sep = if i == 0 { "" } else { " " };
@@ -379,7 +224,7 @@ impl Circuit {
                         }
                     }
                 }
-                Element::Fet { d, g, s, model } => {
+                MnaElement::Fet { d, g, s, model } => {
                     nm += 1;
                     let polarity = match model.polarity() {
                         cnfet_device::Polarity::N => "cnfet_n",
@@ -388,9 +233,9 @@ impl Circuit {
                     let _ = writeln!(
                         out,
                         "M{nm} {} {} {} {polarity} cg={:.6e} cd={:.6e}",
-                        self.node_name(*d),
-                        self.node_name(*g),
-                        self.node_name(*s),
+                        name(d),
+                        name(g),
+                        name(s),
                         model.cgate(),
                         model.cdrain()
                     );
@@ -418,40 +263,22 @@ mod tests {
     }
 
     #[test]
-    fn pulse_waveform_shape() {
-        let w = Waveform::Pulse {
-            v0: 0.0,
-            v1: 1.0,
-            delay: 1.0,
-            rise: 1.0,
-            fall: 1.0,
-            width: 2.0,
-            period: 10.0,
-        };
-        assert_eq!(w.value_at(0.0), 0.0);
-        assert_eq!(w.value_at(1.5), 0.5);
-        assert_eq!(w.value_at(3.0), 1.0);
-        assert_eq!(w.value_at(4.5), 0.5);
-        assert_eq!(w.value_at(6.0), 0.0);
-        // Periodicity.
-        assert_eq!(w.value_at(11.5), 0.5);
-    }
-
-    #[test]
-    fn pwl_waveform() {
-        let w = Waveform::Pwl(vec![(0.0, 0.0), (1.0, 1.0), (2.0, 0.5)]);
-        assert_eq!(w.value_at(-1.0), 0.0);
-        assert_eq!(w.value_at(0.5), 0.5);
-        assert_eq!(w.value_at(1.5), 0.75);
-        assert_eq!(w.value_at(5.0), 0.5);
-    }
-
-    #[test]
     fn zero_capacitor_skipped() {
         let mut c = Circuit::new();
         let a = c.node("a");
         c.add_capacitor(a, Circuit::GROUND, 0.0);
         assert!(c.elements().is_empty());
+
+        // A named node no element touches still exists in the engine
+        // circuit, so it floats: the floating-node diagnostic.
+        let mut c = Circuit::new();
+        let a = c.node("a");
+        c.add_vsource(a, Circuit::GROUND, SourceWave::Dc(1.0));
+        c.add_resistor(a, Circuit::GROUND, 1e3);
+        let _floating = c.node("floating");
+        let mna = to_mna(&c);
+        let mut engine = cnfet_mna::Engine::new(Arc::new(cnfet_mna::Pattern::analyze(mna)));
+        assert_eq!(engine.dc(mna), Err(cnfet_mna::MnaError::Singular));
     }
 
     #[test]
@@ -471,7 +298,7 @@ mod tests {
             c.add_vsource(
                 a,
                 Circuit::GROUND,
-                Waveform::Pulse {
+                SourceWave::Pulse {
                     v0: 0.0,
                     v1: 1.0,
                     delay: 1e-10,
@@ -499,7 +326,18 @@ mod tests {
         let mut c = Circuit::new();
         let a = c.node("a");
         let b = c.node("b");
-        assert_eq!(c.add_vsource(a, Circuit::GROUND, Waveform::Dc(1.0)), 0);
-        assert_eq!(c.add_vsource(b, Circuit::GROUND, Waveform::Dc(2.0)), 1);
+        assert_eq!(c.add_vsource(a, Circuit::GROUND, SourceWave::Dc(1.0)), 0);
+        c.add_resistor(a, b, 1e3);
+        c.add_capacitor(b, Circuit::GROUND, 1e-15);
+        c.add_inductor(b, Circuit::GROUND, 1e-9);
+        assert_eq!(c.add_vsource(b, Circuit::GROUND, SourceWave::Dc(2.0)), 1);
+        // The engine circuit keeps node identity and source order.
+        let mna = to_mna(&c);
+        assert_eq!(mna.node_count(), c.node_count());
+        assert_eq!(mna.vsource_count(), 2);
+        assert!(matches!(
+            mna.elements()[4],
+            MnaElement::VSource { p, n: 0, .. } if p == b.0
+        ));
     }
 }

@@ -1,7 +1,7 @@
 //! The workspace-wide error hierarchy.
 //!
 //! Every crate in the workspace keeps its own narrow error enum
-//! (`GenerateError`, `SimError`, `GdsError`, …) so library code stays
+//! (`GenerateError`, `MnaError`, `GdsError`, …) so library code stays
 //! precise, but the public [`Session`](crate::Session) surface speaks one
 //! language: [`CnfetError`], with a `From` conversion for each crate-level
 //! error and a workspace [`Result`] alias. The conversions play the role
@@ -23,8 +23,8 @@ pub enum CnfetError {
     Parse(crate::logic::ParseError),
     /// An expression has no pull-network realization (`cnfet_logic`).
     Network(crate::logic::network::NetworkError),
-    /// Circuit simulation failed (`cnfet_spice`).
-    Sim(crate::spice::SimError),
+    /// Circuit simulation failed (`cnfet_mna`).
+    Sim(crate::mna::MnaError),
     /// A SPICE deck could not be parsed, or a deck-level request (a
     /// [`TranRequest`](crate::TranRequest) analysis spec or probe name)
     /// was invalid (`cnfet_spice`).
@@ -112,7 +112,7 @@ from_impl! {
     Generate <- crate::core::GenerateError,
     Parse <- crate::logic::ParseError,
     Network <- crate::logic::network::NetworkError,
-    Sim <- crate::spice::SimError,
+    Sim <- crate::mna::MnaError,
     Deck <- crate::spice::DeckError,
     Gds <- crate::geom::GdsError,
     Library <- crate::geom::layout::LibraryError,
@@ -137,7 +137,7 @@ mod tests {
         let n: CnfetError = crate::logic::network::NetworkError::NotPositive.into();
         assert!(matches!(n, CnfetError::Network(_)));
 
-        let s: CnfetError = crate::spice::SimError::Singular.into();
+        let s: CnfetError = crate::mna::MnaError::Singular.into();
         assert!(matches!(s, CnfetError::Sim(_)));
 
         let k: CnfetError = crate::spice::Circuit::from_spice("Q1 a b c 1")
@@ -161,7 +161,7 @@ mod tests {
 
     #[test]
     fn display_includes_inner_message() {
-        let e: CnfetError = crate::spice::SimError::Singular.into();
+        let e: CnfetError = crate::mna::MnaError::Singular.into();
         assert!(e.to_string().contains("singular"));
     }
 

@@ -107,8 +107,8 @@
 //!   analysis per topology, in-place LU re-factorization per timestep
 //!   (once per step size for linear circuits), transient + AC analysis,
 //!   `.measure`-style extraction;
-//! * [`spice`] — netlists, deck parsing/rendering, and DC/transient
-//!   simulation lowered onto [`mna`];
+//! * [`spice`] — named-node netlists and deck parsing/rendering over
+//!   [`mna`]'s circuit form;
 //! * [`core`] — the paper's contribution: the compact misaligned-CNT-immune
 //!   layout generator (plus the old etched style and the vulnerable
 //!   baseline), schemes 1/2, Table 1 area models, DRC;

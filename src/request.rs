@@ -460,7 +460,7 @@ impl SessionRequest for TranRequest {
         None
     }
 
-    /// Parses the deck, lowers it to MNA form, and integrates: one
+    /// Parses the deck into MNA form and integrates: one
     /// symbolic analysis, one pivot search reused across every timestep,
     /// and — for a deck without FETs — one numeric factorization for the
     /// DC point and one per step size, after which each step only
@@ -497,11 +497,9 @@ impl SessionRequest for TranRequest {
                 .collect::<Result<_>>()?
         };
         let mna = crate::spice::to_mna(&circuit);
-        let pattern = Arc::new(crate::mna::Pattern::analyze(&mna));
+        let pattern = Arc::new(crate::mna::Pattern::analyze(mna));
         let mut engine = crate::mna::Engine::new(pattern);
-        let wave = engine
-            .tran(&mna, &crate::mna::TranSpec::new(self.dt, self.t_stop))
-            .map_err(crate::spice::SimError::from)?;
+        let wave = engine.tran(mna, &crate::mna::TranSpec::new(self.dt, self.t_stop))?;
         Ok(TranResult {
             time: wave.time().to_vec(),
             probes: probes

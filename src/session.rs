@@ -309,8 +309,8 @@ pub struct FlowResult {
 
 /// A request to transient-simulate a SPICE deck on the workspace MNA
 /// engine ([`crate::mna`]): the deck is parsed
-/// ([`Circuit::from_spice`](crate::spice::Circuit::from_spice)), lowered
-/// to MNA form, analyzed once, and integrated with backward Euler on a
+/// ([`Circuit::from_spice`](crate::spice::Circuit::from_spice)) straight
+/// into MNA form, analyzed once, and integrated with backward Euler on a
 /// uniform grid (adaptive halving on Newton trouble).
 ///
 /// Unlike every other request kind, transient runs are **not memoized**:

@@ -15,7 +15,7 @@
 use cnfet::core::Scheme;
 use cnfet::device::Polarity;
 use cnfet::dk::{build_library, write_lef, write_liberty, DesignKit, TimingTable};
-use cnfet::spice::{Circuit, Waveform};
+use cnfet::spice::{Circuit, SourceWave};
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -100,11 +100,11 @@ fn inverter_circuit() -> Circuit {
     let vdd = ckt.node("vdd");
     let vin = ckt.node("in");
     let out = ckt.node("out");
-    ckt.add_vsource(vdd, Circuit::GROUND, Waveform::Dc(kit.cnfet.vdd));
+    ckt.add_vsource(vdd, Circuit::GROUND, SourceWave::Dc(kit.cnfet.vdd));
     ckt.add_vsource(
         vin,
         Circuit::GROUND,
-        Waveform::Pulse {
+        SourceWave::Pulse {
             v0: 0.0,
             v1: kit.cnfet.vdd,
             delay: 0.2e-9,
@@ -118,7 +118,7 @@ fn inverter_circuit() -> Circuit {
     ckt.add_vsource(
         bias,
         Circuit::GROUND,
-        Waveform::Pwl(vec![(0.0, 0.0), (1e-9, 0.5), (2e-9, 0.5)]),
+        SourceWave::Pwl(vec![(0.0, 0.0), (1e-9, 0.5), (2e-9, 0.5)]),
     );
     ckt.add_resistor(bias, out, 1e6);
     let width_m = kit.base_width_lambda as f64 * 32.5e-9;
@@ -150,10 +150,10 @@ fn inverter_transient_matches_golden() {
     // the whole lowering → analyze → stamp → refactor → solve chain.
     let ckt = inverter_circuit();
     let mna = cnfet::spice::to_mna(&ckt);
-    let pattern = Arc::new(cnfet::mna::Pattern::analyze(&mna));
+    let pattern = Arc::new(cnfet::mna::Pattern::analyze(mna));
     let mut engine = cnfet::mna::Engine::new(pattern);
     let wave = engine
-        .tran(&mna, &cnfet::mna::TranSpec::new(20e-12, 4e-9))
+        .tran(mna, &cnfet::mna::TranSpec::new(20e-12, 4e-9))
         .unwrap();
     let table = wave.render_table(&[
         (

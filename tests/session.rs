@@ -514,7 +514,7 @@ fn errors_unify_under_cnfet_error() {
     assert!(matches!(err, CnfetError::Verilog(_)), "{err}");
 
     // Crate-level errors convert via `From` (the `#[from]`-style ladder).
-    let sim: CnfetError = cnfet::spice::SimError::Singular.into();
+    let sim: CnfetError = cnfet::mna::MnaError::Singular.into();
     assert!(sim.to_string().contains("singular"));
     let gds: CnfetError = cnfet::geom::GdsError::Truncated.into();
     assert!(matches!(gds, CnfetError::Gds(_)));
