@@ -2,10 +2,13 @@
 //! and `GET /v1/jobs/{id}/stream`.
 //!
 //! A submit enqueues the request on the session's non-blocking pool
-//! ([`Session::submit`](cnfet::Session::submit)) and records the returned
-//! [`JobHandle`] under a fresh id. Polling a job
-//! harvests the handle at most once and caches the rendered outcome, so
-//! repeated `GET`s are cheap and always agree.
+//! ([`Session::submit`](cnfet::Session::submit)) under a fresh id and
+//! registers a [`JobHandle::on_resolve`](cnfet::JobHandle::on_resolve)
+//! hook on the returned handle. The job settles exactly once, on the
+//! thread that resolves it: the hook renders the outcome into the job's
+//! [`Progress`], which is from then on the job's one settled state.
+//! Polls and streams only read it, so repeated `GET`s are cheap and
+//! always agree, and a streamer wakes the moment the job resolves.
 //!
 //! Ids are handed out sequentially, which is what lets the table answer
 //! *expired* distinctly from *never existed*: an absent id below the
@@ -22,7 +25,7 @@
 //! stream handler never learns which composite produced it.
 //! Whole-report cache hits never execute (the observer stays silent);
 //! the missing rows are back-filled from the final report when the job
-//! settles, so a streamed job always delivers every row before its
+//! resolves, so a streamed job always delivers every row before its
 //! terminal event.
 //!
 //! Three bounds keep the table from growing without limit under load:
@@ -33,17 +36,18 @@
 //! * **expiry** — resolved jobs are dropped `ttl` after resolving
 //!   (their results have been deliverable for that long), counted in
 //!   [`JobTableStats::expired`];
-//! * **pending cap** — a job whose handle has not resolved within
-//!   [`JobTable::pending_ttl`] is settled [`JobView::Canceled`] and
-//!   counted in [`JobTableStats::expired`]. Expiry starts at
-//!   `settled_at`, so without this cap a handle that never resolves (a
-//!   wedged pool, a lost completion) would pin its entry — and its
-//!   slice of `capacity` — forever.
+//! * **pending cap** — fault recovery: a job whose handle has not
+//!   resolved an hour after its submit is settled [`JobView::Canceled`]
+//!   and counted in [`JobTableStats::expired`]. Expiry starts when a job
+//!   settles, so without this cap a handle that never resolves (a wedged
+//!   pool, a lost completion) would pin its entry — and its slice of
+//!   `capacity` — forever.
 
 use crate::json::Json;
 use crate::wire;
-use cnfet::{CnfetError, JobHandle, Observer, RequestKind, ResponseKind, Session};
+use cnfet::{CnfetError, Observer, RequestKind, ResponseKind, Session};
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, Weak};
 use std::time::{Duration, Instant};
 
@@ -116,29 +120,36 @@ impl StreamRow {
     }
 }
 
-/// The live row feed of one job, shared between the engine's
-/// [`Observer`] on a composite (the producer) and `/stream` handlers
-/// (consumers). Non-composite jobs carry one too, with `total` 0 — a
-/// stream of no rows and one terminal event. Rows are shared, so a
-/// wait hands out refcounts, never row copies.
+/// The live row feed and the settled state of one job. The engine's
+/// [`Observer`] on a composite pushes rows and the job's resolve hook
+/// settles it; `/stream` handlers and polls only read. Non-composite
+/// jobs carry one too, with `total` 0 — a stream of no rows and one
+/// terminal event. Rows are shared, so a wait hands out refcounts, never
+/// row copies.
 pub struct Progress {
     total: usize,
+    /// The table's count of unsettled jobs, released once when this job
+    /// settles.
+    pending: Arc<AtomicUsize>,
     state: Mutex<ProgressState>,
     cv: Condvar,
 }
 
 struct ProgressState {
     rows: Vec<StreamRow>,
-    finished: Option<JobView>,
+    /// The terminal view and the instant it was written; `None` while
+    /// the job is pending.
+    settled: Option<(JobView, Instant)>,
 }
 
 impl Progress {
-    fn new(total: usize) -> Progress {
+    fn new(total: usize, pending: &Arc<AtomicUsize>) -> Progress {
         Progress {
             total,
+            pending: pending.clone(),
             state: Mutex::new(ProgressState {
                 rows: Vec::new(),
-                finished: None,
+                settled: None,
             }),
             cv: Condvar::new(),
         }
@@ -156,37 +167,62 @@ impl Progress {
     /// after the terminal state) is dropped rather than misfiled.
     fn push(&self, index: usize, row: StreamRow) {
         let mut state = self.state.lock().expect("progress lock");
-        if state.finished.is_none() && index == state.rows.len() {
+        if state.settled.is_none() && index == state.rows.len() {
             state.rows.push(row);
             self.cv.notify_all();
         }
     }
 
-    /// Marks the job settled, back-filling any rows the observer never
-    /// saw (a whole-report cache hit skips execution entirely).
-    fn finish(&self, rows: Option<Vec<StreamRow>>, view: JobView) {
+    /// Settles the job — the one writer of its terminal view: back-fills
+    /// any rows the observer never saw (a whole-report cache hit skips
+    /// execution entirely), records the view and the instant, and
+    /// releases the job's pending count. Only the first call settles;
+    /// returns whether this one did.
+    fn finish(&self, rows: Vec<StreamRow>, view: JobView) -> bool {
         let mut state = self.state.lock().expect("progress lock");
-        if state.finished.is_some() {
-            return;
+        if state.settled.is_some() {
+            return false;
         }
-        if let Some(rows) = rows {
-            let seen = state.rows.len();
-            state.rows.extend(rows.into_iter().skip(seen));
-        }
-        state.finished = Some(view);
+        let seen = state.rows.len();
+        state.rows.extend(rows.into_iter().skip(seen));
+        state.settled = Some((view, Instant::now()));
+        self.pending.fetch_sub(1, Ordering::Relaxed);
         self.cv.notify_all();
+        true
     }
 
     /// Rows past `seen` plus the terminal view once settled; blocks up
     /// to `timeout` when neither is available yet.
     pub fn wait(&self, seen: usize, timeout: Duration) -> (Vec<StreamRow>, Option<JobView>) {
         let mut state = self.state.lock().expect("progress lock");
-        if state.rows.len() <= seen && state.finished.is_none() {
+        if state.rows.len() <= seen && state.settled.is_none() {
             let (guard, _) = self.cv.wait_timeout(state, timeout).expect("progress lock");
             state = guard;
         }
         let rows = state.rows.get(seen..).unwrap_or(&[]).to_vec();
-        (rows, state.finished.clone())
+        (rows, state.settled.as_ref().map(|(view, _)| view.clone()))
+    }
+
+    /// `read` of the terminal view and the instant it was written, once
+    /// the job has settled.
+    fn settled<R>(&self, read: impl FnOnce(&(JobView, Instant)) -> R) -> Option<R> {
+        let state = self.state.lock().expect("progress lock");
+        state.settled.as_ref().map(read)
+    }
+
+    /// Blocks until the job settles — or, once `deadline` passes, settles
+    /// it canceled: shutdown must terminate. Returns whether the job
+    /// ended canceled.
+    fn settle_by(&self, deadline: Instant) -> bool {
+        let state = self.state.lock().expect("progress lock");
+        let left = deadline.saturating_duration_since(Instant::now());
+        let waited = self
+            .cv
+            .wait_timeout_while(state, left, |state| state.settled.is_none());
+        drop(waited.expect("progress lock"));
+        // A no-op for a job that settled in time.
+        self.finish(Vec::new(), JobView::Canceled);
+        self.settled(|(view, _)| *view == JobView::Canceled) == Some(true)
     }
 }
 
@@ -194,8 +230,11 @@ impl Progress {
 /// it each harvested item. The observer holds the progress weakly: once
 /// the job's entry expires, pushes from an execution another client
 /// re-triggered go nowhere.
-fn feed<T: RenderRow + Clone + 'static>(total: usize) -> (Arc<Progress>, Observer<T>) {
-    let progress = Arc::new(Progress::new(total));
+fn feed<T: RenderRow + Clone + 'static>(
+    total: usize,
+    pending: &Arc<AtomicUsize>,
+) -> (Arc<Progress>, Observer<T>) {
+    let progress = Arc::new(Progress::new(total, pending));
     let feed: Weak<Progress> = Arc::downgrade(&progress);
     let observer = Observer::new(move |index, item: &T| {
         if let Some(progress) = feed.upgrade() {
@@ -205,25 +244,34 @@ fn feed<T: RenderRow + Clone + 'static>(total: usize) -> (Arc<Progress>, Observe
     (progress, observer)
 }
 
-enum JobState {
-    Pending(JobHandle<ResponseKind>),
-    Settled(JobView),
-}
-
 struct JobEntry {
-    state: JobState,
+    progress: Arc<Progress>,
     /// When the job was submitted; drives the `age_ms` backoff hint and
     /// the pending-age cap.
     created: Instant,
-    /// When the job settled (resolved and was first observed); drives
-    /// expiry. `None` while pending — a pending job is instead bounded
-    /// by the table's pending-age cap.
-    settled_at: Option<Instant>,
     /// Already counted in [`JobTableStats::expired`] (a pending job
     /// canceled by the pending-age cap); its eventual TTL drop must not
     /// count it twice.
     counted_expired: bool,
-    progress: Arc<Progress>,
+}
+
+impl JobEntry {
+    /// Ages the entry to `now`: a job still unresolved `pending_ttl`
+    /// after its submit is settled canceled (the pending-age cap), and a
+    /// job settled `ttl` ago is due for removal. Returns whether the
+    /// entry stays, and whether this call expired the job — each job
+    /// expires at most once.
+    fn age(&mut self, now: Instant, ttl: Duration, pending_ttl: Duration) -> (bool, bool) {
+        let capped = now.duration_since(self.created) >= pending_ttl
+            && self.progress.finish(Vec::new(), JobView::Canceled);
+        let stays = self
+            .progress
+            .settled(|&(_, at)| now.duration_since(at) < ttl)
+            .unwrap_or(true);
+        let expired = capped || (!stays && !self.counted_expired);
+        self.counted_expired |= expired;
+        (stays, expired)
+    }
 }
 
 /// Why a submit was refused.
@@ -253,65 +301,50 @@ pub struct JobTableStats {
 /// server shares one behind an `Arc`.
 pub struct JobTable {
     inner: Mutex<Inner>,
+    /// Jobs submitted and not yet settled, released by each job's
+    /// [`Progress`] as it settles: exact without the table lock. A bare
+    /// count that publishes no other data, hence `Relaxed`.
+    pending: Arc<AtomicUsize>,
     capacity: usize,
     ttl: Duration,
+    /// The pending-age cap: [`PENDING_TTL`] outside tests.
     pending_ttl: Duration,
 }
 
-/// Default pending-age cap: generous enough for any real composite
-/// (cold 1000-die lots finish in seconds), small enough that a wedged
-/// handle frees its capacity slice the same hour it was leaked.
-pub const DEFAULT_PENDING_TTL: Duration = Duration::from_secs(3600);
+/// The pending-age cap: generous enough for any real composite (cold
+/// 1000-die lots finish in seconds), small enough that a wedged handle
+/// frees its capacity slice the same hour it was leaked.
+const PENDING_TTL: Duration = Duration::from_secs(3600);
+
+/// How long shutdown waits, in all, for the table's jobs to settle
+/// before settling the rest canceled.
+const DRAIN_DEADLINE: Duration = Duration::from_secs(60);
 
 struct Inner {
     jobs: HashMap<u64, JobEntry>,
     next_id: u64,
-    /// Jobs currently in [`JobState::Pending`], maintained on every
-    /// transition so the submit/stats paths never scan the map.
-    pending: usize,
-    /// Polls since the last full expiry sweep (polls themselves expire
-    /// only the entry they touch, so the hot path stays O(1)).
-    polls_since_purge: u32,
     rejected: u64,
     submitted: u64,
     expired: u64,
 }
 
-/// A full expiry sweep runs on submit, on stats, and every this-many
-/// polls — often enough to bound memory, rare enough that polling a job
-/// stays O(1).
-const PURGE_EVERY_POLLS: u32 = 256;
-
 impl JobTable {
     /// A table admitting at most `capacity` concurrently-pending jobs and
-    /// dropping settled jobs `ttl` after they resolve. Pending jobs are
-    /// bounded by [`DEFAULT_PENDING_TTL`]; tune it with
-    /// [`JobTable::pending_ttl`].
+    /// dropping settled jobs `ttl` after they resolve.
     pub fn new(capacity: usize, ttl: Duration) -> JobTable {
         JobTable {
             inner: Mutex::new(Inner {
                 jobs: HashMap::new(),
                 next_id: 1,
-                pending: 0,
-                polls_since_purge: 0,
                 rejected: 0,
                 submitted: 0,
                 expired: 0,
             }),
+            pending: Arc::new(AtomicUsize::new(0)),
             capacity,
             ttl,
-            pending_ttl: DEFAULT_PENDING_TTL,
+            pending_ttl: PENDING_TTL,
         }
-    }
-
-    /// Replaces the pending-age cap: a job whose handle has not resolved
-    /// within this window is settled [`JobView::Canceled`] (and counted
-    /// in [`JobTableStats::expired`]) instead of pinning its entry — and
-    /// its slice of `capacity` — forever.
-    #[must_use]
-    pub fn pending_ttl(mut self, ttl: Duration) -> JobTable {
-        self.pending_ttl = ttl;
-        self
     }
 
     /// Submits one request on the session's pool and returns its job id,
@@ -319,35 +352,36 @@ impl JobTable {
     /// pending. Expired jobs are purged first, so a full table recovers
     /// on its own as work drains. The four composite requests get an
     /// [`Observer`] attached so their rows feed the job's [`Progress`]
-    /// live.
+    /// live; every job gets a resolve hook that settles it.
     pub fn submit(&self, session: &Session, request: RequestKind) -> Result<u64, Backpressure> {
         // Build the progress (and, for composites, wire the observer)
         // before taking the table lock: the observer closure only touches
         // the progress's own lock, never the table's.
+        let pending = &self.pending;
         let (request, progress) = match request {
             RequestKind::Sweep(sweep) => {
-                let (progress, observer) = feed(sweep.row_count());
+                let (progress, observer) = feed(sweep.row_count(), pending);
                 (RequestKind::Sweep(sweep.observe_rows(observer)), progress)
             }
             RequestKind::Repair(repair) => {
-                let (progress, observer) = feed(repair.die_count());
+                let (progress, observer) = feed(repair.die_count(), pending);
                 (RequestKind::Repair(repair.observe_dies(observer)), progress)
             }
             RequestKind::Optimize(optimize) => {
-                let (progress, observer) = feed(optimize.candidate_count());
+                let (progress, observer) = feed(optimize.candidate_count(), pending);
                 let optimize = optimize.observe_candidates(observer);
                 (RequestKind::Optimize(optimize), progress)
             }
             RequestKind::Macro(makro) => {
-                let (progress, observer) = feed(makro.slice_count());
+                let (progress, observer) = feed(makro.slice_count(), pending);
                 (RequestKind::Macro(makro.observe_slices(observer)), progress)
             }
-            other => (other, Arc::new(Progress::new(0))),
+            other => (other, Arc::new(Progress::new(0, pending))),
         };
         let mut inner = self.inner.lock().expect("job table lock");
         let now = Instant::now();
         inner.refresh(now, self.ttl, self.pending_ttl);
-        if inner.pending >= self.capacity {
+        if pending.load(Ordering::Relaxed) >= self.capacity {
             inner.rejected += 1;
             return Err(Backpressure {
                 capacity: self.capacity,
@@ -356,99 +390,54 @@ impl JobTable {
         let id = inner.next_id;
         inner.next_id += 1;
         inner.submitted += 1;
-        inner.pending += 1;
-        // Submit while holding the table lock so a concurrent poll of
-        // this id can never observe the id before the handle exists.
-        let handle = session.submit(request);
+        // Count the job before its hook can release it: a job that has
+        // already resolved runs the hook inline, right here.
+        pending.fetch_add(1, Ordering::Relaxed);
+        let settles = progress.clone();
+        session.submit(request).on_resolve(move |result| {
+            // Runs on whichever thread resolves the job, and must never
+            // take the table lock: `submit` holds it right here.
+            let rows = backfill_rows(&result);
+            settles.finish(rows, settle(result));
+        });
         inner.jobs.insert(
             id,
             JobEntry {
-                state: JobState::Pending(handle),
-                created: now,
-                settled_at: None,
-                counted_expired: false,
                 progress,
+                created: now,
+                counted_expired: false,
             },
         );
         Ok(id)
     }
 
-    /// The job's current state. O(1): only the polled entry is
-    /// expiry-checked, with a single `Instant::now()` per call (plus an
-    /// amortized full sweep every `PURGE_EVERY_POLLS` calls) — poll
-    /// loops are the protocol's hottest path.
+    /// The job's current state. A pure read — jobs settle when they
+    /// resolve, not when they are polled — and O(1): only the polled
+    /// entry is aged, with a single `Instant::now()` per call, because
+    /// poll loops are the protocol's hottest path.
     pub fn poll(&self, id: u64) -> Polled {
-        let mut inner = self.inner.lock().expect("job table lock");
+        let inner = &mut *self.inner.lock().expect("job table lock");
         let now = Instant::now();
-        inner.polls_since_purge += 1;
-        if inner.polls_since_purge >= PURGE_EVERY_POLLS {
-            inner.refresh(now, self.ttl, self.pending_ttl);
-        }
-        let ttl = self.ttl;
-        let pending_ttl = self.pending_ttl;
-        let issued = id >= 1 && id < inner.next_id;
-        let pending_count = inner.pending;
-        let (view, settled_now, expired_now) = match inner.jobs.entry(id) {
-            std::collections::hash_map::Entry::Vacant(_) => {
-                return if issued {
-                    Polled::Expired
-                } else {
-                    Polled::Unknown
-                };
-            }
-            std::collections::hash_map::Entry::Occupied(mut occupied) => {
-                if occupied
-                    .get()
-                    .settled_at
-                    .is_some_and(|at| now.duration_since(at) >= ttl)
-                {
-                    let counted = occupied.get().counted_expired;
-                    occupied.remove();
-                    if !counted {
-                        inner.expired += 1;
-                    }
-                    return Polled::Expired;
-                }
-                let entry = occupied.get_mut();
-                let mut settled_now = false;
-                let mut expired_now = false;
-                if let JobState::Pending(handle) = &mut entry.state {
-                    if let Some(result) = handle.try_get() {
-                        let rows = backfill_rows(&result);
-                        let view = settle(result);
-                        entry.progress.finish(rows, view.clone());
-                        entry.state = JobState::Settled(view);
-                        entry.settled_at = Some(now);
-                        settled_now = true;
-                    } else if now.duration_since(entry.created) >= pending_ttl {
-                        // The handle never resolved within the pending
-                        // cap: settle canceled so the entry — and its
-                        // slice of capacity — stops leaking.
-                        entry.progress.finish(None, JobView::Canceled);
-                        entry.state = JobState::Settled(JobView::Canceled);
-                        entry.settled_at = Some(now);
-                        entry.counted_expired = true;
-                        settled_now = true;
-                        expired_now = true;
-                    }
-                }
-                let view = match &entry.state {
-                    JobState::Pending(_) => Polled::Pending {
-                        age_ms: now.duration_since(entry.created).as_millis() as u64,
-                        queued: pending_count,
-                    },
-                    JobState::Settled(view) => Polled::Settled(view.clone()),
-                };
-                (view, settled_now, expired_now)
-            }
+        let Some(entry) = inner.jobs.get_mut(&id) else {
+            return if id >= 1 && id < inner.next_id {
+                Polled::Expired
+            } else {
+                Polled::Unknown
+            };
         };
-        if settled_now {
-            inner.pending -= 1;
+        let (stays, expired) = entry.age(now, self.ttl, self.pending_ttl);
+        inner.expired += u64::from(expired);
+        if !stays {
+            inner.jobs.remove(&id);
+            return Polled::Expired;
         }
-        if expired_now {
-            inner.expired += 1;
+        match entry.progress.settled(|(view, _)| view.clone()) {
+            Some(view) => Polled::Settled(view),
+            None => Polled::Pending {
+                age_ms: now.duration_since(entry.created).as_millis() as u64,
+                queued: self.pending.load(Ordering::Relaxed),
+            },
         }
-        view
     }
 
     /// The job's live [`Progress`] handle, for `/stream`; the `Err`
@@ -466,100 +455,66 @@ impl JobTable {
     pub fn stats(&self) -> JobTableStats {
         let mut inner = self.inner.lock().expect("job table lock");
         inner.refresh(Instant::now(), self.ttl, self.pending_ttl);
+        let pending = self.pending.load(Ordering::Relaxed);
         JobTableStats {
-            pending: inner.pending,
-            settled: inner.jobs.len() - inner.pending,
+            pending,
+            settled: inner.jobs.len() - pending,
             rejected: inner.rejected,
             submitted: inner.submitted,
             expired: inner.expired,
         }
     }
 
-    /// Blocks until every pending job resolves (the session's pool has
-    /// been shut down, so queued jobs cancel) and returns how many ended
-    /// canceled. Called once during server shutdown, after the engine's
-    /// last live handle is dropped.
+    /// Blocks until every job has settled — the session's pool has been
+    /// shut down, so queued jobs cancel and their hooks fire — and
+    /// returns how many of the table's jobs ended canceled. All jobs
+    /// share one deadline, past which any job still unresolved is settled
+    /// canceled: shutdown must terminate. Called once during server
+    /// shutdown, after the engine's last live handle is dropped.
     pub fn drain_canceled(&self) -> usize {
-        let mut inner = self.inner.lock().expect("job table lock");
-        let mut canceled = 0;
-        // One timestamp for the whole sweep: the per-entry work below is
-        // lock-held bookkeeping, not a place for repeated clock reads.
-        let now = Instant::now();
-        for entry in inner.jobs.values_mut() {
-            if let JobState::Pending(handle) = &mut entry.state {
-                // `wait_timeout` (rather than consuming `wait`) keeps the
-                // entry pollable; the pool is gone so this resolves fast.
-                // A job that somehow fails to resolve within the window is
-                // reported canceled — shutdown must terminate.
-                let (view, rows) = match handle.wait_timeout(Duration::from_secs(60)) {
-                    Some(result) => {
-                        let rows = backfill_rows(&result);
-                        (settle(result), rows)
-                    }
-                    None => (JobView::Canceled, None),
-                };
-                if view == JobView::Canceled {
-                    canceled += 1;
-                }
-                entry.progress.finish(rows, view.clone());
-                entry.state = JobState::Settled(view);
-                entry.settled_at = Some(now);
-            }
-        }
-        inner.pending = 0;
-        canceled
+        let deadline = Instant::now() + DRAIN_DEADLINE;
+        // Waiting under the table lock is safe: resolve hooks never take it.
+        let inner = self.inner.lock().expect("job table lock");
+        inner
+            .jobs
+            .values()
+            .filter(|entry| entry.progress.settle_by(deadline))
+            .count()
     }
 }
 
 impl Inner {
-    /// Settles over-age pending jobs as canceled (the pending-age cap),
-    /// then drops settled entries past their ttl, counting both in
-    /// `expired` — each job at most once.
+    /// Ages every entry (see [`JobEntry::age`]), dropping the expired
+    /// ones.
     fn refresh(&mut self, now: Instant, ttl: Duration, pending_ttl: Duration) {
-        self.polls_since_purge = 0;
-        for entry in self.jobs.values_mut() {
-            if matches!(entry.state, JobState::Pending(_))
-                && now.duration_since(entry.created) >= pending_ttl
-            {
-                entry.progress.finish(None, JobView::Canceled);
-                entry.state = JobState::Settled(JobView::Canceled);
-                entry.settled_at = Some(now);
-                entry.counted_expired = true;
-                self.pending -= 1;
-                self.expired += 1;
-            }
-        }
-        let mut dropped = 0;
-        self.jobs.retain(|_, entry| match entry.settled_at {
-            Some(at) if now.duration_since(at) >= ttl => {
-                if !entry.counted_expired {
-                    dropped += 1;
-                }
-                false
-            }
-            _ => true,
+        let mut expired = 0;
+        self.jobs.retain(|_, entry| {
+            let (stays, newly) = entry.age(now, ttl, pending_ttl);
+            expired += u64::from(newly);
+            stays
         });
-        self.expired += dropped;
+        self.expired += expired;
     }
 }
 
-/// The full row list a settled composite result implies — what a
-/// whole-report cache hit back-fills into the progress feed in place of
-/// the observer rows that never fired.
-fn backfill_rows(result: &Result<ResponseKind, CnfetError>) -> Option<Vec<StreamRow>> {
-    fn rows<T: RenderRow + Clone + 'static>(items: &[T]) -> Option<Vec<StreamRow>> {
-        Some(items.iter().map(StreamRow::new).collect())
+/// The full row list a settled composite result implies (none for other
+/// requests) — what a whole-report cache hit back-fills into the
+/// progress feed in place of the observer rows that never fired.
+fn backfill_rows(result: &Result<ResponseKind, CnfetError>) -> Vec<StreamRow> {
+    fn rows<T: RenderRow + Clone + 'static>(items: &[T]) -> Vec<StreamRow> {
+        items.iter().map(StreamRow::new).collect()
     }
     match result {
         Ok(ResponseKind::Sweep(report)) => rows(&report.rows),
         Ok(ResponseKind::Repair(report)) => rows(&report.dies),
         Ok(ResponseKind::Optimize(report)) => rows(&report.candidates),
         Ok(ResponseKind::Macro(report)) => rows(&report.slices),
-        _ => None,
+        _ => Vec::new(),
     }
 }
 
-/// Renders a resolved job outcome once; polls replay the rendering.
+/// Renders a resolved job outcome once; polls and streams replay the
+/// rendering.
 fn settle(result: Result<ResponseKind, CnfetError>) -> JobView {
     match result {
         Ok(response) => JobView::Done(wire::render_response(&response)),
@@ -607,6 +562,42 @@ mod tests {
         assert_eq!(table.poll(id), Polled::Expired, "issued ids expire");
         assert_eq!(table.poll(9999), Polled::Unknown, "unissued ids 404");
         assert!(table.stats().expired >= 1, "expiry is counted");
+    }
+
+    #[test]
+    fn jobs_settle_when_they_resolve_without_a_poll() {
+        let session = Session::new();
+        let table = JobTable::new(8, Duration::from_secs(5));
+        let sweep = RequestKind::from(
+            cnfet::SweepRequest::new([StdCellKind::Inv])
+                .metrics(cnfet::SweepMetrics::IMMUNITY)
+                .grid(cnfet::VariationGrid::nominal().seeds([3, 4]))
+                .mc(cnfet::immunity::McOptions {
+                    tubes: 60,
+                    ..Default::default()
+                }),
+        );
+        // A cold run, then the same sweep as a whole-report cache hit.
+        for _ in 0..2 {
+            let id = table.submit(&session, sweep.clone()).unwrap();
+            let progress = table.watch(id).expect("job exists");
+            // Nothing polls: the engine's resolve hook alone must settle
+            // the job and back-fill its rows, well within the deadline.
+            let deadline = Instant::now() + Duration::from_secs(10);
+            let mut seen = 0;
+            let view = loop {
+                let left = deadline.saturating_duration_since(Instant::now());
+                assert!(!left.is_zero(), "job {id} never settled unpolled");
+                let (rows, finished) = progress.wait(seen, left);
+                seen += rows.len();
+                if let Some(view) = finished {
+                    break view;
+                }
+            };
+            assert_eq!(seen, 2, "every row arrives before the terminal view");
+            assert!(matches!(view, JobView::Done(_)), "{view:?}");
+            assert_eq!(table.stats().pending, 0, "settling released the slot");
+        }
     }
 
     #[test]
@@ -666,8 +657,6 @@ mod tests {
         assert_eq!(progress.total(), 4);
         let mut seen = 0;
         let view = loop {
-            // Poll drives settlement; wait drains the row feed.
-            table.poll(id);
             let (rows, finished) = progress.wait(seen, Duration::from_millis(10));
             seen += rows.len();
             if let Some(view) = finished {
@@ -706,7 +695,6 @@ mod tests {
         let mut seen = 0;
         let mut dies_streamed = 0;
         let view = loop {
-            table.poll(id);
             let (rows, finished) = progress.wait(seen, Duration::from_millis(10));
             seen += rows.len();
             dies_streamed += rows
@@ -755,7 +743,6 @@ mod tests {
         let mut seen = 0;
         let mut candidates_streamed = 0;
         let view = loop {
-            table.poll(id);
             let (rows, finished) = progress.wait(seen, Duration::from_millis(10));
             seen += rows.len();
             candidates_streamed += rows
@@ -793,7 +780,8 @@ mod tests {
         // Zero pending cap: any job still unresolved at its first poll
         // is over-age. Before the cap, this entry would stay Pending —
         // holding its capacity slice — forever.
-        let table = JobTable::new(8, Duration::from_millis(40)).pending_ttl(Duration::ZERO);
+        let mut table = JobTable::new(8, Duration::from_millis(40));
+        table.pending_ttl = Duration::ZERO;
         let slow = RequestKind::from(
             cnfet::SweepRequest::new([StdCellKind::Aoi22])
                 .metrics(cnfet::SweepMetrics::IMMUNITY)

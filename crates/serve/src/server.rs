@@ -14,9 +14,9 @@
 //! shutdown flag, unblocks the acceptor with a **connect-to-self**
 //! wakeup (the `accept(2)` call has no other way to observe the flag),
 //! joins every thread, drops the engine's last live handle (the
-//! session's pool drains, canceling queued jobs), and finally harvests
-//! the job table so every accepted-but-unfinished job settles as
-//! `canceled`.
+//! session's pool drains, canceling queued jobs), and finally drains
+//! the job table: every accepted job settles, the never-run ones as
+//! `canceled`, within one shared deadline.
 
 use crate::encode::{self, Format};
 use crate::http::{self, ReadError, Request};
@@ -67,11 +67,6 @@ pub struct ServeConfig {
     pub job_capacity: usize,
     /// How long settled jobs stay pollable (`--job-ttl-secs`).
     pub job_ttl: Duration,
-    /// Pending-age cap (`--pending-job-ttl-secs`): a submitted job whose
-    /// handle has not resolved within this window is settled `canceled`
-    /// instead of pinning its table entry — and its slice of
-    /// [`job_capacity`](Self::job_capacity) — forever.
-    pub pending_job_ttl: Duration,
     /// Cache snapshot path (`--snapshot`). When set, the server
     /// warm-boots from the file if it exists (a corrupt or
     /// version-mismatched snapshot logs a warning and boots cold),
@@ -96,7 +91,6 @@ impl Default for ServeConfig {
             engine_workers: 0,
             job_capacity: 1024,
             job_ttl: Duration::from_secs(300),
-            pending_job_ttl: crate::jobtable::DEFAULT_PENDING_TTL,
             snapshot: None,
             snapshot_interval: Duration::from_secs(60),
         }
@@ -153,13 +147,6 @@ impl ServeConfig {
         self
     }
 
-    /// Replaces the pending-age cap.
-    #[must_use]
-    pub fn pending_job_ttl(mut self, ttl: Duration) -> ServeConfig {
-        self.pending_job_ttl = ttl;
-        self
-    }
-
     /// Sets the warm-restart snapshot path.
     #[must_use]
     pub fn snapshot(mut self, path: impl Into<PathBuf>) -> ServeConfig {
@@ -189,7 +176,7 @@ pub struct ShutdownReport {
 const MAX_QUEUED_CONNECTIONS: usize = 1024;
 
 /// Socket read timeout; doubles as the shutdown-flag poll interval for
-/// idle keep-alive connections.
+/// idle keep-alive connections and for streams waiting on a job.
 const READ_POLL: Duration = Duration::from_millis(200);
 
 /// Idle keep-alive window after which a silent connection is dropped.
@@ -285,8 +272,7 @@ impl Server {
         };
         let shared = Arc::new(Shared {
             session,
-            jobs: JobTable::new(config.job_capacity, config.job_ttl)
-                .pending_ttl(config.pending_job_ttl),
+            jobs: JobTable::new(config.job_capacity, config.job_ttl),
             queue: Mutex::new(VecDeque::new()),
             available: Condvar::new(),
             shutdown: AtomicBool::new(false),
@@ -725,9 +711,12 @@ fn run_binary(request: &Request, shared: &Shared) -> Routed {
 /// terminal `done` / `error` / `canceled` event. Each row renders itself
 /// ([`StreamRow`](crate::jobtable::StreamRow)) — a `row` event in JSON
 /// mode, its own frame in binary mode — so this handler serves every
-/// composite alike. A write failure (the peer hung up mid-stream) ends
-/// the handler immediately — the worker is freed and the job settles in
-/// the table like any other.
+/// composite alike. The handler only reads the job's progress: rows and
+/// the terminal view land there the moment the engine produces them,
+/// and the wait wakes on each, so [`READ_POLL`] bounds only how long a
+/// shutdown goes unnoticed. A write failure (the peer hung up
+/// mid-stream) ends the handler immediately — the worker is freed and
+/// the job settles in the table like any other.
 fn stream_job(stream: &mut TcpStream, shared: &Shared, id: u64, format: Format) {
     let progress = match shared.jobs.watch(id) {
         Ok(progress) => progress,
@@ -758,9 +747,6 @@ fn stream_job(stream: &mut TcpStream, shared: &Shared, id: u64, format: Format) 
     }
     let mut seen = 0usize;
     loop {
-        // Polling drives settlement (the job's handle is harvested under
-        // the table lock); waiting drains the row feed.
-        let _ = shared.jobs.poll(id);
         let (rows, finished) = progress.wait(seen, READ_POLL);
         for (offset, row) in rows.iter().enumerate() {
             let index = seen + offset;
@@ -773,33 +759,30 @@ fn stream_job(stream: &mut TcpStream, shared: &Shared, id: u64, format: Format) 
             }
         }
         seen += rows.len();
-        if let Some(view) = finished {
-            let terminal = match view {
-                JobView::Done(result) => {
-                    Json::obj([("event", Json::str("done")), ("result", result)])
-                }
-                JobView::Failed(_, error) => {
-                    let mut fields = vec![("event".to_string(), Json::str("error"))];
-                    if let Json::Obj(error_fields) = error {
-                        fields.extend(error_fields);
-                    }
-                    Json::Obj(fields)
-                }
-                JobView::Canceled => Json::obj([("event", Json::str("canceled"))]),
-            };
-            if emit_event(stream, format, &terminal).is_ok() {
-                let _ = http::finish_chunked(stream);
-            }
-            return;
+        let terminal = match finished {
+            Some(view) => view,
+            None if shared.shutdown.load(Ordering::Acquire) => JobView::Canceled,
+            None => continue,
+        };
+        if emit_event(stream, format, &settled_body("event", terminal)).is_ok() {
+            let _ = http::finish_chunked(stream);
         }
-        if shared.shutdown.load(Ordering::Acquire) {
-            let canceled = Json::obj([("event", Json::str("canceled"))]);
-            if emit_event(stream, format, &canceled).is_ok() {
-                let _ = http::finish_chunked(stream);
-            }
-            return;
-        }
+        return;
     }
+}
+
+/// A settled job's outcome as one object tagged under `key` — `status`
+/// on a poll, `event` at the end of a stream: `done` with the `result`,
+/// `error` with the error's fields, or `canceled`.
+fn settled_body(key: &str, view: JobView) -> Json {
+    let (tag, fields) = match view {
+        JobView::Done(result) => ("done", vec![("result".to_string(), result)]),
+        JobView::Failed(_, Json::Obj(error)) => ("error", error),
+        JobView::Failed(..) => ("error", Vec::new()),
+        JobView::Canceled => ("canceled", Vec::new()),
+    };
+    let tag = (key.to_string(), Json::str(tag));
+    Json::Obj(std::iter::once(tag).chain(fields).collect())
 }
 
 /// One stream event: an ndjson line (JSON mode) or an event frame
@@ -899,20 +882,7 @@ fn route_json(method: &str, request: &Request, shared: &Shared) -> (u16, Json) {
                         ("queued", Json::from(queued)),
                     ]),
                 ),
-                Polled::Settled(JobView::Done(result)) => (
-                    200,
-                    Json::obj([("status", Json::str("done")), ("result", result)]),
-                ),
-                Polled::Settled(JobView::Failed(_, error)) => {
-                    let mut fields = vec![("status".to_string(), Json::str("error"))];
-                    if let Json::Obj(error_fields) = error {
-                        fields.extend(error_fields);
-                    }
-                    (200, Json::Obj(fields))
-                }
-                Polled::Settled(JobView::Canceled) => {
-                    (200, Json::obj([("status", Json::str("canceled"))]))
-                }
+                Polled::Settled(view) => (200, settled_body("status", view)),
             }
         }
         // Any other method on a known route is a method error, not a

@@ -199,6 +199,13 @@ fn as_u64(value: &Json, path: &str) -> Result<u64, WireError> {
         .ok_or_else(|| WireError::new(path, "expected a non-negative integer"))
 }
 
+/// A non-negative integer that fits a `u32`; larger values answer `400`
+/// rather than wrapping into a request the client never sent.
+fn as_u32(value: &Json, path: &str) -> Result<u32, WireError> {
+    u32::try_from(as_u64(value, path)?)
+        .map_err(|_| WireError::new(path, format!("expected an integer of at most {}", u32::MAX)))
+}
+
 fn as_bool(value: &Json, path: &str) -> Result<bool, WireError> {
     value
         .as_bool()
@@ -494,9 +501,7 @@ fn finite_axis(value: &Json, path: &str) -> Result<f64, WireError> {
 
 fn parse_grid(value: &Json, path: &str) -> Result<VariationGrid, WireError> {
     let mut grid = VariationGrid::nominal();
-    if let Some(counts) = num_list(value, path, "tube_counts", |v, p| {
-        as_u64(v, p).map(|n| n as u32)
-    })? {
+    if let Some(counts) = num_list(value, path, "tube_counts", as_u32)? {
         grid.tube_counts = counts;
     }
     if let Some(scales) = num_list(value, path, "pitch_scales", finite_axis)? {
@@ -531,7 +536,7 @@ fn parse_sweep(value: &Json, path: &str) -> Result<SweepRequest, WireError> {
 fn parse_corner(value: &Json, path: &str) -> Result<VariationCorner, WireError> {
     let mut corner = VariationCorner::nominal();
     if let Some(tubes) = opt(value, "tubes_per_4lambda") {
-        corner.tubes_per_4lambda = as_u64(tubes, &join(path, "tubes_per_4lambda"))? as u32;
+        corner.tubes_per_4lambda = as_u32(tubes, &join(path, "tubes_per_4lambda"))?;
     }
     if let Some(scale) = opt(value, "pitch_scale") {
         corner.pitch_scale = as_f64(scale, &join(path, "pitch_scale"))?;
@@ -618,7 +623,7 @@ fn parse_defect_params(value: &Json, path: &str) -> Result<DefectParams, WireErr
         params.misposition_fraction = as_f64(fraction, &join(path, "misposition_fraction"))?;
     }
     if let Some(tubes) = opt(value, "tubes_per_site") {
-        params.tubes_per_site = as_u64(tubes, &join(path, "tubes_per_site"))? as u32;
+        params.tubes_per_site = as_u32(tubes, &join(path, "tubes_per_site"))?;
     }
     if let Some(tolerance) = opt(value, "open_tolerance") {
         params.open_tolerance = as_f64(tolerance, &join(path, "open_tolerance"))?;
@@ -659,8 +664,8 @@ fn parse_adjacent(value: &Json, path: &str) -> Result<Vec<(u32, u32)>, WireError
                 return Err(WireError::new(&pair_path, "expected a [from, to] pair"));
             }
             Ok((
-                as_u64(&pair[0], &format!("{pair_path}[0]"))? as u32,
-                as_u64(&pair[1], &format!("{pair_path}[1]"))? as u32,
+                as_u32(&pair[0], &format!("{pair_path}[0]"))?,
+                as_u32(&pair[1], &format!("{pair_path}[1]"))?,
             ))
         })
         .collect()
@@ -675,7 +680,7 @@ fn parse_repair(value: &Json, path: &str) -> Result<RepairRequest, WireError> {
         request = request.base_seed(as_u64(seed, &join(path, "seed"))?);
     }
     if let Some(spares) = opt(value, "spares") {
-        request = request.spares(as_u64(spares, &join(path, "spares"))? as u32);
+        request = request.spares(as_u32(spares, &join(path, "spares"))?);
     }
     if let Some(params) = opt(value, "params") {
         request = request.params(parse_defect_params(params, &join(path, "params"))?);
@@ -725,11 +730,11 @@ fn parse_optimize(value: &Json, path: &str) -> Result<OptimizeRequest, WireError
     }
     if let Some(passes) = opt(value, "passes") {
         let p = join(path, "passes");
-        let passes = as_u64(passes, &p)?;
-        if !(1..=u64::from(u32::MAX)).contains(&passes) {
+        let passes = as_u32(passes, &p)?;
+        if passes == 0 {
             return Err(WireError::new(&p, "expected a pass count of at least 1"));
         }
-        request = request.passes(passes as u32);
+        request = request.passes(passes);
     }
     if let Some(metrics) = opt(value, "metrics") {
         request = request.metrics(parse_metrics(metrics, &join(path, "metrics"))?);
@@ -1291,6 +1296,49 @@ mod tests {
         assert!(req(r#"{"type":"sweep","cells":[{"kind":"inv"}],
                 "grid":{"metallic_fractions":[-0.0, 0.02]}}"#,)
         .is_ok());
+    }
+
+    #[test]
+    fn integers_past_u32_answer_400_instead_of_wrapping() {
+        // 2^32 + 26 and 2^32 + 1 used to wrap to 26 and 1: an answer to a
+        // request the client never sent.
+        for (body, field) in [
+            (
+                r#"{"type":"sweep","cells":[{"kind":"inv"}],"grid":{"tube_counts":[4294967322]}}"#,
+                "grid.tube_counts[0]",
+            ),
+            (
+                r#"{"type":"sweep_corner","cell":{"kind":"inv"},"corner":{"tubes_per_4lambda":4294967322}}"#,
+                "corner.tubes_per_4lambda",
+            ),
+            (
+                r#"{"type":"repair","cells":[{"kind":"inv"}],"params":{"tubes_per_site":4294967296}}"#,
+                "params.tubes_per_site",
+            ),
+            (
+                r#"{"type":"repair","cells":[{"kind":"inv"}],"adjacent":[[0,4294967296]]}"#,
+                "adjacent[0][1]",
+            ),
+            (
+                r#"{"type":"repair","cells":[{"kind":"inv"}],"spares":4294967297}"#,
+                "spares",
+            ),
+            (
+                r#"{"type":"optimize","cells":[{"kind":"inv"}],"passes":4294967296}"#,
+                "passes",
+            ),
+        ] {
+            let e = req(body).unwrap_err();
+            assert!(e.message.starts_with(field), "{field}: {e}");
+            assert!(e.message.contains("at most 4294967295"), "{field}: {e}");
+        }
+        // The largest u32 still parses.
+        let RequestKind::Repair(lot) =
+            req(r#"{"type":"repair","cells":[{"kind":"inv"}],"spares":4294967295}"#).unwrap()
+        else {
+            panic!("expected a repair lot");
+        };
+        assert_eq!(lot.spares, u32::MAX);
     }
 
     #[test]

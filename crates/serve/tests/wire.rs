@@ -5,7 +5,7 @@ use cnfet_serve::json::Json;
 use cnfet_serve::{encode, Client, Format, ServeConfig, Server, StreamEvent};
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn server() -> Server {
     Server::start(ServeConfig::default().addr("127.0.0.1:0")).expect("bind ephemeral port")
@@ -701,6 +701,42 @@ fn streamed_sweep_matches_the_buffered_report() {
     for (replayed, streamed) in replayed.iter().zip(&streamed_rows) {
         assert_eq!(replayed.render(), streamed.render());
     }
+    server.shutdown();
+}
+
+#[test]
+fn just_submitted_cached_streams_wake_when_the_job_resolves() {
+    // A whole-report cache hit resolves a moment after its submit. Its
+    // stream must wake on that, not on the server's 200 ms shutdown-check
+    // interval, which a stream that races the resolve would wait out.
+    const READ_POLL: Duration = Duration::from_millis(200);
+    let server = server();
+    let mut client = Client::new(server.addr());
+    let sweep = small_sweep(21);
+    client
+        .request("POST", "/v1/run")
+        .body(&sweep)
+        .send()
+        .unwrap()
+        .expect_status(200);
+    let mut slowest = Duration::ZERO;
+    for _ in 0..300 {
+        let (mut rows, mut done) = (0, false);
+        let start = Instant::now();
+        client
+            .submit_and_stream(&sweep, Format::Json, |event| match event {
+                StreamEvent::Row { .. } => rows += 1,
+                StreamEvent::Done(_) => done = true,
+                _ => {}
+            })
+            .unwrap();
+        slowest = slowest.max(start.elapsed());
+        assert_eq!((rows, done), (4, true), "every row, then done");
+    }
+    assert!(
+        slowest < READ_POLL,
+        "a cached stream took {slowest:?}, waiting out the read poll"
+    );
     server.shutdown();
 }
 

@@ -16,14 +16,15 @@
 //!   skewed tail of expensive jobs is redistributed instead of pinning
 //!   one thread.
 //! * [`JobHandle`] — the caller's side of one submitted job: [`wait`],
-//!   [`try_get`], [`wait_timeout`], [`is_done`]. Dropping a handle never
-//!   cancels the job — the work still runs and still populates the
-//!   session cache.
+//!   [`try_get`], [`wait_timeout`], [`is_done`] to pull the result, or
+//!   [`on_resolve`] to have it pushed to a callback the moment the job
+//!   resolves. Dropping a handle never cancels the job — the work still
+//!   runs and still populates the session cache.
 //! * [`Completion`] — the worker's side. It resolves the handle exactly
 //!   once, *even when the job never runs*: if the job is dropped unrun
 //!   (session shut down) or panics on a worker, the completion's `Drop`
 //!   resolves the handle with [`CnfetError::Canceled`] instead of
-//!   stranding a waiter.
+//!   stranding a waiter or a registered callback.
 //!
 //! [`Session::submit`]: crate::Session::submit
 //! [`Session::submit_all`]: crate::Session::submit_all
@@ -32,6 +33,7 @@
 //! [`try_get`]: JobHandle::try_get
 //! [`wait_timeout`]: JobHandle::wait_timeout
 //! [`is_done`]: JobHandle::is_done
+//! [`on_resolve`]: JobHandle::on_resolve
 
 use crate::error::{CnfetError, Result};
 use std::collections::VecDeque;
@@ -65,31 +67,39 @@ pub(crate) fn next_batch_id() -> u64 {
 
 /// One job's result slot, shared between its [`JobHandle`] and its
 /// [`Completion`].
-#[derive(Debug)]
 enum Slot<T> {
     /// The job has not resolved yet.
     Pending,
+    /// The job has not resolved yet; its result goes to this callback.
+    Hooked(Box<dyn FnOnce(Result<T>) + Send>),
     /// The job resolved; the result awaits collection.
     Ready(Result<T>),
-    /// The result was collected (by `try_get`/`wait_timeout`/`wait`).
+    /// The result was collected, or handed to the hook.
     Taken,
 }
 
-#[derive(Debug)]
 struct JobState<T> {
     slot: Mutex<Slot<T>>,
     done: Condvar,
 }
 
 impl<T> JobState<T> {
-    /// Resolves the slot exactly once; later fills are ignored.
+    /// Resolves the slot exactly once (later fills are ignored), running
+    /// a registered hook after the slot lock is released.
     fn fill(&self, result: Result<T>) {
         let mut slot = self.slot.lock().expect("job slot lock");
-        if matches!(*slot, Slot::Pending) {
-            *slot = Slot::Ready(result);
+        match std::mem::replace(&mut *slot, Slot::Taken) {
+            Slot::Pending => {
+                *slot = Slot::Ready(result);
+                drop(slot);
+                self.done.notify_all();
+            }
+            Slot::Hooked(hook) => {
+                drop(slot);
+                hook(result);
+            }
+            resolved => *slot = resolved,
         }
-        drop(slot);
-        self.done.notify_all();
     }
 }
 
@@ -98,13 +108,18 @@ impl<T> JobState<T> {
 /// the request's output.
 ///
 /// The result is collected **exactly once** — by [`wait`](Self::wait),
-/// or by the first [`try_get`](Self::try_get) /
-/// [`wait_timeout`](Self::wait_timeout) that returns `Some`. Dropping the
+/// [`on_resolve`](Self::on_resolve), or the first [`try_get`](Self::try_get)
+/// or [`wait_timeout`](Self::wait_timeout) that returns `Some`. Dropping the
 /// handle abandons the result but not the job: the work still runs and
 /// still populates the session cache for later requests.
-#[derive(Debug)]
 pub struct JobHandle<T> {
     state: Arc<JobState<T>>,
+}
+
+impl<T> std::fmt::Debug for JobHandle<T> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("JobHandle").finish_non_exhaustive()
+    }
 }
 
 impl<T> JobHandle<T> {
@@ -164,17 +179,37 @@ impl<T> JobHandle<T> {
             slot = guard;
         }
     }
+
+    /// Hands the result to `f` exactly once, the moment the job resolves:
+    /// at once if it already has, else on the thread that resolves it —
+    /// the worker, or whoever drops the job unrun (`f` gets
+    /// [`CnfetError::Canceled`]). `f` runs under no lock, and must not
+    /// panic: for a job that panicked it runs while the worker unwinds.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the result was already collected, like [`wait`](Self::wait).
+    pub fn on_resolve(self, f: impl FnOnce(Result<T>) + Send + 'static) {
+        let mut slot = self.state.slot.lock().expect("job slot lock");
+        match std::mem::replace(&mut *slot, Slot::Taken) {
+            Slot::Pending => *slot = Slot::Hooked(Box::new(f)),
+            Slot::Ready(result) => {
+                drop(slot);
+                f(result);
+            }
+            _ => panic!("job result was already collected"),
+        }
+    }
 }
 
 /// Moves a `Ready` result out of the slot, leaving `Taken`.
 fn take<T>(slot: &mut Slot<T>) -> Option<Result<T>> {
-    if matches!(*slot, Slot::Ready(_)) {
-        match std::mem::replace(slot, Slot::Taken) {
-            Slot::Ready(result) => Some(result),
-            _ => unreachable!("just matched Ready"),
+    match std::mem::replace(slot, Slot::Taken) {
+        Slot::Ready(result) => Some(result),
+        other => {
+            *slot = other;
+            None
         }
-    } else {
-        None
     }
 }
 
@@ -182,7 +217,6 @@ fn take<T>(slot: &mut Slot<T>) -> Option<Result<T>> {
 /// exactly once. If dropped unresolved — the job was discarded unrun at
 /// session shutdown, or the request panicked — the handle resolves to
 /// [`CnfetError::Canceled`] so no waiter is ever stranded.
-#[derive(Debug)]
 pub(crate) struct Completion<T> {
     state: Option<Arc<JobState<T>>>,
 }
@@ -489,6 +523,7 @@ fn worker(shared: &PoolShared, me: usize) {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
+    use std::sync::mpsc;
 
     /// A test job in a batch of its own.
     fn job(run: impl FnOnce() + Send + 'static) -> Vec<Job> {
@@ -496,6 +531,18 @@ mod tests {
             batch: next_batch_id(),
             run: Box::new(run),
         }]
+    }
+
+    /// Registers an `on_resolve` hook that sends each result it gets
+    /// down the returned channel, tagged with the thread it ran on.
+    fn hook<T: Send + 'static>(
+        handle: JobHandle<T>,
+    ) -> mpsc::Receiver<(Result<T>, std::thread::ThreadId)> {
+        let (tx, rx) = mpsc::channel();
+        handle.on_resolve(move |result| {
+            tx.send((result, std::thread::current().id())).unwrap();
+        });
+        rx
     }
 
     #[test]
@@ -511,6 +558,15 @@ mod tests {
         for (i, handle) in handles.into_iter().enumerate() {
             assert_eq!(handle.wait().unwrap(), i * 2);
         }
+
+        // A hook on an already-resolved job runs inline, exactly once.
+        let (completion, handle) = job_channel::<usize>();
+        completion.complete(Ok(5));
+        let results = hook(handle);
+        let (result, thread) = results.try_recv().expect("ran inline");
+        assert_eq!(result.unwrap(), 5);
+        assert_eq!(thread, std::thread::current().id());
+        assert!(results.try_recv().is_err(), "the hook ran exactly once");
     }
 
     #[test]
@@ -519,6 +575,16 @@ mod tests {
         let unrun = job(move || completion.complete(Ok(1)));
         drop(unrun);
         assert!(matches!(handle.wait(), Err(CnfetError::Canceled)));
+
+        // A hook registered before the drop gets the cancellation.
+        let (completion, handle) = job_channel::<u32>();
+        let results = hook(handle);
+        let unrun = job(move || completion.complete(Ok(1)));
+        assert!(results.try_recv().is_err(), "pending: the hook waits");
+        drop(unrun);
+        let (result, _) = results.try_recv().expect("ran at the drop");
+        assert!(matches!(result, Err(CnfetError::Canceled)));
+        assert!(results.try_recv().is_err(), "the hook ran exactly once");
     }
 
     #[test]
@@ -530,6 +596,15 @@ mod tests {
             panic!("request blew up");
         }));
         assert!(matches!(handle.wait(), Err(CnfetError::Canceled)));
+        // The same for a hook: the unwinding completion settles it.
+        let (completion, handle) = job_channel::<u32>();
+        let results = hook(handle);
+        pool.submit(job(move || {
+            let _keep = &completion;
+            panic!("request blew up");
+        }));
+        let (result, _) = results.recv().unwrap();
+        assert!(matches!(result, Err(CnfetError::Canceled)));
         // The worker survived the panic and still serves jobs.
         let (completion, handle) = job_channel::<u32>();
         pool.submit(job(move || completion.complete(Ok(7))));
@@ -564,6 +639,25 @@ mod tests {
         );
         assert!(handle.is_done());
         assert!(handle.try_get().is_none(), "result collected exactly once");
+
+        // A hook on a pending job runs when the worker fills the slot —
+        // on the worker's thread, exactly once.
+        let gate = Arc::new(AtomicUsize::new(0));
+        let (completion, handle) = job_channel::<u32>();
+        let worker_gate = gate.clone();
+        pool.submit(job(move || {
+            while worker_gate.load(Ordering::Acquire) == 0 {
+                std::thread::yield_now();
+            }
+            completion.complete(Ok(43));
+        }));
+        let results = hook(handle);
+        assert!(results.try_recv().is_err(), "pending: the hook waits");
+        gate.store(1, Ordering::Release);
+        let (result, thread) = results.recv().unwrap();
+        assert_eq!(result.unwrap(), 43);
+        assert_ne!(thread, std::thread::current().id(), "ran on the worker");
+        assert!(results.recv().is_err(), "the hook ran exactly once");
     }
 
     #[test]
