@@ -9,11 +9,14 @@
 //! slope bound entirely) and judges each with the superset criterion. A
 //! layout certified immune here is immune to *any* mispositioned
 //! x-monotone tube.
+//!
+//! The walk reads the same prepared [`TraceMap`] as the Monte-Carlo
+//! engine: slabs are flat indices, and the gates crossed so far are one
+//! `u128` mask (see [`crate::verdict`]) that both memoizes the walk and
+//! judges the segment it ends in, so no two gates share a bit.
 
-use crate::region::{build_columns, ColumnMap, RegionKind};
-use crate::verdict::{Judge, Segment, Verdict};
-use cnfet_core::{PullSide, SemanticLayout};
-use cnfet_logic::VarId;
+use crate::region::{Region, TraceMap};
+use crate::verdict::{Segment, Verdict};
 use std::collections::HashSet;
 
 /// Result of certification.
@@ -27,118 +30,90 @@ pub struct CertReport {
     pub harmful: Vec<Segment>,
 }
 
-/// Certifies a cell's immunity to mispositioned CNTs.
+/// Certifies a prepared cell's immunity to mispositioned CNTs.
 ///
 /// See the module docs for the model and soundness argument.
-pub fn certify(sem: &SemanticLayout) -> CertReport {
-    let cm = build_columns(sem);
-    let mut judge = Judge::new(sem);
-    let mut seen_segments: HashSet<Segment> = HashSet::new();
+pub fn certify(map: &TraceMap) -> CertReport {
+    // Distinct segments as (start net, end net, gate mask).
+    let mut seen: HashSet<(u16, u16, u128)> = HashSet::new();
     let mut harmful = Vec::new();
 
     // Start a traversal from every contact slab: explore its neighbours
     // (the contact slab itself would terminate the walk immediately).
-    for (col, slabs) in cm.columns.iter().enumerate() {
-        for (si, slab) in slabs.iter().enumerate() {
-            let RegionKind::Contact(net) = &slab.kind else {
+    for col in 0..map.columns() {
+        for si in map.column(col) {
+            let Region::Contact(start) = map.slabs[si].region else {
                 continue;
             };
-            let mut memo: HashSet<(usize, usize, u64)> = HashSet::new();
-            let mut gates: Vec<(VarId, PullSide)> = Vec::new();
-            let mut record = |segment: Segment| {
-                if seen_segments.insert(segment.clone())
-                    && judge.classify(&segment) == Verdict::Harmful
+            let mut memo: HashSet<(usize, u128)> = HashSet::new();
+            let mut record = |end: u16, gates: u128| {
+                if seen.insert((start, end, gates))
+                    && map.verdict(start, end, gates) == Verdict::Harmful
                 {
-                    harmful.push(segment);
+                    harmful.push(map.segment(start, end, gates));
                 }
             };
-            for (ncol, nsi) in neighbors(&cm, col, si) {
-                walk(&cm, ncol, nsi, net, &mut gates, 0, &mut memo, &mut record);
+            for (ncol, nsi) in neighbors(map, col, si) {
+                walk(map, ncol, nsi, 0, &mut memo, &mut record);
             }
         }
     }
 
     CertReport {
         immune: harmful.is_empty(),
-        segments_checked: seen_segments.len(),
+        segments_checked: seen.len(),
         harmful,
     }
 }
 
-/// Bitmask of a polarity-tagged gate for memoization.
-fn gate_bit(var: VarId, side: PullSide) -> u64 {
-    let idx = var.index() * 2 + usize::from(side == PullSide::Down);
-    1u64 << (idx % 64)
+/// Slabs reachable from slab `si` of column `col` by an x-monotone
+/// curve: vertical neighbours within the column, and y-overlapping slabs
+/// of the next column.
+fn neighbors(map: &TraceMap, col: usize, si: usize) -> impl Iterator<Item = (usize, usize)> + '_ {
+    let column = map.column(col);
+    let slab = map.slabs[si];
+    let below = (si > column.start).then(|| (col, si - 1));
+    let above = (si + 1 < column.end).then_some((col, si + 1));
+    let next_column = if col + 1 < map.columns() {
+        map.column(col + 1)
+    } else {
+        0..0
+    };
+    let across = next_column
+        .filter(move |&nsi| {
+            let next = map.slabs[nsi];
+            next.y1 >= slab.y0 && next.y0 <= slab.y1
+        })
+        .map(move |nsi| (col + 1, nsi));
+    below.into_iter().chain(above).chain(across)
 }
 
-/// Slabs reachable from `(col, si)` by an x-monotone curve: vertical
-/// neighbours within the column, and y-overlapping slabs of the next
-/// column.
-fn neighbors(cm: &ColumnMap, col: usize, si: usize) -> Vec<(usize, usize)> {
-    let slab = &cm.columns[col][si];
-    let mut out = Vec::new();
-    if si > 0 {
-        out.push((col, si - 1));
-    }
-    if si + 1 < cm.columns[col].len() {
-        out.push((col, si + 1));
-    }
-    if col + 1 < cm.columns.len() {
-        for (nsi, next) in cm.columns[col + 1].iter().enumerate() {
-            if next.y1 >= slab.y0 && next.y0 <= slab.y1 {
-                out.push((col + 1, nsi));
-            }
-        }
-    }
-    out
-}
-
-/// DFS over conducting slabs; `col`/`si` is the slab being *entered*.
-#[allow(clippy::too_many_arguments)]
+/// DFS over conducting slabs; `si` (in column `col`) is the slab being
+/// *entered* with the gates in `gates` crossed so far.
 fn walk(
-    cm: &ColumnMap,
+    map: &TraceMap,
     col: usize,
     si: usize,
-    start_net: &str,
-    gates: &mut Vec<(VarId, PullSide)>,
-    mask: u64,
-    memo: &mut HashSet<(usize, usize, u64)>,
-    record: &mut impl FnMut(Segment),
+    gates: u128,
+    memo: &mut HashSet<(usize, u128)>,
+    record: &mut impl FnMut(u16, u128),
 ) {
-    let slab = &cm.columns[col][si];
-    let (mask, added) = match &slab.kind {
-        RegionKind::Dead => return,
-        RegionKind::Contact(net) => {
+    let gates = match map.slabs[si].region {
+        Region::Dead => return,
+        Region::Contact(end) => {
             // Reached another contact: the segment ends here. Tubes
             // continuing past this contact start a new segment, which the
             // outer loop covers by starting from every contact.
-            record(Segment {
-                net_a: start_net.to_string(),
-                net_b: net.clone(),
-                gates: gates.iter().copied().collect(),
-            });
+            record(end, gates);
             return;
         }
-        RegionKind::Gate(v, s) => {
-            let b = gate_bit(*v, *s);
-            if mask & b == 0 {
-                gates.push((*v, *s));
-                (mask | b, true)
-            } else {
-                (mask, false)
-            }
-        }
-        RegionKind::Doped(_) => (mask, false),
+        Region::Gate(bit) => gates | 1 << bit,
+        Region::Doped(_) => gates,
     };
-
-    if memo.insert((col, si, mask)) {
-        for (ncol, nsi) in neighbors(cm, col, si) {
-            walk(cm, ncol, nsi, start_net, gates, mask, memo, record);
+    if memo.insert((si, gates)) {
+        for (ncol, nsi) in neighbors(map, col, si) {
+            walk(map, ncol, nsi, gates, memo, record);
         }
-    }
-
-    if added {
-        gates.pop();
     }
 }
 
@@ -161,7 +136,7 @@ mod tests {
         for kind in StdCellKind::ALL {
             for scheme in [Scheme::Scheme1, Scheme::Scheme2] {
                 let cell = generate_cell(kind, &opts(Style::NewImmune, scheme)).unwrap();
-                let report = certify(&cell.semantics);
+                let report = certify(&TraceMap::new(&cell.semantics));
                 assert!(
                     report.immune,
                     "{kind} {scheme}: harmful {:?}",
@@ -183,7 +158,7 @@ mod tests {
                 },
             )
             .unwrap();
-            let report = certify(&cell.semantics);
+            let report = certify(&TraceMap::new(&cell.semantics));
             assert!(report.immune, "{kind}: {:?}", report.harmful);
         }
     }
@@ -193,7 +168,7 @@ mod tests {
         // [6]'s technique is also immune — it just costs more area.
         for kind in StdCellKind::ALL {
             let cell = generate_cell(kind, &opts(Style::OldEtched, Scheme::Scheme1)).unwrap();
-            let report = certify(&cell.semantics);
+            let report = certify(&TraceMap::new(&cell.semantics));
             assert!(report.immune, "{kind}: {:?}", report.harmful);
         }
     }
@@ -207,7 +182,7 @@ mod tests {
             &opts(Style::Vulnerable, Scheme::Scheme1),
         )
         .unwrap();
-        let report = certify(&cell.semantics);
+        let report = certify(&TraceMap::new(&cell.semantics));
         assert!(!report.immune, "vulnerable layout must fail certification");
         // And the failure is the paper's: a conduction path missing gates.
         assert!(report.harmful.iter().any(|s| s.net_a != s.net_b));
@@ -221,9 +196,9 @@ mod tests {
         // engine. The *new-style* inverter certifies absolutely.
         let vuln =
             generate_cell(StdCellKind::Inv, &opts(Style::Vulnerable, Scheme::Scheme1)).unwrap();
-        assert!(!certify(&vuln.semantics).immune);
+        assert!(!certify(&TraceMap::new(&vuln.semantics)).immune);
         let immune =
             generate_cell(StdCellKind::Inv, &opts(Style::NewImmune, Scheme::Scheme1)).unwrap();
-        assert!(certify(&immune.semantics).immune);
+        assert!(certify(&TraceMap::new(&immune.semantics)).immune);
     }
 }

@@ -7,6 +7,11 @@
 //! is an *x-monotone* curve of bounded local slope at an arbitrary
 //! vertical offset, clipped at the cell boundary etch.
 //!
+//! Both engines read a [`TraceMap`]: the layout's column decomposition
+//! with interned regions and the nominal path masks of every
+//! contact-net pair, prepared once per layout by [`TraceMap::new`] and
+//! then shared, read-only, by every run over that layout.
+//!
 //! Two engines are provided:
 //!
 //! * [`certify`] — a sound certification: it over-approximates the set of
@@ -30,10 +35,10 @@
 //!
 //! ```
 //! use cnfet_core::{generate_cell, GenerateOptions, StdCellKind};
-//! use cnfet_immunity::certify;
+//! use cnfet_immunity::{certify, TraceMap};
 //!
 //! let cell = generate_cell(StdCellKind::Nand(2), &GenerateOptions::default()).unwrap();
-//! assert!(certify(&cell.semantics).immune);
+//! assert!(certify(&TraceMap::new(&cell.semantics)).immune);
 //! ```
 
 pub mod cert;
@@ -45,5 +50,5 @@ pub mod verdict;
 pub use cert::{certify, CertReport};
 pub use mc::{simulate, trace_polyline, McOptions, McReport, Witness};
 pub use metallic::{metallic_yield, MetallicProcess};
-pub use region::{build_columns, ColumnMap, RegionKind, Slab};
-pub use verdict::{Judge, Segment, Verdict};
+pub use region::{build_columns, ColumnMap, RegionKind, Slab, TraceMap};
+pub use verdict::{Segment, Verdict};

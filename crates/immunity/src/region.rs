@@ -4,8 +4,18 @@
 //! column, the y-axis is cut into [`Slab`]s of uniform semantics. Priority
 //! on overlap: etch > contact > gate > doped; anything uncovered is
 //! intrinsic (dead for conduction).
+//!
+//! [`build_columns`] returns that decomposition with named regions
+//! ([`ColumnMap`]). [`TraceMap::new`] flattens it once per layout into
+//! the form every tube walk reads: one flat slab array indexed by
+//! column, each slab's region interned (contact nets to indices, gates
+//! to gate-mask bits), plus the nominal path masks of every contact-net
+//! pair. A cursor follows a tube through the map by stepping from
+//! the previous sample's column and slab rather than searching.
 
+use crate::verdict::{gate_bit, nominal_path_masks};
 use cnfet_core::{PullSide, SemKind, SemanticLayout};
+use cnfet_geom::Rect;
 use cnfet_logic::VarId;
 
 /// What a tube experiences inside a region.
@@ -39,7 +49,7 @@ pub struct Slab {
     pub kind: RegionKind,
 }
 
-/// The column decomposition of a cell.
+/// The column decomposition of a cell, with named regions.
 #[derive(Clone, Debug)]
 pub struct ColumnMap {
     /// Column boundaries (ascending, `len = columns.len() + 1`), dbu.
@@ -48,35 +58,178 @@ pub struct ColumnMap {
     pub columns: Vec<Vec<Slab>>,
 }
 
-impl ColumnMap {
-    /// Index of the column containing x (columns are half-open `[xa, xb)`;
-    /// the last column is closed). Returns `None` outside the cell.
-    pub fn column_at(&self, x: i64) -> Option<usize> {
-        if self.xs.is_empty() || x < self.xs[0] || x > *self.xs.last().expect("nonempty") {
-            return None;
-        }
-        let idx = match self.xs.binary_search(&x) {
-            Ok(i) => i,
-            Err(i) => i - 1,
-        };
-        Some(idx.min(self.columns.len() - 1))
-    }
+/// A region as the tube walks see it: contact nets interned to indices
+/// into [`TraceMap`]'s net table, gates to their bit in a gate mask (see
+/// [`crate::verdict`]). Two slabs carry equal regions iff their
+/// [`RegionKind`]s are equal.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Region {
+    Dead,
+    Doped(PullSide),
+    Gate(u8),
+    Contact(u16),
+}
 
-    /// Index of the slab containing y within a column (slabs half-open
-    /// `[y0, y1)`; top slab closed). Returns `None` outside.
-    pub fn slab_at(&self, col: usize, y: i64) -> Option<usize> {
-        let slabs = &self.columns[col];
-        for (i, s) in slabs.iter().enumerate() {
-            if y >= s.y0 && (y < s.y1 || (i + 1 == slabs.len() && y <= s.y1)) {
-                return Some(i);
+/// One slab of a [`TraceMap`] column.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct MapSlab {
+    pub(crate) y0: i64,
+    pub(crate) y1: i64,
+    pub(crate) region: Region,
+}
+
+/// A cell layout prepared once for every tube walk over it: the column
+/// boundaries, each slab's interned region, the contact nets, and the
+/// nominal path masks of every contact-net pair (see [`crate::verdict`]).
+///
+/// Build it with [`TraceMap::new`] once per layout; [`crate::simulate`],
+/// [`crate::certify`], [`crate::trace_polyline`] and the repair crate's
+/// site tester all only read it, so one map (it is `Send + Sync`) serves
+/// any number of runs, dies and threads.
+#[derive(Clone, Debug)]
+pub struct TraceMap {
+    pub(crate) bbox: Rect,
+    /// Column boundaries (ascending, one more than there are columns).
+    pub(crate) xs: Vec<i64>,
+    /// `slabs[column_start[c]..column_start[c + 1]]` is column `c`,
+    /// bottom-up.
+    pub(crate) column_start: Vec<usize>,
+    pub(crate) slabs: Vec<MapSlab>,
+    /// Contact nets, indexed by `Region::Contact`.
+    pub(crate) nets: Vec<String>,
+    /// Nominal path gate masks of nets `a` and `b` at `a * nets.len() + b`.
+    pub(crate) paths: Vec<Vec<u128>>,
+}
+
+impl TraceMap {
+    /// Decomposes `sem` into columns, interns its regions and contact
+    /// nets, and derives the nominal paths of every contact-net pair.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a gate's variable index is 64 or more — the ceiling
+    /// [`cnfet_logic::VarTable`] already enforces.
+    pub fn new(sem: &SemanticLayout) -> TraceMap {
+        let cm = build_columns(sem);
+        let mut nets: Vec<String> = Vec::new();
+        let mut column_start = Vec::with_capacity(cm.columns.len() + 1);
+        let mut slabs = Vec::new();
+        for column in &cm.columns {
+            column_start.push(slabs.len());
+            for slab in column {
+                let region = match &slab.kind {
+                    RegionKind::Dead => Region::Dead,
+                    RegionKind::Doped(side) => Region::Doped(*side),
+                    RegionKind::Gate(var, side) => Region::Gate(gate_bit(*var, *side)),
+                    RegionKind::Contact(net) => Region::Contact(intern(&mut nets, net)),
+                };
+                slabs.push(MapSlab {
+                    y0: slab.y0,
+                    y1: slab.y1,
+                    region,
+                });
             }
         }
-        None
+        column_start.push(slabs.len());
+        let paths = nominal_path_masks(sem, &nets);
+        TraceMap {
+            bbox: sem.bbox,
+            xs: cm.xs,
+            column_start,
+            slabs,
+            nets,
+            paths,
+        }
     }
 
-    /// Column width, dbu.
-    pub fn column_width(&self, col: usize) -> i64 {
-        self.xs[col + 1] - self.xs[col]
+    /// The cell bounding box the map covers.
+    pub fn bbox(&self) -> Rect {
+        self.bbox
+    }
+
+    /// Number of columns.
+    pub(crate) fn columns(&self) -> usize {
+        self.column_start.len() - 1
+    }
+
+    /// The flat slab range of column `col`.
+    pub(crate) fn column(&self, col: usize) -> std::ops::Range<usize> {
+        self.column_start[col]..self.column_start[col + 1]
+    }
+
+    /// The named form of a region.
+    #[cfg(test)]
+    pub(crate) fn kind_of(&self, region: Region) -> RegionKind {
+        match region {
+            Region::Dead => RegionKind::Dead,
+            Region::Doped(side) => RegionKind::Doped(side),
+            Region::Gate(bit) => {
+                let (var, side) = crate::verdict::gate_of(bit);
+                RegionKind::Gate(var, side)
+            }
+            Region::Contact(net) => RegionKind::Contact(self.nets[usize::from(net)].clone()),
+        }
+    }
+}
+
+fn intern(nets: &mut Vec<String>, net: &str) -> u16 {
+    let id = nets.iter().position(|n| n == net).unwrap_or_else(|| {
+        nets.push(net.to_string());
+        nets.len() - 1
+    });
+    u16::try_from(id).expect("fewer than 65536 contact nets")
+}
+
+/// A position in a [`TraceMap`] that follows a tube's samples: each
+/// lookup steps the column and slab index from the previous one instead
+/// of searching, since x is monotone along a tube and y moves little
+/// between samples. Any order of points is answered correctly; the walk
+/// is only short when consecutive points are close.
+pub(crate) struct Cursor<'a> {
+    map: &'a TraceMap,
+    col: usize,
+    /// Slab index within the column.
+    slab: usize,
+}
+
+impl<'a> Cursor<'a> {
+    pub(crate) fn new(map: &'a TraceMap) -> Cursor<'a> {
+        Cursor {
+            map,
+            col: 0,
+            slab: 0,
+        }
+    }
+
+    /// The region at `(x, y)`, or `None` outside the cell. Columns are
+    /// half-open `[xa, xb)` and slabs `[y0, y1)`, except that the last
+    /// column and each column's top slab are closed.
+    pub(crate) fn seek(&mut self, x: i64, y: i64) -> Option<Region> {
+        let map = self.map;
+        let xs = &map.xs;
+        if map.slabs.is_empty() || x < xs[0] || x > xs[xs.len() - 1] {
+            return None;
+        }
+        let (by0, by1) = (map.bbox.y0().0, map.bbox.y1().0);
+        if y < by0 || y > by1 {
+            return None;
+        }
+        let last_col = map.columns() - 1;
+        while self.col < last_col && x >= xs[self.col + 1] {
+            self.col += 1;
+        }
+        while x < xs[self.col] {
+            self.col -= 1;
+        }
+        let column = &map.slabs[map.column(self.col)];
+        self.slab = self.slab.min(column.len() - 1);
+        while y < column[self.slab].y0 {
+            self.slab -= 1;
+        }
+        while self.slab + 1 < column.len() && y >= column[self.slab].y1 {
+            self.slab += 1;
+        }
+        Some(column[self.slab].region)
     }
 }
 
@@ -193,15 +346,54 @@ mod tests {
     }
 
     #[test]
-    fn lookup_functions() {
-        let cm = nand2_columns();
-        let x_mid = (cm.xs[0] + cm.xs[cm.xs.len() - 1]) / 2;
-        let col = cm.column_at(x_mid).unwrap();
-        assert!(cm.column_width(col) > 0);
-        let slabs = &cm.columns[col];
-        let y_mid = (slabs[0].y0 + slabs[slabs.len() - 1].y1) / 2;
-        assert!(cm.slab_at(col, y_mid).is_some());
-        assert_eq!(cm.column_at(cm.xs[0] - 1), None);
+    fn cursor_answers_any_order_of_points() {
+        // A cursor steps from wherever the previous point left it; it must
+        // answer every point as a fresh cursor does, whether the points
+        // move forward, backward or jump.
+        use cnfet_rng::rngs::StdRng;
+        use cnfet_rng::{Rng, SeedableRng};
+        let cell = generate_cell(StdCellKind::Nand(2), &GenerateOptions::default()).unwrap();
+        let map = TraceMap::new(&cell.semantics);
+        let (x0, x1) = (map.bbox.x0().0, map.bbox.x1().0);
+        let (y0, y1) = (map.bbox.y0().0, map.bbox.y1().0);
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut cursor = Cursor::new(&map);
+        for _ in 0..2000 {
+            let x = rng.gen_range((x0 - 40) as f64..=(x1 + 40) as f64) as i64;
+            let y = rng.gen_range((y0 - 40) as f64..=(y1 + 40) as f64) as i64;
+            assert_eq!(
+                cursor.seek(x, y),
+                Cursor::new(&map).seek(x, y),
+                "({x}, {y})"
+            );
+        }
+        assert_eq!(Cursor::new(&map).seek(x0 - 1, y0), None);
+        assert_eq!(Cursor::new(&map).seek(x0, y1 + 1), None);
+        // The last column and the top slab are closed.
+        assert!(Cursor::new(&map).seek(x1, y1).is_some());
+    }
+
+    #[test]
+    fn trace_maps_are_shareable_across_threads() {
+        fn shareable<T: Send + Sync>() {}
+        shareable::<TraceMap>();
+    }
+
+    #[test]
+    fn trace_map_flattens_the_column_map() {
+        let cell = generate_cell(StdCellKind::Aoi31, &GenerateOptions::default()).unwrap();
+        let cm = build_columns(&cell.semantics);
+        let map = TraceMap::new(&cell.semantics);
+        assert_eq!(map.xs, cm.xs);
+        assert_eq!(map.columns(), cm.columns.len());
+        for (col, slabs) in cm.columns.iter().enumerate() {
+            let flat = &map.slabs[map.column(col)];
+            assert_eq!(flat.len(), slabs.len());
+            for (a, b) in flat.iter().zip(slabs) {
+                assert_eq!((a.y0, a.y1), (b.y0, b.y1));
+                assert_eq!(map.kind_of(a.region), b.kind);
+            }
+        }
     }
 
     #[test]

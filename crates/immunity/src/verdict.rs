@@ -1,10 +1,21 @@
 //! Harmfulness judgement of stray conduction segments.
+//!
+//! The walks judge segments on interned data only: the two contact nets
+//! as indices into a [`TraceMap`]'s net table and the polarity-tagged
+//! gate set as a `u128` mask — bit `2·v` for variable `v` gating a
+//! pull-up device, bit `2·v + 1` for a pull-down one, so 64 variables ×
+//! 2 polarities, the ceiling `SpNetwork::conducts(u64)` and
+//! [`cnfet_logic::VarTable`] already set. [`TraceMap::new`] stores the
+//! nominal paths of every contact-net pair as masks, which makes the
+//! superset test `path & !gates == 0` and the whole judgement free of
+//! allocation. [`Segment`] is the named form handed back to callers, for
+//! witnesses and certificate entries only.
 
+use crate::region::TraceMap;
 use cnfet_core::{PullSide, SemanticLayout};
 use cnfet_logic::VarId;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::fmt;
-
 /// A stray conduction segment created by a mispositioned tube: it ties the
 /// contacts of `net_a` and `net_b` together through the polarity-tagged
 /// gate regions in `gates`.
@@ -52,59 +63,122 @@ impl fmt::Display for Verdict {
     }
 }
 
-/// Gate sets (polarity-tagged) of the nominal simple paths between one
-/// pair of nets.
-type PathSets = Vec<BTreeSet<(VarId, PullSide)>>;
+/// The pull-up bits of a gate mask.
+const UP_BITS: u128 = 0x5555_5555_5555_5555_5555_5555_5555_5555;
 
-/// A memoizing judge over one cell's semantics.
-pub struct Judge<'a> {
-    sem: &'a SemanticLayout,
-    path_cache: HashMap<(String, String), PathSets>,
+/// The bit of a polarity-tagged gate in a gate mask.
+///
+/// # Panics
+///
+/// Panics when the variable index is 64 or more.
+pub(crate) fn gate_bit(var: VarId, side: PullSide) -> u8 {
+    assert!(
+        var.index() < 64,
+        "gate variable {var} is past the 64-variable ceiling"
+    );
+    (var.index() * 2 + usize::from(side == PullSide::Down)) as u8
 }
 
-impl<'a> Judge<'a> {
-    /// Creates a judge for a cell.
-    pub fn new(sem: &'a SemanticLayout) -> Judge<'a> {
-        Judge {
-            sem,
-            path_cache: HashMap::new(),
+/// The gate a mask bit stands for.
+pub(crate) fn gate_of(bit: u8) -> (VarId, PullSide) {
+    let side = if bit.is_multiple_of(2) {
+        PullSide::Up
+    } else {
+        PullSide::Down
+    };
+    (VarId(u32::from(bit / 2)), side)
+}
+
+/// Whether some variable gates both a p-device (needs 0) and an
+/// n-device (needs 1), so the gates can never all conduct.
+fn unsatisfiable(gates: u128) -> bool {
+    gates & (gates >> 1) & UP_BITS != 0
+}
+
+fn mask_of(gates: &BTreeSet<(VarId, PullSide)>) -> u128 {
+    gates
+        .iter()
+        .fold(0, |mask, &(var, side)| mask | 1 << gate_bit(var, side))
+}
+
+/// The nominal path masks of every pair of `nets`, at `a * nets.len() +
+/// b` (both orders; the diagonal stays empty, as same-net segments are
+/// never looked up).
+pub(crate) fn nominal_path_masks(sem: &SemanticLayout, nets: &[String]) -> Vec<Vec<u128>> {
+    let n = nets.len();
+    let mut paths = vec![Vec::new(); n * n];
+    for a in 0..n {
+        for b in a + 1..n {
+            let masks: Vec<u128> = sem
+                .node_paths(&nets[a], &nets[b])
+                .iter()
+                .map(mask_of)
+                .collect();
+            paths[b * n + a] = masks.clone();
+            paths[a * n + b] = masks;
         }
     }
+    paths
+}
 
-    /// Judges one segment.
-    pub fn classify(&mut self, seg: &Segment) -> Verdict {
-        if seg.net_a == seg.net_b {
+impl TraceMap {
+    /// Judges the segment between contact nets `a` and `b` crossing the
+    /// gates in `gates`.
+    pub(crate) fn verdict(&self, a: u16, b: u16, gates: u128) -> Verdict {
+        if a == b {
             return Verdict::SameNet;
         }
-        // Unsatisfiable: some variable appears as both a p-gate (needs 0)
-        // and an n-gate (needs 1).
-        let vars_up: BTreeSet<VarId> = seg
-            .gates
-            .iter()
-            .filter(|(_, s)| *s == PullSide::Up)
-            .map(|(v, _)| *v)
-            .collect();
-        let unsat = seg
-            .gates
-            .iter()
-            .any(|(v, s)| *s == PullSide::Down && vars_up.contains(v));
-        if unsat {
+        if unsatisfiable(gates) {
             return Verdict::Unsatisfiable;
         }
-        let key = if seg.net_a <= seg.net_b {
-            (seg.net_a.clone(), seg.net_b.clone())
-        } else {
-            (seg.net_b.clone(), seg.net_a.clone())
-        };
-        let sem = self.sem;
-        let paths = self
-            .path_cache
-            .entry(key.clone())
-            .or_insert_with(|| sem.node_paths(&key.0, &key.1));
-        if paths.iter().any(|p| p.is_subset(&seg.gates)) {
+        let pair = usize::from(a) * self.nets.len() + usize::from(b);
+        if self.paths[pair].iter().any(|&path| path & !gates == 0) {
             Verdict::SupersetOfNominal
         } else {
             Verdict::Harmful
+        }
+    }
+
+    /// Whether the segment can alter the cell's function. A `metallic`
+    /// tube conducts with its gates stuck on, so only [`Verdict::SameNet`]
+    /// saves it.
+    pub(crate) fn harmful(&self, a: u16, b: u16, gates: u128, metallic: bool) -> bool {
+        if metallic {
+            a != b
+        } else {
+            self.verdict(a, b, gates) == Verdict::Harmful
+        }
+    }
+
+    /// The named form of a segment.
+    pub(crate) fn segment(&self, a: u16, b: u16, gates: u128) -> Segment {
+        Segment {
+            net_a: self.nets[usize::from(a)].clone(),
+            net_b: self.nets[usize::from(b)].clone(),
+            gates: (0..128u8)
+                .filter(|&bit| gates >> bit & 1 == 1)
+                .map(gate_of)
+                .collect(),
+        }
+    }
+
+    /// Judges a named segment against this layout's nominal networks. A
+    /// net that is not one of the layout's contacts has no nominal path
+    /// (a traced segment always ends on contacts).
+    ///
+    /// # Panics
+    ///
+    /// Panics when a gate's variable index is 64 or more.
+    pub fn classify(&self, seg: &Segment) -> Verdict {
+        if seg.net_a == seg.net_b {
+            return Verdict::SameNet;
+        }
+        let gates = mask_of(&seg.gates);
+        let id = |net: &str| self.nets.iter().position(|n| n == net);
+        match (id(&seg.net_a), id(&seg.net_b)) {
+            (Some(a), Some(b)) => self.verdict(a as u16, b as u16, gates),
+            _ if unsatisfiable(gates) => Verdict::Unsatisfiable,
+            _ => Verdict::Harmful,
         }
     }
 }
@@ -124,8 +198,8 @@ mod tests {
 
     fn nand2_judge_test(segment: Segment, expected: Verdict) {
         let cell = generate_cell(StdCellKind::Nand(2), &GenerateOptions::default()).unwrap();
-        let mut judge = Judge::new(&cell.semantics);
-        assert_eq!(judge.classify(&segment), expected, "{segment:?}");
+        let map = TraceMap::new(&cell.semantics);
+        assert_eq!(map.classify(&segment), expected, "{segment:?}");
     }
 
     #[test]
@@ -184,5 +258,71 @@ mod tests {
             seg("GND", "OUT", &[(0, PullSide::Down), (1, PullSide::Down)]),
             Verdict::SupersetOfNominal,
         );
+    }
+
+    #[test]
+    fn mask_judge_matches_the_set_judge_on_every_gate_subset() {
+        // The superset criterion over `BTreeSet`s, as the string-keyed
+        // judge applied it, against the mask judge for every contact-net
+        // pair and every subset of the cell's polarity-tagged gates.
+        for kind in [StdCellKind::Nand(3), StdCellKind::Aoi31, StdCellKind::Oai22] {
+            let cell = generate_cell(kind, &GenerateOptions::default()).unwrap();
+            let sem = &cell.semantics;
+            let map = TraceMap::new(sem);
+            let bits = 2 * sem.vars.len() as u32;
+            for a in &map.nets {
+                for b in &map.nets {
+                    for subset in 0..1u128 << bits {
+                        let segment = Segment {
+                            net_a: a.clone(),
+                            net_b: b.clone(),
+                            gates: (0..bits as u8)
+                                .filter(|&bit| subset >> bit & 1 == 1)
+                                .map(gate_of)
+                                .collect(),
+                        };
+                        let up: BTreeSet<VarId> = segment
+                            .gates
+                            .iter()
+                            .filter(|(_, s)| *s == PullSide::Up)
+                            .map(|(v, _)| *v)
+                            .collect();
+                        let expected = if a == b {
+                            Verdict::SameNet
+                        } else if segment
+                            .gates
+                            .iter()
+                            .any(|(v, s)| *s == PullSide::Down && up.contains(v))
+                        {
+                            Verdict::Unsatisfiable
+                        } else if sem
+                            .node_paths(a, b)
+                            .iter()
+                            .any(|p| p.is_subset(&segment.gates))
+                        {
+                            Verdict::SupersetOfNominal
+                        } else {
+                            Verdict::Harmful
+                        };
+                        assert_eq!(map.classify(&segment), expected, "{kind} {segment:?}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn gate_bits_round_trip_up_to_the_ceiling() {
+        for var in [0, 1, 31, 32, 63] {
+            for side in [PullSide::Up, PullSide::Down] {
+                assert_eq!(gate_of(gate_bit(VarId(var), side)), (VarId(var), side));
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "64-variable ceiling")]
+    fn gate_bit_refuses_variables_past_the_ceiling() {
+        gate_bit(VarId(64), PullSide::Up);
     }
 }

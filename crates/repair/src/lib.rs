@@ -14,9 +14,8 @@
 //!   parameters, site count)`, so overlapping die ranges share work.
 //! * [`SiteTester`] — evaluates an immune layout against one site's
 //!   concrete defects, reusing the immunity engine's verdict machinery
-//!   ([`cnfet_immunity::trace_polyline`] over the layout's region
-//!   decomposition with the full [`cnfet_immunity::Judge`] superset
-//!   criterion).
+//!   ([`cnfet_immunity::trace_polyline`] over the layout's prepared
+//!   [`TraceMap`] with the full superset criterion).
 //! * [`solve`] — the repair core: assign logical cells onto healthy
 //!   physical sites with either Hopcroft–Karp bipartite matching
 //!   ([`matching`]) or a small DPLL SAT solver with unit propagation
@@ -25,18 +24,22 @@
 //!
 //! [`repair_die`] ties the three together: one call samples a die,
 //! tests every (cell, site) pair, solves the assignment, and returns a
-//! [`DieOutcome`].
+//! [`DieOutcome`]. A die builds nothing of its cells: [`DieSpec`]
+//! borrows each cell's [`TraceMap`], prepared once by the caller and
+//! shared by every die of every lot over that layout.
 //!
 //! # Example
 //!
 //! ```
 //! use cnfet_core::{generate_cell, GenerateOptions, StdCellKind};
+//! use cnfet_immunity::TraceMap;
 //! use cnfet_repair::{repair_die, DefectParams, DieSpec, Solver};
 //!
 //! let inv = generate_cell(StdCellKind::Inv, &GenerateOptions::default()).unwrap();
-//! let layouts = [&inv.semantics, &inv.semantics];
+//! let map = TraceMap::new(&inv.semantics);
+//! let maps = [&map, &map];
 //! let outcome = repair_die(&DieSpec {
-//!     layouts: &layouts,
+//!     maps: &maps,
 //!     die: 0,
 //!     base_seed: 42,
 //!     spares: 2,
@@ -62,15 +65,15 @@ pub use matching::{max_matching, Matching};
 pub use sat::{Cnf, SatResult};
 pub use site::{SiteTester, SiteVerdict};
 
-use cnfet_core::SemanticLayout;
+use cnfet_immunity::TraceMap;
 
 /// Everything that determines one die's repair run: the logical cells'
-/// layouts, the die's place in the seeded defect stream, and the solver
-/// configuration.
+/// prepared layouts, the die's place in the seeded defect stream, and
+/// the solver configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct DieSpec<'a> {
-    /// One semantic layout per logical cell to place.
-    pub layouts: &'a [&'a SemanticLayout],
+    /// One prepared layout ([`TraceMap::new`]) per logical cell to place.
+    pub maps: &'a [&'a TraceMap],
     /// Die index within the lot (keys this die's defect stream).
     pub die: u64,
     /// Lot-level base seed; per-die seeds derive from it via
@@ -110,19 +113,29 @@ pub struct DieOutcome {
     pub assignment: Vec<Option<u32>>,
 }
 
+/// The die's physical site count, one per cell plus the spares, or
+/// `None` when it does not fit in a `u32`.
+pub fn site_count(cells: usize, spares: u32) -> Option<u32> {
+    u32::try_from(cells).ok()?.checked_add(spares)
+}
+
 /// Samples the die's [`DefectMap`], tests every (cell, site) pair with
 /// a [`SiteTester`], and solves the assignment with the requested
 /// [`Solver`]. Fully deterministic in the spec.
+///
+/// # Panics
+///
+/// Panics when the [`site_count`] overflows a `u32`.
 pub fn repair_die(spec: &DieSpec<'_>) -> DieOutcome {
-    let cells = spec.layouts.len();
-    let sites = cells as u32 + spec.spares;
-    let map = DefectMap::sample(spec.base_seed, spec.die, sites, &spec.params);
+    let cells = spec.maps.len();
+    let sites = site_count(cells, spec.spares).expect("die site count overflows u32");
+    let defects = DefectMap::sample(spec.base_seed, spec.die, sites, &spec.params);
 
     // Health matrix: compat[c][s] = cell c's layout survives site s.
     let mut compat = vec![vec![false; sites as usize]; cells];
-    for (c, layout) in spec.layouts.iter().enumerate() {
-        let mut tester = SiteTester::new(layout);
-        for (s, site) in map.sites.iter().enumerate() {
+    for (c, &map) in spec.maps.iter().enumerate() {
+        let tester = SiteTester::new(map);
+        for (s, site) in defects.sites.iter().enumerate() {
             compat[c][s] = tester.test(site, &spec.params).functional;
         }
     }
@@ -165,18 +178,19 @@ pub fn repair_die(spec: &DieSpec<'_>) -> DieOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cnfet_core::{generate_cell, GenerateOptions, StdCellKind};
+    use cnfet_core::{generate_cell, GenerateOptions, StdCellKind, Style};
 
-    fn inv() -> cnfet_core::GeneratedCell {
-        generate_cell(StdCellKind::Inv, &GenerateOptions::default()).unwrap()
+    fn inv_map() -> TraceMap {
+        let cell = generate_cell(StdCellKind::Inv, &GenerateOptions::default()).unwrap();
+        TraceMap::new(&cell.semantics)
     }
 
     #[test]
     fn clean_process_repairs_trivially() {
-        let cell = inv();
-        let layouts = [&cell.semantics, &cell.semantics];
+        let map = inv_map();
+        let maps = [&map, &map];
         let outcome = repair_die(&DieSpec {
-            layouts: &layouts,
+            maps: &maps,
             die: 7,
             base_seed: 1,
             spares: 1,
@@ -197,10 +211,10 @@ mod tests {
 
     #[test]
     fn deterministic_per_die() {
-        let cell = inv();
-        let layouts = [&cell.semantics];
+        let map = inv_map();
+        let maps = [&map];
         let spec = DieSpec {
-            layouts: &layouts,
+            maps: &maps,
             die: 3,
             base_seed: 99,
             spares: 2,
@@ -216,11 +230,69 @@ mod tests {
         // The per-die stream derives from (base_seed, die), never from
         // how many dies a surrounding request sampled — the overlap
         // guarantee the engine's per-die memoization relies on.
-        let cell = inv();
-        let layouts = [&cell.semantics];
         let a = DefectMap::sample(5, 11, 4, &DefectParams::default());
         let b = DefectMap::sample(5, 11, 4, &DefectParams::default());
         assert_eq!(a, b);
-        let _ = layouts;
+    }
+
+    #[test]
+    fn site_count_refuses_to_wrap() {
+        assert_eq!(site_count(3, 2), Some(5));
+        assert_eq!(site_count(0, u32::MAX), Some(u32::MAX));
+        assert_eq!(site_count(3, u32::MAX), None);
+        assert_eq!(site_count(usize::MAX, 0), None);
+    }
+
+    #[test]
+    fn shared_maps_judge_every_die_like_fresh_ones() {
+        // One map per cell, shared by a thousand dies, against maps built
+        // afresh for every die: every site verdict and every outcome must
+        // agree.
+        let cells: Vec<_> = [
+            (StdCellKind::Nand(2), Style::Vulnerable),
+            (StdCellKind::Aoi31, Style::NewImmune),
+            (StdCellKind::Oai21, Style::OldEtched),
+        ]
+        .into_iter()
+        .map(|(kind, style)| {
+            let opts = GenerateOptions {
+                style,
+                ..GenerateOptions::default()
+            };
+            generate_cell(kind, &opts).unwrap()
+        })
+        .collect();
+        let shared: Vec<TraceMap> = cells.iter().map(|c| TraceMap::new(&c.semantics)).collect();
+        let shared: Vec<&TraceMap> = shared.iter().collect();
+        let params = DefectParams {
+            metallic_fraction: 0.03,
+            misposition_fraction: 0.2,
+            ..DefectParams::default()
+        };
+        let mut unrepaired = 0;
+        for die in 0..1000 {
+            let fresh: Vec<TraceMap> = cells.iter().map(|c| TraceMap::new(&c.semantics)).collect();
+            let fresh: Vec<&TraceMap> = fresh.iter().collect();
+            let defects = DefectMap::sample(17, die, 5, &params);
+            for (a, b) in shared.iter().zip(&fresh) {
+                let (a, b) = (SiteTester::new(a), SiteTester::new(b));
+                for site in &defects.sites {
+                    assert_eq!(a.test(site, &params), b.test(site, &params), "die {die}");
+                }
+            }
+            let spec = |maps| DieSpec {
+                maps,
+                die,
+                base_seed: 17,
+                spares: 2,
+                params,
+                solver: Solver::Auto,
+                adjacent: &[(0, 1)],
+            };
+            let outcome = repair_die(&spec(&shared));
+            assert_eq!(outcome, repair_die(&spec(&fresh)), "die {die}");
+            unrepaired += usize::from(!outcome.repaired);
+        }
+        assert!(unrepaired > 0 && unrepaired < 1000, "{unrepaired}");
     }
 }

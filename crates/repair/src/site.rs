@@ -1,9 +1,11 @@
 //! Site testing: one layout against one site's concrete defects.
 //!
-//! A [`SiteTester`] prepares a layout once (region decomposition +
-//! verdict judge) and then evaluates any number of [`SiteDefects`]
-//! against it. Metallic and mispositioned tubes are traced through the
-//! decomposition with [`cnfet_immunity::trace_polyline`] — exactly the
+//! A [`SiteTester`] borrows a layout's prepared
+//! [`TraceMap`] — built once per layout by the
+//! caller and shared by every die — and evaluates any number of
+//! [`SiteDefects`] against it; making one prepares nothing. Metallic and
+//! mispositioned tubes are traced through the map with
+//! [`cnfet_immunity::trace_polyline`] — exactly the
 //! conduction-segment machinery of the Monte-Carlo immunity engine —
 //! so a "harmful" verdict here means precisely what it means there: the
 //! tube creates a contact-to-contact conduction segment that can alter
@@ -13,9 +15,8 @@
 //! fails on drive loss alone.
 
 use crate::defect::{DefectKind, DefectParams, SiteDefects};
-use cnfet_core::SemanticLayout;
 use cnfet_geom::DBU_PER_LAMBDA;
-use cnfet_immunity::{build_columns, trace_polyline, ColumnMap, Judge};
+use cnfet_immunity::{trace_polyline, TraceMap};
 use cnfet_rng::rngs::StdRng;
 use cnfet_rng::{Rng, SeedableRng};
 
@@ -32,28 +33,16 @@ pub struct SiteVerdict {
     pub open_tubes: u32,
 }
 
-/// A prepared per-layout tester: build once, test many sites.
+/// A per-layout tester over a prepared map: test many sites.
+#[derive(Clone, Copy, Debug)]
 pub struct SiteTester<'a> {
-    cm: ColumnMap,
-    judge: Judge<'a>,
-    x0: f64,
-    x1: f64,
-    y0: f64,
-    y1: f64,
+    map: &'a TraceMap,
 }
 
 impl<'a> SiteTester<'a> {
-    /// Prepares the region decomposition and verdict judge of `sem`.
-    pub fn new(sem: &'a SemanticLayout) -> SiteTester<'a> {
-        let bbox = sem.bbox;
-        SiteTester {
-            cm: build_columns(sem),
-            judge: Judge::new(sem),
-            x0: bbox.x0().0 as f64,
-            x1: bbox.x1().0 as f64,
-            y0: bbox.y0().0 as f64,
-            y1: bbox.y1().0 as f64,
-        }
+    /// A tester reading `map`; nothing is built.
+    pub fn new(map: &'a TraceMap) -> SiteTester<'a> {
+        SiteTester { map }
     }
 
     /// Evaluates one site's defects against the prepared layout.
@@ -63,16 +52,17 @@ impl<'a> SiteTester<'a> {
     /// seed (offset uniform over the cell height, then a bounded-slope
     /// random walk — the Monte-Carlo engine's tube model), so the same
     /// defect record always traces the same path over a given layout.
-    pub fn test(&mut self, site: &SiteDefects, params: &DefectParams) -> SiteVerdict {
+    pub fn test(&self, site: &SiteDefects, params: &DefectParams) -> SiteVerdict {
         let mut harmful_shorts = 0u32;
         let mut open_tubes = 0u32;
+        let mut poly = Vec::new();
         for defect in &site.defects {
             match defect.kind {
                 DefectKind::Open => open_tubes += 1,
                 DefectKind::Metallic | DefectKind::Mispositioned => {
-                    let poly = self.polyline(defect.seed, params);
+                    self.polyline(defect.seed, params, &mut poly);
                     let metallic = defect.kind == DefectKind::Metallic;
-                    if trace_polyline(&self.cm, &poly, &mut self.judge, metallic).is_some() {
+                    if trace_polyline(self.map, &poly, metallic).is_some() {
                         harmful_shorts += 1;
                     }
                 }
@@ -87,24 +77,26 @@ impl<'a> SiteTester<'a> {
         }
     }
 
-    /// The tube's trace: an x-monotone polyline spanning the cell, with
-    /// a seeded vertical offset and bounded-slope segments of
-    /// [`DefectParams::segment_len_lambda`].
-    fn polyline(&self, seed: u64, params: &DefectParams) -> Vec<(f64, f64)> {
+    /// Writes the tube's trace into `poly`: an x-monotone polyline
+    /// spanning the cell, with a seeded vertical offset and bounded-slope
+    /// segments of [`DefectParams::segment_len_lambda`].
+    fn polyline(&self, seed: u64, params: &DefectParams, poly: &mut Vec<(f64, f64)>) {
+        let bbox = self.map.bbox();
+        let (x0, x1) = (bbox.x0().0 as f64, bbox.x1().0 as f64);
+        let (y0, y1) = (bbox.y0().0 as f64, bbox.y1().0 as f64);
         let mut rng = StdRng::seed_from_u64(seed);
         let seg_dx = (params.segment_len_lambda * DBU_PER_LAMBDA as f64).max(1.0);
-        let mut poly = Vec::new();
-        let mut x = self.x0;
-        let mut y = rng.gen_range(self.y0..=self.y1);
+        poly.clear();
+        let mut x = x0;
+        let mut y = rng.gen_range(y0..=y1);
         poly.push((x, y));
-        while x < self.x1 {
+        while x < x1 {
             let slope: f64 = rng.gen_range(-params.tau..=params.tau);
-            let nx = (x + seg_dx).min(self.x1);
+            let nx = (x + seg_dx).min(x1);
             y += slope * (nx - x);
             x = nx;
             poly.push((x, y));
         }
-        poly
     }
 }
 
@@ -142,7 +134,8 @@ mod tests {
     #[test]
     fn immune_layout_shrugs_off_mispositioned_tubes() {
         let c = cell(Style::NewImmune);
-        let mut tester = SiteTester::new(&c.semantics);
+        let map = TraceMap::new(&c.semantics);
+        let tester = SiteTester::new(&map);
         let verdict = tester.test(
             &site_of(DefectKind::Mispositioned, 8, 8),
             &DefectParams::default(),
@@ -154,7 +147,8 @@ mod tests {
     #[test]
     fn vulnerable_layout_fails_under_enough_mispositioning() {
         let c = cell(Style::Vulnerable);
-        let mut tester = SiteTester::new(&c.semantics);
+        let map = TraceMap::new(&c.semantics);
+        let tester = SiteTester::new(&map);
         let failures: u32 = (0..64)
             .map(|i| {
                 let site = SiteDefects {
@@ -175,7 +169,8 @@ mod tests {
     #[test]
     fn metallic_tubes_can_break_even_immune_layouts() {
         let c = cell(Style::NewImmune);
-        let mut tester = SiteTester::new(&c.semantics);
+        let map = TraceMap::new(&c.semantics);
+        let tester = SiteTester::new(&map);
         let failures: u32 = (0..64)
             .map(|i| {
                 let site = SiteDefects {
@@ -196,7 +191,8 @@ mod tests {
     #[test]
     fn open_tubes_fail_on_tolerance_not_shorts() {
         let c = cell(Style::NewImmune);
-        let mut tester = SiteTester::new(&c.semantics);
+        let map = TraceMap::new(&c.semantics);
+        let tester = SiteTester::new(&map);
         let params = DefectParams::default(); // tolerance 0.25 of 8 = 2
         let fine = tester.test(&site_of(DefectKind::Open, 8, 2), &params);
         assert!(fine.functional);
@@ -211,8 +207,8 @@ mod tests {
         let c = cell(Style::NewImmune);
         let params = DefectParams::default();
         let map = DefectMap::sample(11, 0, 8, &params);
-        let mut a = SiteTester::new(&c.semantics);
-        let mut b = SiteTester::new(&c.semantics);
+        let (map_a, map_b) = (TraceMap::new(&c.semantics), TraceMap::new(&c.semantics));
+        let (a, b) = (SiteTester::new(&map_a), SiteTester::new(&map_b));
         for site in &map.sites {
             assert_eq!(a.test(site, &params), b.test(site, &params));
         }

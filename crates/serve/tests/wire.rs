@@ -1164,6 +1164,67 @@ fn repair_lot_streams_dies_and_reuses_overlap() {
 }
 
 #[test]
+fn repair_site_counts_past_u32_and_bad_params_answer_400() {
+    // Three cells plus u32::MAX spares used to wrap to two sites per die
+    // and report every die unrepairable.
+    let server = server();
+    let mut client = Client::new(server.addr());
+    let cells = || {
+        Json::Arr(vec![
+            cell_fields("inv"),
+            cell_fields("nand2"),
+            cell_fields("nor2"),
+        ])
+    };
+    for (body, field) in [
+        (
+            Json::obj([
+                ("type", Json::str("repair")),
+                ("cells", cells()),
+                ("spares", Json::from(u64::from(u32::MAX))),
+            ]),
+            "spares",
+        ),
+        (
+            Json::obj([
+                ("type", Json::str("die")),
+                ("cells", cells()),
+                ("die", Json::from(3u64)),
+                ("spares", Json::from(u64::from(u32::MAX))),
+            ]),
+            "spares",
+        ),
+        (
+            Json::obj([
+                ("type", Json::str("repair")),
+                ("cells", cells()),
+                ("params", Json::obj([("tau", Json::from(-1.0))])),
+            ]),
+            "params.tau",
+        ),
+    ] {
+        let response = client
+            .request("POST", "/v1/run")
+            .body(&body)
+            .send()
+            .unwrap();
+        assert_eq!(response.status, 400, "{field}");
+        let error = response.body.get("error").unwrap();
+        assert_eq!(
+            error.get("kind").unwrap().as_str(),
+            Some("invalid_request"),
+            "{field}"
+        );
+        let message = error.get("message").unwrap().as_str().unwrap();
+        assert!(
+            message.contains(&format!(" {field}: ")),
+            "the 400 names the offending field: {message}"
+        );
+    }
+    server.shutdown();
+}
+
+#[test]
 fn binary_die_tables_reassemble_identical_to_json() {
     let server = server();
     let mut client = Client::new(server.addr());

@@ -21,6 +21,11 @@
 //! bounded worker set never deadlocks on the fan-out), and reduces the
 //! per-die outcomes into a [`RepairReport`].
 //!
+//! A die builds nothing of its cells: [`DieSpec`] borrows each cell's
+//! [`TraceMap`], built at most once per cached cell and shared, through
+//! the cached [`CellResult`], by every die of every lot (and by every
+//! immunity analysis) over that cell.
+//!
 //! Memoization works at both granularities in the
 //! [`RequestClass::Repairs`](crate::RequestClass::Repairs) cache: a
 //! repeated lot is one pure whole-report hit, and a *new* lot that
@@ -54,8 +59,11 @@ pub use cnfet_repair::{
     SiteVerdict, Solver, TubeDefect,
 };
 
-use crate::error::Result;
-use crate::session::{CellRequest, Observer, Session};
+use crate::error::{CnfetError, Result};
+use crate::immunity::TraceMap;
+use crate::session::{CellKey, CellRequest, CellResult, Observer, Session};
+use crate::sweep::{canonical_axis_value, check_axis_value};
+use cnfet_repair::site_count;
 use std::sync::Arc;
 
 // ---------------------------------------------------------------------------
@@ -174,6 +182,28 @@ impl RepairRequest {
         usize::try_from(self.dies).unwrap_or(usize::MAX)
     }
 
+    /// Checks that a die's site count (one per cell plus the spares)
+    /// fits in a `u32` and that every [`DefectParams`] float is finite
+    /// and non-negative. An invalid lot gets no cache key and `execute`
+    /// rejects it.
+    ///
+    /// # Errors
+    ///
+    /// [`CnfetError::InvalidRequest`] naming the offending field
+    /// (`spares`, or e.g. `params.tau`).
+    pub fn validate(&self) -> Result<()> {
+        validate_die(self.cells.len(), self.spares, &self.params)
+    }
+
+    /// The structural cache key of the whole lot: a die's key with the
+    /// lot size in place of the die index.
+    pub(crate) fn key(&self, session: &Session) -> RepairKey {
+        RepairKey {
+            dies: self.dies,
+            ..self.die_request(0).key(session)
+        }
+    }
+
     /// The per-die sub-request of one die index.
     fn die_request(&self, die: u64) -> DieRequest {
         DieRequest {
@@ -209,6 +239,81 @@ pub struct DieRequest {
     pub solver: Solver,
     /// Adjacency constraints (cell index pairs).
     pub adjacent: Vec<(u32, u32)>,
+}
+
+impl DieRequest {
+    /// The same checks as [`RepairRequest::validate`].
+    ///
+    /// # Errors
+    ///
+    /// [`CnfetError::InvalidRequest`] naming the offending field.
+    pub fn validate(&self) -> Result<()> {
+        validate_die(self.cells.len(), self.spares, &self.params)
+    }
+
+    /// The structural cache key of this die.
+    pub(crate) fn key(&self, session: &Session) -> RepairKey {
+        RepairKey {
+            cells: self
+                .cells
+                .iter()
+                .map(|cell| session.catalog_key(cell).0)
+                .collect(),
+            dies: self.die,
+            base_seed: self.base_seed,
+            spares: self.spares,
+            tubes_per_site: self.params.tubes_per_site,
+            params: param_floats(&self.params).map(|(_, v)| canonical_axis_value(v).to_bits()),
+            solver: self.solver,
+            adjacent: self.adjacent.clone(),
+        }
+    }
+}
+
+/// The memoization input of a repair lot or one die: the resolved cell
+/// keys, the process, and the solver set-up. Floats are keyed by their
+/// bits with `-0.0` folded to `0.0`; only valid requests get a key, so
+/// no NaN ever reaches one.
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+pub(crate) struct RepairKey {
+    cells: Vec<CellKey>,
+    /// The lot size in a lot key, the die index in a die key.
+    dies: u64,
+    base_seed: u64,
+    spares: u32,
+    tubes_per_site: u32,
+    /// The [`param_floats`], in order.
+    params: [u64; 6],
+    solver: Solver,
+    adjacent: Vec<(u32, u32)>,
+}
+
+/// The float fields of [`DefectParams`], named as on the wire.
+fn param_floats(params: &DefectParams) -> [(&'static str, f64); 6] {
+    [
+        ("metallic_fraction", params.metallic_fraction),
+        ("open_fraction", params.open_fraction),
+        ("misposition_fraction", params.misposition_fraction),
+        ("open_tolerance", params.open_tolerance),
+        ("tau", params.tau),
+        ("segment_len_lambda", params.segment_len_lambda),
+    ]
+}
+
+fn validate_die(cells: usize, spares: u32, params: &DefectParams) -> Result<()> {
+    if site_count(cells, spares).is_none() {
+        return Err(CnfetError::InvalidRequest {
+            field: "spares".into(),
+            message: format!(
+                "{cells} cells plus {spares} spares exceed {} sites per die",
+                u32::MAX
+            ),
+        });
+    }
+    for (name, value) in param_floats(params) {
+        check_axis_value(value, || format!("params.{name}"))?;
+    }
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -350,6 +455,7 @@ pub(crate) fn execute_repair(
     request: &RepairRequest,
     session: &Session,
 ) -> Result<Arc<RepairReport>> {
+    request.validate()?;
     let dies = session
         .fan_out((0..request.dies).map(|die| request.die_request(die)))
         .observed(request.observer.as_ref())?;
@@ -360,18 +466,20 @@ pub(crate) fn execute_repair(
     )))
 }
 
-/// Executes one die: generate (or recall) every cell layout through the
-/// session cache, then hand the pure per-die pipeline to
+/// Executes one die: recall (or generate) every cell through the
+/// session cache together with its trace map — built once per cached
+/// cell, never per die — then hand the pure per-die pipeline to
 /// [`cnfet_repair::repair_die`].
 pub(crate) fn execute_die(request: &DieRequest, session: &Session) -> Result<DieOutcome> {
-    let cells: Vec<Arc<crate::core::GeneratedCell>> = request
+    request.validate()?;
+    let cells: Vec<CellResult> = request
         .cells
         .iter()
-        .map(|cell| session.run(cell).map(|r| r.cell))
+        .map(|cell| session.run(cell))
         .collect::<Result<_>>()?;
-    let layouts: Vec<&crate::core::SemanticLayout> = cells.iter().map(|c| &c.semantics).collect();
+    let maps: Vec<&TraceMap> = cells.iter().map(CellResult::trace_map).collect();
     Ok(repair_die(&DieSpec {
-        layouts: &layouts,
+        maps: &maps,
         die: request.die,
         base_seed: request.base_seed,
         spares: request.spares,
@@ -452,5 +560,123 @@ mod tests {
         assert_eq!(text, report.render());
         assert!(text.contains("unrepairable dies: 5"), "{text}");
         assert!(text.contains("yield after repair: 1/2 (50.00%)"), "{text}");
+    }
+
+    fn lot() -> RepairRequest {
+        use crate::core::StdCellKind;
+        RepairRequest::new([StdCellKind::Inv, StdCellKind::Nand(2)]).dies(4)
+    }
+
+    /// The `field`th of the [`param_floats`], mutably.
+    fn param_float(params: &mut DefectParams, field: usize) -> &mut f64 {
+        match field {
+            0 => &mut params.metallic_fraction,
+            1 => &mut params.open_fraction,
+            2 => &mut params.misposition_fraction,
+            3 => &mut params.open_tolerance,
+            4 => &mut params.tau,
+            _ => &mut params.segment_len_lambda,
+        }
+    }
+
+    fn with_params(request: &RepairRequest, edit: impl FnOnce(&mut DefectParams)) -> RepairRequest {
+        let mut params = request.params;
+        edit(&mut params);
+        request.clone().params(params)
+    }
+
+    #[test]
+    fn repair_keys_fold_negative_zero_and_tell_every_field_apart() {
+        use crate::core::StdCellKind;
+        use crate::request::SessionRequest;
+        let session = Session::new();
+        let lot_key = |r: &RepairRequest| r.cache_key(&session).unwrap();
+        let base = lot();
+
+        // -0.0 and 0.0 are one process, so one key — for lots and dies.
+        let zero = with_params(&base, |p| p.open_fraction = 0.0);
+        let negative_zero = with_params(&base, |p| p.open_fraction = -0.0);
+        assert_eq!(lot_key(&zero), lot_key(&negative_zero));
+        assert_eq!(
+            zero.die_request(1).cache_key(&session),
+            negative_zero.die_request(1).cache_key(&session)
+        );
+
+        let mut variants = vec![
+            base.clone(),
+            base.clone().dies(5),
+            base.clone().base_seed(1),
+            base.clone().spares(2),
+            base.clone().solver(Solver::Sat),
+            base.clone().adjacent([(0, 1)]),
+            RepairRequest {
+                cells: vec![StdCellKind::Inv.into(), StdCellKind::Nor(2).into()],
+                ..base.clone()
+            },
+            with_params(&base, |p| p.tubes_per_site += 1),
+        ];
+        for field in 0..6 {
+            variants.push(with_params(&base, |p| *param_float(p, field) += 0.5));
+        }
+        let keys: Vec<_> = variants.iter().map(lot_key).collect();
+        for (i, a) in keys.iter().enumerate() {
+            for b in &keys[i + 1..] {
+                assert_ne!(a, b);
+            }
+        }
+
+        // A lot of four dies and die index four of the same lot share
+        // every field value, yet never a key.
+        let die = base.die_request(4);
+        assert_ne!(die.cache_key(&session).unwrap(), lot_key(&base));
+        assert_ne!(
+            base.die_request(4).cache_key(&session),
+            base.die_request(5).cache_key(&session)
+        );
+    }
+
+    #[test]
+    fn invalid_lots_and_dies_are_refused_with_the_field_path() {
+        use crate::core::StdCellKind;
+        use crate::request::SessionRequest;
+        use crate::CnfetError;
+        let session = Session::new();
+        let three =
+            RepairRequest::new([StdCellKind::Inv, StdCellKind::Nand(2), StdCellKind::Nor(2)]);
+        let field_of = |result: Result<()>| match result {
+            Err(CnfetError::InvalidRequest { field, .. }) => field,
+            other => panic!("expected an invalid request, got {other:?}"),
+        };
+
+        // Three cells plus u32::MAX spares overflow the site count.
+        let wide = three.clone().spares(u32::MAX);
+        assert_eq!(field_of(wide.validate()), "spares");
+        assert_eq!(field_of(wide.die_request(0).validate()), "spares");
+        assert!(wide.cache_key(&session).is_none());
+        assert!(wide.die_request(0).cache_key(&session).is_none());
+        assert!(matches!(
+            session.run(&wide),
+            Err(CnfetError::InvalidRequest { .. })
+        ));
+        assert!(matches!(
+            session.run(&wide.die_request(0)),
+            Err(CnfetError::InvalidRequest { .. })
+        ));
+        // The largest count that fits is valid.
+        assert!(three.clone().spares(u32::MAX - 3).validate().is_ok());
+
+        for (field, (name, _)) in param_floats(&three.params).into_iter().enumerate() {
+            for bad in [f64::NAN, f64::INFINITY, -1.0] {
+                let request = with_params(&three, |p| *param_float(p, field) = bad);
+                assert_eq!(field_of(request.validate()), format!("params.{name}"));
+                assert!(request.cache_key(&session).is_none());
+                assert!(request.die_request(0).cache_key(&session).is_none());
+            }
+        }
+        assert_eq!(
+            session.stats().repairs.misses,
+            0,
+            "no invalid key was cached"
+        );
     }
 }

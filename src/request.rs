@@ -43,7 +43,7 @@ use crate::macros::{MacroReport, MacroRequest, MacroSliceRequest, SliceOutcome};
 use crate::optimize::{
     CandidateOutcome, OptimizeCandidateRequest, OptimizeReport, OptimizeRequest,
 };
-use crate::repair::{DieOutcome, DieRequest, RepairReport, RepairRequest};
+use crate::repair::{DieOutcome, DieRequest, RepairKey, RepairReport, RepairRequest};
 use crate::session::{
     CellKey, CellRequest, CellResult, FlowRequest, FlowResult, FlowSource, FlowTarget,
     ImmunityEngine, ImmunityReport, ImmunityRequest, LibraryRequest, Session, TranRequest,
@@ -167,16 +167,16 @@ pub(crate) enum KeyInner {
     /// cache next to whole sweeps — the variant tag keeps a one-corner
     /// sweep and its own corner from ever colliding.
     SweepCorner(String),
-    /// Whole repair lots: a canonical rendering of the resolved cell
-    /// keys plus the lot size, seed, spare count, process parameters,
-    /// solver, and adjacency constraints.
-    Repair(String),
-    /// One die's repair: the same rendering with the die *index* in
-    /// place of the lot size — never the surrounding lot's die count, so
+    /// Whole repair lots: the resolved cell keys plus the lot size,
+    /// seed, spare count, canonical process parameters, solver, and
+    /// adjacency constraints, as typed fields.
+    Repair(RepairKey),
+    /// One die's repair: the same fields with the die *index* in place
+    /// of the lot size — never the surrounding lot's die count, so
     /// overlapping lots share die outcomes. Lives in the
     /// [`RequestClass::Repairs`] cache next to whole lots; the variant
     /// tag keeps a one-die lot and its own die from ever colliding.
-    Die(String),
+    Die(RepairKey),
     /// Whole optimization trajectories: a canonical rendering of the
     /// resolved cell keys plus the search grid, target, pass count,
     /// metric selection, MC base options, and loads.
@@ -300,10 +300,7 @@ impl SessionRequest for CellRequest {
         if let Some(name) = &self.name {
             cell.name = name.clone();
         }
-        Ok(CellResult {
-            cell: Arc::new(cell),
-            cached: false,
-        })
+        Ok(CellResult::new(cell))
     }
 
     fn annotate(mut output: CellResult, cached: bool) -> CellResult {
@@ -361,19 +358,17 @@ impl SessionRequest for ImmunityRequest {
     /// analysis (certification or a deterministic seeded Monte-Carlo) is
     /// a pure immunity-cache hit that never touches the cell cache.
     fn execute(&self, session: &Session) -> Result<ImmunityReport> {
-        let cell = session.run(&self.cell)?.cell;
+        let result = session.run(&self.cell)?;
+        let map = result.trace_map();
         let (cert, mc) = match &self.engine {
-            ImmunityEngine::Certify => (Some(certify(&cell.semantics)), None),
-            ImmunityEngine::MonteCarlo(opts) => (None, Some(simulate(&cell.semantics, opts))),
-            ImmunityEngine::Both(opts) => (
-                Some(certify(&cell.semantics)),
-                Some(simulate(&cell.semantics, opts)),
-            ),
+            ImmunityEngine::Certify => (Some(certify(map)), None),
+            ImmunityEngine::MonteCarlo(opts) => (None, Some(simulate(map, opts))),
+            ImmunityEngine::Both(opts) => (Some(certify(map)), Some(simulate(map, opts))),
         };
         let immune =
             cert.as_ref().is_none_or(|c| c.immune) && mc.as_ref().is_none_or(|m| m.failures == 0);
         Ok(ImmunityReport {
-            cell,
+            cell: result.cell,
             immune,
             cert,
             mc,
@@ -597,19 +592,13 @@ impl SessionRequest for RepairRequest {
     /// Whole-lot memoization: cell keys are resolved against the session
     /// defaults (implicit and explicit defaults share one entry), then
     /// combined with the lot size, seed, spare count, process
-    /// parameters, solver, and adjacency constraints. The attached
-    /// [`Observer`](crate::Observer), if any, is deliberately
-    /// excluded — observation is not identity.
+    /// parameters (`-0.0` folded to `0.0`), solver, and adjacency
+    /// constraints. An invalid lot (see [`RepairRequest::validate`]) gets
+    /// no key. The attached [`Observer`](crate::Observer), if any, is
+    /// deliberately excluded — observation is not identity.
     fn cache_key(&self, session: &Session) -> Option<CacheKey> {
-        let cell_keys: Vec<CellKey> = self
-            .cells
-            .iter()
-            .map(|cell| session.catalog_key(cell).0)
-            .collect();
-        Some(CacheKey(KeyInner::Repair(format!(
-            "{cell_keys:?}|{}|{}|{}|{:?}|{:?}|{:?}",
-            self.dies, self.base_seed, self.spares, self.params, self.solver, self.adjacent
-        ))))
+        self.validate().ok()?;
+        Some(CacheKey(KeyInner::Repair(self.key(session))))
     }
 
     /// Fans one [`DieRequest`] per die out through the session's job
@@ -630,17 +619,11 @@ impl SessionRequest for DieRequest {
 
     /// Per-die memoization: keyed by the die *index* within the seeded
     /// stream, never by any surrounding lot's size — a lot that overlaps
-    /// an earlier one re-executes only the dies it adds.
+    /// an earlier one re-executes only the dies it adds. An invalid die
+    /// gets no key.
     fn cache_key(&self, session: &Session) -> Option<CacheKey> {
-        let cell_keys: Vec<CellKey> = self
-            .cells
-            .iter()
-            .map(|cell| session.catalog_key(cell).0)
-            .collect();
-        Some(CacheKey(KeyInner::Die(format!(
-            "{cell_keys:?}|{}|{}|{}|{:?}|{:?}|{:?}",
-            self.die, self.base_seed, self.spares, self.params, self.solver, self.adjacent
-        ))))
+        self.validate().ok()?;
+        Some(CacheKey(KeyInner::Die(self.key(session))))
     }
 
     fn execute(&self, session: &Session) -> Result<DieOutcome> {
@@ -835,10 +818,7 @@ impl SessionRequest for CustomCellRequest {
             self.vars.clone(),
             &opts,
         )?;
-        Ok(CellResult {
-            cell: Arc::new(cell),
-            cached: false,
-        })
+        Ok(CellResult::new(cell))
     }
 
     fn annotate(mut output: CellResult, cached: bool) -> CellResult {

@@ -64,7 +64,7 @@ use crate::core::{GenerateOptions, GeneratedCell, RowPolicy, Scheme, Sizing, Std
 use crate::dk::DesignKit;
 use crate::error::Result;
 use crate::flow::{Netlist, NetlistMetrics, Placement};
-use crate::immunity::{CertReport, McOptions, McReport};
+use crate::immunity::{CertReport, McOptions, McReport, TraceMap};
 use crate::jobs::{job_channel, next_batch_id, Job, JobHandle, Pool};
 use crate::logic::{SpNetwork, VarTable};
 use crate::request::{CustomCellRequest, RequestClass, RequestKind, ResponseKind, SessionRequest};
@@ -133,12 +133,42 @@ impl From<StdCellKind> for CellRequest {
 }
 
 /// The answer to a [`CellRequest`].
-#[derive(Clone, Debug)]
+#[derive(Clone)]
 pub struct CellResult {
     /// The generated (possibly cache-shared) layout.
     pub cell: Arc<GeneratedCell>,
     /// Whether the session cache already held this layout.
     pub cached: bool,
+    /// The layout's tube trace map, built on first use and shared by
+    /// every clone — so by every request that recalls this cached cell.
+    trace: Arc<OnceLock<TraceMap>>,
+}
+
+impl CellResult {
+    /// A freshly generated cell, its trace map not built yet.
+    pub(crate) fn new(cell: GeneratedCell) -> CellResult {
+        CellResult {
+            cell: Arc::new(cell),
+            cached: false,
+            trace: Arc::default(),
+        }
+    }
+
+    /// The cell's trace map, built on the first call for this cached
+    /// cell and shared thereafter.
+    pub(crate) fn trace_map(&self) -> &TraceMap {
+        self.trace
+            .get_or_init(|| TraceMap::new(&self.cell.semantics))
+    }
+}
+
+impl std::fmt::Debug for CellResult {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("CellResult")
+            .field("cell", &self.cell)
+            .field("cached", &self.cached)
+            .finish_non_exhaustive()
+    }
 }
 
 /// A request for a full standard-cell library.

@@ -632,14 +632,15 @@ pub(crate) fn execute_sweep(request: &SweepRequest, session: &Session) -> Result
 /// Evaluates one cell at one corner.
 pub(crate) fn execute_corner(request: &SweepCornerRequest, session: &Session) -> Result<CornerRow> {
     request.corner.validate("corner")?;
-    let cell = session.run(&request.cell)?.cell;
+    let result = session.run(&request.cell)?;
+    let cell = result.cell.clone();
     let corner = request.corner;
     let kind = request.cell.kind;
     let strength = request.cell.strength.max(1);
 
     let (mc_tubes, mc_failures, immune, metallic) = if request.metrics.immunity {
         let report = simulate(
-            &cell.semantics,
+            result.trace_map(),
             &McOptions {
                 seed: corner.seed,
                 metallic_fraction: corner.metallic_fraction,

@@ -106,7 +106,8 @@ fn arbitrary_functions_generate_immune_layouts() {
             .generate_custom(format!("prop_{expr}"), pdn, pun, vars, Some(opts.clone()))
             .unwrap();
         assert!(result.cell.active_area_l2() > 0.0, "case {case} `{expr}`");
-        let report = cnfet::immunity::certify(&result.cell.semantics);
+        let map = cnfet::immunity::TraceMap::new(&result.cell.semantics);
+        let report = cnfet::immunity::certify(&map);
         assert!(
             report.immune,
             "case {case} `{expr}` harmful: {:?}",
