@@ -1,8 +1,11 @@
 //! Bench: transient-simulation throughput (the Figure 7 / Case-study hot
-//! path).
+//! path), and one-load cell characterizations (the library and macro
+//! slice hot path: a 2 ps grid over 4.4 ns, mostly settled).
 
 use cnfet_bench::harness::Harness;
+use cnfet_core::{Scheme, StdCellKind};
 use cnfet_device::{CnfetModel, Polarity};
+use cnfet_dk::{characterize_cell_at, fingered_layout, CharCorner, DesignKit, LibCell};
 use cnfet_mna::{Engine, Pattern, SourceWave, TranSpec, Waveform};
 use cnfet_spice::{to_mna, Circuit};
 use std::sync::Arc;
@@ -58,5 +61,22 @@ fn main() {
     h.bench("transient_inv15_250steps", 20, || {
         transient(&ckt15, 2e-12, 0.5e-9)
     });
+    let kit = DesignKit::cnfet65();
+    for (name, kind, strength, load_f) in [
+        ("characterize_inv9_1load", StdCellKind::Inv, 9, 2e-15),
+        ("characterize_aoi31_1load", StdCellKind::Aoi31, 1, 1e-15),
+    ] {
+        let layout = fingered_layout(kind, strength, &kit, Scheme::Scheme1).unwrap();
+        let cell = LibCell::from_layout(
+            &kit,
+            kind,
+            strength,
+            Arc::new(layout),
+            kit.tubes_per_4lambda,
+        );
+        h.bench(name, 20, || {
+            characterize_cell_at(&kit, &cell, &[load_f], CharCorner::nominal(&kit)).unwrap()
+        });
+    }
     h.finish();
 }

@@ -2,8 +2,8 @@
 //!
 //! The workspace builds without network access, so criterion is not an
 //! option; this harness covers what the perf work needs: named samples
-//! over a fixed iteration count, min/mean/max reporting, and a machine-
-//! readable JSON baseline under `target/bench-baselines/<suite>.json`
+//! over a fixed iteration count, min/median/mean/max reporting, and a
+//! machine-readable JSON baseline under `target/bench-baselines/<suite>.json`
 //! that future perf PRs diff against.
 
 use std::hint::black_box;
@@ -20,6 +20,9 @@ pub struct Sample {
     pub mean_ns: f64,
     /// Fastest iteration, nanoseconds.
     pub min_ns: f64,
+    /// Median iteration, nanoseconds; `None` when read from a baseline
+    /// written before medians were recorded.
+    pub median_ns: Option<f64>,
     /// Slowest iteration, nanoseconds.
     pub max_ns: f64,
 }
@@ -37,8 +40,8 @@ impl Harness {
         let suite = suite.into();
         println!("bench suite `{suite}`");
         println!(
-            "{:<38} {:>6} {:>12} {:>12} {:>12}",
-            "name", "iters", "min", "mean", "max"
+            "{:<38} {:>6} {:>12} {:>12} {:>12} {:>12}",
+            "name", "iters", "min", "median", "mean", "max"
         );
         Harness {
             suite,
@@ -58,14 +61,16 @@ impl Harness {
             black_box(f());
             times.push(t0.elapsed().as_secs_f64() * 1e9);
         }
-        let min = times.iter().copied().fold(f64::INFINITY, f64::min);
-        let max = times.iter().copied().fold(0.0f64, f64::max);
         let mean = times.iter().sum::<f64>() / times.len() as f64;
+        times.sort_by(f64::total_cmp);
+        let (min, max) = (times[0], times[times.len() - 1]);
+        let median = median(&times);
         println!(
-            "{:<38} {:>6} {:>12} {:>12} {:>12}",
+            "{:<38} {:>6} {:>12} {:>12} {:>12} {:>12}",
             name,
             iters,
             fmt_ns(min),
+            fmt_ns(median),
             fmt_ns(mean),
             fmt_ns(max)
         );
@@ -74,6 +79,7 @@ impl Harness {
             iters: iters.max(1),
             mean_ns: mean,
             min_ns: min,
+            median_ns: Some(median),
             max_ns: max,
         });
     }
@@ -101,8 +107,12 @@ impl Harness {
             self.suite
         ));
         for (i, s) in self.samples.iter().enumerate() {
+            let median = s
+                .median_ns
+                .map(|m| format!(", \"median_ns\": {m:.1}"))
+                .unwrap_or_default();
             out.push_str(&format!(
-                "    {{\"name\": \"{}\", \"iters\": {}, \"min_ns\": {:.1}, \"mean_ns\": {:.1}, \"max_ns\": {:.1}}}{}\n",
+                "    {{\"name\": \"{}\", \"iters\": {}, \"min_ns\": {:.1}{median}, \"mean_ns\": {:.1}, \"max_ns\": {:.1}}}{}\n",
                 s.name,
                 s.iters,
                 s.min_ns,
@@ -120,6 +130,8 @@ impl Harness {
 /// back into `(suite, samples)`. This is the exact inverse of
 /// [`Harness::to_json`] — a hand-rolled scanner, since the workspace
 /// builds without serde — and returns `None` on any malformed field.
+/// `median_ns` is optional: baselines recorded before it existed read
+/// back with `median_ns: None`.
 pub fn parse_baseline(json: &str) -> Option<(String, Vec<Sample>)> {
     let suite = field_str(json, "\"suite\"")?;
     let mut samples = Vec::new();
@@ -130,6 +142,7 @@ pub fn parse_baseline(json: &str) -> Option<(String, Vec<Sample>)> {
             name: field_str(&chunk, "\"name\"")?,
             iters: field_f64(&chunk, "\"iters\"")? as u32,
             min_ns: field_f64(&chunk, "\"min_ns\"")?,
+            median_ns: field_f64(&chunk, "\"median_ns\""),
             mean_ns: field_f64(&chunk, "\"mean_ns\"")?,
             max_ns: field_f64(&chunk, "\"max_ns\"")?,
         });
@@ -179,6 +192,17 @@ fn baseline_dir() -> std::path::PathBuf {
     std::path::PathBuf::from("target/bench-baselines")
 }
 
+/// The median of a sorted, non-empty slice (the mean of the two middle
+/// values for an even count).
+fn median(sorted: &[f64]) -> f64 {
+    let mid = sorted.len() / 2;
+    if sorted.len().is_multiple_of(2) {
+        (sorted[mid - 1] + sorted[mid]) / 2.0
+    } else {
+        sorted[mid]
+    }
+}
+
 fn fmt_ns(ns: f64) -> String {
     if ns >= 1e9 {
         format!("{:.3} s", ns / 1e9)
@@ -207,6 +231,8 @@ mod tests {
         assert_eq!(h.samples.len(), 1);
         assert!(h.samples[0].min_ns <= h.samples[0].mean_ns);
         assert!(h.samples[0].mean_ns <= h.samples[0].max_ns);
+        let median = h.samples[0].median_ns.expect("recorded");
+        assert!(h.samples[0].min_ns <= median && median <= h.samples[0].max_ns);
         let json = h.to_json();
         assert!(json.contains("\"suite\": \"unit\""));
         assert!(json.contains("\"name\": \"counting\""));
@@ -227,6 +253,36 @@ mod tests {
         assert_eq!(samples[1].name, "slow");
         assert!((samples[1].min_ns - h.samples[1].min_ns).abs() < 0.11);
         assert!((samples[1].mean_ns - h.samples[1].mean_ns).abs() < 0.11);
+        let (read, written) = (samples[1].median_ns, h.samples[1].median_ns);
+        assert!((read.unwrap() - written.unwrap()).abs() < 0.11);
+    }
+
+    #[test]
+    fn median_of_odd_and_even_counts() {
+        assert_eq!(median(&[1.0, 2.0, 9.0]), 2.0);
+        assert_eq!(median(&[1.0, 2.0, 4.0, 9.0]), 3.0);
+        assert_eq!(median(&[5.0]), 5.0);
+    }
+
+    /// Baselines written before medians were recorded still parse, with
+    /// no median; the committed ones among them.
+    #[test]
+    fn parse_baseline_reads_files_without_a_median() {
+        let old =
+            "{\n  \"suite\": \"old\",\n  \"samples\": [\n    {\"name\": \"a\", \"iters\": 5, \
+                   \"min_ns\": 10.0, \"mean_ns\": 12.5, \"max_ns\": 20.0}\n  ]\n}\n";
+        let (suite, samples) = parse_baseline(old).expect("parses");
+        assert_eq!(suite, "old");
+        assert_eq!(samples[0].min_ns, 10.0);
+        assert_eq!(samples[0].median_ns, None);
+        for committed in [
+            include_str!("../baselines/session.json"),
+            include_str!("../baselines/serve.json"),
+        ] {
+            let (_, samples) = parse_baseline(committed).expect("committed baseline parses");
+            assert!(!samples.is_empty());
+            assert!(samples.iter().all(|s| s.min_ns > 0.0));
+        }
     }
 
     #[test]

@@ -8,6 +8,11 @@
 /// (not merely small) below threshold — simulators add a `gmin` shunt for
 /// convergence.
 ///
+/// The parameters are fixed at [`AlphaPowerLaw::new`] and read through
+/// accessors: the normalizing factor `(vdd − vth)^α` is computed once
+/// there rather than on every current evaluation (four per FET per Newton
+/// iteration in a transient), so no field may change behind its back.
+///
 /// # Example
 ///
 /// ```
@@ -15,18 +20,16 @@
 /// let m = AlphaPowerLaw::new(0.22, 1.25, 0.8, 1.0);
 /// assert!((m.id(1.0, 1.0) - 1.0).abs() < 1e-12);
 /// assert_eq!(m.id(0.1, 1.0), 0.0); // below threshold
+/// assert_eq!((m.vth(), m.alpha(), m.vd0(), m.vdd()), (0.22, 1.25, 0.8, 1.0));
 /// ```
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct AlphaPowerLaw {
-    /// Threshold voltage (V).
-    pub vth: f64,
-    /// Velocity-saturation index `α` (2 = long channel, →1 = fully
-    /// velocity-saturated).
-    pub alpha: f64,
-    /// Saturation-voltage coefficient: `Vdsat = vd0·(Vgs−Vth)^(α/2)`.
-    pub vd0: f64,
-    /// Supply voltage the normalization refers to.
-    pub vdd: f64,
+    vth: f64,
+    alpha: f64,
+    vd0: f64,
+    vdd: f64,
+    /// `(vdd − vth)^α`: the saturation factor at `vgs = vdd`.
+    full: f64,
 }
 
 impl AlphaPowerLaw {
@@ -43,7 +46,29 @@ impl AlphaPowerLaw {
             alpha,
             vd0,
             vdd,
+            full: (vdd - vth).powf(alpha),
         }
+    }
+
+    /// Threshold voltage (V).
+    pub fn vth(&self) -> f64 {
+        self.vth
+    }
+
+    /// Velocity-saturation index `α` (2 = long channel, →1 = fully
+    /// velocity-saturated).
+    pub fn alpha(&self) -> f64 {
+        self.alpha
+    }
+
+    /// Saturation-voltage coefficient: `Vdsat = vd0·(Vgs−Vth)^(α/2)`.
+    pub fn vd0(&self) -> f64 {
+        self.vd0
+    }
+
+    /// Supply voltage the normalization refers to.
+    pub fn vdd(&self) -> f64 {
+        self.vdd
     }
 
     /// Saturation current factor at gate overdrive `vgs` (before vds
@@ -53,8 +78,7 @@ impl AlphaPowerLaw {
         if vov <= 0.0 {
             return 0.0;
         }
-        let full = (self.vdd - self.vth).powf(self.alpha);
-        vov.powf(self.alpha) / full
+        vov.powf(self.alpha) / self.full
     }
 
     /// Saturation drain voltage at the given gate voltage.

@@ -17,11 +17,27 @@
 //! engine remembers which system its factorization belongs to and
 //! forgets it at the start of every [`Engine::dc`], so circuits with new
 //! values never meet a stale LU.
+//!
+//! A transient step is a pure function of the previous solution (the
+//! Newton guess), the dynamic elements' companion state, every source
+//! value at the step's end time, the step length, the method, [`GMIN`]
+//! and the LU's recorded pivot order. When a full step returns the
+//! solution and the companion state bit for bit unchanged, and needed
+//! no halving and no fresh pivot search, it is a fixed point of that
+//! function: every following step with bitwise-equal sources and step
+//! length repeats the same arithmetic and lands on the same bits.
+//! [`Engine::tran`] records such steps without solving them and resumes
+//! at the first step whose inputs differ — a source edge or the clamped
+//! last step — so a settled circuit costs one source evaluation per
+//! step, and the waveform is bit-identical to stepping through. Sources
+//! are the only time-dependent stamp input today; any future one (a
+//! time-varying element value, a time-dependent `gmin`) must join the
+//! source check in [`Engine::tran`], or the rule stops being exact.
 
-use crate::circuit::MnaCircuit;
+use crate::circuit::{MnaCircuit, MnaElement};
 use crate::pattern::Pattern;
 use crate::solver::{LuFactor, SolveStats};
-use crate::stamp::{stamp_system, DynamicState, Dynamics, Method, StampSpec};
+use crate::stamp::{set_slot, stamp_system, DynamicState, Dynamics, Method, StampSpec};
 use crate::waveform::Waveform;
 use std::fmt;
 use std::sync::Arc;
@@ -38,6 +54,12 @@ const NR_TOL: f64 = 1e-7;
 const NR_MAX_ITERS: usize = 400;
 /// DC source-ramping steps (fractions of the full source values).
 const SOURCE_RAMP_STEPS: usize = 4;
+/// Most nominal steps one transient may take, `⌈t_stop/dt⌉`. Every
+/// characterization, simulation and deck in this workspace takes a few
+/// thousand; the ceiling keeps a mistyped or hostile `dt` from asking
+/// for petabytes of waveform (or, with `dt` near the smallest float, an
+/// endless loop). Local halving may add interior samples beyond it.
+pub const MAX_TRAN_STEPS: usize = 1_000_000;
 
 /// Analysis failures.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -104,6 +126,19 @@ impl TranSpec {
         self.max_halvings = max_halvings;
         self
     }
+
+    /// The number of nominal steps, `⌈t_stop/dt⌉`, or `None` unless `dt`
+    /// and `t_stop` are positive and finite and the count is at most
+    /// [`MAX_TRAN_STEPS`]. Callers taking a spec from outside check this
+    /// before [`Engine::tran`], which panics on `None`.
+    pub fn nominal_steps(&self) -> Option<usize> {
+        let positive = |v: f64| v > 0.0 && v.is_finite();
+        if !(positive(self.dt) && positive(self.t_stop)) {
+            return None;
+        }
+        let steps = (self.t_stop / self.dt).ceil();
+        (steps <= MAX_TRAN_STEPS as f64).then_some(steps as usize)
+    }
 }
 
 /// Which system matrix of a linear (FET-free) pattern a factorization
@@ -130,6 +165,8 @@ pub struct Engine {
     /// For a linear pattern, the system `lu` currently holds factored for
     /// the circuit of the running analysis; `None` when unknown.
     factored: Option<LinearSystem>,
+    /// Transient steps recorded as repeats of a fixed-point step.
+    repeated_steps: u64,
 }
 
 impl Engine {
@@ -142,6 +179,7 @@ impl Engine {
             x: vec![0.0; dim],
             saved: vec![0.0; dim],
             factored: None,
+            repeated_steps: 0,
             pattern,
         }
     }
@@ -153,9 +191,13 @@ impl Engine {
 
     /// Factorization-work counters accumulated over this engine's life —
     /// `refactorizations` dominating `factorizations` is the
-    /// pivot-order-reuse contract at work.
+    /// pivot-order-reuse contract at work, and `repeated_steps` counts
+    /// the transient steps a settled circuit skipped.
     pub fn stats(&self) -> SolveStats {
-        self.lu.stats()
+        SolveStats {
+            repeated_steps: self.repeated_steps,
+            ..self.lu.stats()
+        }
     }
 
     /// One Newton solve; `self.x` holds the initial guess and, on
@@ -263,6 +305,10 @@ impl Engine {
     /// Advances one step from `t0` to `t1` with companion step `h`; on
     /// convergence failure, locally halves the step (recording the
     /// accepted interior points) up to `halvings` deep.
+    ///
+    /// Returns whether the step was a fixed point of the step map: one
+    /// unhalved solve, no fresh pivot search, and the solution and
+    /// dynamic state unchanged bit for bit.
     #[allow(clippy::too_many_arguments)]
     fn advance(
         &mut self,
@@ -275,8 +321,9 @@ impl Engine {
         step: usize,
         state: &mut DynamicState,
         wave: &mut Waveform,
-    ) -> Result<(), MnaError> {
+    ) -> Result<bool, MnaError> {
         self.saved.copy_from_slice(&self.x);
+        let factorizations = self.lu.stats().factorizations;
         let attempt = self.newton(
             circuit,
             t1,
@@ -291,9 +338,11 @@ impl Engine {
         );
         match attempt {
             Ok(()) => {
-                state.accept(&self.pattern, circuit, &self.x, method, h);
+                let moved = state.accept(&self.pattern, circuit, &self.x, method, h);
                 wave.push(t1, &self.x);
-                Ok(())
+                Ok(!moved
+                    && self.lu.stats().factorizations == factorizations
+                    && same_bits(&self.x, &self.saved))
             }
             Err(MnaError::NoConvergence { .. }) if halvings > 0 => {
                 // Retry from the last accepted solution at half the step.
@@ -321,7 +370,8 @@ impl Engine {
                     step,
                     state,
                     wave,
-                )
+                )?;
+                Ok(false)
             }
             Err(e) => Err(e),
         }
@@ -330,6 +380,15 @@ impl Engine {
     /// Runs a transient analysis from the DC operating point, recording a
     /// strictly monotone [`Waveform`].
     ///
+    /// A step is a pure function of the previous solution, the
+    /// companion state, the source values at its end time, its length,
+    /// the method, [`GMIN`] and the recorded pivot order. Once a full step
+    /// returns solution and state bit for bit unchanged (no halving, no
+    /// fresh pivot search), following steps with bitwise-equal source
+    /// values and step length are recorded without solving, and counted
+    /// in [`SolveStats::repeated_steps`]; the waveform is the same, bit
+    /// for bit, as stepping through every one.
+    ///
     /// # Errors
     ///
     /// Returns [`MnaError`] on a singular system or when a step fails to
@@ -337,18 +396,26 @@ impl Engine {
     ///
     /// # Panics
     ///
-    /// Panics unless `dt` and `t_stop` are positive, or when the circuit's
-    /// topology does not match the engine's pattern.
+    /// Panics unless [`TranSpec::nominal_steps`] accepts the spec (`dt`
+    /// and `t_stop` positive and finite, at most [`MAX_TRAN_STEPS`]
+    /// steps), or when the circuit's topology does not match the engine's
+    /// pattern.
     pub fn tran(&mut self, circuit: &MnaCircuit, spec: &TranSpec) -> Result<Waveform, MnaError> {
-        assert!(
-            spec.dt > 0.0 && spec.t_stop > 0.0,
-            "dt and t_stop must be positive"
-        );
+        let steps = spec.nominal_steps().unwrap_or_else(|| {
+            panic!(
+                "dt and t_stop must be positive and finite with t_stop/dt at most \
+                 {MAX_TRAN_STEPS} steps, got dt={:e}, t_stop={:e}",
+                spec.dt, spec.t_stop
+            )
+        });
         self.dc(circuit)?; // leaves self.x at the operating point
         let mut state = DynamicState::init(&self.pattern, &self.x);
-        let capacity = (spec.t_stop / spec.dt).ceil() as usize + 1;
-        let mut wave = Waveform::new(&self.pattern, capacity);
+        let mut wave = Waveform::new(&self.pattern, steps + 1);
         wave.push(0.0, &self.x);
+        // Source values at the end of the latest step, and the step length
+        // (as bits) of the latest solved step when it was a fixed point.
+        let mut sources = vec![0.0; self.pattern.n_vsources()];
+        let mut fixed_h: Option<u64> = None;
         // Nominal times come from the step index (`k·dt`, not
         // accumulation), clamped to `t_stop` so the run ends exactly there
         // regardless of how `t_stop/dt` rounds. Every full step integrates
@@ -365,21 +432,48 @@ impl Engine {
             } else {
                 (spec.t_stop, spec.t_stop - t0)
             };
-            self.advance(
-                circuit,
-                t0,
-                t1,
-                h,
-                spec.method,
-                spec.max_halvings,
-                k,
-                &mut state,
-                &mut wave,
-            )?;
+            let sources_moved = sample_sources(circuit, t1, &mut sources);
+            if !sources_moved && fixed_h == Some(h.to_bits()) {
+                // Same inputs as a fixed-point step: same bits out.
+                wave.push(t1, &self.x);
+                self.repeated_steps += 1;
+            } else {
+                let fixed = self.advance(
+                    circuit,
+                    t0,
+                    t1,
+                    h,
+                    spec.method,
+                    spec.max_halvings,
+                    k,
+                    &mut state,
+                    &mut wave,
+                )?;
+                fixed_h = fixed.then_some(h.to_bits());
+            }
             t0 = t1;
         }
         Ok(wave)
     }
+}
+
+/// Writes every voltage source's value at `t` into `values` (insertion
+/// order), reporting whether any changed bits.
+fn sample_sources(circuit: &MnaCircuit, t: f64, values: &mut [f64]) -> bool {
+    let waves = circuit.elements().iter().filter_map(|e| match e {
+        MnaElement::VSource { wave, .. } => Some(wave),
+        _ => None,
+    });
+    let mut moved = false;
+    for (slot, wave) in values.iter_mut().zip(waves) {
+        moved |= set_slot(slot, wave.value_at(t));
+    }
+    moved
+}
+
+/// Whether two vectors are equal bit for bit.
+fn same_bits(a: &[f64], b: &[f64]) -> bool {
+    a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
 #[cfg(test)]
@@ -685,6 +779,300 @@ mod tests {
             stats.refactorizations > 10 * stats.factorizations,
             "{stats:?}"
         );
+    }
+
+    /// The plain stepping loop, every step solved: the oracle the
+    /// fast-forwarding [`Engine::tran`] must match bit for bit.
+    fn plain_tran(
+        e: &mut Engine,
+        circuit: &MnaCircuit,
+        spec: &TranSpec,
+    ) -> Result<Waveform, MnaError> {
+        e.dc(circuit)?;
+        let mut state = DynamicState::init(&e.pattern, &e.x);
+        let mut wave = Waveform::new(&e.pattern, 0);
+        wave.push(0.0, &e.x);
+        let (mut t0, mut k) = (0.0, 0usize);
+        while t0 < spec.t_stop {
+            k += 1;
+            let nominal = k as f64 * spec.dt;
+            let (t1, h) = if nominal <= spec.t_stop {
+                (nominal, spec.dt)
+            } else {
+                (spec.t_stop, spec.t_stop - t0)
+            };
+            e.advance(
+                circuit,
+                t0,
+                t1,
+                h,
+                spec.method,
+                spec.max_halvings,
+                k,
+                &mut state,
+                &mut wave,
+            )?;
+            t0 = t1;
+        }
+        Ok(wave)
+    }
+
+    /// Every trace of a waveform — time, node voltages, source and
+    /// inductor currents — as raw bits.
+    fn all_bits(wave: &Waveform, pattern: &Pattern) -> Vec<Vec<u64>> {
+        let probes = (1..=pattern.n_nodes())
+            .map(Probe::Node)
+            .chain((0..pattern.n_vsources()).map(Probe::SourceCurrent))
+            .chain((0..pattern.n_inductors()).map(Probe::InductorCurrent));
+        std::iter::once(bits(wave.time()))
+            .chain(probes.map(|p| bits(wave.probe(p))))
+            .collect()
+    }
+
+    /// Runs `spec` through [`Engine::tran`] and through the oracle, each
+    /// on a fresh engine, and asserts bit-identical waveforms (or equal
+    /// errors). Returns the fast-forwarding engine's counters.
+    fn assert_matches_oracle(c: &MnaCircuit, spec: &TranSpec) -> SolveStats {
+        let mut fast = engine_for(c);
+        let got = fast.tran(c, spec);
+        let want = plain_tran(&mut engine_for(c), c, spec);
+        match (&got, &want) {
+            (Ok(g), Ok(w)) => {
+                let p = fast.pattern();
+                assert_eq!(all_bits(g, p), all_bits(w, p), "{spec:?}");
+            }
+            _ => assert_eq!(got.err(), want.err(), "{spec:?}"),
+        }
+        fast.stats()
+    }
+
+    /// A CNFET with its terminal capacitances, as the inverter has them.
+    fn add_fet(c: &mut MnaCircuit, d: usize, g: usize, s: usize, polarity: Polarity) {
+        let m: Arc<dyn FetModel + Send + Sync> =
+            Arc::new(CnfetModel::poly_65nm().device(polarity, 4, 130e-9));
+        let cg = m.cgate();
+        c.capacitor(g, s, cg / 2.0);
+        c.capacitor(g, d, cg / 2.0);
+        c.capacitor(d, 0, m.cdrain());
+        c.fet(d, g, s, m);
+    }
+
+    fn pulse(delay: f64, width: f64, period: f64) -> SourceWave {
+        SourceWave::Pulse {
+            v0: 0.0,
+            v1: 1.0,
+            delay,
+            rise: 10e-12,
+            fall: 10e-12,
+            width,
+            period,
+        }
+    }
+
+    /// NAND3 (supply 1, inputs 2–4, output 5, stack nodes 6–7): input
+    /// `a` pulses, `b` pulses later, `c` is held high — so the series
+    /// stack's internal nodes carry charge between edges.
+    fn cnfet_nand3() -> MnaCircuit {
+        let mut c = MnaCircuit::new();
+        let (vdd, a, b, cin, out, n1, n2) = (1, 2, 3, 4, 5, 6, 7);
+        c.vsource(vdd, 0, SourceWave::Dc(1.0));
+        c.vsource(a, 0, pulse(50e-12, 300e-12, 0.0));
+        c.vsource(b, 0, pulse(150e-12, 400e-12, 0.0));
+        c.vsource(cin, 0, SourceWave::Dc(1.0));
+        for g in [a, b, cin] {
+            add_fet(&mut c, out, g, vdd, Polarity::P);
+        }
+        add_fet(&mut c, out, a, n1, Polarity::N);
+        add_fet(&mut c, n1, b, n2, Polarity::N);
+        add_fet(&mut c, n2, cin, 0, Polarity::N);
+        c.capacitor(out, 0, 100e-18);
+        c
+    }
+
+    /// AOI21, `out = !(a·b + c)` (supply 1, inputs 2–4, output 5, stack
+    /// nodes 6–7): `a` pulses periodically, `b` is high, `c` low.
+    fn cnfet_aoi21() -> MnaCircuit {
+        let mut c = MnaCircuit::new();
+        let (vdd, a, b, cin, out, n1, p1) = (1, 2, 3, 4, 5, 6, 7);
+        c.vsource(vdd, 0, SourceWave::Dc(1.0));
+        c.vsource(a, 0, pulse(40e-12, 150e-12, 400e-12));
+        c.vsource(b, 0, SourceWave::Dc(1.0));
+        c.vsource(cin, 0, SourceWave::Dc(0.0));
+        add_fet(&mut c, out, a, n1, Polarity::N);
+        add_fet(&mut c, n1, b, 0, Polarity::N);
+        add_fet(&mut c, out, cin, 0, Polarity::N);
+        add_fet(&mut c, p1, a, vdd, Polarity::P);
+        add_fet(&mut c, p1, b, vdd, Polarity::P);
+        add_fet(&mut c, out, cin, p1, Polarity::P);
+        c.capacitor(out, 0, 100e-18);
+        c
+    }
+
+    /// Two RC sections, or two RLC sections when `inductive`, driven by a
+    /// periodic pulse.
+    fn pulse_ladder(inductive: bool) -> MnaCircuit {
+        let mut c = MnaCircuit::new();
+        c.vsource(1, 0, pulse(20e-12, 200e-12, 500e-12));
+        c.resistor(1, 2, 100.0);
+        if inductive {
+            c.inductor(2, 3, 1e-9);
+        } else {
+            c.resistor(2, 3, 100.0);
+        }
+        c.capacitor(3, 0, 0.2e-12);
+        c.resistor(3, 4, 500.0);
+        c.capacitor(4, 0, 0.1e-12);
+        c
+    }
+
+    /// A test-double device whose current is the cube root of its drain
+    /// voltage above 0.5 V. Near that point the root's slope outgrows a
+    /// large step's companion conductance and damped Newton cycles; a
+    /// smaller step converges.
+    #[derive(Debug)]
+    struct CubeRoot;
+
+    impl FetModel for CubeRoot {
+        fn ids(&self, _vgs: f64, vds: f64) -> f64 {
+            1e-3 * (vds - 0.5).cbrt()
+        }
+        fn cgate(&self) -> f64 {
+            0.0
+        }
+        fn cdrain(&self) -> f64 {
+            0.0
+        }
+        fn polarity(&self) -> Polarity {
+            Polarity::N
+        }
+    }
+
+    /// An RC node pulled through [`CubeRoot`]: its 2 ps steps need one
+    /// local halving on the way up.
+    fn cube_root_node() -> MnaCircuit {
+        let mut c = MnaCircuit::new();
+        c.vsource(1, 0, pulse(20e-12, 1e-9, 0.0));
+        c.resistor(1, 2, 1e3);
+        c.capacitor(2, 0, 1e-13);
+        c.fet(2, 1, 0, Arc::new(CubeRoot));
+        c
+    }
+
+    #[test]
+    fn fast_forward_matches_the_plain_loop_on_cnfet_gates() {
+        let inverter = cnfet_inverter(pulse(100e-12, 250e-12, 0.0));
+        for method in [Method::BackwardEuler, Method::Trapezoidal] {
+            for t_stop in [600e-12, 600.7e-12] {
+                let spec = TranSpec::new(2e-12, t_stop).method(method);
+                let stats = assert_matches_oracle(&inverter, &spec);
+                if method == Method::BackwardEuler {
+                    // The inverter's flat stretches settle to the bit.
+                    assert!(stats.repeated_steps > 0, "{stats:?}");
+                }
+                assert_matches_oracle(&cnfet_nand3(), &spec);
+                assert_matches_oracle(&cnfet_aoi21(), &spec);
+            }
+        }
+    }
+
+    #[test]
+    fn fast_forward_matches_the_plain_loop_on_linear_ladders() {
+        for inductive in [false, true] {
+            let c = pulse_ladder(inductive);
+            for method in [Method::BackwardEuler, Method::Trapezoidal] {
+                // A multiple of `dt`, and one that clamps the last step.
+                for t_stop in [1.5e-9, 1.5003e-9] {
+                    assert_matches_oracle(&c, &TranSpec::new(2e-12, t_stop).method(method));
+                }
+            }
+        }
+    }
+
+    /// An edge after a long settled stretch is still simulated: the
+    /// source check ends the repeats at the first step whose input moves.
+    #[test]
+    fn an_edge_after_a_long_flat_stretch_ends_the_repeats() {
+        let c = cnfet_inverter(pulse(1.5e-9, 1e-9, 0.0));
+        let spec = TranSpec::new(2e-12, 2e-9);
+        let stats = assert_matches_oracle(&c, &spec);
+        assert!(stats.repeated_steps > 500, "{stats:?}");
+        let wave = engine_for(&c).tran(&c, &spec).unwrap();
+        let out = wave.voltage(3);
+        assert!(
+            out[0] > 0.95 && *out.last().unwrap() < 0.05,
+            "output never fell"
+        );
+    }
+
+    /// A source that moves on every step leaves nothing to repeat.
+    #[test]
+    fn a_pwl_ramp_over_the_whole_run_repeats_nothing() {
+        let ramp = SourceWave::Pwl(vec![(0.0, 0.0), (1e-9, 1.0)]);
+        let c = cnfet_inverter(ramp.clone());
+        let spec = TranSpec::new(2e-12, 1e-9);
+        assert_eq!(assert_matches_oracle(&c, &spec).repeated_steps, 0);
+        let mut rc = MnaCircuit::new();
+        rc.vsource(1, 0, ramp);
+        rc.resistor(1, 2, 1e3);
+        rc.capacitor(2, 0, 1e-13);
+        for method in [Method::BackwardEuler, Method::Trapezoidal] {
+            let stats = assert_matches_oracle(&rc, &spec.method(method));
+            assert_eq!(stats.repeated_steps, 0);
+        }
+    }
+
+    /// Halved steps are recorded like the plain loop records them, and a
+    /// run that cannot halve fails at the same step.
+    #[test]
+    fn halving_and_failing_runs_match_the_plain_loop() {
+        let c = cube_root_node();
+        let spec = TranSpec::new(2e-12, 0.6e-9);
+        let stats = assert_matches_oracle(&c, &spec);
+        let wave = engine_for(&c).tran(&c, &spec).unwrap();
+        assert!(wave.len() > 301, "no step halved: {} samples", wave.len());
+        assert!(stats.repeated_steps > 0, "{stats:?}");
+        let fixed = spec.max_halvings(0);
+        assert_matches_oracle(&c, &fixed);
+        assert!(matches!(
+            engine_for(&c).tran(&c, &fixed),
+            Err(MnaError::NoConvergence { at_step }) if at_step > 0
+        ));
+    }
+
+    #[test]
+    fn nominal_steps_bound_the_run() {
+        assert_eq!(TranSpec::new(2e-12, 4.4e-9).nominal_steps(), Some(2200));
+        assert_eq!(TranSpec::new(2e-12, 4.4001e-9).nominal_steps(), Some(2201));
+        let ceiling = MAX_TRAN_STEPS as f64;
+        assert_eq!(
+            TranSpec::new(1.0, ceiling).nominal_steps(),
+            Some(MAX_TRAN_STEPS)
+        );
+        for (dt, t_stop) in [
+            (1.0, ceiling + 1.0),
+            (1e-15, 1.0),
+            (1e-300, 1.0),
+            (f64::MIN_POSITIVE, f64::MAX),
+            (0.0, 1.0),
+            (-1e-12, 1e-9),
+            (1e-12, f64::INFINITY),
+            (f64::NAN, 1e-9),
+            (1e-12, 0.0),
+        ] {
+            assert_eq!(
+                TranSpec::new(dt, t_stop).nominal_steps(),
+                None,
+                "{dt:e} {t_stop:e}"
+            );
+        }
+    }
+
+    /// The ceiling is checked before the DC point or any buffer.
+    #[test]
+    #[should_panic(expected = "at most 1000000 steps")]
+    fn tran_past_the_step_ceiling_panics_before_allocating() {
+        let c = pulse_ladder(false);
+        let _ = engine_for(&c).tran(&c, &TranSpec::new(1e-15, 1.0));
     }
 
     #[test]

@@ -21,7 +21,11 @@
 //! Transient analysis ([`Engine::tran`]) integrates capacitors and
 //! inductors through companion models (backward-Euler or trapezoidal,
 //! see [`Method`]) with local timestep halving on convergence failure,
-//! recording a strictly monotone [`Waveform`] with typed [`Probe`]s. AC
+//! recording a strictly monotone [`Waveform`] with typed [`Probe`]s.
+//! Steps that repeat an exact fixed-point step (same solution, state,
+//! source values and step length, bit for bit) are recorded without
+//! solving, so settled stretches cost almost nothing and change no bit
+//! ([`SolveStats::repeated_steps`] counts them). AC
 //! analysis ([`Engine::ac`]) linearizes about the DC operating point and
 //! sweeps a log frequency grid through a real 2n×2n embedding of the
 //! complex system. The [`measure`] module extracts `.measure`-style
@@ -57,7 +61,7 @@ mod waveform;
 
 pub use ac::{AcResult, AcSpec};
 pub use circuit::{MnaCircuit, MnaElement, SourceWave};
-pub use engine::{Engine, MnaError, TranSpec, GMIN};
+pub use engine::{Engine, MnaError, TranSpec, GMIN, MAX_TRAN_STEPS};
 pub use pattern::{Pattern, PatternCache};
 pub use solver::{LuFactor, Singular, SolveStats};
 pub use stamp::Method;

@@ -39,6 +39,11 @@ pub struct SolveStats {
     pub pivot_rebuilds: u64,
     /// Triangular solves.
     pub solves: u64,
+    /// Transient steps recorded without solving, because the step before
+    /// them was an exact fixed point of the step map (see
+    /// [`crate::Engine::tran`]). Only an engine counts these; a bare
+    /// [`LuFactor`] reports 0.
+    pub repeated_steps: u64,
 }
 
 /// Preallocated dense LU working set: stamp into it, factor (or refactor)

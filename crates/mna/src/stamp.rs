@@ -59,7 +59,9 @@ impl DynamicState {
     }
 
     /// Accepts the solution `x` of a step of size `dt`, rolling every
-    /// dynamic element's state forward under the given method.
+    /// dynamic element's state forward under the given method. Returns
+    /// whether any slot changed bits, so the engine can tell a settled
+    /// step from a moving one without keeping a second copy.
     pub fn accept(
         &mut self,
         pattern: &Pattern,
@@ -67,7 +69,8 @@ impl DynamicState {
         x: &[f64],
         method: Method,
         dt: f64,
-    ) {
+    ) -> bool {
+        let mut moved = false;
         for (plan, elem) in pattern.plans().iter().zip(circuit.elements()) {
             match (plan, elem) {
                 (Plan::Capacitor { a, b, state: k }, MnaElement::Capacitor { farads, .. }) => {
@@ -78,8 +81,8 @@ impl DynamicState {
                             2.0 * farads / dt * (v - self.cap_v[*k]) - self.cap_i[*k]
                         }
                     };
-                    self.cap_v[*k] = v;
-                    self.cap_i[*k] = i;
+                    moved |= set_slot(&mut self.cap_v[*k], v);
+                    moved |= set_slot(&mut self.cap_i[*k], i);
                 }
                 (
                     Plan::Inductor {
@@ -90,13 +93,23 @@ impl DynamicState {
                     },
                     MnaElement::Inductor { .. },
                 ) => {
-                    self.ind_i[*k] = x[*row];
-                    self.ind_v[*k] = voltage_of(x, *a) - voltage_of(x, *b);
+                    moved |= set_slot(&mut self.ind_i[*k], x[*row]);
+                    moved |= set_slot(&mut self.ind_v[*k], voltage_of(x, *a) - voltage_of(x, *b));
                 }
                 _ => {}
             }
         }
+        moved
     }
+}
+
+/// Stores `v` in `slot`, reporting whether the bits changed (`-0.0` and
+/// `0.0` differ, as they can in later arithmetic).
+#[inline]
+pub(crate) fn set_slot(slot: &mut f64, v: f64) -> bool {
+    let moved = slot.to_bits() != v.to_bits();
+    *slot = v;
+    moved
 }
 
 /// What the dynamic elements contribute.

@@ -75,7 +75,7 @@ use cnfet::core::{GenerateOptions, Scheme, StdCellKind};
 use cnfet::dk::CellLibrary;
 use cnfet::immunity::McOptions;
 use cnfet::logic::AdderKind;
-use cnfet::mna::MnaError;
+use cnfet::mna::{MnaError, TranSpec, MAX_TRAN_STEPS};
 use cnfet::repair::{DefectParams, DieOutcome, Solver};
 use cnfet::sweep::{
     CornerRow, CornerSummary, SweepCornerRequest, SweepMetrics, SweepReport, SweepRequest,
@@ -589,6 +589,13 @@ fn parse_tran(value: &Json, path: &str) -> Result<TranRequest, WireError> {
     };
     let dt = positive("dt")?;
     let t_stop = positive("t_stop")?;
+    // The run's length is bounded too: its waveform is preallocated.
+    if TranSpec::new(dt, t_stop).nominal_steps().is_none() {
+        return Err(WireError::new(
+            &join(path, "t_stop"),
+            format!("more than {MAX_TRAN_STEPS} steps of dt"),
+        ));
+    }
     let mut request = TranRequest::new(deck, dt, t_stop);
     if let Some(probes) = opt(value, "probes") {
         let probes_path = join(path, "probes");
@@ -1260,6 +1267,8 @@ mod tests {
         assert!(e.message.starts_with("dt: expected a positive"), "{e}");
         let e = req(r#"{"type":"tran","deck":".end","dt":1e-11,"t_stop":0}"#).unwrap_err();
         assert!(e.message.starts_with("t_stop: expected a positive"), "{e}");
+        let e = req(r#"{"type":"tran","deck":".end","dt":1e-300,"t_stop":1}"#).unwrap_err();
+        assert!(e.message.starts_with("t_stop: more than"), "{e}");
     }
 
     #[test]

@@ -1225,6 +1225,43 @@ fn repair_site_counts_past_u32_and_bad_params_answer_400() {
 }
 
 #[test]
+fn oversized_transients_answer_400_before_any_engine_runs() {
+    // 1e15 and 1e300 steps: a waveform that size cannot be allocated,
+    // and the 1e-300 step used to wrap the preallocation to zero and
+    // loop without end. Both are refused at decode time, and the server
+    // keeps answering.
+    let server = server();
+    let mut client = Client::new(server.addr());
+    for dt in [1e-15, 1e-300] {
+        let body = Json::obj([
+            ("type", Json::str("tran")),
+            (
+                "deck",
+                Json::str("V1 in 0 DC 1\nR1 in out 1k\nC1 out 0 1p\n.end"),
+            ),
+            ("dt", Json::from(dt)),
+            ("t_stop", Json::from(1.0)),
+        ]);
+        let response = client
+            .request("POST", "/v1/run")
+            .body(&body)
+            .send()
+            .unwrap();
+        assert_eq!(response.status, 400, "dt {dt:e}");
+        let error = response.body.get("error").unwrap();
+        assert_eq!(error.get("kind").unwrap().as_str(), Some("bad_request"));
+        let message = error.get("message").unwrap().as_str().unwrap();
+        assert!(message.contains("t_stop: "), "names t_stop: {message}");
+    }
+    client
+        .request("GET", "/v1/healthz")
+        .send()
+        .unwrap()
+        .expect_status(200);
+    server.shutdown();
+}
+
+#[test]
 fn binary_die_tables_reassemble_identical_to_json() {
     let server = server();
     let mut client = Client::new(server.addr());

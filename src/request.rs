@@ -463,15 +463,13 @@ impl SessionRequest for TranRequest {
     fn execute(&self, _session: &Session) -> Result<TranResult> {
         let spec_err =
             |message: String| CnfetError::Deck(crate::spice::DeckError { line: 0, message });
-        if !(self.dt > 0.0 && self.dt.is_finite()) {
+        let spec = crate::mna::TranSpec::new(self.dt, self.t_stop);
+        if spec.nominal_steps().is_none() {
             return Err(spec_err(format!(
-                "tran dt must be positive and finite, got {:e}",
-                self.dt
-            )));
-        }
-        if !(self.t_stop > 0.0 && self.t_stop.is_finite()) {
-            return Err(spec_err(format!(
-                "tran t_stop must be positive and finite, got {:e}",
+                "tran dt and t_stop must be positive and finite, with t_stop at most {} \
+                 steps of dt; got dt {:e}, t_stop {:e}",
+                crate::mna::MAX_TRAN_STEPS,
+                self.dt,
                 self.t_stop
             )));
         }
@@ -494,7 +492,7 @@ impl SessionRequest for TranRequest {
         let mna = crate::spice::to_mna(&circuit);
         let pattern = Arc::new(crate::mna::Pattern::analyze(mna));
         let mut engine = crate::mna::Engine::new(pattern);
-        let wave = engine.tran(mna, &crate::mna::TranSpec::new(self.dt, self.t_stop))?;
+        let wave = engine.tran(mna, &spec)?;
         Ok(TranResult {
             time: wave.time().to_vec(),
             probes: probes

@@ -366,7 +366,8 @@ pub struct TranRequest {
     pub deck: String,
     /// Nominal timestep, seconds (must be positive and finite).
     pub dt: f64,
-    /// Stop time, seconds (must be positive and finite).
+    /// Stop time, seconds (must be positive and finite, and at most
+    /// [`MAX_TRAN_STEPS`](crate::mna::MAX_TRAN_STEPS) steps of `dt`).
     pub t_stop: f64,
     /// Node names to record. Empty records every non-ground node in deck
     /// order. An unknown name fails with

@@ -623,3 +623,28 @@ fn session_clones_share_the_engine() {
     assert!(via_clone.cached, "clones share one cache");
     assert_eq!(clone.stats().cells.requests(), 2);
 }
+
+#[test]
+fn oversized_transients_fail_typed_before_any_engine_runs() {
+    // 1e15 and 1e300 steps of waveform cannot be allocated; the request
+    // is refused before the deck (here malformed) is even parsed.
+    let session = Session::new();
+    for dt in [1e-15, 1e-300] {
+        let request = cnfet::TranRequest::new("V1 in 0 )(\n.end", dt, 1.0);
+        match session.run(&request) {
+            Err(CnfetError::Deck(e)) => assert!(
+                e.message.contains("t_stop") && e.message.contains("steps"),
+                "{e}"
+            ),
+            other => panic!("dt {dt:e}: expected a deck error, got {other:?}"),
+        }
+    }
+    // At the ceiling itself the run is accepted (and cheap: linear deck).
+    let deck = "V1 in 0 DC 1\nR1 in out 1k\nC1 out 0 1p\n.end";
+    let steps = 2_000;
+    assert!(steps <= cnfet::mna::MAX_TRAN_STEPS);
+    let result = session
+        .run(&cnfet::TranRequest::new(deck, 1e-12, steps as f64 * 1e-12))
+        .unwrap();
+    assert_eq!(result.time.len(), steps + 1);
+}
