@@ -62,20 +62,45 @@ fn main() {
         ..DefectParams::default()
     };
     h.bench("repair_1000_dies_kernel_3cells", 10, || {
-        (0..1000)
-            .filter(|&die| {
-                repair_die(&DieSpec {
-                    maps: &maps,
-                    die,
-                    base_seed: 0xB0BBA,
-                    spares: 2,
-                    params,
-                    solver: Solver::Auto,
-                    adjacent: &[],
-                })
-                .repaired
-            })
-            .count()
+        repair_1000_dies(&maps, params)
+    });
+
+    // The same kernel shaped like the perfbench `cold_yield` dies: wider
+    // cells, so longer tubes with more slabs per tube, at that
+    // workload's mean defect mix. Recorded only, not gated.
+    let wide: Vec<TraceMap> = [StdCellKind::Aoi22, StdCellKind::Oai21, StdCellKind::Nand(3)]
+        .into_iter()
+        .map(|kind| {
+            let cell = generate_cell(kind, &GenerateOptions::default()).unwrap();
+            TraceMap::new(&cell.semantics)
+        })
+        .collect();
+    let wide_maps: Vec<&TraceMap> = wide.iter().collect();
+    let wide_params = DefectParams {
+        metallic_fraction: 0.04,
+        misposition_fraction: 0.175,
+        ..DefectParams::default()
+    };
+    h.bench("repair_1000_dies_kernel_wide", 10, || {
+        repair_1000_dies(&wide_maps, wide_params)
     });
     h.finish();
+}
+
+/// Repairs dies `0..1000` of one lot over `maps`; the count repaired.
+fn repair_1000_dies(maps: &[&TraceMap], params: DefectParams) -> usize {
+    (0..1000)
+        .filter(|&die| {
+            repair_die(&DieSpec {
+                maps,
+                die,
+                base_seed: 0xB0BBA,
+                spares: 2,
+                params,
+                solver: Solver::Auto,
+                adjacent: &[],
+            })
+            .repaired
+        })
+        .count()
 }

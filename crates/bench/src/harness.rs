@@ -4,7 +4,9 @@
 //! option; this harness covers what the perf work needs: named samples
 //! over a fixed iteration count, min/median/mean/max reporting, and a
 //! machine-readable JSON baseline under `target/bench-baselines/<suite>.json`
-//! that future perf PRs diff against.
+//! that future perf PRs diff against. A baseline also records the shape
+//! of the machine that wrote it (`nproc`, `rustc`), since timings only
+//! compare across runs of one shape.
 
 use std::hint::black_box;
 use std::time::Instant;
@@ -31,6 +33,10 @@ pub struct Sample {
 /// [`Harness::finish`].
 pub struct Harness {
     suite: String,
+    /// Available parallelism of the machine running the suite.
+    nproc: usize,
+    /// `rustc --version` of the toolchain on the path, or `"unknown"`.
+    rustc: String,
     samples: Vec<Sample>,
 }
 
@@ -45,6 +51,8 @@ impl Harness {
         );
         Harness {
             suite,
+            nproc: std::thread::available_parallelism().map_or(1, |n| n.get()),
+            rustc: rustc_version(),
             samples: Vec::new(),
         }
     }
@@ -103,8 +111,8 @@ impl Harness {
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n");
         out.push_str(&format!(
-            "  \"suite\": \"{}\",\n  \"samples\": [\n",
-            self.suite
+            "  \"suite\": \"{}\",\n  \"nproc\": {},\n  \"rustc\": \"{}\",\n  \"samples\": [\n",
+            self.suite, self.nproc, self.rustc
         ));
         for (i, s) in self.samples.iter().enumerate() {
             let median = s
@@ -131,7 +139,8 @@ impl Harness {
 /// [`Harness::to_json`] — a hand-rolled scanner, since the workspace
 /// builds without serde — and returns `None` on any malformed field.
 /// `median_ns` is optional: baselines recorded before it existed read
-/// back with `median_ns: None`.
+/// back with `median_ns: None`. The suite-level machine fields (`nproc`,
+/// `rustc`) are not read back; baselines without them parse the same.
 pub fn parse_baseline(json: &str) -> Option<(String, Vec<Sample>)> {
     let suite = field_str(json, "\"suite\"")?;
     let mut samples = Vec::new();
@@ -148,6 +157,22 @@ pub fn parse_baseline(json: &str) -> Option<(String, Vec<Sample>)> {
         });
     }
     Some((suite, samples))
+}
+
+/// The first line of `rustc --version`, with any `"` or `\` dropped so
+/// it embeds in a JSON string as is, or `"unknown"`.
+fn rustc_version() -> String {
+    std::process::Command::new("rustc")
+        .arg("--version")
+        .output()
+        .ok()
+        .filter(|out| out.status.success())
+        .and_then(|out| {
+            let text = String::from_utf8(out.stdout).ok()?;
+            let line = text.lines().next()?.replace(['"', '\\'], "");
+            Some(line)
+        })
+        .unwrap_or_else(|| "unknown".to_string())
 }
 
 /// Extracts the string value of `"key": "value"`.
@@ -236,6 +261,13 @@ mod tests {
         let json = h.to_json();
         assert!(json.contains("\"suite\": \"unit\""));
         assert!(json.contains("\"name\": \"counting\""));
+        assert!(h.nproc >= 1);
+        assert!(json.contains(&format!("\"nproc\": {},", h.nproc)));
+        assert_eq!(
+            field_str(&json, "\"rustc\"").as_deref(),
+            Some(h.rustc.as_str())
+        );
+        assert!(!h.rustc.is_empty());
     }
 
     #[test]
@@ -264,8 +296,9 @@ mod tests {
         assert_eq!(median(&[5.0]), 5.0);
     }
 
-    /// Baselines written before medians were recorded still parse, with
-    /// no median; the committed ones among them.
+    /// Baselines written before medians and the machine shape were
+    /// recorded still parse, with no median; the committed ones among
+    /// them. (`parse_baseline_inverts_to_json` reads the current shape.)
     #[test]
     fn parse_baseline_reads_files_without_a_median() {
         let old =

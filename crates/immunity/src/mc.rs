@@ -9,18 +9,34 @@
 //!
 //! [`trace_polyline`] is the one tube walk of the workspace: the
 //! Monte-Carlo engine and the repair crate's per-die site tester both
-//! trace through it. It samples the polyline every 0.25λ, steps a
-//! cursor from one sample's column and slab to the next instead of
-//! searching the map, compares interned regions, and carries the open
-//! segment as a contact-net index plus a gate mask; a named [`Segment`]
-//! is only built for the harmful one it returns.
+//! trace through it. It samples the polyline every 0.25λ, but does
+//! per-sample work only where the answer can change:
+//!
+//! - per segment, only the run of samples inside the cell is evaluated,
+//!   found from the run's ends (x and y are each monotone along a
+//!   segment), so the work is bounded by the cell width;
+//! - a segment's sample fractions `k / n` are computed once per distinct
+//!   sample count (all full segments of a tube share one);
+//! - a sample inside the box the cursor holds around the last region's
+//!   slab (that slab and its twins in the columns right of it) costs
+//!   one box test;
+//! - any other sample steps the cursor from the previous column and
+//!   slab instead of searching the map.
+//!
+//! A default Monte-Carlo tube across a 45λ AOI31 (6λ segments, slopes up
+//! to 1) has 180 samples, of which about 162 fall inside the cell; about
+//! 15 of those leave the held box and step the cursor, and the tube
+//! visits about 11 distinct regions. Regions are compared as interned
+//! ids and the open segment is carried as a contact-net index plus a
+//! gate mask; a named [`Segment`] is only built for the harmful one it
+//! returns.
 
 use crate::region::{Cursor, Region, TraceMap};
 use crate::verdict::Segment;
-use cnfet_geom::DBU_PER_LAMBDA;
+use cnfet_geom::{Rect, DBU_PER_LAMBDA};
 use cnfet_rng::rngs::StdRng;
 use cnfet_rng::{Rng, SeedableRng};
-use std::ops::ControlFlow;
+use std::ops::{ControlFlow, Range};
 
 /// Monte-Carlo options.
 #[derive(Clone, Debug)]
@@ -158,6 +174,12 @@ pub fn simulate(map: &TraceMap, opts: &McOptions) -> McReport {
 /// is public so per-die defect-map testers (the `cnfet-repair` crate)
 /// can evaluate *explicit* tube populations against a layout with
 /// exactly the same machinery.
+///
+/// Any polyline is accepted. Only its samples inside the cell are
+/// evaluated, so the work is bounded by the cell width however far the
+/// vertices reach. A segment whose extent is not a finite `f64` (a NaN
+/// or infinite vertex, or a span beyond `f64::MAX`) is skipped as if it
+/// ran outside the cell.
 pub fn trace_polyline(map: &TraceMap, poly: &[(f64, f64)], metallic: bool) -> Option<Segment> {
     // The open segment: its start contact and the gates crossed since.
     let mut open: Option<(u16, u128)> = None;
@@ -189,7 +211,10 @@ pub fn trace_polyline(map: &TraceMap, poly: &[(f64, f64)], metallic: bool) -> Op
 
 /// Samples the polyline every 0.25λ (samples truncated to whole dbu,
 /// those outside the cell skipped) and hands `visit` each run of equal
-/// regions once, in order, until it breaks.
+/// regions once, in order, until it breaks. Sample `k` of a segment's
+/// `n` sits at fraction `k / n` of it; only the run of samples inside
+/// the cell is evaluated ([`samples_within`]), and a segment whose
+/// extent is not a finite `f64` is skipped.
 fn walk_regions<B>(
     map: &TraceMap,
     poly: &[(f64, f64)],
@@ -198,14 +223,27 @@ fn walk_regions<B>(
     let step = DBU_PER_LAMBDA as f64 / 4.0;
     let mut cursor = Cursor::new(map);
     let mut last = None;
+    // `k / n` over the in-cell run of the last segment, keyed by `n` and
+    // the run's start; the full segments of a tube share both.
+    let (mut fractions_of, mut fractions) = ((0, 0), Vec::new());
     for w in poly.windows(2) {
         let ((xa, ya), (xb, yb)) = (w[0], w[1]);
-        let dx = xb - xa;
+        let (dx, dy) = (xb - xa, yb - ya);
+        if !(dx.is_finite() && dy.is_finite()) {
+            continue;
+        }
         let n = (dx / step).ceil().max(1.0) as usize;
-        for k in 0..n {
-            let t = k as f64 / n as f64;
-            let x = (xa + t * dx) as i64;
-            let y = (ya + t * (yb - ya)) as i64;
+        let run = samples_within(n, (xa, ya), (dx, dy), map.bbox());
+        if fractions_of != (n, run.start) || fractions.len() < run.len() {
+            fractions.clear();
+            fractions.extend(run.clone().map(|k| k as f64 / n as f64));
+            fractions_of = (n, run.start);
+        }
+        for &t in &fractions[..run.len()] {
+            let (x, y) = ((xa + t * dx) as i64, (ya + t * dy) as i64);
+            if cursor.holds(x, y) {
+                continue;
+            }
             let Some(region) = cursor.seek(x, y) else {
                 continue;
             };
@@ -216,6 +254,57 @@ fn walk_regions<B>(
         }
     }
     ControlFlow::Continue(())
+}
+
+/// The samples of a segment inside the closed box `cell`. Sample `k` of
+/// `n` sits at `a + (k / n) · d`, truncated to whole dbu. Its x never
+/// decreases with `k` (a segment with `d.0 <= 0` has one sample) and its
+/// y moves one way, so the samples inside are one run of indices: found
+/// from its two ends when the segment lies inside, else by bisection
+/// on x and then on y.
+fn samples_within(n: usize, a: (f64, f64), d: (f64, f64), cell: Rect) -> Range<usize> {
+    let (x0, x1, y0, y1) = (cell.x0().0, cell.x1().0, cell.y0().0, cell.y1().0);
+    let at = |k: usize, a: f64, d: f64| (a + (k as f64 / n as f64) * d) as i64;
+    let inside = |k: usize| {
+        let (x, y) = (at(k, a.0, d.0), at(k, a.1, d.1));
+        (x0..=x1).contains(&x) && (y0..=y1).contains(&y)
+    };
+    if inside(0) && inside(n - 1) {
+        return 0..n;
+    }
+    let lo = first_where(0, n, |k| at(k, a.0, d.0) >= x0);
+    let hi = first_where(lo, n, |k| at(k, a.0, d.0) > x1);
+    let y = |k: usize| at(k, a.1, d.1);
+    if d.1 >= 0.0 {
+        let lo = first_where(lo, hi, |k| y(k) >= y0);
+        lo..first_where(lo, hi, |k| y(k) > y1)
+    } else {
+        let lo = first_where(lo, hi, |k| y(k) <= y1);
+        lo..first_where(lo, hi, |k| y(k) < y0)
+    }
+}
+
+/// The first index in `lo..hi` at which `pred` holds, or `hi` when none
+/// does; `pred` must be monotone (false, then true). The ends are tried
+/// first, which settles a run that reaches either end of the segment.
+fn first_where(mut lo: usize, mut hi: usize, pred: impl Fn(usize) -> bool) -> usize {
+    if lo == hi || pred(lo) {
+        return lo;
+    }
+    if !pred(hi - 1) {
+        return hi;
+    }
+    // Now `pred(lo)` is false and `pred(hi - 1)` true.
+    hi -= 1;
+    while hi - lo > 1 {
+        let mid = lo + (hi - lo) / 2;
+        if pred(mid) {
+            hi = mid;
+        } else {
+            lo = mid;
+        }
+    }
+    hi
 }
 
 #[cfg(test)]
@@ -420,18 +509,23 @@ mod tests {
         None
     }
 
-    /// Seeded tubes over one cell: random walks of slope up to 3 that
-    /// start above, inside and below the cell (so many leave it), plus
-    /// polylines whose vertices sit exactly on column edges.
+    /// Seeded tubes over one cell: random walks of slope up to 5 that
+    /// start above, inside and below the cell (so many leave it), and
+    /// adversarial ones for the held-slab fast path and the in-cell
+    /// bounds: vertices exactly on column edges, samples exactly on the
+    /// closed edges `x = xs[last]` and `y = bbox.y1`, segments shorter
+    /// than a sample step, vertical or running backwards, spikes that
+    /// leave the cell in y and come back into the slab they left, and
+    /// polylines reaching 1e4 dbu past the cell on every side.
     fn probe_tubes(map: &TraceMap, seed: u64) -> Vec<Vec<(f64, f64)>> {
         let mut rng = StdRng::seed_from_u64(seed);
         let bbox = map.bbox();
         let (x0, x1) = (bbox.x0().0 as f64, bbox.x1().0 as f64);
         let (y0, y1) = (bbox.y0().0 as f64, bbox.y1().0 as f64);
-        let h = y1 - y0;
+        let (h, step) = (y1 - y0, DBU_PER_LAMBDA as f64 / 4.0);
         let mut tubes = Vec::new();
-        for tau in [0.3, 1.0, 3.0] {
-            for _ in 0..50 {
+        for tau in [0.3, 1.0, 3.0, 5.0] {
+            for _ in 0..40 {
                 let seg_dx = rng.gen_range(0.5..8.0) * DBU_PER_LAMBDA as f64;
                 let mut x = x0;
                 let mut y = rng.gen_range(y0 - 0.3 * h..=y1 + 0.3 * h);
@@ -458,7 +552,208 @@ mod tests {
             }
             tubes.push(poly);
         }
+        // Closed edges: along the top edge, then vertical segments
+        // (one sample each) on the last column's right edge, and
+        // along every slab's bottom edge in the cell.
+        let mut edge = vec![(x0, y1), (x1, y1)];
+        for _ in 0..8 {
+            edge.push((x1, rng.gen_range(y0..=y1).round()));
+            edge.push((x1, y1));
+        }
+        edge.push((x1 + step, y1));
+        tubes.push(edge);
+        for _ in 0..4 {
+            let slab = map.slabs[rng.gen_range(0.0..map.slabs.len() as f64) as usize];
+            tubes.push(vec![(x0, slab.y0 as f64), (x1 + step, slab.y0 as f64)]);
+            tubes.push(vec![(x0, slab.y1 as f64), (x1 + step, slab.y1 as f64)]);
+        }
+        // Jittery walks: many segments shorter than one step, some of
+        // no width, some running backwards.
+        for _ in 0..10 {
+            let mut x = x0 - step;
+            let mut y = rng.gen_range(y0..=y1);
+            let mut poly = vec![(x, y)];
+            while x < x1 + step {
+                x += match rng.gen_range(0.0..6.0) as u32 {
+                    0 => 0.0,
+                    1 => -rng.gen_range(0.0..2.0 * step),
+                    2 | 3 => rng.gen_range(0.0..step),
+                    _ => rng.gen_range(step..4.0 * step),
+                };
+                y += rng.gen_range(-2.0..=2.0) * step;
+                poly.push((x, y));
+            }
+            tubes.push(poly);
+        }
+        // Spikes out of the cell and back: one-dbu-wide ones that come
+        // back to the very point they left, and wider ones.
+        for _ in 0..10 {
+            let mut x = x0;
+            let mut poly = vec![(x, rng.gen_range(y0..=y1))];
+            while x < x1 {
+                let y = rng.gen_range(y0..=y1).round();
+                let out = if rng.gen_range(0.0..1.0) < 0.5 {
+                    y1 + rng.gen_range(1.0..40.0)
+                } else {
+                    y0 - rng.gen_range(1.0..40.0)
+                };
+                let wide = rng.gen_range(0.0..1.0) < 0.5;
+                let w = if wide {
+                    rng.gen_range(step..6.0 * step)
+                } else {
+                    1.0
+                };
+                poly.extend([(x, y), (x + w, out), (x + 2.0 * w, y)]);
+                x += 2.0 * w + rng.gen_range(0.0..8.0 * step);
+            }
+            tubes.push(poly);
+        }
+        // Far outside the cell on both sides and both edges.
+        let far = 1e4;
+        for _ in 0..6 {
+            let mut poly = vec![(x0 - far, rng.gen_range(y0 - far..=y1 + far))];
+            for _ in 0..3 {
+                poly.push((rng.gen_range(x0..=x1), rng.gen_range(y0..=y1)));
+            }
+            poly[1..].sort_by(|a, b| a.0.total_cmp(&b.0));
+            poly.push((x1 + far, rng.gen_range(y0 - far..=y1 + far)));
+            tubes.push(poly);
+        }
+        tubes.push(vec![(x0 - far, y1 + far), (x1 + far, y0 - far)]);
+        tubes.push(vec![(x0 - far, y0 - far), (x1 + far, y1 + far)]);
         tubes
+    }
+
+    fn walked(map: &TraceMap, poly: &[(f64, f64)]) -> Vec<RegionKind> {
+        let mut regions = Vec::new();
+        let _ = walk_regions::<()>(map, poly, |r| {
+            regions.push(map.kind_of(r));
+            ControlFlow::Continue(())
+        });
+        regions
+    }
+
+    #[test]
+    fn walk_work_is_bounded_by_the_cell_width() {
+        let c = cell(StdCellKind::Aoi31, Style::NewImmune);
+        let map = TraceMap::new(&c.semantics);
+        let (x0, x1) = (map.bbox().x0().0, map.bbox().x1().0);
+        let (y0, y1) = (map.bbox().y0().0, map.bbox().y1().0);
+        let step = DBU_PER_LAMBDA as f64 / 4.0;
+        let in_cell = ((x1 - x0) as f64 / step) as usize + 1;
+        // Horizontal tubes reaching 1e12 dbu past both sides take 4e11
+        // samples, of which only the in-cell ones are evaluated: the
+        // same ones (half a dbu past every step, so truncation is
+        // exact) as a tube from the cell's left edge to one step past
+        // its right edge.
+        for y in (y0..=y1).step_by(7) {
+            let y = y as f64 + 0.5;
+            let far = [(x0 as f64 - 1e12 + 0.5, y), (x1 as f64 + 1e12 + 0.5, y)];
+            let near = [(x0 as f64 + 0.5, y), (x1 as f64 + step + 0.5, y)];
+            assert_eq!(walked(&map, &far), walked(&map, &near), "y {y}");
+            let n = ((far[1].0 - far[0].0) / step).ceil() as usize;
+            let run = samples_within(n, far[0], (far[1].0 - far[0].0, 0.0), map.bbox());
+            assert_eq!(run.len(), in_cell);
+        }
+        // So does a steep one, 1e12 dbu past the top and the bottom.
+        let steep = [(x0 as f64, -1e12), (x1 as f64, 1e12)];
+        let _ = walked(&map, &steep);
+        let run = samples_within(180, steep[0], (900.0, 2e12), map.bbox());
+        assert!(run.len() <= 1, "{run:?}");
+        // Past 2^53 samples, neighbouring `k / n` round to one value, so
+        // a run repeats its samples; it stays short all the same.
+        let mid = (y0 + y1) as f64 / 2.0;
+        let run = samples_within(usize::MAX, (-1e300, mid), (2e300, 0.0), map.bbox());
+        assert!(run.len() < 4096, "{run:?}");
+        let _ = walked(&map, &[(-1e300, mid), (1e300, mid)]);
+    }
+
+    #[test]
+    fn sample_runs_are_exactly_the_samples_inside_the_cell() {
+        // Every segment shape: inside, crossing any edge, far outside,
+        // backwards, vertical, with the run compared to a check of every
+        // sample.
+        let c = cell(StdCellKind::Nand(2), Style::NewImmune);
+        let map = TraceMap::new(&c.semantics);
+        let bbox = map.bbox();
+        let (x0, x1) = (bbox.x0().0 as f64, bbox.x1().0 as f64);
+        let (y0, y1) = (bbox.y0().0 as f64, bbox.y1().0 as f64);
+        let step = DBU_PER_LAMBDA as f64 / 4.0;
+        let mut rng = StdRng::seed_from_u64(9);
+        let mut point = |reach: f64| {
+            let (w, h) = ((x1 - x0) * reach, (y1 - y0) * reach);
+            (
+                rng.gen_range(x0 - w..=x1 + w).round()
+                    + [0.0, 0.3, 0.5][rng.gen_range(0.0..3.0) as usize],
+                rng.gen_range(y0 - h..=y1 + h).round(),
+            )
+        };
+        let mut partial = 0;
+        for i in 0..3000 {
+            let reach = [0.0, 0.2, 1.0, 20.0][i % 4];
+            let (a, mut b) = (point(reach), point(reach));
+            if i % 7 == 0 {
+                b.0 = a.0;
+            }
+            let d = (b.0 - a.0, b.1 - a.1);
+            let n = (d.0 / step).ceil().max(1.0) as usize;
+            let run = samples_within(n, a, d, bbox);
+            let sample = |k: usize| {
+                let t = k as f64 / n as f64;
+                ((a.0 + t * d.0) as i64, (a.1 + t * d.1) as i64)
+            };
+            let inside: Vec<usize> = (0..n)
+                .filter(|&k| {
+                    let (x, y) = sample(k);
+                    bbox.x0().0 <= x && x <= bbox.x1().0 && bbox.y0().0 <= y && y <= bbox.y1().0
+                })
+                .collect();
+            assert_eq!(run.clone().collect::<Vec<_>>(), inside, "{a:?} {b:?}");
+            partial += usize::from(!run.is_empty() && run.len() < n);
+        }
+        assert!(partial > 100, "{partial}");
+    }
+
+    #[test]
+    fn segments_without_a_finite_extent_are_skipped() {
+        // A vertex at ±∞ or NaN, or a span past f64::MAX, gives its
+        // segments no defined samples: they are skipped as if they ran
+        // outside the cell, and the rest of the tube walks as it would
+        // without them.
+        let c = cell(StdCellKind::Nand(2), Style::Vulnerable);
+        let map = TraceMap::new(&c.semantics);
+        let (x0, x1) = (map.bbox().x0().0 as f64, map.bbox().x1().0 as f64);
+        let (y0, y1) = (map.bbox().y0().0 as f64, map.bbox().y1().0 as f64);
+        for (i, poly) in probe_tubes(&map, 3).iter().take(160).enumerate() {
+            let expected = walked(&map, poly);
+            let metallic = i % 2 == 0;
+            let verdict = trace_polyline(&map, poly, metallic);
+            let mut ends = poly.clone();
+            ends.insert(0, (f64::NEG_INFINITY, y0));
+            ends.push((f64::INFINITY, f64::NAN));
+            assert_eq!(walked(&map, &ends), expected, "tube {i}");
+            assert_eq!(trace_polyline(&map, &ends, metallic), verdict);
+            // A NaN vertex in the middle drops the two segments it ends;
+            // the samples before and after it run on as one tube.
+            let mid = poly.len() / 2;
+            let mut gap = poly.clone();
+            gap.insert(mid, (f64::NAN, y1));
+            let mut expected: Vec<_> = oracle_regions(&build_columns(&c.semantics), &poly[..mid])
+                .into_iter()
+                .chain(oracle_regions(&build_columns(&c.semantics), &poly[mid..]))
+                .cloned()
+                .collect();
+            expected.dedup();
+            assert_eq!(walked(&map, &gap), expected, "tube {i}");
+        }
+        for poly in [
+            vec![(x0 - 1e308, y0), (x1 + 1e308, y0)],
+            vec![(x0, f64::INFINITY), (x1, y0)],
+            vec![(f64::NAN, f64::NAN), (f64::NAN, f64::NAN)],
+        ] {
+            assert_eq!(walked(&map, &poly), Vec::new(), "{poly:?}");
+            assert_eq!(trace_polyline(&map, &poly, true), None);
+        }
     }
 
     #[test]
@@ -479,13 +774,8 @@ mod tests {
                     let map = TraceMap::new(sem);
                     for (i, poly) in probe_tubes(&map, checked as u64).iter().enumerate() {
                         let expected = oracle_regions(&cm, poly);
-                        let mut regions = Vec::new();
-                        let _ = walk_regions::<()>(&map, poly, |r| {
-                            regions.push(map.kind_of(r));
-                            ControlFlow::Continue(())
-                        });
                         assert!(
-                            regions.iter().eq(expected.iter().copied()),
+                            walked(&map, poly).iter().eq(expected.iter().copied()),
                             "{kind} {style} {scheme} tube {i}"
                         );
                         let metallic = i % 3 == 0;

@@ -11,7 +11,9 @@
 //! column, each slab's region interned (contact nets to indices, gates
 //! to gate-mask bits), plus the nominal path masks of every contact-net
 //! pair. A cursor follows a tube through the map by stepping from
-//! the previous sample's column and slab rather than searching.
+//! the previous sample's column and slab rather than searching, and
+//! holds a box around the slab it last answered, so a sample that stays
+//! in that box costs four comparisons and no step at all.
 
 use crate::verdict::{gate_bit, nominal_path_masks};
 use cnfet_core::{PullSide, SemKind, SemanticLayout};
@@ -76,6 +78,10 @@ pub(crate) struct MapSlab {
     pub(crate) y0: i64,
     pub(crate) y1: i64,
     pub(crate) region: Region,
+    /// The right edge of the run of columns, from this one on, that
+    /// each hold a slab of this extent and region; one dbu past it when
+    /// the run reaches the last column, whose right edge is closed.
+    pub(crate) x_end: i64,
 }
 
 /// A cell layout prepared once for every tube walk over it: the column
@@ -127,10 +133,25 @@ impl TraceMap {
                     y0: slab.y0,
                     y1: slab.y1,
                     region,
+                    x_end: 0,
                 });
             }
         }
         column_start.push(slabs.len());
+        // Right to left, so each slab extends the run of its twin in the
+        // next column.
+        let columns = cm.columns.len();
+        for col in (0..columns).rev() {
+            let own_end = cm.xs[col + 1] + i64::from(col + 1 == columns);
+            let next = column_start[col + 1]..column_start.get(col + 2).map_or(slabs.len(), |&e| e);
+            for i in column_start[col]..column_start[col + 1] {
+                let s = slabs[i];
+                let twin = slabs[next.clone()]
+                    .iter()
+                    .find(|t| (t.y0, t.y1, t.region) == (s.y0, s.y1, s.region));
+                slabs[i].x_end = twin.map_or(own_end, |t| t.x_end);
+            }
+        }
         let paths = nominal_path_masks(sem, &nets);
         TraceMap {
             bbox: sem.bbox,
@@ -185,11 +206,23 @@ fn intern(nets: &mut Vec<String>, net: &str) -> u16 {
 /// of searching, since x is monotone along a tube and y moves little
 /// between samples. Any order of points is answered correctly; the walk
 /// is only short when consecutive points are close.
+///
+/// The cursor also holds a box around the slab its last region came from
+/// ([`Cursor::holds`]): the slab, and its twins of the same extent and
+/// region in the columns right of it (see `MapSlab::x_end`). The box is
+/// exactly the set of points [`seek`] would answer with one of those
+/// slabs, so every point inside it has the last region, and a caller
+/// that remembers that region can skip them all.
+///
+/// [`seek`]: Cursor::seek
 pub(crate) struct Cursor<'a> {
     map: &'a TraceMap,
     col: usize,
     /// Slab index within the column.
     slab: usize,
+    /// The held box, half-open `[x0, x1) × [y0, y1)`, dbu; empty until
+    /// the first region.
+    held: [i64; 4],
 }
 
 impl<'a> Cursor<'a> {
@@ -198,7 +231,19 @@ impl<'a> Cursor<'a> {
             map,
             col: 0,
             slab: 0,
+            held: [0; 4],
         }
+    }
+
+    /// Whether `(x, y)` lies in the box held around the slab of the last
+    /// region [`seek`] answered, which is then that point's region too.
+    /// A seek that answers `None` leaves the box as it was.
+    ///
+    /// [`seek`]: Cursor::seek
+    #[inline]
+    pub(crate) fn holds(&self, x: i64, y: i64) -> bool {
+        let [x0, x1, y0, y1] = self.held;
+        x >= x0 && x < x1 && y >= y0 && y < y1
     }
 
     /// The region at `(x, y)`, or `None` outside the cell. Columns are
@@ -229,7 +274,11 @@ impl<'a> Cursor<'a> {
         while self.slab + 1 < column.len() && y >= column[self.slab].y1 {
             self.slab += 1;
         }
-        Some(column[self.slab].region)
+        let slab = column[self.slab];
+        // A top slab's closed edge takes one more dbu in the half-open box.
+        let top = i64::from(self.slab + 1 == column.len());
+        self.held = [xs[self.col], slab.x_end, slab.y0, slab.y1 + top];
+        Some(slab.region)
     }
 }
 
@@ -371,6 +420,48 @@ mod tests {
         assert_eq!(Cursor::new(&map).seek(x0, y1 + 1), None);
         // The last column and the top slab are closed.
         assert!(Cursor::new(&map).seek(x1, y1).is_some());
+    }
+
+    #[test]
+    fn held_box_is_exactly_what_seek_sends_to_the_slab_or_its_twins() {
+        // One cursor seeks every slab in turn (so each seek moves it to
+        // another slab). After each, the held box must hold exactly the
+        // probes a fresh cursor sends to that slab or to a twin of the
+        // same extent and region in the unbroken run of columns right of
+        // it, closed edges included; a seek outside the cell must leave
+        // the box as it was.
+        for kind in [StdCellKind::Nand(2), StdCellKind::Aoi31] {
+            let cell = generate_cell(kind, &GenerateOptions::default()).unwrap();
+            let map = TraceMap::new(&cell.semantics);
+            let xs = &map.xs;
+            let twin = |col: usize, s: &MapSlab| {
+                map.slabs[map.column(col)]
+                    .iter()
+                    .position(|t| (t.y0, t.y1, t.region) == (s.y0, s.y1, s.region))
+            };
+            let mut cursor = Cursor::new(&map);
+            for col in 0..map.columns() {
+                for slab in map.column(col) {
+                    let s = map.slabs[slab];
+                    let run_end = (col..map.columns())
+                        .find(|&c| twin(c, &s).is_none())
+                        .unwrap_or(map.columns());
+                    assert!(cursor.seek(xs[col], s.y0).is_some());
+                    assert_eq!(cursor.col, col);
+                    assert_eq!(cursor.seek(xs[col], map.bbox.y1().0 + 1), None);
+                    let edges = [xs[col], xs[col + 1], xs[run_end]];
+                    for x in edges.into_iter().flat_map(|e| [e - 1, e, e + 1]) {
+                        for y in [s.y0 - 1, s.y0, s.y1 - 1, s.y1, s.y1 + 1] {
+                            let mut fresh = Cursor::new(&map);
+                            let same = fresh.seek(x, y).is_some()
+                                && (col..run_end).contains(&fresh.col)
+                                && twin(fresh.col, &s) == Some(fresh.slab);
+                            assert_eq!(cursor.holds(x, y), same, "{kind} ({x}, {y})");
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]
