@@ -989,7 +989,6 @@ fn stats_body(shared: &Shared) -> Json {
                 class.name().to_string(),
                 Json::obj([
                     ("hits", Json::from(per_class.hits)),
-                    ("fast_hits", Json::from(per_class.fast_hits)),
                     ("misses", Json::from(per_class.misses)),
                     ("evictions", Json::from(per_class.evictions)),
                     ("requests", Json::from(per_class.requests())),

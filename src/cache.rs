@@ -19,35 +19,21 @@
 //!   the least-recently-used entry of that shard. `capacity == 0`
 //!   disables caching entirely (every request builds, nothing is stored).
 //! * **Per-shard stats** — hits, misses, evictions and in-flight waits
-//!   are counted per shard and aggregated in [`CacheStats`]. Counter
-//!   updates happen **while the shard lock is held** and snapshots read
-//!   them under the same lock, so a `stats()` call
-//!   racing concurrent traffic (the `GET /v1/stats` endpoint of
-//!   `cnfet-serve` polls exactly this) always observes a per-shard-
-//!   coherent view: every resident entry is accounted by a counted miss
-//!   (`misses >= entries + evictions`), and a reported hit's value was
-//!   resident when counted. Cross-shard skew remains possible — the
-//!   snapshot locks shards one at a time — but each shard's line adds
-//!   up.
-//! * **A seqlock fast read path** — a clean hit takes **zero mutex
-//!   acquisitions**. Each shard guards its bucket table with a version
-//!   counter (odd while a writer is restructuring) plus a reader-presence
-//!   count: a fast reader announces itself, re-checks the version is
-//!   even, probes the table, clones the value, and withdraws; a writer
-//!   (always under the shard mutex, so writers are serialized) bumps the
-//!   version to odd, waits for announced readers to drain, mutates, and
-//!   bumps back to even. Readers that observe an odd version — or miss —
-//!   fall back to the locked path, which preserves every slow-path
-//!   property above (single-flight, LRU bounds, counter coherence). Fast
-//!   hits are counted in their own per-shard `fast_hits` counter and
-//!   refresh LRU recency through the entry's atomic tick, so an entry
-//!   kept hot by fast readers is still protected from eviction.
+//!   are counted per shard and aggregated in [`CacheStats`].
+//! * **One lock per shard, one path** — every hit, miss, insert,
+//!   eviction and stats read goes through the shard's mutex. A counter
+//!   changes in the same critical section as the entry it counts, so a
+//!   `stats()` call racing concurrent traffic (the `GET /v1/stats`
+//!   endpoint of `cnfet-serve` polls exactly this) always observes a
+//!   per-shard-coherent view: every resident entry is accounted by a
+//!   counted miss (`misses >= entries + evictions`), and a reported
+//!   hit's value was resident when counted. Cross-shard skew remains
+//!   possible — the snapshot locks shards one at a time — but each
+//!   shard's line adds up.
 
-use std::cell::UnsafeCell;
 use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, MutexGuard};
 
 /// Default total entry bound of a session cache.
 pub const DEFAULT_CAPACITY: usize = 4096;
@@ -65,12 +51,8 @@ pub struct ShardStats {
     /// Entries currently resident in the shard.
     pub entries: usize,
     /// Requests answered from this shard (including single-flight waits
-    /// that received a concurrent build's value, and including the
-    /// lock-free fast hits counted in `fast_hits`).
+    /// that received a concurrent build's value).
     pub hits: u64,
-    /// The subset of `hits` served by the seqlock fast path with zero
-    /// mutex acquisitions.
-    pub fast_hits: u64,
     /// Requests that ran the builder on this shard.
     pub misses: u64,
     /// Entries evicted from this shard to respect the capacity bound.
@@ -95,8 +77,6 @@ pub struct CacheStats {
     pub entries: usize,
     /// Aggregate hits.
     pub hits: u64,
-    /// Aggregate lock-free fast hits (a subset of `hits`).
-    pub fast_hits: u64,
     /// Aggregate misses.
     pub misses: u64,
     /// Aggregate evictions.
@@ -116,181 +96,124 @@ pub struct CacheStats {
 struct Stored<V> {
     value: V,
     /// Monotone per-shard use tick; smallest tick = least recently used.
-    /// Atomic so the lock-free fast path can refresh recency on a hit —
-    /// an entry kept hot by fast readers is still protected from LRU
-    /// eviction, exactly as on the locked path.
-    last_used: AtomicU64,
+    last_used: u64,
 }
 
-/// The bucket table type of one shard: indexed by the key's full 64-bit
-/// hash (computed once per request, also used for shard selection) with a
-/// tiny collision vector per slot, so the hot hit path hashes the —
-/// potentially large — key exactly once and then does one `u64` map probe
-/// plus one key compare.
-type Buckets<K, V> = HashMap<u64, Vec<(K, Stored<V>)>>;
-
-/// The mutex-guarded remainder of a shard (the bucket table itself lives
-/// outside the mutex, in [`Shard::buckets`], so the seqlock fast path can
-/// read it without locking).
-#[derive(Debug)]
-struct ShardState {
+/// Everything a shard owns, guarded by its one mutex.
+struct ShardState<K, V> {
+    /// Indexed by the key's full 64-bit hash (computed once per request,
+    /// also used for shard selection) with a tiny collision vector per
+    /// slot, so a hit hashes the — potentially large — key exactly once
+    /// and then does one `u64` map probe plus one key compare.
+    buckets: HashMap<u64, Vec<(K, Stored<V>)>>,
     /// Total entries across all buckets.
     len: usize,
+    /// Monotone use tick behind [`Stored::last_used`].
+    tick: u64,
     /// Hashes with a build in flight. Keyed by hash, not key: a 64-bit
     /// collision merely serializes two unrelated builds, it never
     /// produces a wrong value (waiters re-check their own key on wake).
     in_flight: HashSet<u64>,
+    hits: u64,
+    misses: u64,
+    evictions: u64,
+    inflight_waits: u64,
+}
+
+impl<K: Eq, V> ShardState<K, V> {
+    /// The resident value of `key`, refreshing its recency and counting
+    /// the hit.
+    fn hit(&mut self, hash: u64, key: &K) -> Option<V>
+    where
+        V: Clone,
+    {
+        let (_, stored) = self
+            .buckets
+            .get_mut(&hash)?
+            .iter_mut()
+            .find(|(k, _)| k == key)?;
+        self.tick += 1;
+        stored.last_used = self.tick;
+        self.hits += 1;
+        Some(stored.value.clone())
+    }
+
+    fn contains(&self, hash: u64, key: &K) -> bool {
+        self.buckets
+            .get(&hash)
+            .is_some_and(|bucket| bucket.iter().any(|(k, _)| k == key))
+    }
+
+    /// Inserts a key that is not resident, counts its miss, and evicts
+    /// least-recently-used entries past `capacity`. The miss and the
+    /// entry land in one critical section, so a stats snapshot never sees
+    /// one without the other: `misses >= entries + evictions` holds at
+    /// every instant.
+    fn insert(&mut self, hash: u64, key: K, value: V, capacity: usize) {
+        self.tick += 1;
+        let stored = Stored {
+            value,
+            last_used: self.tick,
+        };
+        self.buckets.entry(hash).or_default().push((key, stored));
+        self.len += 1;
+        self.misses += 1;
+        while self.len > capacity && self.evict_lru() {
+            self.len -= 1;
+            self.evictions += 1;
+        }
+    }
+
+    /// Removes the least-recently-used entry (linear scan; runs only on
+    /// over-capacity inserts, never on hits).
+    fn evict_lru(&mut self) -> bool {
+        let Some((lru_hash, lru_pos)) = self
+            .buckets
+            .iter()
+            .flat_map(|(&h, bucket)| {
+                bucket
+                    .iter()
+                    .enumerate()
+                    .map(move |(i, (_, s))| ((h, i), s.last_used))
+            })
+            .min_by_key(|(_, used)| *used)
+            .map(|(at, _)| at)
+        else {
+            return false;
+        };
+        let bucket = self.buckets.get_mut(&lru_hash).expect("bucket exists");
+        bucket.swap_remove(lru_pos);
+        if bucket.is_empty() {
+            self.buckets.remove(&lru_hash);
+        }
+        true
+    }
 }
 
 struct Shard<K, V> {
-    /// The bucket table. Written only inside [`Shard::mutate_buckets`]
-    /// (shard mutex held + seqlock write section); read either under the
-    /// shard mutex or from an announced fast-read section — see the
-    /// safety contract on [`Shard::read_buckets`].
-    buckets: UnsafeCell<Buckets<K, V>>,
-    /// Seqlock version of `buckets`: odd while a writer is inside the
-    /// write section.
-    seq: AtomicU64,
-    /// Fast readers currently announced into the read section. A writer
-    /// drains this to zero before mutating, which is what makes handing
-    /// `&V` references out of the table sound (no classic-seqlock torn
-    /// reads, and no use-after-free cloning a value mid-eviction).
-    readers: AtomicU64,
-    /// Monotone use tick, shared by both hit paths.
-    tick: AtomicU64,
-    state: Mutex<ShardState>,
+    state: Mutex<ShardState<K, V>>,
     ready: Condvar,
-    hits: AtomicU64,
-    fast_hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-    inflight_waits: AtomicU64,
-}
-
-// SAFETY: the `buckets` UnsafeCell is written only inside
-// `mutate_buckets`, whose callers hold the shard mutex (serializing
-// writers) and which excludes announced fast readers via the
-// `seq`/`readers` handshake before touching the table; it is read only
-// under that same mutex or from inside an announced fast-read section.
-// `&Shard` therefore never yields unsynchronized aliased access to the
-// table. `K: Send + Sync` / `V: Send + Sync` keep the `&K`/`&V`
-// references the read paths hand out (and the clones they produce)
-// sound across threads.
-unsafe impl<K: Send + Sync, V: Send + Sync> Sync for Shard<K, V> {}
-
-impl<K, V> std::fmt::Debug for Shard<K, V> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Shard")
-            .field("seq", &self.seq)
-            .field("readers", &self.readers)
-            .finish_non_exhaustive()
-    }
 }
 
 impl<K, V> Shard<K, V> {
     fn new() -> Shard<K, V> {
         Shard {
-            buckets: UnsafeCell::new(HashMap::new()),
-            seq: AtomicU64::new(0),
-            readers: AtomicU64::new(0),
-            tick: AtomicU64::new(0),
             state: Mutex::new(ShardState {
+                buckets: HashMap::new(),
                 len: 0,
+                tick: 0,
                 in_flight: HashSet::new(),
+                hits: 0,
+                misses: 0,
+                evictions: 0,
+                inflight_waits: 0,
             }),
             ready: Condvar::new(),
-            hits: AtomicU64::new(0),
-            fast_hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            inflight_waits: AtomicU64::new(0),
         }
     }
 
-    /// A shared view of the bucket table.
-    ///
-    /// # Safety
-    ///
-    /// The caller must either hold the shard mutex (which excludes the
-    /// write section, because every `mutate_buckets` caller holds it
-    /// too) or be inside an announced fast-read section (`readers`
-    /// incremented *before* observing `seq` even).
-    unsafe fn read_buckets(&self) -> &Buckets<K, V> {
-        // SAFETY: forwarded to the caller (see above).
-        unsafe { &*self.buckets.get() }
-    }
-
-    /// Runs `f` with exclusive access to the bucket table. The caller
-    /// must hold the shard mutex — that is what serializes writers; this
-    /// method's version/reader handshake then excludes the lock-free
-    /// fast readers: the version goes odd (new fast readers bounce to
-    /// the locked path), announced readers drain, `f` mutates, and the
-    /// version returns to even.
-    fn mutate_buckets<R>(&self, f: impl FnOnce(&mut Buckets<K, V>) -> R) -> R {
-        self.seq.fetch_add(1, Ordering::SeqCst);
-        let mut spins = 0u32;
-        while self.readers.load(Ordering::SeqCst) != 0 {
-            // Fast readers never block while announced, so the drain is
-            // short — but on a single CPU an announced reader may need
-            // the core this writer is spinning on, so yield periodically.
-            spins = spins.wrapping_add(1);
-            if spins.is_multiple_of(64) {
-                std::thread::yield_now();
-            } else {
-                std::hint::spin_loop();
-            }
-        }
-        // SAFETY: writers are serialized by the shard mutex held by the
-        // caller, the odd version keeps new fast readers out, and the
-        // announced readers have drained — this closure has exclusive
-        // access to the table.
-        let result = f(unsafe { &mut *self.buckets.get() });
-        self.seq.fetch_add(1, Ordering::SeqCst);
-        result
-    }
-
-    /// The lock-free fast hit path: zero mutex acquisitions on a clean
-    /// hit. Returns `None` (fall back to the locked path) on a miss or
-    /// whenever a writer is inside — or enters — the write section.
-    fn fast_hit(&self, hash: u64, key: &K) -> Option<V>
-    where
-        K: Eq,
-        V: Clone,
-    {
-        if self.seq.load(Ordering::SeqCst) & 1 != 0 {
-            // A writer is restructuring the table; don't even announce.
-            return None;
-        }
-        self.readers.fetch_add(1, Ordering::SeqCst);
-        // Re-check *after* announcing. SeqCst gives the Dekker-style
-        // guarantee with the writer's store(seq: odd) → load(readers)
-        // sequence: either this load sees the odd version (and the
-        // reader backs out without touching the table), or the writer's
-        // readers-drain loop sees this reader's announcement (and waits
-        // for it to withdraw before mutating). Both orders are safe;
-        // overlap is impossible.
-        let value = if self.seq.load(Ordering::SeqCst) & 1 == 0 {
-            // SAFETY: announced while the version was even — see above.
-            let buckets = unsafe { self.read_buckets() };
-            buckets
-                .get(&hash)
-                .and_then(|bucket| bucket.iter().find(|(k, _)| k == key))
-                .map(|(_, stored)| {
-                    let tick = self.tick.fetch_add(1, Ordering::Relaxed) + 1;
-                    stored.last_used.store(tick, Ordering::Relaxed);
-                    stored.value.clone()
-                })
-        } else {
-            None
-        };
-        self.readers.fetch_sub(1, Ordering::SeqCst);
-        if value.is_some() {
-            // Fast hits count as hits (the aggregate hit/miss accounting
-            // is path-independent) and additionally as fast hits.
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            self.fast_hits.fetch_add(1, Ordering::Relaxed);
-        }
-        value
+    fn lock(&self) -> MutexGuard<'_, ShardState<K, V>> {
+        self.state.lock().expect("cache shard lock")
     }
 }
 
@@ -324,7 +247,6 @@ impl<K, V> Drop for InFlightClaim<'_, K, V> {
 
 /// A lock-striped memoizing map with per-shard single-flight builds and
 /// LRU-bounded capacity. See the [module docs](self) for the design.
-#[derive(Debug)]
 pub(crate) struct ShardedCache<K, V> {
     shards: Vec<Shard<K, V>>,
     /// Per-shard entry bound; `0` disables caching.
@@ -334,6 +256,15 @@ pub(crate) struct ShardedCache<K, V> {
     capacity: usize,
     /// `shards.len() - 1`; shard count is a power of two.
     mask: usize,
+}
+
+impl<K, V> std::fmt::Debug for ShardedCache<K, V> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ShardedCache")
+            .field("shards", &self.shards.len())
+            .field("capacity", &self.capacity)
+            .finish_non_exhaustive()
+    }
 }
 
 impl<K: Clone + Eq + Hash, V: Clone> ShardedCache<K, V> {
@@ -365,10 +296,11 @@ impl<K: Clone + Eq + Hash, V: Clone> ShardedCache<K, V> {
 
     /// Hashes the key once; the result selects the shard and indexes the
     /// shard's buckets.
-    fn hash_of(key: &K) -> u64 {
+    fn shard_of(&self, key: &K) -> (u64, &Shard<K, V>) {
         let mut h = std::collections::hash_map::DefaultHasher::new();
         key.hash(&mut h);
-        h.finish()
+        let hash = h.finish();
+        (hash, &self.shards[(hash as usize) & self.mask])
     }
 
     /// Returns `(value, was_cached)`; `was_cached` is true whenever the
@@ -389,47 +321,22 @@ impl<K: Clone + Eq + Hash, V: Clone> ShardedCache<K, V> {
         key: &K,
         build: impl FnOnce() -> Result<V, E>,
     ) -> Result<(V, bool), E> {
-        let hash = Self::hash_of(key);
-        let shard = &self.shards[(hash as usize) & self.mask];
+        let (hash, shard) = self.shard_of(key);
         if self.shard_capacity == 0 {
             let value = build()?;
-            shard.misses.fetch_add(1, Ordering::Relaxed);
+            shard.lock().misses += 1;
             return Ok((value, false));
         }
 
-        // The seqlock fast path: a clean hit clones the value without
-        // touching the shard mutex. Contention with a writer — or a
-        // plain miss — falls through to the locked path below.
-        if let Some(value) = shard.fast_hit(hash, key) {
-            return Ok((value, true));
-        }
-
-        let mut state = shard.state.lock().expect("cache shard lock");
+        let mut state = shard.lock();
         loop {
-            {
-                // SAFETY: the shard mutex is held — every bucket writer
-                // holds it too, so no write section can be active. (The
-                // reference must not outlive this block: `wait` below
-                // releases the mutex.)
-                let buckets = unsafe { shard.read_buckets() };
-                if let Some(bucket) = buckets.get(&hash) {
-                    if let Some((_, stored)) = bucket.iter().find(|(k, _)| k == key) {
-                        let tick = shard.tick.fetch_add(1, Ordering::Relaxed) + 1;
-                        stored.last_used.store(tick, Ordering::Relaxed);
-                        let value = stored.value.clone();
-                        // Counted before the lock drops: a stats snapshot
-                        // can never see this hit without the entry it
-                        // came from.
-                        shard.hits.fetch_add(1, Ordering::Relaxed);
-                        drop(state);
-                        return Ok((value, true));
-                    }
-                }
+            if let Some(value) = state.hit(hash, key) {
+                return Ok((value, true));
             }
             if !state.in_flight.contains(&hash) {
                 break;
             }
-            shard.inflight_waits.fetch_add(1, Ordering::Relaxed);
+            state.inflight_waits += 1;
             state = shard.ready.wait(state).expect("cache shard lock");
         }
         state.in_flight.insert(hash);
@@ -439,73 +346,15 @@ impl<K: Clone + Eq + Hash, V: Clone> ShardedCache<K, V> {
         // shard's waiters are woken, exactly once.
         let claim = InFlightClaim { shard, hash };
 
-        let built = build();
-
-        let mut state = shard.state.lock().expect("cache shard lock");
-        let result = match built {
-            Ok(value) => {
-                let tick = shard.tick.fetch_add(1, Ordering::Relaxed) + 1;
-                shard.mutate_buckets(|buckets| {
-                    // The key cannot already be resident: its hash was
-                    // held in `in_flight`, so every same-hash requester
-                    // waited and re-checked above.
-                    buckets.entry(hash).or_default().push((
-                        key.clone(),
-                        Stored {
-                            value: value.clone(),
-                            last_used: AtomicU64::new(tick),
-                        },
-                    ));
-                    state.len += 1;
-                    // Counted while the lock is held (insert and miss are
-                    // one atomic step to mutex-taking observers): a stats
-                    // snapshot can never see the entry without its miss,
-                    // or the miss without its entry —
-                    // `misses >= entries + evictions` holds at every
-                    // instant.
-                    shard.misses.fetch_add(1, Ordering::Relaxed);
-                    while state.len > self.shard_capacity {
-                        if !Self::evict_lru(buckets) {
-                            break;
-                        }
-                        state.len -= 1;
-                        shard.evictions.fetch_add(1, Ordering::Relaxed);
-                    }
-                });
-                Ok((value, false))
-            }
-            // Waiters re-check and the next one retries the build.
-            Err(e) => Err(e),
-        };
-        drop(state);
+        // The key cannot become resident meanwhile: its hash is held in
+        // `in_flight`, so every same-hash requester waits and re-checks.
+        // On an error, waiters re-check and the next one retries.
+        let value = build()?;
+        shard
+            .lock()
+            .insert(hash, key.clone(), value.clone(), self.shard_capacity);
         drop(claim);
-        result
-    }
-
-    /// Removes the least-recently-used entry from the bucket table
-    /// (linear scan; runs only on over-capacity inserts, never on hits).
-    /// Must run inside a [`Shard::mutate_buckets`] write section; the
-    /// caller adjusts `len` and the eviction counter on `true`.
-    fn evict_lru(buckets: &mut Buckets<K, V>) -> bool {
-        let Some((&lru_hash, lru_pos)) = buckets
-            .iter()
-            .flat_map(|(h, bucket)| {
-                bucket
-                    .iter()
-                    .enumerate()
-                    .map(move |(i, (_, s))| ((h, i), s.last_used.load(Ordering::Relaxed)))
-            })
-            .min_by_key(|(_, used)| *used)
-            .map(|(at, _)| at)
-        else {
-            return false;
-        };
-        let bucket = buckets.get_mut(&lru_hash).expect("bucket exists");
-        bucket.swap_remove(lru_pos);
-        if bucket.is_empty() {
-            buckets.remove(&lru_hash);
-        }
-        true
+        Ok((value, false))
     }
 
     /// Clones every resident `(key, value)` pair, shard by shard — the
@@ -516,16 +365,12 @@ impl<K: Clone + Eq + Hash, V: Clone> ShardedCache<K, V> {
     pub(crate) fn export(&self) -> Vec<(K, V)> {
         let mut out = Vec::new();
         for shard in &self.shards {
-            let state = shard.state.lock().expect("cache shard lock");
-            // SAFETY: the shard mutex is held, so no write section is
-            // active.
-            let buckets = unsafe { shard.read_buckets() };
-            for bucket in buckets.values() {
+            let state = shard.lock();
+            for bucket in state.buckets.values() {
                 for (key, stored) in bucket {
                     out.push((key.clone(), stored.value.clone()));
                 }
             }
-            drop(state);
         }
         out
     }
@@ -542,46 +387,16 @@ impl<K: Clone + Eq + Hash, V: Clone> ShardedCache<K, V> {
         if self.shard_capacity == 0 {
             return;
         }
-        let hash = Self::hash_of(&key);
-        let shard = &self.shards[(hash as usize) & self.mask];
-        let mut state = shard.state.lock().expect("cache shard lock");
-        {
-            // SAFETY: the shard mutex is held, so no write section is
-            // active.
-            let buckets = unsafe { shard.read_buckets() };
-            if let Some(bucket) = buckets.get(&hash) {
-                if bucket.iter().any(|(k, _)| k == &key) {
-                    return;
-                }
-            }
+        let (hash, shard) = self.shard_of(&key);
+        let mut state = shard.lock();
+        if !state.contains(hash, &key) {
+            state.insert(hash, key, value, self.shard_capacity);
         }
-        let tick = shard.tick.fetch_add(1, Ordering::Relaxed) + 1;
-        shard.mutate_buckets(|buckets| {
-            buckets.entry(hash).or_default().push((
-                key,
-                Stored {
-                    value,
-                    last_used: AtomicU64::new(tick),
-                },
-            ));
-            state.len += 1;
-            shard.misses.fetch_add(1, Ordering::Relaxed);
-            while state.len > self.shard_capacity {
-                if !Self::evict_lru(buckets) {
-                    break;
-                }
-                state.len -= 1;
-                shard.evictions.fetch_add(1, Ordering::Relaxed);
-            }
-        });
     }
 
     /// Entries currently resident across all shards.
     pub(crate) fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.state.lock().expect("cache shard lock").len)
-            .sum()
+        self.shards.iter().map(|s| s.lock().len).sum()
     }
 
     /// Drops every resident entry; counters are kept, and so are the
@@ -591,8 +406,8 @@ impl<K: Clone + Eq + Hash, V: Clone> ShardedCache<K, V> {
     /// zero on its own.
     pub(crate) fn clear(&self) {
         for shard in &self.shards {
-            let mut state = shard.state.lock().expect("cache shard lock");
-            shard.mutate_buckets(|buckets| buckets.clear());
+            let mut state = shard.lock();
+            state.buckets.clear();
             state.len = 0;
         }
     }
@@ -606,24 +421,21 @@ impl<K: Clone + Eq + Hash, V: Clone> ShardedCache<K, V> {
             ..CacheStats::default()
         };
         for shard in &self.shards {
-            // Counters are read while the shard lock is held, pairing
-            // with the under-lock increments in `get_or_build`: each
-            // shard's snapshot is internally coherent (see module docs).
+            // One critical section per shard: each shard's snapshot is
+            // internally coherent (see module docs).
             let s = {
-                let state = shard.state.lock().expect("cache shard lock");
+                let state = shard.lock();
                 ShardStats {
                     entries: state.len,
-                    hits: shard.hits.load(Ordering::Relaxed),
-                    fast_hits: shard.fast_hits.load(Ordering::Relaxed),
-                    misses: shard.misses.load(Ordering::Relaxed),
-                    evictions: shard.evictions.load(Ordering::Relaxed),
-                    inflight_waits: shard.inflight_waits.load(Ordering::Relaxed),
+                    hits: state.hits,
+                    misses: state.misses,
+                    evictions: state.evictions,
+                    inflight_waits: state.inflight_waits,
                     in_flight: state.in_flight.len(),
                 }
             };
             out.entries += s.entries;
             out.hits += s.hits;
-            out.fast_hits += s.fast_hits;
             out.misses += s.misses;
             out.evictions += s.evictions;
             out.inflight_waits += s.inflight_waits;
@@ -638,6 +450,7 @@ impl<K: Clone + Eq + Hash, V: Clone> ShardedCache<K, V> {
 mod tests {
     use super::*;
     use std::convert::Infallible;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     fn ok(v: u32) -> impl FnOnce() -> Result<u32, Infallible> {
         move || Ok(v)
@@ -784,39 +597,10 @@ mod tests {
     }
 
     #[test]
-    fn fast_path_serves_clean_hits_and_counts_them() {
-        let cache: ShardedCache<u32, u32> = ShardedCache::new(64, 4);
-        assert_eq!(cache.get_or_build(&1, ok(10)).unwrap(), (10, false));
-        // With no writer active, every subsequent hit is a fast hit.
-        for _ in 0..3 {
-            assert_eq!(cache.get_or_build(&1, ok(99)).unwrap(), (10, true));
-        }
-        let stats = cache.stats();
-        assert_eq!(stats.misses, 1);
-        assert_eq!(stats.hits, 3, "fast hits are included in hits");
-        assert_eq!(stats.fast_hits, 3, "...and counted separately");
-    }
-
-    #[test]
-    fn fast_hits_refresh_lru_recency() {
-        let cache: ShardedCache<u32, u32> = ShardedCache::new(2, 1);
-        cache.get_or_build(&1, ok(1)).unwrap();
-        cache.get_or_build(&2, ok(2)).unwrap();
-        // This touch goes through the lock-free fast path…
-        assert!(cache.get_or_build(&1, ok(0)).unwrap().1);
-        assert_eq!(cache.stats().fast_hits, 1);
-        // …and must still protect 1 from the eviction triggered by 3.
-        cache.get_or_build(&3, ok(3)).unwrap();
-        assert!(cache.get_or_build(&1, ok(0)).unwrap().1, "1 survives");
-        assert!(!cache.get_or_build(&2, ok(2)).unwrap().1, "2 was evicted");
-    }
-
-    #[test]
-    fn seqlock_read_path_survives_concurrent_eviction_churn() {
-        // Readers hammer one hot key through the fast path while a
-        // writer churns enough distinct keys through a tiny shard to
-        // force constant evictions (every insert enters the seqlock
-        // write section and restructures the table the readers probe).
+    fn hot_key_reads_survive_concurrent_eviction_churn() {
+        // Readers hammer one hot key while a writer churns enough
+        // distinct keys through a tiny shard to force constant evictions
+        // (every insert restructures the table the readers probe).
         // Values are self-checksummed so any torn read — a clone
         // overlapping a table mutation — breaks the relation.
         const MASK: u64 = 0x9e37_79b9_7f4a_7c15;
@@ -846,17 +630,11 @@ mod tests {
                 }
             });
         });
-        // One guaranteed clean hit so `fast_hits > 0` holds even if the
-        // scheduler serialized the whole race above.
         cache.get_or_build(&1, make(1)).unwrap();
-        let (v, _) = cache.get_or_build(&1, make(1)).unwrap();
+        let (v, cached) = cache.get_or_build(&1, make(1)).unwrap();
         check(&v);
+        assert!(cached, "a resident hot key is a hit");
         let stats = cache.stats();
-        assert!(stats.fast_hits > 0, "fast path never engaged: {stats:?}");
-        assert!(
-            stats.fast_hits <= stats.hits,
-            "fast hits are a subset of hits: {stats:?}"
-        );
         // 40k threaded probes + 2 tail probes, each a hit or a miss.
         assert_eq!(stats.hits + stats.misses, 40_002);
         for s in stats.shards {

@@ -431,9 +431,10 @@ pub struct RequestStats {
     /// Requests answered from the cache (including single-flight waits
     /// that received a concurrent build's value).
     pub hits: u64,
-    /// The subset of `hits` served on the seqlock fast path — no mutex
-    /// acquisition at all (see [`cache`](crate::cache)). Always
-    /// `<= hits`.
+    /// Always 0: every hit now takes its shard lock (see
+    /// [`cache`](crate::cache)). Kept only because the benchmark's traced
+    /// run still reads it for `cache.fast_hit_ratio`; it goes when that
+    /// metric does.
     pub fast_hits: u64,
     /// Requests that executed (every request, when caching is disabled).
     pub misses: u64,
@@ -787,7 +788,7 @@ impl Session {
             let s = self.core.caches[class.index()].stats();
             per_class[class.index()] = RequestStats {
                 hits: s.hits,
-                fast_hits: s.fast_hits,
+                fast_hits: 0,
                 misses: s.misses,
                 evictions: s.evictions,
             };

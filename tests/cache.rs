@@ -171,12 +171,12 @@ fn forced_workers_keep_single_flight() {
     assert!(results.iter().all(|r| Arc::ptr_eq(&r.cell, first)));
 }
 
-/// The seqlock fast path under fire: four threads hammer one hot cell
-/// while a writer forces eviction churn through the same single shard.
-/// Every read must come back untorn, the counters must stay coherent,
-/// and once the writer stops, clean hits must take the mutex-free path.
+/// One hot key under fire: four threads hammer one hot cell while a
+/// writer forces eviction churn through the same single shard. Every
+/// read must come back untorn, the counters must stay coherent, and once
+/// the writer stops, the resident hot key must serve hits.
 #[test]
-fn seqlock_fast_path_survives_hot_key_contention() {
+fn hot_key_hits_survive_eviction_churn() {
     const HAMMERS: usize = 4;
     const ROUNDS: usize = 200;
     let session = SessionBuilder::new()
@@ -226,7 +226,7 @@ fn seqlock_fast_path_survives_hot_key_contention() {
     issued += (HAMMERS * ROUNDS) as u64 + 2 * churn.len() as u64;
 
     // Quiet tail: with the writer gone, a resident hot key serves pure
-    // seqlock hits — this is what pins `fast_hits > 0` deterministically.
+    // hits.
     session.run(&hot).unwrap();
     issued += 1;
     for _ in 0..32 {
@@ -236,16 +236,7 @@ fn seqlock_fast_path_survives_hot_key_contention() {
 
     let stats = session.stats().cells;
     assert_eq!(stats.hits + stats.misses, issued, "every request counted");
-    assert!(
-        stats.fast_hits <= stats.hits,
-        "fast hits are a subset of hits ({} > {})",
-        stats.fast_hits,
-        stats.hits
-    );
-    assert!(
-        stats.fast_hits >= 32,
-        "the uncontended tail must ride the mutex-free path"
-    );
+    assert!(stats.hits >= 32, "the uncontended tail hits");
     let cache = session.cell_cache_stats();
     assert!(
         stats.misses >= cache.entries as u64 + stats.evictions,
