@@ -18,6 +18,8 @@
 //! a fixed iteration count, a printed table, and a JSON baseline written
 //! under `target/bench-baselines/` for future perf PRs to diff against.
 
+#![forbid(unsafe_code)]
+
 pub mod harness;
 
 /// Formats a measured-vs-paper comparison line.

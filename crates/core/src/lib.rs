@@ -36,6 +36,8 @@
 //! assert_eq!(cell.pun_active_area_l2, 120.0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod area;
 pub mod cells;
 pub mod cmos;

@@ -26,6 +26,8 @@
 //! assert_eq!(peak.n_tubes, 26); // 5 nm pitch in a 4λ-wide device
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod alpha_power;
 pub mod cmos;
 pub mod cnfet;

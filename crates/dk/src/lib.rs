@@ -20,6 +20,8 @@
 //! Production callers should prefer the umbrella crate's `cnfet::Session`,
 //! which memoizes cell generation and library builds across requests.
 
+#![forbid(unsafe_code)]
+
 pub mod characterize;
 pub mod export;
 pub mod kit;

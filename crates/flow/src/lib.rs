@@ -24,6 +24,8 @@
 //! Production callers should prefer the umbrella crate's `cnfet::Session`,
 //! which caches the library build behind typed `FlowRequest`s.
 
+#![forbid(unsafe_code)]
+
 pub mod assemble;
 pub mod fa;
 pub mod hier;

@@ -23,6 +23,8 @@
 //! assert_eq!(cell.area_on(Layer::Gate), Dbu::from_lambda(2.0).0 as i128 * Dbu::from_lambda(4.0).0 as i128);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod coord;
 pub mod gds;
 pub mod index;

@@ -41,6 +41,8 @@
 //! assert!(certify(&TraceMap::new(&cell.semantics)).immune);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod cert;
 pub mod mc;
 pub mod metallic;

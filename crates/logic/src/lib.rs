@@ -34,6 +34,8 @@
 //! assert_eq!(trail.nodes.len(), 4);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod adder;
 pub mod euler;
 pub mod expr;

@@ -18,6 +18,8 @@
 //! assert!((0..10).contains(&n));
 //! ```
 
+#![forbid(unsafe_code)]
+
 use std::ops::{Range, RangeInclusive};
 
 /// Types that can construct themselves from a `u64` seed.

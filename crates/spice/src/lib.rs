@@ -31,6 +31,8 @@
 //! assert!((v_end - 1.0).abs() < 1e-3); // fully charged after 10 RC
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod deck;
 pub mod netlist;
 

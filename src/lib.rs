@@ -142,6 +142,7 @@
 //! `ARCHITECTURE.md` for the protocol.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub use cnfet_core as core;
 pub use cnfet_device as device;
