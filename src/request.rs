@@ -151,11 +151,9 @@ pub(crate) enum KeyInner {
     Cell(CellKey),
     /// Libraries: the request itself (scheme) is the complete input.
     Library(LibraryRequest),
-    /// Immunity: the analyzed cell's key plus a canonical rendering of
-    /// the engine selection (`McOptions` holds floats, so the engine is
-    /// keyed by its exact `Debug` form — equal options render equally,
-    /// distinct options render distinctly).
-    Immunity { cell: CellKey, engine: String },
+    /// Immunity: the analyzed cell's key plus the engine selection, with
+    /// the Monte-Carlo floats keyed canonically (see [`EngineKey`]).
+    Immunity { cell: CellKey, engine: EngineKey },
     /// Flows: the request's canonical `Debug` rendering, which covers
     /// source, target, simulation spec and GDS flag.
     Flow(String),
@@ -187,16 +185,68 @@ pub(crate) enum KeyInner {
     /// replay measured candidates as hits. Lives in the
     /// [`RequestClass::Optimizations`] cache next to whole trajectories.
     OptimizeCandidate(String),
-    /// Whole adder macros: a canonical rendering of the kind, width,
-    /// scheme and jitter seed (the attached observer is *observation,
-    /// not identity* — excluded, like every other composite's).
-    Macro(String),
-    /// One bit slice's characterization: the same rendering plus the
-    /// bit index. The macro *width* stays in the key — a CLA bit's
+    /// Whole adder macros: the kind, width, scheme and jitter seed (the
+    /// attached observer is *observation, not identity* — excluded, like
+    /// every other composite's).
+    Macro(MacroKey),
+    /// One bit slice's characterization: the macro's key plus the bit
+    /// index. The macro *width* stays in the key — a CLA bit's
     /// prefix-tree fan-out depends on the width it sits in, so equal
     /// bits of different widths are different work. Lives in the
     /// [`RequestClass::Macros`] cache next to whole macros.
-    MacroSlice(String),
+    MacroSlice(MacroKey, u32),
+}
+
+/// The immunity engine selection as a key. Monte-Carlo floats are keyed
+/// by their bits with `-0.0` folded to `0.0`, as in [`RepairKey`], so
+/// two option sets that compare equal share one entry.
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+pub(crate) enum EngineKey {
+    Certify,
+    MonteCarlo(McKey),
+    Both(McKey),
+}
+
+/// The fields of [`McOptions`](crate::immunity::McOptions), floats by
+/// canonical bits.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub(crate) struct McKey {
+    tubes: usize,
+    tau: u64,
+    segment_len_lambda: u64,
+    seed: u64,
+    metallic_fraction: u64,
+}
+
+impl EngineKey {
+    fn new(engine: &ImmunityEngine) -> EngineKey {
+        let mc = |o: &crate::immunity::McOptions| McKey {
+            tubes: o.tubes,
+            tau: float_key(o.tau),
+            segment_len_lambda: float_key(o.segment_len_lambda),
+            seed: o.seed,
+            metallic_fraction: float_key(o.metallic_fraction),
+        };
+        match engine {
+            ImmunityEngine::Certify => EngineKey::Certify,
+            ImmunityEngine::MonteCarlo(o) => EngineKey::MonteCarlo(mc(o)),
+            ImmunityEngine::Both(o) => EngineKey::Both(mc(o)),
+        }
+    }
+}
+
+/// A float's key bits, with `-0.0` folded to `0.0`.
+fn float_key(value: f64) -> u64 {
+    crate::sweep::canonical_axis_value(value).to_bits()
+}
+
+/// The identity of an adder macro; a slice key adds its bit.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub(crate) struct MacroKey {
+    kind: crate::logic::AdderKind,
+    width: u32,
+    scheme: crate::core::Scheme,
+    seed: u64,
 }
 
 impl CacheKey {
@@ -211,7 +261,7 @@ impl CacheKey {
             KeyInner::Sweep(_) | KeyInner::SweepCorner(_) => RequestClass::Sweeps,
             KeyInner::Repair(_) | KeyInner::Die(_) => RequestClass::Repairs,
             KeyInner::Optimize(_) | KeyInner::OptimizeCandidate(_) => RequestClass::Optimizations,
-            KeyInner::Macro(_) | KeyInner::MacroSlice(_) => RequestClass::Macros,
+            KeyInner::Macro(_) | KeyInner::MacroSlice(..) => RequestClass::Macros,
         }
     }
 }
@@ -349,7 +399,7 @@ impl SessionRequest for ImmunityRequest {
     fn cache_key(&self, session: &Session) -> Option<CacheKey> {
         Some(CacheKey(KeyInner::Immunity {
             cell: session.catalog_key(&self.cell).0,
-            engine: format!("{:?}", self.engine),
+            engine: EngineKey::new(&self.engine),
         }))
     }
 
@@ -733,10 +783,12 @@ impl SessionRequest for MacroRequest {
         if self.validate().is_err() {
             return None;
         }
-        Some(CacheKey(KeyInner::Macro(format!(
-            "{:?}|{}|{:?}|{}",
-            self.kind, self.width, self.scheme, self.seed
-        ))))
+        Some(CacheKey(KeyInner::Macro(MacroKey {
+            kind: self.kind,
+            width: self.width,
+            scheme: self.scheme,
+            seed: self.seed,
+        })))
     }
 
     /// Fans one slice per bit through the session's job pool
@@ -752,15 +804,17 @@ impl sealed::Sealed for MacroSliceRequest {}
 impl SessionRequest for MacroSliceRequest {
     type Output = SliceOutcome;
 
-    /// Per-slice memoization: the whole-macro rendering plus the bit
-    /// index. Width stays in the key (a CLA bit's fan-out depends on
+    /// Per-slice memoization: the whole-macro key plus the bit index. Width stays in the key (a CLA bit's fan-out depends on
     /// it); cross-macro sharing happens one level down, in the `Cell`
     /// class the slice's sub-cell layouts memoize in.
     fn cache_key(&self, _session: &Session) -> Option<CacheKey> {
-        Some(CacheKey(KeyInner::MacroSlice(format!(
-            "{:?}|{}|{}|{:?}|{}",
-            self.kind, self.width, self.bit, self.scheme, self.seed
-        ))))
+        let key = MacroKey {
+            kind: self.kind,
+            width: self.width,
+            scheme: self.scheme,
+            seed: self.seed,
+        };
+        Some(CacheKey(KeyInner::MacroSlice(key, self.bit)))
     }
 
     fn execute(&self, session: &Session) -> Result<SliceOutcome> {

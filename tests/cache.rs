@@ -7,7 +7,7 @@ use cnfet::core::{GenerateOptions, Scheme, StdCellKind};
 use cnfet::logic::AdderKind;
 use cnfet::{
     CellRequest, FlowRequest, FlowSource, ImmunityRequest, LibraryRequest, MacroRequest,
-    RequestClass, Session, SessionBuilder,
+    RequestClass, Session, SessionBuilder, SessionRequest,
 };
 use std::sync::Arc;
 
@@ -275,6 +275,119 @@ fn immunity_verdicts_are_memoized() {
     assert_eq!(session.stats().immunity.misses, 2);
     session.run(&mc).unwrap();
     assert_eq!(session.stats().immunity.hits, 2);
+}
+
+/// `-0.0` and `0.0` compare equal, so Monte-Carlo options that differ
+/// only in a zero's sign run one analysis and share one entry.
+#[test]
+fn signed_zero_mc_options_share_one_immunity_entry() {
+    let session = Session::new();
+    let opts = |metallic_fraction: f64| cnfet::immunity::McOptions {
+        tubes: 40,
+        metallic_fraction,
+        ..Default::default()
+    };
+    let negative = ImmunityRequest::monte_carlo(StdCellKind::Inv, opts(-0.0));
+    let positive = ImmunityRequest::monte_carlo(StdCellKind::Inv, opts(0.0));
+    assert_eq!(
+        negative.cache_key(&session),
+        positive.cache_key(&session),
+        "-0.0 and 0.0 key alike"
+    );
+    session.run(&negative).unwrap();
+    assert!(session.run(&positive).is_ok());
+    let stats = session.stats().immunity;
+    assert_eq!((stats.misses, stats.hits), (1, 1), "one analysis, one hit");
+    assert_eq!(session.cache_stats(RequestClass::Immunity).entries, 1);
+}
+
+/// Every `McOptions` field, and the engine choice itself, is identity:
+/// changing any one of them gives a distinct immunity key.
+#[test]
+fn every_mc_option_field_tells_immunity_keys_apart() {
+    use cnfet::immunity::McOptions;
+    let session = Session::new();
+    let base = McOptions::default();
+    let variants = [
+        McOptions {
+            tubes: base.tubes + 1,
+            ..base.clone()
+        },
+        McOptions {
+            tau: base.tau * 0.5,
+            ..base.clone()
+        },
+        McOptions {
+            segment_len_lambda: base.segment_len_lambda + 1.0,
+            ..base.clone()
+        },
+        McOptions {
+            seed: base.seed + 1,
+            ..base.clone()
+        },
+        McOptions {
+            metallic_fraction: 0.25,
+            ..base.clone()
+        },
+    ];
+    let cell = StdCellKind::Nand(2);
+    let mut keys = vec![
+        ImmunityRequest::certify(cell).cache_key(&session),
+        ImmunityRequest::monte_carlo(cell, base.clone()).cache_key(&session),
+        ImmunityRequest {
+            cell: cell.into(),
+            engine: cnfet::ImmunityEngine::Both(base.clone()),
+        }
+        .cache_key(&session),
+    ];
+    keys.extend(
+        variants
+            .into_iter()
+            .map(|opts| ImmunityRequest::monte_carlo(cell, opts).cache_key(&session)),
+    );
+    for (i, a) in keys.iter().enumerate() {
+        assert!(a.is_some());
+        for b in &keys[i + 1..] {
+            assert_ne!(a, b, "two distinct engine selections share a key");
+        }
+    }
+}
+
+/// Macro and slice keys are typed: kind, width, scheme and seed tell
+/// macros apart, and a slice adds its bit.
+#[test]
+fn macro_and_slice_keys_cover_every_field() {
+    let session = Session::new();
+    let base = MacroRequest::new(AdderKind::Ripple, 8);
+    let macros = [
+        base.clone(),
+        MacroRequest::new(AdderKind::Cla, 8),
+        MacroRequest::new(AdderKind::Ripple, 32),
+        base.clone().scheme(Scheme::Scheme1),
+        base.clone().seed(7),
+    ];
+    let keys: Vec<_> = macros.iter().map(|m| m.cache_key(&session)).collect();
+    for (i, a) in keys.iter().enumerate() {
+        assert!(a.is_some());
+        for b in &keys[i + 1..] {
+            assert_ne!(a, b, "two distinct macros share a key");
+        }
+    }
+    assert_eq!(base.cache_key(&session), base.clone().cache_key(&session));
+
+    let slice = |bit| cnfet::MacroSliceRequest {
+        kind: AdderKind::Ripple,
+        width: 8,
+        bit,
+        scheme: base.scheme,
+        seed: base.seed,
+    };
+    assert_ne!(slice(0).cache_key(&session), slice(1).cache_key(&session));
+    assert_eq!(slice(3).cache_key(&session), slice(3).cache_key(&session));
+    assert_eq!(
+        slice(0).cache_key(&session).unwrap().class(),
+        RequestClass::Macros
+    );
 }
 
 #[test]
