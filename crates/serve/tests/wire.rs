@@ -1225,6 +1225,59 @@ fn repair_site_counts_past_u32_and_bad_params_answer_400() {
 }
 
 #[test]
+fn oversized_fan_outs_answer_400_before_anything_is_enqueued() {
+    // A trillion-die lot used to build one boxed job per die before any
+    // ran; a 2,097,152-row sweep multiplied its axes unchecked.
+    let server = server();
+    let mut client = Client::new(server.addr());
+    let axis = |n: u64| (0..n).collect::<Json>();
+    for (body, field) in [
+        (
+            Json::obj([
+                ("type", Json::str("repair")),
+                ("cells", Json::Arr(vec![cell_fields("inv")])),
+                ("dies", Json::from(1_000_000_000_000u64)),
+            ]),
+            "dies",
+        ),
+        (
+            Json::obj([
+                ("type", Json::str("sweep")),
+                ("cells", Json::Arr(vec![cell_fields("inv")])),
+                (
+                    "grid",
+                    Json::obj([
+                        ("tube_counts", (1..=128u64).collect::<Json>()),
+                        ("pitch_scales", axis(128)),
+                        ("metallic_fractions", axis(128)),
+                    ]),
+                ),
+            ]),
+            "grid",
+        ),
+    ] {
+        let response = client
+            .request("POST", "/v1/run")
+            .body(&body)
+            .send()
+            .unwrap();
+        assert_eq!(response.status, 400, "{field}");
+        let error = response.body.get("error").unwrap();
+        assert_eq!(error.get("kind").unwrap().as_str(), Some("invalid_request"));
+        let message = error.get("message").unwrap().as_str().unwrap();
+        assert!(message.contains(&format!(" {field}: ")), "{message}");
+    }
+    let stats = client
+        .request("GET", "/v1/stats")
+        .send()
+        .unwrap()
+        .expect_status(200);
+    let engine = stats.get("engine").unwrap();
+    assert_eq!(engine.get("submitted").and_then(Json::as_u64), Some(0));
+    server.shutdown();
+}
+
+#[test]
 fn oversized_transients_answer_400_before_any_engine_runs() {
     // 1e15 and 1e300 steps: a waveform that size cannot be allocated,
     // and the 1e-300 step used to wrap the preallocation to zero and

@@ -178,7 +178,7 @@ pub use request::{CacheKey, RequestClass, RequestKind, ResponseKind, SessionRequ
 pub use session::{
     CellRequest, CellResult, FlowRequest, FlowResult, FlowSource, FlowTarget, ImmunityEngine,
     ImmunityReport, ImmunityRequest, LibraryRequest, Observer, RequestStats, Session,
-    SessionBuilder, SessionStats, SimSpec, TranRequest, TranResult,
+    SessionBuilder, SessionStats, SimSpec, TranRequest, TranResult, MAX_FANOUT,
 };
 pub use snapshot::SnapshotError;
 pub use sweep::{

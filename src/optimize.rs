@@ -84,7 +84,7 @@
 
 use crate::error::Result;
 use crate::immunity::McOptions;
-use crate::session::{CellRequest, Observer, Session};
+use crate::session::{check_fanout, CellRequest, Observer, Session};
 use crate::sweep::{
     canonical_axis_value, check_axis_value, SweepMetrics, SweepRequest, VariationGrid,
 };
@@ -341,16 +341,21 @@ impl OptimizeRequest {
     /// `passes × (|tube_counts| + |pitch_scales| + |metallic_fractions|)`
     /// — refinement replaces axis values but never their count. The
     /// count a streaming consumer should expect before the report lands.
+    ///
+    /// Saturates at `usize::MAX`.
     pub fn candidate_count(&self) -> usize {
-        self.passes as usize
-            * (self.grid.tube_counts.len()
+        (self.passes as usize).saturating_mul(
+            self.grid.tube_counts.len()
                 + self.grid.pitch_scales.len()
-                + self.grid.metallic_fractions.len())
+                + self.grid.metallic_fractions.len(),
+        )
     }
 
     /// Checks the request describes a runnable search: at least one
     /// cell, one pass, a non-empty value list on every axis (including
-    /// seeds), valid grid floats, and a valid target.
+    /// seeds), valid grid floats, a valid target, and at most
+    /// [`MAX_FANOUT`](crate::MAX_FANOUT) candidates and rows per
+    /// candidate sweep (cells × seeds).
     ///
     /// # Errors
     ///
@@ -381,7 +386,9 @@ impl OptimizeRequest {
             }
         }
         self.grid.validate("grid")?;
-        self.target.validate("target")
+        self.target.validate("target")?;
+        check_fanout(self.candidate_count(), "passes", "candidates")?;
+        check_sweep_rows(self.cells.len(), self.grid.seeds.len(), "grid.seeds")
     }
 
     /// The per-candidate sub-request at one coordinate triple.
@@ -439,7 +446,8 @@ impl OptimizeCandidateRequest {
     }
 
     /// Checks the candidate is measurable: at least one cell and one
-    /// seed, finite non-negative float coordinates.
+    /// seed, at most [`MAX_FANOUT`](crate::MAX_FANOUT) sweep rows
+    /// (cells × seeds), finite non-negative float coordinates.
     ///
     /// # Errors
     ///
@@ -456,6 +464,7 @@ impl OptimizeCandidateRequest {
         if self.seeds.is_empty() {
             return Err(invalid("seeds", "expected at least one seed"));
         }
+        check_sweep_rows(self.cells.len(), self.seeds.len(), "seeds")?;
         check_axis_value(self.pitch_scale, || "pitch_scale".to_string())?;
         check_axis_value(self.metallic_fraction, || "metallic_fraction".to_string())
     }
@@ -659,6 +668,16 @@ impl OptimizeReport {
         );
         out
     }
+}
+
+/// Rejects a candidate sweep of `cells × seeds` rows over
+/// [`MAX_FANOUT`](crate::MAX_FANOUT), naming `field`.
+fn check_sweep_rows(cells: usize, seeds: usize, field: &str) -> Result<()> {
+    check_fanout(
+        cells.saturating_mul(seeds),
+        field,
+        "rows per candidate sweep (cells × seeds)",
+    )
 }
 
 // ---------------------------------------------------------------------------
@@ -1038,5 +1057,34 @@ mod tests {
         assert!(text.contains("tubes"), "{text}");
         // Missing metrics render as "-".
         assert!(text.contains('-'), "{text}");
+    }
+
+    #[test]
+    fn searches_over_max_fanout_are_refused() {
+        use crate::core::StdCellKind;
+        use crate::request::SessionRequest;
+        use crate::{CnfetError, Session, MAX_FANOUT};
+        let session = Session::new();
+        let field_of = |result: Result<()>| match result {
+            Err(CnfetError::InvalidRequest { field, .. }) => field,
+            other => panic!("expected an invalid request, got {other:?}"),
+        };
+        let base = OptimizeRequest::new([StdCellKind::Inv]);
+        // Three single-value axes: u32::MAX passes is 3 × u32::MAX candidates.
+        let long = base.clone().passes(u32::MAX);
+        assert_eq!(field_of(long.validate()), "passes");
+        assert!(long.cache_key(&session).is_none());
+
+        let seeds = |n: u64| VariationGrid::nominal().seeds(0..n);
+        let wide = OptimizeRequest::new([StdCellKind::Inv, StdCellKind::Nand(2)])
+            .grid(seeds(MAX_FANOUT as u64 / 2));
+        assert!(wide.validate().is_ok());
+        let wider = wide.clone().grid(seeds(MAX_FANOUT as u64 / 2 + 1));
+        assert_eq!(field_of(wider.validate()), "grid.seeds");
+        assert!(wider.cache_key(&session).is_none());
+
+        let candidate = wider.candidate_request((26, 1.0, 0.0));
+        assert_eq!(field_of(candidate.validate()), "seeds");
+        assert!(candidate.cache_key(&session).is_none());
     }
 }

@@ -182,16 +182,18 @@ impl RepairRequest {
         usize::try_from(self.dies).unwrap_or(usize::MAX)
     }
 
-    /// Checks that a die's site count (one per cell plus the spares)
-    /// fits in a `u32` and that every [`DefectParams`] float is finite
-    /// and non-negative. An invalid lot gets no cache key and `execute`
-    /// rejects it.
+    /// Checks that the lot has at most [`MAX_FANOUT`](crate::MAX_FANOUT)
+    /// dies, that a die's site count (one per cell plus the spares) fits
+    /// in a `u32` and that every [`DefectParams`] float is finite and
+    /// non-negative. An invalid lot gets no cache key and `execute`
+    /// rejects it before any die is allocated.
     ///
     /// # Errors
     ///
     /// [`CnfetError::InvalidRequest`] naming the offending field
-    /// (`spares`, or e.g. `params.tau`).
+    /// (`dies`, `spares`, or e.g. `params.tau`).
     pub fn validate(&self) -> Result<()> {
+        crate::session::check_fanout(self.die_count(), "dies", "dies per lot")?;
         validate_die(self.cells.len(), self.spares, &self.params)
     }
 
@@ -678,5 +680,22 @@ mod tests {
             0,
             "no invalid key was cached"
         );
+    }
+
+    #[test]
+    fn lots_over_max_fanout_are_refused() {
+        use crate::core::StdCellKind;
+        use crate::request::SessionRequest;
+        use crate::{CnfetError, MAX_FANOUT};
+        let session = Session::new();
+        let lot = |dies: u64| RepairRequest::new([StdCellKind::Inv]).dies(dies);
+        assert!(lot(MAX_FANOUT as u64).validate().is_ok());
+        for dies in [MAX_FANOUT as u64 + 1, 1_000_000_000_000, u64::MAX] {
+            match lot(dies).validate() {
+                Err(CnfetError::InvalidRequest { field, .. }) => assert_eq!(field, "dies"),
+                other => panic!("{dies} dies: expected an invalid request, got {other:?}"),
+            }
+            assert!(lot(dies).cache_key(&session).is_none());
+        }
     }
 }

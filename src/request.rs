@@ -568,13 +568,12 @@ impl SessionRequest for SweepRequest {
     /// the **canonicalized** grid (`-0.0` folded to `0.0` — two
     /// semantically identical grids must never render distinct keys),
     /// the metric selection, MC base options and load list. A grid with
-    /// an invalid float axis (NaN, infinite, negative) gets no key at
-    /// all: `execute` rejects it, and an uncacheable request can neither
+    /// an invalid float axis (NaN, infinite, negative) or more than
+    /// [`MAX_FANOUT`](crate::MAX_FANOUT) rows gets no key at all:
+    /// `execute` rejects it, and an uncacheable request can neither
     /// poison a single-flight entry nor occupy a cache slot.
     fn cache_key(&self, session: &Session) -> Option<CacheKey> {
-        if self.grid.validate("grid").is_err() {
-            return None;
-        }
+        self.validate().ok()?;
         let cell_keys: Vec<CellKey> = self
             .cells
             .iter()

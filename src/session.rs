@@ -1110,6 +1110,27 @@ where
 /// helping is the fast path.
 const HELP_WAIT: Duration = Duration::from_millis(2);
 
+/// The most children one composite request may fan out: the dies of a
+/// repair lot, the rows (cells × corners) of a sweep, the candidates of
+/// a search and the rows of each candidate's sweep. Checked by each
+/// composite's `validate` before a key is built or a child allocated; a
+/// request over it is an [`InvalidRequest`](crate::CnfetError::InvalidRequest).
+/// The largest lot in the repo is 1,000 dies.
+pub const MAX_FANOUT: usize = 1 << 20;
+
+/// Rejects a fan-out of `count` children — computed with saturating
+/// arithmetic, so an overflow reads as `usize::MAX` — over
+/// [`MAX_FANOUT`], naming `field`.
+pub(crate) fn check_fanout(count: usize, field: &str, children: &str) -> Result<()> {
+    if count > MAX_FANOUT {
+        return Err(crate::CnfetError::InvalidRequest {
+            field: field.to_string(),
+            message: format!("more than {MAX_FANOUT} {children}"),
+        });
+    }
+    Ok(())
+}
+
 /// The results of one [`Session::fan_out`], yielded in request order.
 ///
 /// Harvesting helps the pool in between: the harvesting thread may BE

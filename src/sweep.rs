@@ -209,12 +209,14 @@ impl VariationGrid {
         self
     }
 
-    /// Number of corners (the product of the axis lengths).
+    /// Number of corners (the product of the axis lengths, saturating
+    /// at `usize::MAX`).
     pub fn len(&self) -> usize {
-        self.tube_counts.len()
-            * self.pitch_scales.len()
-            * self.metallic_fractions.len()
-            * self.seeds.len()
+        self.tube_counts
+            .len()
+            .saturating_mul(self.pitch_scales.len())
+            .saturating_mul(self.metallic_fractions.len())
+            .saturating_mul(self.seeds.len())
     }
 
     /// Whether the grid has no corners (some axis is empty).
@@ -442,10 +444,26 @@ impl SweepRequest {
         self
     }
 
-    /// Total rows this sweep will produce: cells × grid corners. The
-    /// count a streaming consumer should expect before the report lands.
+    /// Total rows this sweep will produce: cells × grid corners
+    /// (saturating at `usize::MAX`). The count a streaming consumer
+    /// should expect before the report lands.
     pub fn row_count(&self) -> usize {
-        self.cells.len() * self.grid.len()
+        self.cells.len().saturating_mul(self.grid.len())
+    }
+
+    /// Checks every grid float is finite and non-negative and that the
+    /// sweep has at most [`MAX_FANOUT`](crate::MAX_FANOUT) rows. An
+    /// invalid sweep gets no cache key and `execute` rejects it before
+    /// any corner is allocated.
+    ///
+    /// # Errors
+    ///
+    /// [`CnfetError::InvalidRequest`](crate::CnfetError::InvalidRequest)
+    /// naming the offending field (`grid`, or e.g.
+    /// `grid.pitch_scales[1]`).
+    pub fn validate(&self) -> Result<()> {
+        self.grid.validate("grid")?;
+        crate::session::check_fanout(self.row_count(), "grid", "rows (cells × grid corners)")
     }
 
     /// The per-corner sub-request of one (cell, corner) pair.
@@ -617,7 +635,7 @@ impl SweepReport {
 /// drain the sweep's own batch while waiting, reduce into a
 /// [`SweepReport`].
 pub(crate) fn execute_sweep(request: &SweepRequest, session: &Session) -> Result<Arc<SweepReport>> {
-    request.grid.validate("grid")?;
+    request.validate()?;
     let corners = request.grid.corners();
     let rows = session
         .fan_out(request.cells.iter().flat_map(|cell| {
@@ -1020,5 +1038,33 @@ mod tests {
         r.mc_tubes = None;
         r.mc_failures = None;
         assert_eq!(r.yield_frac(), Some(0.5));
+    }
+
+    #[test]
+    fn sweeps_over_max_fanout_are_refused() {
+        use crate::core::StdCellKind;
+        use crate::request::SessionRequest;
+        use crate::{CnfetError, Session, MAX_FANOUT};
+        let session = Session::new();
+        // 1,024 tube counts × 1,024 seeds is exactly the bound per cell.
+        let grid = VariationGrid::nominal()
+            .tube_counts(1..=1024)
+            .seeds(0..1024);
+        let one = SweepRequest::new([StdCellKind::Inv]).grid(grid.clone());
+        assert_eq!(one.row_count(), MAX_FANOUT);
+        assert!(one.validate().is_ok());
+        let two = SweepRequest::new([StdCellKind::Inv, StdCellKind::Nand(2)]).grid(grid);
+        match two.validate() {
+            Err(CnfetError::InvalidRequest { field, .. }) => assert_eq!(field, "grid"),
+            other => panic!("expected an invalid request, got {other:?}"),
+        }
+        assert!(two.cache_key(&session).is_none());
+        // Float axes are still checked first, with their index named.
+        let nan = SweepRequest::new([StdCellKind::Inv])
+            .grid(VariationGrid::nominal().pitch_scales([1.0, f64::NAN]));
+        assert!(matches!(
+            nan.validate(),
+            Err(CnfetError::InvalidRequest { field, .. }) if field == "grid.pitch_scales[1]"
+        ));
     }
 }

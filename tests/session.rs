@@ -648,3 +648,31 @@ fn oversized_transients_fail_typed_before_any_engine_runs() {
         .unwrap();
     assert_eq!(result.time.len(), steps + 1);
 }
+
+/// Oversized composites are refused before a single child is allocated
+/// or enqueued: a trillion-die lot, a two-million-row sweep and a search
+/// of 3 × u32::MAX candidates each return `InvalidRequest`.
+#[test]
+fn composites_over_max_fanout_are_invalid_before_fan_out() {
+    let session = Session::new();
+    let axis = |n: u32| (0..n).map(f64::from).collect::<Vec<_>>();
+    let big_grid = VariationGrid::nominal()
+        .tube_counts(1..=128)
+        .pitch_scales(axis(128))
+        .metallic_fractions(axis(128));
+    let field_of = |result: Result<(), CnfetError>| match result {
+        Err(CnfetError::InvalidRequest { field, .. }) => field,
+        other => panic!("expected an invalid request, got {other:?}"),
+    };
+    let lot = cnfet::RepairRequest::new([StdCellKind::Inv]).dies(1_000_000_000_000);
+    assert_eq!(field_of(session.run(&lot).map(drop)), "dies");
+    let sweep = SweepRequest::new([StdCellKind::Inv]).grid(big_grid);
+    assert!(sweep.row_count() > cnfet::MAX_FANOUT);
+    assert_eq!(field_of(session.run(&sweep).map(drop)), "grid");
+    let search = OptimizeRequest::new([StdCellKind::Inv]).passes(u32::MAX);
+    assert_eq!(field_of(session.run(&search).map(drop)), "passes");
+
+    let stats = session.stats();
+    assert_eq!(stats.submitted, 0, "nothing reached the pool");
+    assert_eq!(stats.repairs.requests() + stats.sweeps.requests(), 0);
+}
