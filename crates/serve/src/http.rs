@@ -6,7 +6,9 @@
 //!
 //! * request line + headers + `Content-Length`-delimited bodies;
 //!   `Transfer-Encoding` is refused with a `400` (chunked framing is
-//!   not implemented, and half-parsing it would desync the stream);
+//!   not implemented, and half-parsing it would desync the stream), and
+//!   so are a length that is not all digits and repeated lengths that
+//!   disagree;
 //! * `Expect: 100-continue` gets its interim `100 Continue`, and body
 //!   reads ride out short stalls (`BODY_DEADLINE`, 10 s) instead of
 //!   inheriting the between-request poll timeout;
@@ -123,10 +125,7 @@ pub fn read_request(
             "transfer-encoding is not supported; send a content-length body".into(),
         ));
     }
-    if let Some(len) = request.header("content-length") {
-        let len: usize = len
-            .parse()
-            .map_err(|_| ReadError::Malformed(format!("bad content-length `{len}`")))?;
+    if let Some(len) = content_length(&request.headers)? {
         if len > MAX_BODY {
             return Err(ReadError::TooLarge);
         }
@@ -144,6 +143,31 @@ pub fn read_request(
         request.body = body;
     }
     Ok(request)
+}
+
+/// The body length the `content-length` headers declare. Every value
+/// must be all ASCII digits (`usize::parse` alone would take `+5`), and
+/// repeated headers must agree: with two different lengths the peer and
+/// the server would disagree on where the next keep-alive request
+/// starts.
+fn content_length(headers: &[(String, String)]) -> Result<Option<usize>, ReadError> {
+    let mut length = None;
+    for (_, value) in headers.iter().filter(|(name, _)| name == "content-length") {
+        if value.is_empty() || !value.bytes().all(|b| b.is_ascii_digit()) {
+            return Err(ReadError::Malformed(format!(
+                "bad content-length `{value}`"
+            )));
+        }
+        // All digits, so a parse failure is an overflow: far past MAX_BODY.
+        let len: usize = value.parse().map_err(|_| ReadError::TooLarge)?;
+        if length.is_some_and(|seen| seen != len) {
+            return Err(ReadError::Malformed(
+                "conflicting content-length headers".into(),
+            ));
+        }
+        length = Some(len);
+    }
+    Ok(length)
 }
 
 /// How long a started request's body may take to dribble in before the

@@ -472,6 +472,107 @@ fn malformed_requests_answer_structured_400s() {
     server.shutdown();
 }
 
+/// Adversarial framing: a head dribbled one byte per write, heads and
+/// bodies past their bounds, a body cut short, and `content-length`
+/// values that would desync a keep-alive stream.
+#[test]
+fn hostile_framing_is_bounded_and_never_desyncs() {
+    use cnfet_serve::http::{MAX_BODY, MAX_HEAD};
+    let server = server();
+
+    // One byte per write still parses.
+    let mut stream = TcpStream::connect(server.addr()).unwrap();
+    stream.set_nodelay(true).unwrap();
+    for byte in b"GET /v1/healthz HTTP/1.1\r\nconnection: close\r\n\r\n" {
+        stream.write_all(&[*byte]).unwrap();
+        stream.flush().unwrap();
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut out = Vec::new();
+    let _ = stream.read_to_end(&mut out);
+    let raw = String::from_utf8_lossy(&out);
+    assert!(raw.starts_with("HTTP/1.1 200"), "{raw}");
+
+    // A head past MAX_HEAD is 413: one long header line, or many short
+    // ones.
+    let long_line = format!(
+        "GET /v1/healthz HTTP/1.1\r\nx-pad: {}\r\n\r\n",
+        "a".repeat(MAX_HEAD)
+    );
+    let many_lines = format!(
+        "GET /v1/healthz HTTP/1.1\r\n{}\r\n",
+        "x-pad: aaaaaaaaaaaaaaaaaaaaaaaaa\r\n".repeat(MAX_HEAD / 32 + 1)
+    );
+    for head in [long_line, many_lines] {
+        let raw = raw_request(server.addr(), &head);
+        assert!(raw.starts_with("HTTP/1.1 413"), "{raw}");
+    }
+
+    // A declared body past MAX_BODY is 413 before a byte of it is read:
+    // none is sent, and the answer still comes.
+    let raw = raw_request(
+        server.addr(),
+        &format!(
+            "POST /v1/run HTTP/1.1\r\ncontent-length: {}\r\n\r\n",
+            MAX_BODY + 1
+        ),
+    );
+    assert!(raw.starts_with("HTTP/1.1 413"), "{raw}");
+    let raw = raw_request(
+        server.addr(),
+        "POST /v1/run HTTP/1.1\r\ncontent-length: 99999999999999999999999\r\n\r\n",
+    );
+    assert!(
+        raw.starts_with("HTTP/1.1 413"),
+        "an overflowing length: {raw}"
+    );
+
+    // A body cut short by the peer closes without a response.
+    let mut stream = TcpStream::connect(server.addr()).unwrap();
+    stream
+        .write_all(b"POST /v1/run HTTP/1.1\r\ncontent-length: 100\r\n\r\n{\"type\"")
+        .unwrap();
+    stream.shutdown(std::net::Shutdown::Write).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut out = Vec::new();
+    let _ = stream.read_to_end(&mut out);
+    assert!(out.is_empty(), "{}", String::from_utf8_lossy(&out));
+
+    // Conflicting or signed lengths are 400: either would let the two
+    // ends disagree on where the next request starts.
+    for (lengths, why) in [
+        ("content-length: 5\r\ncontent-length: 6\r\n", "conflicting"),
+        ("content-length: +5\r\n", "bad content-length"),
+        ("content-length: -5\r\n", "bad content-length"),
+        ("content-length: 0x5\r\n", "bad content-length"),
+        ("content-length: \r\n", "bad content-length"),
+    ] {
+        let raw = raw_request(
+            server.addr(),
+            &format!("POST /v1/run HTTP/1.1\r\n{lengths}\r\n"),
+        );
+        assert!(raw.starts_with("HTTP/1.1 400"), "{lengths} -> {raw}");
+        assert!(raw.contains(why), "{lengths} -> {raw}");
+    }
+
+    // Repeated lengths that agree are one length.
+    let body = cell("inv").render();
+    let raw = raw_request(
+        server.addr(),
+        &format!(
+            "POST /v1/run HTTP/1.1\r\nconnection: close\r\ncontent-length: {n}\r\ncontent-length: {n}\r\n\r\n{body}",
+            n = body.len()
+        ),
+    );
+    assert!(raw.starts_with("HTTP/1.1 200"), "{raw}");
+    server.shutdown();
+}
+
 #[test]
 fn head_and_foreign_methods_route_sanely() {
     let server = server();
