@@ -669,6 +669,15 @@ mod tests {
         let pool = Pool::new(1);
         let gate = Arc::new(AtomicUsize::new(0));
         let worker_gate = gate.clone();
+        // Opens the gate if an assertion below fails, so the pool's drop
+        // can join its worker and the test fails instead of hanging.
+        struct OpenOnDrop(Arc<AtomicUsize>);
+        impl Drop for OpenOnDrop {
+            fn drop(&mut self) {
+                self.0.store(1, Ordering::Release);
+            }
+        }
+        let _open = OpenOnDrop(gate.clone());
         let (running, running_handle) = job_channel::<u32>();
         let started = Arc::new(AtomicUsize::new(0));
         let started_flag = started.clone();
