@@ -803,9 +803,10 @@ impl sealed::Sealed for MacroSliceRequest {}
 impl SessionRequest for MacroSliceRequest {
     type Output = SliceOutcome;
 
-    /// Per-slice memoization: the whole-macro key plus the bit index. Width stays in the key (a CLA bit's fan-out depends on
-    /// it); cross-macro sharing happens one level down, in the `Cell`
-    /// class the slice's sub-cell layouts memoize in.
+    /// Per-slice memoization: the whole-macro key plus the bit index.
+    /// Width stays in the key (a CLA bit's fan-out depends on it);
+    /// cross-macro sharing happens one level down, in the `Cell` class
+    /// the slice's sub-cell layouts memoize in.
     fn cache_key(&self, _session: &Session) -> Option<CacheKey> {
         let key = MacroKey {
             kind: self.kind,

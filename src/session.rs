@@ -1115,7 +1115,8 @@ const HELP_WAIT: Duration = Duration::from_millis(2);
 /// a search and the rows of each candidate's sweep. Checked by each
 /// composite's `validate` before a key is built or a child allocated; a
 /// request over it is an [`InvalidRequest`](crate::CnfetError::InvalidRequest).
-/// The largest lot in the repo is 1,000 dies.
+/// Real lots are far smaller: the largest in the examples and benchmarks
+/// is 1,000 dies.
 pub const MAX_FANOUT: usize = 1 << 20;
 
 /// Rejects a fan-out of `count` children — computed with saturating
