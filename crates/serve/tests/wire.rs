@@ -1328,7 +1328,8 @@ fn repair_site_counts_past_u32_and_bad_params_answer_400() {
 #[test]
 fn oversized_fan_outs_answer_400_before_anything_is_enqueued() {
     // A trillion-die lot used to build one boxed job per die before any
-    // ran; a 2,097,152-row sweep multiplied its axes unchecked.
+    // ran; a 2,097,152-row sweep multiplied its axes unchecked, and a
+    // sweep with no cells allocated its whole grid of corners.
     let server = server();
     let mut client = Client::new(server.addr());
     let axis = |n: u64| (0..n).collect::<Json>();
@@ -1351,6 +1352,24 @@ fn oversized_fan_outs_answer_400_before_anything_is_enqueued() {
                         ("tube_counts", (1..=128u64).collect::<Json>()),
                         ("pitch_scales", axis(128)),
                         ("metallic_fractions", axis(128)),
+                    ]),
+                ),
+            ]),
+            "grid",
+        ),
+        (
+            // No cells means no rows, but all 2^40 corners would still
+            // be allocated.
+            Json::obj([
+                ("type", Json::str("sweep")),
+                ("cells", Json::Arr(vec![])),
+                (
+                    "grid",
+                    Json::obj([
+                        ("tube_counts", (1..=1024u64).collect::<Json>()),
+                        ("pitch_scales", axis(1024)),
+                        ("metallic_fractions", axis(1024)),
+                        ("seeds", axis(1024)),
                     ]),
                 ),
             ]),

@@ -452,7 +452,8 @@ impl SweepRequest {
     }
 
     /// Checks every grid float is finite and non-negative and that the
-    /// sweep has at most [`MAX_FANOUT`](crate::MAX_FANOUT) rows. An
+    /// sweep has at most [`MAX_FANOUT`](crate::MAX_FANOUT) rows and grid
+    /// corners (a sweep with no cells still allocates its corners). An
     /// invalid sweep gets no cache key and `execute` rejects it before
     /// any corner is allocated.
     ///
@@ -463,7 +464,11 @@ impl SweepRequest {
     /// `grid.pitch_scales[1]`).
     pub fn validate(&self) -> Result<()> {
         self.grid.validate("grid")?;
-        crate::session::check_fanout(self.row_count(), "grid", "rows (cells × grid corners)")
+        crate::session::check_fanout(
+            self.row_count().max(self.grid.len()),
+            "grid",
+            "grid corners or rows (cells × grid corners)",
+        )
     }
 
     /// The per-corner sub-request of one (cell, corner) pair.
@@ -1059,6 +1064,19 @@ mod tests {
             other => panic!("expected an invalid request, got {other:?}"),
         }
         assert!(two.cache_key(&session).is_none());
+        // With no cells there are no rows, but the corners are still
+        // allocated: a grid past the bound is refused all the same.
+        let none = SweepRequest::new(Vec::<StdCellKind>::new()).grid(
+            VariationGrid::nominal()
+                .tube_counts(1..=1025)
+                .seeds(0..1024),
+        );
+        assert_eq!(none.row_count(), 0);
+        assert!(matches!(
+            none.validate(),
+            Err(CnfetError::InvalidRequest { field, .. }) if field == "grid"
+        ));
+        assert!(none.cache_key(&session).is_none());
         // Float axes are still checked first, with their index named.
         let nan = SweepRequest::new([StdCellKind::Inv])
             .grid(VariationGrid::nominal().pitch_scales([1.0, f64::NAN]));

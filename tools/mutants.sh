@@ -23,10 +23,11 @@
 # if its original text is missing or ambiguous, if the mutated tree does
 # not compile, or if the filter passes no test on the clean tree.
 #
+# Each mutated test run is bounded at 120 s; a run that times out counts
+# as killed.
+#
 # Environment: MUTANTS_TARGET_DIR names the cargo target directory
-# (default: one inside the copy); MUTANTS_TIMEOUT
-# bounds each mutated test run in seconds (default 120; a run that
-# times out counts as killed).
+# (default: one inside the copy).
 set -euo pipefail
 
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
@@ -77,7 +78,7 @@ trap 'rm -rf "$work"' EXIT
 # build newer than the files' committed times, which cargo would keep.
 (cd "$root" && git ls-files -z -co --exclude-standard | tar --null -T - -cf -) | tar -xmf - -C "$work"
 export CARGO_TARGET_DIR="${MUTANTS_TARGET_DIR:-$work/target}"
-timeout_s="${MUTANTS_TIMEOUT:-120}"
+timeout_s=120
 
 checked=0
 failures=()
