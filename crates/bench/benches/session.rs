@@ -188,6 +188,13 @@ fn main() {
             handle.wait().unwrap();
         }
     });
+    // Its serial twin (record-only): the same mix through `run`, so the
+    // batch's overhead over a plain loop reads from one run.
+    h.bench(format!("serial_mix_{mn}_reqs"), 100, || {
+        for r in &mixed_requests {
+            warm.run(r).unwrap();
+        }
+    });
 
     // Variation sweep: the composite request — 3 cells × 4 corners
     // fanned out through the pool with batch-targeted helping. Cold is

@@ -9,9 +9,9 @@
 //!   not implemented, and half-parsing it would desync the stream), and
 //!   so are a length that is not all digits and repeated lengths that
 //!   disagree;
-//! * `Expect: 100-continue` gets its interim `100 Continue`, and body
-//!   reads ride out short stalls (`BODY_DEADLINE`, 10 s) instead of
-//!   inheriting the between-request poll timeout;
+//! * `Expect: 100-continue` gets its interim `100 Continue`, and head
+//!   and body reads ride out short stalls (`BODY_DEADLINE`, 10 s)
+//!   instead of inheriting the between-request poll timeout;
 //! * persistent connections — requests are served in a loop until the
 //!   peer closes, sends `Connection: close`, or the idle window expires;
 //! * hard bounds on header and body sizes, so a hostile peer cannot make
@@ -19,6 +19,7 @@
 
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
+use std::time::{Duration, Instant};
 
 /// Largest accepted header block, bytes.
 pub const MAX_HEAD: usize = 16 * 1024;
@@ -82,7 +83,10 @@ pub fn read_request(
     stream: &mut BufReader<TcpStream>,
     write_half: &mut TcpStream,
 ) -> Result<Request, ReadError> {
-    let request_line = read_line(stream, true)?;
+    // Bounds the head once its first byte is in (a tick before that is
+    // `TimedOut`, and the next call starts afresh).
+    let deadline = Instant::now() + BODY_DEADLINE;
+    let request_line = read_line(stream, true, deadline)?;
     let mut parts = request_line.split_ascii_whitespace();
     let (Some(method), Some(path), Some(version)) = (parts.next(), parts.next(), parts.next())
     else {
@@ -97,7 +101,7 @@ pub fn read_request(
     let mut headers = Vec::new();
     let mut head_bytes = request_line.len();
     loop {
-        let line = read_line(stream, false)?;
+        let line = read_line(stream, false, deadline)?;
         if line.is_empty() {
             break;
         }
@@ -170,28 +174,31 @@ fn content_length(headers: &[(String, String)]) -> Result<Option<usize>, ReadErr
     Ok(length)
 }
 
-/// How long a started request's body may take to dribble in before the
-/// connection is declared dead. Distinct from the short between-request
-/// poll timeout: mid-request stalls (a WAN client, an `Expect:
-/// 100-continue` pause) must not kill the request.
-const BODY_DEADLINE: std::time::Duration = std::time::Duration::from_secs(10);
+/// How long a started request's head, and then its body, may take to
+/// dribble in before the connection is declared dead. Distinct from the
+/// short between-request poll timeout: mid-request stalls (a WAN
+/// client, an `Expect: 100-continue` pause) must not kill the request.
+const BODY_DEADLINE: Duration = Duration::from_secs(10);
+
+/// Whether a read error is the socket's read-timeout tick.
+fn is_tick(e: &io::Error) -> bool {
+    matches!(
+        e.kind(),
+        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+    )
+}
 
 /// `read_exact` that rides out read-timeout ticks (the socket keeps the
 /// short between-request poll timeout) until `BODY_DEADLINE`.
 fn read_body(stream: &mut BufReader<TcpStream>, body: &mut [u8]) -> Result<(), ReadError> {
-    let deadline = std::time::Instant::now() + BODY_DEADLINE;
+    let deadline = Instant::now() + BODY_DEADLINE;
     let mut filled = 0;
     while filled < body.len() {
         match stream.read(&mut body[filled..]) {
             Ok(0) => return Err(ReadError::Closed),
             Ok(n) => filled += n,
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                ) =>
-            {
-                if std::time::Instant::now() >= deadline {
+            Err(e) if is_tick(&e) => {
+                if Instant::now() >= deadline {
                     return Err(ReadError::Closed);
                 }
             }
@@ -204,28 +211,32 @@ fn read_body(stream: &mut BufReader<TcpStream>, body: &mut [u8]) -> Result<(), R
 
 /// Reads one CRLF- (or LF-) terminated line, without the terminator.
 /// `first` marks the request line, where EOF is the clean keep-alive end
-/// rather than a truncation.
-fn read_line(stream: &mut BufReader<TcpStream>, first: bool) -> Result<String, ReadError> {
+/// rather than a truncation, and where a timeout before any byte is the
+/// retryable [`ReadError::TimedOut`]. Once a head has started, a stall
+/// keeps the partial line and rides out read-timeout ticks until
+/// `deadline`.
+fn read_line(
+    stream: &mut BufReader<TcpStream>,
+    first: bool,
+    deadline: Instant,
+) -> Result<String, ReadError> {
     let mut line = Vec::new();
-    let mut limited = stream.take(MAX_HEAD as u64 + 1);
-    match limited.read_until(b'\n', &mut line) {
-        Ok(0) if first => return Err(ReadError::Closed),
-        Ok(0) => return Err(ReadError::Malformed("truncated head".into())),
-        Ok(_) => {}
-        // A clean timeout before any byte of the request line arrived is
-        // retryable; anything else (resets, mid-line timeouts) ends the
-        // connection.
-        Err(e)
-            if first
-                && line.is_empty()
-                && matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                ) =>
-        {
-            return Err(ReadError::TimedOut)
+    loop {
+        // Bytes kept from before a stall count against the bound.
+        let room = (MAX_HEAD + 1 - line.len()) as u64;
+        match stream.by_ref().take(room).read_until(b'\n', &mut line) {
+            Ok(_) => break,
+            Err(e) if is_tick(&e) && first && line.is_empty() => return Err(ReadError::TimedOut),
+            Err(e) if is_tick(&e) && Instant::now() < deadline => {}
+            Err(_) => return Err(ReadError::Closed),
         }
-        Err(_) => return Err(ReadError::Closed),
+    }
+    if line.is_empty() {
+        return Err(if first {
+            ReadError::Closed
+        } else {
+            ReadError::Malformed("truncated head".into())
+        });
     }
     if line.last() == Some(&b'\n') {
         line.pop();
@@ -234,8 +245,6 @@ fn read_line(stream: &mut BufReader<TcpStream>, first: bool) -> Result<String, R
         }
     } else if line.len() > MAX_HEAD {
         return Err(ReadError::TooLarge);
-    } else if first && line.is_empty() {
-        return Err(ReadError::Closed);
     }
     String::from_utf8(line).map_err(|_| ReadError::Malformed("non-UTF-8 head".into()))
 }

@@ -573,6 +573,62 @@ fn hostile_framing_is_bounded_and_never_desyncs() {
     server.shutdown();
 }
 
+/// A client that stalls past the server's read poll inside the request
+/// head — inside the request line, or inside a header — still gets its
+/// answer, and the connection stays usable for the next request.
+#[test]
+fn stalled_heads_ride_out_the_read_poll() {
+    use std::io::BufRead;
+    let server = server();
+    let head = "GET /v1/healthz HTTP/1.1\r\nhost: localhost\r\n\r\n";
+    for split in [10, 30] {
+        let mut stream = TcpStream::connect(server.addr()).unwrap();
+        stream.set_nodelay(true).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        stream.write_all(&head.as_bytes()[..split]).unwrap();
+        std::thread::sleep(Duration::from_millis(300));
+        stream.write_all(&head.as_bytes()[split..]).unwrap();
+
+        // One keep-alive response: status, headers, then the body by its
+        // declared length.
+        let mut reader = std::io::BufReader::new(stream.try_clone().unwrap());
+        let mut status = String::new();
+        reader.read_line(&mut status).unwrap();
+        assert!(
+            status.starts_with("HTTP/1.1 200"),
+            "split {split}: `{status}`"
+        );
+        let mut length = 0;
+        loop {
+            let mut line = String::new();
+            reader.read_line(&mut line).unwrap();
+            if line.trim().is_empty() {
+                break;
+            }
+            if let Some(value) = line.to_ascii_lowercase().strip_prefix("content-length:") {
+                length = value.trim().parse().unwrap();
+            }
+        }
+        let mut body = vec![0; length];
+        reader.read_exact(&mut body).unwrap();
+        assert!(String::from_utf8_lossy(&body).contains("\"ok\""));
+
+        // The same connection still parses a second request.
+        stream
+            .write_all(b"GET /v1/healthz HTTP/1.1\r\nconnection: close\r\n\r\n")
+            .unwrap();
+        let mut out = Vec::new();
+        let _ = reader.read_to_end(&mut out);
+        let raw = String::from_utf8_lossy(&out);
+        assert!(
+            raw.starts_with("HTTP/1.1 200"),
+            "split {split}, second: {raw}"
+        );
+    }
+}
+
 #[test]
 fn head_and_foreign_methods_route_sanely() {
     let server = server();

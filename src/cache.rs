@@ -18,6 +18,11 @@
 //!   `ceil(capacity / shards)` entries; inserting past the bound evicts
 //!   the least-recently-used entry of that shard. `capacity == 0`
 //!   disables caching entirely (every request builds, nothing is stored).
+//! * **A probe that never waits** — the session's enqueue step looks a
+//!   key up with `probe` before deciding whether a request becomes a
+//!   pool job: a resident key is a counted hit; an absent key, or one
+//!   whose build is in flight, is a miss that counts nothing until
+//!   `get_or_build` runs it.
 //! * **Per-shard stats** — hits, misses, evictions and in-flight waits
 //!   are counted per shard and aggregated in [`CacheStats`].
 //! * **One lock per shard, one path** — every hit, miss, insert,
@@ -114,6 +119,9 @@ struct ShardState<K, V> {
     /// collision merely serializes two unrelated builds, it never
     /// produces a wrong value (waiters re-check their own key on wake).
     in_flight: HashSet<u64>,
+    /// Threads parked on the shard's condvar right now: a released claim
+    /// wakes them only when there is someone to wake.
+    waiters: usize,
     hits: u64,
     misses: u64,
     evictions: u64,
@@ -203,6 +211,7 @@ impl<K, V> Shard<K, V> {
                 len: 0,
                 tick: 0,
                 in_flight: HashSet::new(),
+                waiters: 0,
                 hits: 0,
                 misses: 0,
                 evictions: 0,
@@ -236,8 +245,11 @@ impl<K, V> Drop for InFlightClaim<'_, K, V> {
             Err(poisoned) => poisoned.into_inner(),
         };
         state.in_flight.remove(&self.hash);
+        let parked = state.waiters > 0;
         drop(state);
-        self.shard.ready.notify_all();
+        if parked {
+            self.shard.ready.notify_all();
+        }
     }
 }
 
@@ -337,7 +349,9 @@ impl<K: Clone + Eq + Hash, V: Clone> ShardedCache<K, V> {
                 break;
             }
             state.inflight_waits += 1;
+            state.waiters += 1;
             state = shard.ready.wait(state).expect("cache shard lock");
+            state.waiters -= 1;
         }
         state.in_flight.insert(hash);
         drop(state);
@@ -355,6 +369,20 @@ impl<K: Clone + Eq + Hash, V: Clone> ShardedCache<K, V> {
             .insert(hash, key.clone(), value.clone(), self.shard_capacity);
         drop(claim);
         Ok((value, false))
+    }
+
+    /// The resident value of `key`, counting one hit; `None`, counting
+    /// nothing, when the key is absent, its build is in flight, or
+    /// caching is disabled. Never waits on the shard's condvar: the
+    /// caller treats `None` as a miss and hands the key to
+    /// [`get_or_build`](Self::get_or_build), which counts the hit or miss
+    /// and joins a build in flight.
+    pub(crate) fn probe(&self, key: &K) -> Option<V> {
+        if self.shard_capacity == 0 {
+            return None;
+        }
+        let (hash, shard) = self.shard_of(key);
+        shard.lock().hit(hash, key)
     }
 
     /// Clones every resident `(key, value)` pair, shard by shard — the
@@ -451,6 +479,7 @@ mod tests {
     use super::*;
     use std::convert::Infallible;
     use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
 
     fn ok(v: u32) -> impl FnOnce() -> Result<u32, Infallible> {
         move || Ok(v)
@@ -682,6 +711,78 @@ mod tests {
         off.seed(1, 1);
         assert_eq!(off.len(), 0);
         assert_eq!(off.stats().misses, 0, "disabled cache ignores seeds");
+    }
+
+    #[test]
+    fn probes_hit_resident_keys_and_never_wait() {
+        let cache: ShardedCache<u32, u32> = ShardedCache::new(16, 1);
+        assert_eq!(cache.probe(&1), None, "an absent key is a miss");
+        assert_eq!(cache.stats().misses, 0, "a probe counts no miss");
+        cache.get_or_build(&1, ok(10)).unwrap();
+        assert_eq!(cache.probe(&1), Some(10));
+        assert_eq!(cache.stats().hits, 1, "a probe hit counts one hit");
+
+        // A key whose build is in flight reads as a miss at once.
+        let release = std::sync::atomic::AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                cache
+                    .get_or_build(&2, || {
+                        while !release.load(Ordering::Acquire) {
+                            std::thread::yield_now();
+                        }
+                        Ok::<_, Infallible>(20)
+                    })
+                    .unwrap();
+            });
+            while cache.stats().in_flight == 0 {
+                std::thread::yield_now();
+            }
+            assert_eq!(cache.probe(&2), None, "in flight: a miss, no wait");
+            release.store(true, Ordering::Release);
+        });
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses, stats.inflight_waits), (1, 2, 0));
+
+        let off: ShardedCache<u32, u32> = ShardedCache::new(0, 1);
+        off.get_or_build(&1, ok(1)).unwrap();
+        assert_eq!(off.probe(&1), None, "a disabled cache never hits");
+    }
+
+    #[test]
+    fn parked_single_flight_waiters_are_woken() {
+        // A released claim notifies only when its shard's waiter count
+        // says someone is parked; a parked waiter must still wake.
+        let cache: Arc<ShardedCache<u32, u32>> = Arc::new(ShardedCache::new(16, 1));
+        let release = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let builder = {
+            let (cache, release) = (cache.clone(), release.clone());
+            std::thread::spawn(move || {
+                cache.get_or_build(&5, || {
+                    while !release.load(Ordering::Acquire) {
+                        std::thread::yield_now();
+                    }
+                    Ok::<_, Infallible>(55)
+                })
+            })
+        };
+        while cache.stats().in_flight == 0 {
+            std::thread::yield_now();
+        }
+        let (tx, rx) = std::sync::mpsc::channel();
+        let waiter = {
+            let cache = cache.clone();
+            std::thread::spawn(move || tx.send(cache.get_or_build(&5, ok(0)).unwrap()))
+        };
+        while cache.shards[0].lock().waiters == 0 {
+            std::thread::yield_now();
+        }
+        release.store(true, Ordering::Release);
+        assert_eq!(builder.join().unwrap().unwrap(), (55, false));
+        let woken = rx.recv_timeout(std::time::Duration::from_secs(30));
+        assert_eq!(woken, Ok((55, true)), "the parked waiter woke and hit");
+        waiter.join().unwrap().unwrap();
+        assert_eq!(cache.shards[0].lock().waiters, 0);
     }
 
     #[test]

@@ -1,7 +1,10 @@
 //! The persistent work-stealing pool — the session's one executor —
 //! and the [`JobHandle`] it returns.
 //!
-//! Every multi-request path runs here: [`Session::submit`] and
+//! Every multi-request path enqueues through one step that probes the
+//! cache on the calling thread first: a request whose answer is cached
+//! gets a [`JobHandle`] that is resolved from the start and never
+//! becomes a job; only misses run here. [`Session::submit`] and
 //! [`Session::submit_all`] hand the handles back to the caller, while
 //! [`Session::run_batch`] and the four composite requests (sweep,
 //! repair, optimize, macro) harvest theirs through the session's
@@ -15,11 +18,13 @@
 //!   injector, then the back half of the fullest other deque, so a
 //!   skewed tail of expensive jobs is redistributed instead of pinning
 //!   one thread.
-//! * [`JobHandle`] — the caller's side of one submitted job: [`wait`],
+//! * [`JobHandle`] — the caller's side of one submitted request: [`wait`],
 //!   [`try_get`], [`wait_timeout`], [`is_done`] to pull the result, or
 //!   [`on_resolve`] to have it pushed to a callback the moment the job
-//!   resolves. Dropping a handle never cancels the job — the work still
-//!   runs and still populates the session cache.
+//!   resolves. A cache hit's handle holds its result inline and answers
+//!   like a finished job. Dropping a handle never cancels the job — the
+//!   work still runs and still populates the session cache. A fill wakes
+//!   the handle's condvar only when a thread is parked on it.
 //! * [`Completion`] — the worker's side. It resolves the handle exactly
 //!   once, *even when the job never runs*: if the job is dropped unrun
 //!   (session shut down) or panics on a worker, the completion's `Drop`
@@ -39,7 +44,7 @@ use crate::error::{CnfetError, Result};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// A unit of work queued on the pool, tagged with the submission batch it
@@ -78,34 +83,70 @@ enum Slot<T> {
     Taken,
 }
 
+/// The slot and the number of threads parked on it, under one mutex, so
+/// a fill wakes the condvar only when someone waits on it.
+struct Guarded<T> {
+    slot: Slot<T>,
+    waiters: usize,
+}
+
 struct JobState<T> {
-    slot: Mutex<Slot<T>>,
+    guarded: Mutex<Guarded<T>>,
     done: Condvar,
 }
 
 impl<T> JobState<T> {
+    fn lock(&self) -> MutexGuard<'_, Guarded<T>> {
+        self.guarded.lock().expect("job slot lock")
+    }
+
     /// Resolves the slot exactly once (later fills are ignored), running
     /// a registered hook after the slot lock is released.
     fn fill(&self, result: Result<T>) {
-        let mut slot = self.slot.lock().expect("job slot lock");
-        match std::mem::replace(&mut *slot, Slot::Taken) {
+        let mut guarded = self.lock();
+        match std::mem::replace(&mut guarded.slot, Slot::Taken) {
             Slot::Pending => {
-                *slot = Slot::Ready(result);
-                drop(slot);
-                self.done.notify_all();
+                guarded.slot = Slot::Ready(result);
+                let parked = guarded.waiters > 0;
+                drop(guarded);
+                if parked {
+                    self.done.notify_all();
+                }
             }
             Slot::Hooked(hook) => {
-                drop(slot);
+                drop(guarded);
                 hook(result);
             }
-            resolved => *slot = resolved,
+            resolved => guarded.slot = resolved,
         }
+    }
+
+    /// Parks on the condvar, for at most `timeout` when one is given,
+    /// counted in `waiters` while parked.
+    fn park<'a>(
+        &'a self,
+        mut guarded: MutexGuard<'a, Guarded<T>>,
+        timeout: Option<Duration>,
+    ) -> MutexGuard<'a, Guarded<T>> {
+        guarded.waiters += 1;
+        let mut guarded = match timeout {
+            None => self.done.wait(guarded).expect("job slot lock"),
+            Some(timeout) => {
+                self.done
+                    .wait_timeout(guarded, timeout)
+                    .expect("job slot lock")
+                    .0
+            }
+        };
+        guarded.waiters -= 1;
+        guarded
     }
 }
 
-/// The caller's side of one job submitted with
+/// The caller's side of one request handed to
 /// [`Session::submit`](crate::Session::submit): a non-blocking future for
-/// the request's output.
+/// the request's output. A request whose answer was already cached gets
+/// a handle that is resolved from the start; any other is a pool job's.
 ///
 /// The result is collected **exactly once** — by [`wait`](Self::wait),
 /// [`on_resolve`](Self::on_resolve), or the first [`try_get`](Self::try_get)
@@ -113,7 +154,15 @@ impl<T> JobState<T> {
 /// handle abandons the result but not the job: the work still runs and
 /// still populates the session cache for later requests.
 pub struct JobHandle<T> {
-    state: Arc<JobState<T>>,
+    inner: Handle<T>,
+}
+
+enum Handle<T> {
+    /// Resolved when created: the result until it is collected. No
+    /// job, no shared slot.
+    Resolved(Option<Result<T>>),
+    /// A pool job's slot, shared with its [`Completion`].
+    Queued(Arc<JobState<T>>),
 }
 
 impl<T> std::fmt::Debug for JobHandle<T> {
@@ -123,20 +172,31 @@ impl<T> std::fmt::Debug for JobHandle<T> {
 }
 
 impl<T> JobHandle<T> {
+    /// A handle that is resolved from the start: it answers like a
+    /// finished job whose output has not been collected yet.
+    pub(crate) fn resolved(output: T) -> JobHandle<T> {
+        JobHandle {
+            inner: Handle::Resolved(Some(Ok(output))),
+        }
+    }
+
     /// Whether the job has resolved (successfully, with an error, or
     /// canceled). Non-blocking.
     pub fn is_done(&self) -> bool {
-        !matches!(
-            *self.state.slot.lock().expect("job slot lock"),
-            Slot::Pending
-        )
+        match &self.inner {
+            Handle::Resolved(_) => true,
+            Handle::Queued(state) => !matches!(state.lock().slot, Slot::Pending),
+        }
     }
 
     /// Collects the result if the job has resolved; `None` while it is
     /// still pending (or if the result was already collected).
     /// Non-blocking.
     pub fn try_get(&mut self) -> Option<Result<T>> {
-        take(&mut self.state.slot.lock().expect("job slot lock"))
+        match &mut self.inner {
+            Handle::Resolved(result) => result.take(),
+            Handle::Queued(state) => take(&mut state.lock().slot),
+        }
     }
 
     /// Blocks until the job resolves and returns its result.
@@ -146,14 +206,15 @@ impl<T> JobHandle<T> {
     /// Panics if the result was already collected by an earlier
     /// [`try_get`](Self::try_get) or [`wait_timeout`](Self::wait_timeout).
     pub fn wait(self) -> Result<T> {
-        let mut slot = self.state.slot.lock().expect("job slot lock");
-        loop {
-            if matches!(*slot, Slot::Pending) {
-                slot = self.state.done.wait(slot).expect("job slot lock");
-                continue;
-            }
-            return take(&mut slot).expect("job result was already collected");
+        let state = match self.inner {
+            Handle::Resolved(result) => return result.expect("job result was already collected"),
+            Handle::Queued(state) => state,
+        };
+        let mut guarded = state.lock();
+        while matches!(guarded.slot, Slot::Pending) {
+            guarded = state.park(guarded, None);
         }
+        take(&mut guarded.slot).expect("job result was already collected")
     }
 
     /// Blocks for at most `timeout` for the job to resolve. Returns the
@@ -161,22 +222,21 @@ impl<T> JobHandle<T> {
     /// valid — wait again or poll later). Also returns `None` if the
     /// result was already collected.
     pub fn wait_timeout(&mut self, timeout: Duration) -> Option<Result<T>> {
+        let state = match &mut self.inner {
+            Handle::Resolved(result) => return result.take(),
+            Handle::Queued(state) => state,
+        };
         let deadline = Instant::now() + timeout;
-        let mut slot = self.state.slot.lock().expect("job slot lock");
+        let mut guarded = state.lock();
         loop {
-            if !matches!(*slot, Slot::Pending) {
-                return take(&mut slot);
+            if !matches!(guarded.slot, Slot::Pending) {
+                return take(&mut guarded.slot);
             }
             let now = Instant::now();
             if now >= deadline {
                 return None;
             }
-            let (guard, _timed_out) = self
-                .state
-                .done
-                .wait_timeout(slot, deadline - now)
-                .expect("job slot lock");
-            slot = guard;
+            guarded = state.park(guarded, Some(deadline - now));
         }
     }
 
@@ -190,11 +250,15 @@ impl<T> JobHandle<T> {
     ///
     /// Panics if the result was already collected, like [`wait`](Self::wait).
     pub fn on_resolve(self, f: impl FnOnce(Result<T>) + Send + 'static) {
-        let mut slot = self.state.slot.lock().expect("job slot lock");
-        match std::mem::replace(&mut *slot, Slot::Taken) {
-            Slot::Pending => *slot = Slot::Hooked(Box::new(f)),
+        let state = match self.inner {
+            Handle::Resolved(result) => return f(result.expect("job result was already collected")),
+            Handle::Queued(state) => state,
+        };
+        let mut guarded = state.lock();
+        match std::mem::replace(&mut guarded.slot, Slot::Taken) {
+            Slot::Pending => guarded.slot = Slot::Hooked(Box::new(f)),
             Slot::Ready(result) => {
-                drop(slot);
+                drop(guarded);
                 f(result);
             }
             _ => panic!("job result was already collected"),
@@ -241,14 +305,19 @@ impl<T> Drop for Completion<T> {
 /// A fresh completion/handle pair for one job.
 pub(crate) fn job_channel<T>() -> (Completion<T>, JobHandle<T>) {
     let state = Arc::new(JobState {
-        slot: Mutex::new(Slot::Pending),
+        guarded: Mutex::new(Guarded {
+            slot: Slot::Pending,
+            waiters: 0,
+        }),
         done: Condvar::new(),
     });
     (
         Completion {
             state: Some(state.clone()),
         },
-        JobHandle { state },
+        JobHandle {
+            inner: Handle::Queued(state),
+        },
     )
 }
 
@@ -567,6 +636,42 @@ mod tests {
         assert_eq!(result.unwrap(), 5);
         assert_eq!(thread, std::thread::current().id());
         assert!(results.try_recv().is_err(), "the hook ran exactly once");
+    }
+
+    #[test]
+    fn parked_waiters_are_woken_by_the_fill() {
+        // A fill notifies only when its waiter count says someone is
+        // parked: a parked `wait` and a parked `wait_timeout` must both
+        // still wake, long before the timeout would expire.
+        for timed in [false, true] {
+            let (completion, handle) = job_channel::<u32>();
+            let Handle::Queued(state) = &handle.inner else {
+                unreachable!("a job's handle is queued")
+            };
+            let state = state.clone();
+            let (tx, rx) = mpsc::channel();
+            let waiter = std::thread::spawn(move || {
+                let mut handle = handle;
+                let result = if timed {
+                    handle.wait_timeout(Duration::from_secs(600))
+                } else {
+                    Some(handle.wait())
+                };
+                tx.send(result.map(Result::unwrap)).unwrap();
+            });
+            while state.lock().waiters == 0 {
+                std::thread::yield_now();
+            }
+            completion.complete(Ok(7));
+            let woken = rx.recv_timeout(Duration::from_secs(30));
+            assert_eq!(
+                woken,
+                Ok(Some(7)),
+                "the parked waiter (timed: {timed}) woke"
+            );
+            waiter.join().unwrap();
+            assert_eq!(state.lock().waiters, 0);
+        }
     }
 
     #[test]

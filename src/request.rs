@@ -23,6 +23,11 @@
 //! * [`SessionRequest::annotate`] — a post-cache touch-up applied to
 //!   every result (cells use it to set [`CellResult::cached`]).
 //!
+//! Two more, hidden, hooks serve the session's enqueue step: `probe`
+//! builds the key once and looks it up without waiting, and `run_keyed`
+//! runs a miss under that key. Both default to the generic versions;
+//! [`RequestKind`] forwards them to its inner request.
+//!
 //! Heterogeneous mixes go through [`RequestKind`] (an enum over every
 //! request kind) and come back as [`ResponseKind`] — the currency of
 //! [`Session::submit_all`](crate::Session::submit_all).
@@ -50,6 +55,7 @@ use crate::session::{
     TranResult,
 };
 use crate::sweep::{CornerRow, SweepCornerRequest, SweepReport, SweepRequest};
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 // ---------------------------------------------------------------------------
@@ -139,8 +145,46 @@ impl RequestClass {
 /// A request's complete memoization input: which cache it lives in plus
 /// everything that distinguishes two non-interchangeable requests of that
 /// class. Two requests with equal keys are served the same cached result.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
-pub struct CacheKey(pub(crate) KeyInner);
+#[derive(Clone)]
+pub struct CacheKey {
+    /// The payload's hash, computed once when the key is built. A key is
+    /// looked up twice when a probed miss runs, and some payloads take a
+    /// microsecond to hash (a die key holds every cell's full options),
+    /// so hashing a key hashes only this.
+    hash: u64,
+    pub(crate) inner: KeyInner,
+}
+
+impl CacheKey {
+    pub(crate) fn new(inner: KeyInner) -> CacheKey {
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        inner.hash(&mut h);
+        CacheKey {
+            hash: h.finish(),
+            inner,
+        }
+    }
+}
+
+impl PartialEq for CacheKey {
+    fn eq(&self, other: &CacheKey) -> bool {
+        self.hash == other.hash && self.inner == other.inner
+    }
+}
+
+impl Eq for CacheKey {}
+
+impl Hash for CacheKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.hash);
+    }
+}
+
+impl std::fmt::Debug for CacheKey {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_tuple("CacheKey").field(&self.inner).finish()
+    }
+}
 
 /// The class-tagged key payload. Each variant belongs to exactly one
 /// request class — the tag is what lets all four caches share one value
@@ -253,7 +297,7 @@ impl CacheKey {
     /// Which request class (and therefore which session cache) this key
     /// belongs to.
     pub fn class(&self) -> RequestClass {
-        match self.0 {
+        match self.inner {
             KeyInner::Cell(_) => RequestClass::Cell,
             KeyInner::Library(_) => RequestClass::Library,
             KeyInner::Immunity { .. } => RequestClass::Immunity,
@@ -319,6 +363,49 @@ pub trait SessionRequest: sealed::Sealed {
         let _ = cached;
         output
     }
+
+    /// The enqueue probe: builds the key once and looks it up without
+    /// blocking. Engine-internal; [`RequestKind`] probes its inner
+    /// request.
+    #[doc(hidden)]
+    fn probe(&self, session: &Session) -> Probe<Self::Output>
+    where
+        Self: Sized,
+    {
+        session.probe(self)
+    }
+
+    /// Runs a probed miss under the key it was probed with, so the key
+    /// is never built twice. Engine-internal, like [`probe`](Self::probe).
+    #[doc(hidden)]
+    fn run_keyed(&self, session: &Session, key: Option<CacheKey>) -> Result<Self::Output>
+    where
+        Self: Sized,
+    {
+        session.run_keyed(self, key)
+    }
+}
+
+/// What an enqueue probe found ([`SessionRequest::probe`]). A miss's
+/// key moves straight into its job, so it is not boxed.
+#[doc(hidden)]
+#[allow(clippy::large_enum_variant)]
+pub enum Probe<T> {
+    /// The cached output, annotated as a hit; the hit is counted.
+    Hit(T),
+    /// Nothing resident (absent, a build in flight, or no key): the
+    /// request runs as a pool job under this key. Nothing is counted
+    /// yet.
+    Miss(Option<CacheKey>),
+}
+
+impl<T> Probe<T> {
+    fn map<U>(self, f: impl FnOnce(T) -> U) -> Probe<U> {
+        match self {
+            Probe::Hit(output) => Probe::Hit(f(output)),
+            Probe::Miss(key) => Probe::Miss(key),
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -331,7 +418,7 @@ impl SessionRequest for CellRequest {
     type Output = CellResult;
 
     fn cache_key(&self, session: &Session) -> Option<CacheKey> {
-        Some(CacheKey(KeyInner::Cell(session.catalog_key(self).0)))
+        Some(CacheKey::new(KeyInner::Cell(session.catalog_key(self).0)))
     }
 
     fn execute(&self, session: &Session) -> Result<CellResult> {
@@ -365,7 +452,7 @@ impl SessionRequest for LibraryRequest {
     type Output = Arc<CellLibrary>;
 
     fn cache_key(&self, _session: &Session) -> Option<CacheKey> {
-        Some(CacheKey(KeyInner::Library(*self)))
+        Some(CacheKey::new(KeyInner::Library(*self)))
     }
 
     /// Builds the full function × strength matrix of the session's kit,
@@ -397,7 +484,7 @@ impl SessionRequest for ImmunityRequest {
     type Output = ImmunityReport;
 
     fn cache_key(&self, session: &Session) -> Option<CacheKey> {
-        Some(CacheKey(KeyInner::Immunity {
+        Some(CacheKey::new(KeyInner::Immunity {
             cell: session.catalog_key(&self.cell).0,
             engine: EngineKey::new(&self.engine),
         }))
@@ -432,7 +519,7 @@ impl SessionRequest for FlowRequest {
     type Output = FlowResult;
 
     fn cache_key(&self, _session: &Session) -> Option<CacheKey> {
-        Some(CacheKey(KeyInner::Flow(format!("{self:?}"))))
+        Some(CacheKey::new(KeyInner::Flow(format!("{self:?}"))))
     }
 
     /// Runs the flow end to end: netlist → placement → optional
@@ -579,7 +666,7 @@ impl SessionRequest for SweepRequest {
             .iter()
             .map(|cell| session.catalog_key(cell).0)
             .collect();
-        Some(CacheKey(KeyInner::Sweep(format!(
+        Some(CacheKey::new(KeyInner::Sweep(format!(
             "{cell_keys:?}|{:?}|{:?}|{:?}|{:?}",
             self.grid.clone().canonical(),
             self.metrics,
@@ -613,7 +700,7 @@ impl SessionRequest for SweepCornerRequest {
             return None;
         }
         let cell_key = session.catalog_key(&self.cell).0;
-        Some(CacheKey(KeyInner::SweepCorner(format!(
+        Some(CacheKey::new(KeyInner::SweepCorner(format!(
             "{cell_key:?}|{:?}|{:?}|{:?}|{:?}",
             self.corner.canonical(),
             self.metrics,
@@ -645,7 +732,7 @@ impl SessionRequest for RepairRequest {
     /// deliberately excluded — observation is not identity.
     fn cache_key(&self, session: &Session) -> Option<CacheKey> {
         self.validate().ok()?;
-        Some(CacheKey(KeyInner::Repair(self.key(session))))
+        Some(CacheKey::new(KeyInner::Repair(self.key(session))))
     }
 
     /// Fans one [`DieRequest`] per die out through the session's job
@@ -670,7 +757,7 @@ impl SessionRequest for DieRequest {
     /// gets no key.
     fn cache_key(&self, session: &Session) -> Option<CacheKey> {
         self.validate().ok()?;
-        Some(CacheKey(KeyInner::Die(self.key(session))))
+        Some(CacheKey::new(KeyInner::Die(self.key(session))))
     }
 
     fn execute(&self, session: &Session) -> Result<DieOutcome> {
@@ -703,7 +790,7 @@ impl SessionRequest for OptimizeRequest {
             .iter()
             .map(|cell| session.catalog_key(cell).0)
             .collect();
-        Some(CacheKey(KeyInner::Optimize(format!(
+        Some(CacheKey::new(KeyInner::Optimize(format!(
             "{cell_keys:?}|{:?}|{:?}|{}|{:?}|{:?}|{:?}",
             self.grid.clone().canonical(),
             self.target.canonical(),
@@ -744,7 +831,7 @@ impl SessionRequest for OptimizeCandidateRequest {
             .map(|cell| session.catalog_key(cell).0)
             .collect();
         let canonical = self.clone().canonical();
-        Some(CacheKey(KeyInner::OptimizeCandidate(format!(
+        Some(CacheKey::new(KeyInner::OptimizeCandidate(format!(
             "{cell_keys:?}|{}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}",
             canonical.tubes_per_4lambda,
             canonical.pitch_scale,
@@ -782,7 +869,7 @@ impl SessionRequest for MacroRequest {
         if self.validate().is_err() {
             return None;
         }
-        Some(CacheKey(KeyInner::Macro(MacroKey {
+        Some(CacheKey::new(KeyInner::Macro(MacroKey {
             kind: self.kind,
             width: self.width,
             scheme: self.scheme,
@@ -814,7 +901,7 @@ impl SessionRequest for MacroSliceRequest {
             scheme: self.scheme,
             seed: self.seed,
         };
-        Some(CacheKey(KeyInner::MacroSlice(key, self.bit)))
+        Some(CacheKey::new(KeyInner::MacroSlice(key, self.bit)))
     }
 
     fn execute(&self, session: &Session) -> Result<SliceOutcome> {
@@ -848,7 +935,7 @@ impl SessionRequest for CustomCellRequest {
             .options
             .clone()
             .unwrap_or_else(|| session.defaults().clone());
-        Some(CacheKey(KeyInner::Cell(CellKey::Custom {
+        Some(CacheKey::new(KeyInner::Cell(CellKey::Custom {
             name: self.name.clone(),
             pdn: self.pdn.clone(),
             pun: self.pun.clone(),
@@ -1200,6 +1287,28 @@ impl ResponseKind {
 
 impl sealed::Sealed for RequestKind {}
 
+/// Applies `$body` to the request inside a [`RequestKind`] and wraps
+/// what it yields (a `Result` or a [`Probe`]) in the matching
+/// [`ResponseKind`].
+macro_rules! each_kind {
+    ($kind:expr, $r:ident => $body:expr) => {
+        match $kind {
+            RequestKind::Cell($r) => $body.map(ResponseKind::Cell),
+            RequestKind::Library($r) => $body.map(ResponseKind::Library),
+            RequestKind::Immunity($r) => $body.map(ResponseKind::Immunity),
+            RequestKind::Flow($r) => $body.map(ResponseKind::Flow),
+            RequestKind::Sweep($r) => $body.map(ResponseKind::Sweep),
+            RequestKind::SweepCorner($r) => $body.map(ResponseKind::SweepCorner),
+            RequestKind::Repair($r) => $body.map(ResponseKind::Repair),
+            RequestKind::Die($r) => $body.map(ResponseKind::Die),
+            RequestKind::Optimize($r) => $body.map(ResponseKind::Optimize),
+            RequestKind::Macro($r) => $body.map(ResponseKind::Macro),
+            RequestKind::MacroSlice($r) => $body.map(ResponseKind::MacroSlice),
+            RequestKind::Tran($r) => $body.map(ResponseKind::Tran),
+        }
+    };
+}
+
 impl SessionRequest for RequestKind {
     type Output = ResponseKind;
 
@@ -1211,19 +1320,15 @@ impl SessionRequest for RequestKind {
     }
 
     fn execute(&self, session: &Session) -> Result<ResponseKind> {
-        Ok(match self {
-            RequestKind::Cell(r) => ResponseKind::Cell(session.run(r)?),
-            RequestKind::Library(r) => ResponseKind::Library(session.run(r)?),
-            RequestKind::Immunity(r) => ResponseKind::Immunity(session.run(r)?),
-            RequestKind::Flow(r) => ResponseKind::Flow(session.run(r)?),
-            RequestKind::Sweep(r) => ResponseKind::Sweep(session.run(r)?),
-            RequestKind::SweepCorner(r) => ResponseKind::SweepCorner(session.run(r)?),
-            RequestKind::Repair(r) => ResponseKind::Repair(session.run(r)?),
-            RequestKind::Die(r) => ResponseKind::Die(session.run(r)?),
-            RequestKind::Optimize(r) => ResponseKind::Optimize(session.run(r)?),
-            RequestKind::Macro(r) => ResponseKind::Macro(session.run(r)?),
-            RequestKind::MacroSlice(r) => ResponseKind::MacroSlice(session.run(r)?),
-            RequestKind::Tran(r) => ResponseKind::Tran(session.run(r)?),
-        })
+        each_kind!(self, r => session.run(r))
+    }
+
+    /// Probes the inner request, under its own key.
+    fn probe(&self, session: &Session) -> Probe<ResponseKind> {
+        each_kind!(self, r => r.probe(session))
+    }
+
+    fn run_keyed(&self, session: &Session, key: Option<CacheKey>) -> Result<ResponseKind> {
+        each_kind!(self, r => r.run_keyed(session, key))
     }
 }

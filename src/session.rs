@@ -15,13 +15,15 @@
 //! Three ways to drive it:
 //!
 //! * [`Session::run`] — synchronous, one request;
-//! * [`Session::run_batch`] — synchronous, a slice of one request kind,
-//!   fanned out across the session's persistent work-stealing pool with
-//!   the caller helping;
+//! * [`Session::run_batch`] — synchronous, a slice of one request kind:
+//!   cached answers are read on the calling thread and the misses fan
+//!   out across the session's persistent work-stealing pool with the
+//!   caller helping;
 //! * [`Session::submit`] / [`Session::submit_all`] — **non-blocking**:
-//!   the request is queued on the same pool and a
-//!   [`JobHandle`] comes back immediately, with `wait()` / `try_get()` /
-//!   `wait_timeout()` / `is_done()` to harvest the result.
+//!   a [`JobHandle`] comes back immediately, resolved already when the
+//!   answer was cached and otherwise backed by a job on the same pool,
+//!   with `wait()` / `try_get()` / `wait_timeout()` / `is_done()` to
+//!   harvest the result.
 //!   `submit_all` accepts heterogeneous mixes via [`RequestKind`] — the
 //!   shape of a co-optimization sweep that interleaves thousands of
 //!   cells, immunity verdicts, and flow runs.
@@ -67,8 +69,11 @@ use crate::flow::{Netlist, NetlistMetrics, Placement};
 use crate::immunity::{CertReport, McOptions, McReport, TraceMap};
 use crate::jobs::{job_channel, next_batch_id, Job, JobHandle, Pool};
 use crate::logic::{SpNetwork, VarTable};
-use crate::request::{CustomCellRequest, RequestClass, RequestKind, ResponseKind, SessionRequest};
+use crate::request::{
+    CacheKey, CustomCellRequest, Probe, RequestClass, RequestKind, ResponseKind, SessionRequest,
+};
 use std::any::Any;
+use std::borrow::Borrow;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
@@ -490,11 +495,13 @@ pub struct SessionStats {
     /// Deque-to-deque steals performed by the job pool, including jobs a
     /// waiting caller took from a worker's deque to help its own batch.
     pub steals: u64,
-    /// Every job enqueued on the pool: [`Session::submit`] /
-    /// [`Session::submit_all`] jobs, one per [`Session::run_batch`]
-    /// request, and every sub-request a composite fans out (a sweep's
-    /// corners, a lot's dies, a search's candidate sweeps, a macro's
-    /// slices).
+    /// Every job enqueued on the pool. Requests are probed when they
+    /// are enqueued and only misses become jobs, so this counts the
+    /// uncached requests of [`Session::submit`] / [`Session::submit_all`]
+    /// and [`Session::run_batch`], and the uncached sub-requests a
+    /// composite fans out (a sweep's corners, a lot's dies, a search's
+    /// candidate sweeps, a macro's slices). A probed hit counts in its
+    /// class's `hits` only.
     pub submitted: u64,
 }
 
@@ -916,7 +923,17 @@ impl Session {
     /// unrealizable cells, Verilog parse or simulation failures for
     /// flows.
     pub fn run<R: SessionRequest>(&self, request: &R) -> Result<R::Output> {
-        let Some(key) = request.cache_key(self) else {
+        self.run_keyed(request, request.cache_key(self))
+    }
+
+    /// [`Session::run`] under an already-built key (`None`: the request
+    /// is not memoized at this level and executes directly).
+    pub(crate) fn run_keyed<R: SessionRequest>(
+        &self,
+        request: &R,
+        key: Option<CacheKey>,
+    ) -> Result<R::Output> {
+        let Some(key) = key else {
             return request.execute(self);
         };
         let cache = &self.core.caches[key.class().index()];
@@ -925,98 +942,145 @@ impl Session {
                 .execute(self)
                 .map(|output| Arc::new(output) as CachedValue)
         })?;
-        let output = value
-            .downcast_ref::<R::Output>()
-            .expect("cache value type matches its class-tagged key")
-            .clone();
-        Ok(R::annotate(output, cached))
+        Ok(R::annotate(output_of::<R>(&value), cached))
     }
 
-    /// Services many requests of one kind at once on the session's
-    /// persistent work-stealing pool, against the shared caches: the
-    /// requests are enqueued as one batch and the caller helps run that
-    /// batch while it harvests, so cost-skewed request lists keep every
-    /// worker busy. Results keep request order, one per request; all
-    /// requests are attempted even when some fail. A request that
-    /// panics resolves to [`CnfetError::Canceled`](crate::CnfetError::Canceled)
-    /// (the same contract as [`Session::submit`]) instead of unwinding
-    /// into the caller. Blocks until the whole batch finishes — for
-    /// non-blocking submission use [`Session::submit`] /
-    /// [`Session::submit_all`].
+    /// Builds the request's key and looks it up without blocking: a
+    /// resident value is a counted hit; anything else is a miss that
+    /// carries the key for [`Session::run_keyed`], counting nothing.
+    pub(crate) fn probe<R: SessionRequest>(&self, request: &R) -> Probe<R::Output> {
+        let Some(key) = request.cache_key(self) else {
+            return Probe::Miss(None);
+        };
+        match self.core.caches[key.class().index()].probe(&key) {
+            Some(value) => Probe::Hit(R::annotate(output_of::<R>(&value), true)),
+            None => Probe::Miss(Some(key)),
+        }
+    }
+
+    /// Services many requests of one kind at once, against the shared
+    /// caches: each request is probed on the calling thread, a cached
+    /// answer is taken on the spot, and only the misses are cloned and
+    /// enqueued as one batch on the session's persistent work-stealing
+    /// pool; the caller helps run that batch while it harvests, so
+    /// cost-skewed request lists keep every worker busy. A batch of
+    /// hits starts no worker. Results keep request order, one per
+    /// request; all requests are attempted even when some fail. A
+    /// request that panics resolves to
+    /// [`CnfetError::Canceled`](crate::CnfetError::Canceled) (the same
+    /// contract as [`Session::submit`]) instead of unwinding into the
+    /// caller. Blocks until the whole batch finishes — for non-blocking
+    /// submission use [`Session::submit`] / [`Session::submit_all`].
     pub fn run_batch<R>(&self, requests: &[R]) -> Vec<Result<R::Output>>
     where
         R: SessionRequest + Clone + Send + 'static,
     {
         self.core.stats.batches.fetch_add(1, Ordering::Relaxed);
-        self.fan_out(requests.iter().cloned()).collect()
+        let (batch, handles) = self.enqueue(requests, R::clone);
+        FanOut::new(self, batch, handles).collect()
     }
 
-    /// Enqueues one request on the session's persistent work-stealing
-    /// pool and returns immediately. The [`JobHandle`] resolves to the
-    /// same output `run` would produce (hit or miss through the same
-    /// caches); dropping the handle abandons the result but not the work.
-    /// A request that panics, or that is still queued when the session's
-    /// last handle drops, resolves to
+    /// Hands one request to the session and returns immediately. The
+    /// request's key is probed on the calling thread: a cached answer
+    /// comes back in an already-resolved [`JobHandle`]; a miss is
+    /// enqueued on the session's persistent work-stealing pool. Either
+    /// way the handle resolves to the same output `run` would produce;
+    /// dropping it abandons the result but not the work. A request that
+    /// panics, or that is still queued when the session's last handle
+    /// drops, resolves to
     /// [`CnfetError::Canceled`](crate::CnfetError::Canceled).
     pub fn submit<R>(&self, request: R) -> JobHandle<R::Output>
     where
         R: SessionRequest + Send + 'static,
     {
-        let (_, mut handles) = self.enqueue([request]);
+        let (_, mut handles) = self.enqueue([request], |request| request);
         handles.pop().expect("one request, one handle")
     }
 
-    /// Enqueues a heterogeneous request mix — any combination of cells,
-    /// libraries, immunity verdicts, flows, and sweeps wrapped in
-    /// [`RequestKind`] — under one queue lock, and returns one
-    /// [`JobHandle`] per request **in submission order**. The pool's
-    /// workers chunk and steal across the mix, so a cheap-cell tail never
-    /// waits behind one heavy flow.
+    /// Hands over a heterogeneous request mix — any combination of
+    /// cells, libraries, immunity verdicts, flows, and sweeps wrapped in
+    /// [`RequestKind`] — and returns one [`JobHandle`] per request **in
+    /// submission order**. Each request is probed like
+    /// [`Session::submit`]: hits resolve on the spot, and the misses go
+    /// to the pool as one batch, where the workers chunk and steal
+    /// across the mix, so a cheap-cell tail never waits behind one
+    /// heavy flow.
     pub fn submit_all<I>(&self, requests: I) -> Vec<JobHandle<ResponseKind>>
     where
         I: IntoIterator<Item = RequestKind>,
     {
-        self.enqueue(requests).1
+        self.enqueue(requests, |request| request).1
     }
 
-    /// Submits `requests` as one batch and yields their results **in
-    /// request order**, helping run the batch while it waits — the one
-    /// fan-out behind [`Session::run_batch`] and every composite request.
+    /// Probes `requests`, submits the misses as one batch, and yields
+    /// every result **in request order**, helping run the batch while it
+    /// waits — the one fan-out behind every composite request. Hits
+    /// never become jobs: a warm sweep's cached corners are read on the
+    /// spot.
     pub(crate) fn fan_out<R>(&self, requests: impl IntoIterator<Item = R>) -> FanOut<'_, R::Output>
     where
         R: SessionRequest + Send + 'static,
     {
-        let (batch, handles) = self.enqueue(requests);
-        FanOut {
-            session: self,
-            batch,
-            handles: handles.into_iter(),
-        }
+        let (batch, handles) = self.enqueue(requests, |request| request);
+        FanOut::new(self, batch, handles)
     }
 
-    /// The one enqueue step: tags the requests' jobs with a fresh batch
-    /// id, counts them in [`SessionStats::submitted`], and pushes them
-    /// under one injector lock. An empty list starts no worker threads.
-    fn enqueue<R>(&self, requests: impl IntoIterator<Item = R>) -> (u64, Vec<JobHandle<R::Output>>)
+    /// The one enqueue step behind [`Session::submit`],
+    /// [`Session::submit_all`], [`Session::run_batch`] and
+    /// [`Session::fan_out`]. Each request's key is built once and probed
+    /// on the calling thread: a hit becomes a resolved handle and never
+    /// a job. A miss is made owned (`own`, so a borrowed batch clones
+    /// only its misses) and becomes a job that runs under the key it was
+    /// probed with, tagged with the call's fresh batch id and counted in
+    /// [`SessionStats::submitted`]. Misses reach the pool as they are
+    /// found, in chunks that double from one, so the workers start on
+    /// the first miss while the caller probes the rest, and a long list
+    /// takes the injector lock only a logarithmic number of times. A
+    /// list without misses starts no worker threads.
+    fn enqueue<R, Q>(
+        &self,
+        requests: impl IntoIterator<Item = Q>,
+        own: impl Fn(Q) -> R,
+    ) -> (u64, Vec<JobHandle<R::Output>>)
     where
         R: SessionRequest + Send + 'static,
+        Q: Borrow<R>,
     {
         let batch = next_batch_id();
-        let (jobs, handles): (Vec<Job>, Vec<_>) = requests
-            .into_iter()
-            .map(|request| {
-                let (completion, handle) = job_channel();
-                (make_job(&self.core, batch, request, completion), handle)
-            })
-            .unzip();
-        if !jobs.is_empty() {
-            self.core
-                .stats
-                .submitted
-                .fetch_add(jobs.len() as u64, Ordering::Relaxed);
-            self.pool().submit(jobs);
+        let requests = requests.into_iter();
+        let mut handles = Vec::with_capacity(requests.size_hint().0);
+        let mut misses = Vec::new();
+        let mut chunk = 1;
+        for request in requests {
+            match request.borrow().probe(self) {
+                Probe::Hit(output) => handles.push(JobHandle::resolved(output)),
+                Probe::Miss(key) => {
+                    let (completion, handle) = job_channel();
+                    misses.push(make_job(&self.core, batch, own(request), key, completion));
+                    handles.push(handle);
+                    if misses.len() == chunk {
+                        self.submit_jobs(std::mem::take(&mut misses));
+                        chunk *= 2;
+                    }
+                }
+            }
         }
+        self.submit_jobs(misses);
         (batch, handles)
+    }
+
+    /// Counts `jobs` in [`SessionStats::submitted`] and pushes them under
+    /// one injector lock; an empty list touches neither the counter nor
+    /// the pool.
+    fn submit_jobs(&self, jobs: Vec<Job>) {
+        if jobs.is_empty() {
+            return;
+        }
+        self.core
+            .stats
+            .submitted
+            .fetch_add(jobs.len() as u64, Ordering::Relaxed);
+        self.pool().submit(jobs);
     }
 
     /// The persistent pool, started on first use with the session's
@@ -1077,15 +1141,25 @@ impl Session {
     }
 }
 
-/// Packages one request as a pool job. The job holds the session core
-/// only weakly: if every [`Session`] handle is gone by the time the job
-/// is popped, it resolves its handle to
+/// The output behind a cached value of `R`'s class.
+fn output_of<R: SessionRequest>(value: &CachedValue) -> R::Output {
+    value
+        .downcast_ref::<R::Output>()
+        .expect("cache value type matches its class-tagged key")
+        .clone()
+}
+
+/// Packages one probed miss as a pool job that runs under the key it
+/// was probed with. The job holds the session core only weakly: if
+/// every [`Session`] handle is gone by the time the job is popped, it
+/// resolves its handle to
 /// [`CnfetError::Canceled`](crate::CnfetError::Canceled) instead of
 /// keeping a dead engine alive.
 fn make_job<R>(
     core: &Arc<SessionCore>,
     batch: u64,
     request: R,
+    key: Option<CacheKey>,
     completion: crate::jobs::Completion<R::Output>,
 ) -> Job
 where
@@ -1097,7 +1171,7 @@ where
         run: Box::new(move || match weak.upgrade() {
             Some(core) => {
                 let session = Session { core };
-                completion.complete(session.run(&request));
+                completion.complete(request.run_keyed(&session, key));
             }
             None => drop(completion),
         }),
@@ -1132,24 +1206,34 @@ pub(crate) fn check_fanout(count: usize, field: &str, children: &str) -> Result<
     Ok(())
 }
 
-/// The results of one [`Session::fan_out`], yielded in request order.
+/// The results of one [`Session::fan_out`] or [`Session::run_batch`],
+/// yielded in request order.
 ///
-/// Harvesting helps the pool in between: the harvesting thread may BE
-/// the pool's only worker (a composite executing on the pool), so
-/// parking outright on a handle whose job is still queued would
-/// deadlock. `try_get` → help (own batch) → short timed wait never parks
-/// while the batch's work is queued. Helping is restricted to the
-/// fan-out's own batch: popping an arbitrary job (e.g. a second copy of
-/// the very composite this thread executes) could block on the
-/// single-flight claim this thread holds. Dropping a `FanOut` early
-/// abandons the remaining results but not their work.
+/// A hit's handle is resolved from the start and is yielded without
+/// touching the pool. For a miss, harvesting helps the pool in between:
+/// the harvesting thread may BE the pool's only worker (a composite
+/// executing on the pool), so parking outright on a handle whose job is
+/// still queued would deadlock. `try_get` → help (own batch) → short
+/// timed wait never parks while the batch's work is queued. Helping is
+/// restricted to the fan-out's own batch: popping an arbitrary job (e.g.
+/// a second copy of the very composite this thread executes) could block
+/// on the single-flight claim this thread holds. Dropping a `FanOut`
+/// early abandons the remaining results but not their work.
 pub(crate) struct FanOut<'s, T> {
     session: &'s Session,
     batch: u64,
     handles: std::vec::IntoIter<JobHandle<T>>,
 }
 
-impl<T> FanOut<'_, T> {
+impl<'s, T> FanOut<'s, T> {
+    fn new(session: &'s Session, batch: u64, handles: Vec<JobHandle<T>>) -> FanOut<'s, T> {
+        FanOut {
+            session,
+            batch,
+            handles: handles.into_iter(),
+        }
+    }
+
     /// Collects every result in request order, handing each to
     /// `observer` (if any) before harvesting the next, and stops at the
     /// first error — the reduction shape of every per-item composite.
@@ -1171,12 +1255,12 @@ impl<T> Iterator for FanOut<'_, T> {
 
     fn next(&mut self) -> Option<Result<T>> {
         let mut handle = self.handles.next()?;
-        let pool = self.session.pool();
         Some(loop {
             if let Some(result) = handle.try_get() {
                 break result;
             }
-            if !pool.help_run_one(self.batch) {
+            // Still pending, so it is a submitted job: the pool is up.
+            if !self.session.pool().help_run_one(self.batch) {
                 if let Some(result) = handle.wait_timeout(HELP_WAIT) {
                     break result;
                 }

@@ -153,7 +153,7 @@ pub fn save_if(
     put_u32(&mut buf, 0);
     let mut count = 0u32;
     for (key, value) in &entries {
-        match &key.0 {
+        match &key.inner {
             KeyInner::Sweep(k) => {
                 let Some(report) = value.downcast_ref::<Arc<SweepReport>>() else {
                     continue;
@@ -207,7 +207,7 @@ pub fn load(session: &Session, path: &Path) -> Result<usize, SnapshotError> {
                 let key = r.string()?;
                 let report = get_report(&mut r)?;
                 seeds.push((
-                    CacheKey(KeyInner::Sweep(key)),
+                    CacheKey::new(KeyInner::Sweep(key)),
                     // Wrapped exactly as `Session::run` caches a
                     // `SweepRequest::Output = Arc<SweepReport>`.
                     Arc::new(Arc::new(report)) as CachedValue,
@@ -217,7 +217,7 @@ pub fn load(session: &Session, path: &Path) -> Result<usize, SnapshotError> {
                 let key = r.string()?;
                 let row = get_row(&mut r)?;
                 seeds.push((
-                    CacheKey(KeyInner::SweepCorner(key)),
+                    CacheKey::new(KeyInner::SweepCorner(key)),
                     Arc::new(row) as CachedValue,
                 ));
             }

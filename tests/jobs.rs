@@ -53,6 +53,48 @@ fn submit_resolves_and_populates_the_cache() {
     assert_eq!(stats.cells.misses, 1);
 }
 
+/// A cache hit's handle is resolved when `submit` returns, and answers
+/// `is_done`, `try_get`, `wait_timeout` and `on_resolve` exactly like
+/// the handle of a pool job that has finished.
+#[test]
+fn cached_requests_get_handles_that_answer_like_finished_jobs() {
+    let session = Session::new();
+    let request = CellRequest::new(StdCellKind::Nand(2));
+    let mut finished = session.submit(request.clone());
+    let t0 = Instant::now();
+    while !finished.is_done() {
+        assert!(t0.elapsed() < Duration::from_secs(60), "job never finished");
+        std::thread::yield_now();
+    }
+    let submitted = session.stats().submitted;
+    let mut hit = session.submit(request.clone());
+    assert_eq!(session.stats().submitted, submitted, "a hit is not a job");
+    for (handle, cached) in [(&mut finished, false), (&mut hit, true)] {
+        assert!(handle.is_done());
+        assert_eq!(handle.try_get().unwrap().unwrap().cached, cached);
+        assert!(handle.is_done(), "still done once collected");
+        assert!(handle.try_get().is_none(), "collected exactly once");
+        assert!(handle.wait_timeout(Duration::ZERO).is_none());
+    }
+
+    let mut hit = session.submit(request.clone());
+    let result = hit.wait_timeout(Duration::ZERO).expect("resolved at once");
+    assert!(result.unwrap().cached);
+    let (tx, rx) = std::sync::mpsc::channel();
+    session.submit(request.clone()).on_resolve(move |result| {
+        tx.send((result.unwrap().cached, std::thread::current().id()))
+            .unwrap();
+    });
+    let (cached, thread) = rx.try_recv().expect("the hook ran inline");
+    assert!(cached);
+    assert_eq!(thread, std::thread::current().id());
+    assert!(rx.try_recv().is_err(), "the hook ran exactly once");
+    assert!(session.submit(request).wait().unwrap().cached);
+    let stats = session.stats();
+    assert_eq!((stats.cells.hits, stats.cells.misses), (4, 1));
+    assert_eq!(stats.submitted, submitted);
+}
+
 #[test]
 fn try_get_and_wait_timeout_on_a_slow_request() {
     let session = SessionBuilder::new().batch_workers(1).build();

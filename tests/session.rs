@@ -6,8 +6,8 @@
 use cnfet::core::{GenerateOptions, Scheme, Sizing, StdCellKind, Style};
 use cnfet::{
     CellRequest, CnfetError, FlowRequest, FlowSource, ImmunityEngine, ImmunityRequest,
-    LibraryRequest, OptimizeRequest, OptimizeTarget, RequestClass, Session, SessionBuilder,
-    SessionRequest, SweepMetrics, SweepRequest, VariationGrid,
+    LibraryRequest, OptimizeRequest, OptimizeTarget, RequestClass, RequestKind, Session,
+    SessionBuilder, SessionRequest, SweepMetrics, SweepRequest, VariationGrid,
 };
 use std::sync::Arc;
 
@@ -212,10 +212,12 @@ fn run_batch_generalizes_beyond_cells() {
     assert_eq!(session.stats().submitted, stats.submitted);
 }
 
-/// `submitted` counts every job enqueued on the pool: one per
-/// `run_batch` request, and one per sub-request a composite fans out.
+/// `submitted` counts every job enqueued on the pool, and only misses
+/// become jobs: one per uncached `run_batch` request, and one per
+/// uncached sub-request a composite fans out. A batch mixing hits and
+/// misses submits exactly its misses.
 #[test]
-fn submitted_counts_every_pool_job() {
+fn submitted_counts_every_miss() {
     let session = Session::new();
     let requests: Vec<CellRequest> = [StdCellKind::Inv, StdCellKind::Nand(2), StdCellKind::Nor(2)]
         .into_iter()
@@ -240,9 +242,205 @@ fn submitted_counts_every_pool_job() {
     assert_eq!(
         swept.submitted - after.submitted,
         report.rows.len() as u64,
-        "a k-row sweep enqueues k corner jobs"
+        "a cold k-row sweep enqueues k corner jobs"
     );
     assert_eq!(swept.batches, after.batches, "composites are not batches");
+
+    // Two cached cells around two new ones: only the new ones are jobs.
+    let mixed: Vec<CellRequest> = [
+        StdCellKind::Inv,
+        StdCellKind::Aoi21,
+        StdCellKind::Nor(2),
+        StdCellKind::Oai21,
+    ]
+    .into_iter()
+    .map(CellRequest::new)
+    .collect();
+    let results = session.run_batch(&mixed);
+    let cached: Vec<bool> = results.into_iter().map(|r| r.unwrap().cached).collect();
+    assert_eq!(
+        cached,
+        [true, false, true, false],
+        "results keep request order"
+    );
+    let stats = session.stats();
+    assert_eq!(stats.submitted - swept.submitted, 2, "exactly the misses");
+    assert_eq!(stats.cells.hits - swept.cells.hits, 2);
+    assert_eq!(stats.cells.misses - swept.cells.misses, 2);
+}
+
+/// A warm `run_batch` and a warm `submit_all` are answered on the
+/// calling thread: nothing is submitted, no worker starts, and every
+/// request counts exactly one hit.
+#[test]
+fn warm_batches_and_mixes_never_reach_the_pool() {
+    let session = Session::new();
+    let cells: Vec<CellRequest> = [StdCellKind::Inv, StdCellKind::Nand(2), StdCellKind::Aoi22]
+        .into_iter()
+        .map(CellRequest::new)
+        .collect();
+    let mut mix: Vec<RequestKind> = cells.iter().cloned().map(RequestKind::from).collect();
+    mix.push(ImmunityRequest::certify(StdCellKind::Nand(2)).into());
+    for request in &mix {
+        session.run(request).unwrap();
+    }
+    let warm = session.stats();
+
+    let results = session.run_batch(&cells);
+    assert!(results.into_iter().all(|r| r.unwrap().cached));
+    let batched = session.stats();
+    assert_eq!(batched.batches - warm.batches, 1);
+    assert_eq!(batched.submitted, 0, "a warm batch submits nothing");
+    assert_eq!(batched.cells.hits - warm.cells.hits, cells.len() as u64);
+    assert_eq!(batched.requests() - warm.requests(), cells.len() as u64);
+
+    let handles = session.submit_all(mix.iter().cloned());
+    assert!(
+        handles.iter().all(|h| h.is_done()),
+        "hits resolve on the spot"
+    );
+    for handle in handles {
+        handle.wait().unwrap();
+    }
+    let mixed = session.stats();
+    assert_eq!(mixed.submitted, 0, "a warm mix submits nothing");
+    assert_eq!(mixed.requests() - batched.requests(), mix.len() as u64);
+    assert_eq!(mixed.cells.hits - batched.cells.hits, 3);
+    assert_eq!(mixed.immunity.hits - batched.immunity.hits, 1);
+    assert!(
+        format!("{session:?}").contains("pool: None"),
+        "no worker was ever started: {session:?}"
+    );
+
+    // A cached composite is one hit too, not a job.
+    let sweep = SweepRequest::new([StdCellKind::Inv])
+        .grid(VariationGrid::nominal().tube_counts([26, 10]))
+        .metrics(SweepMetrics::IMMUNITY)
+        .mc(cnfet::immunity::McOptions {
+            tubes: 20,
+            ..Default::default()
+        });
+    session.run(&sweep).unwrap();
+    let swept = session.stats();
+    let handle = session.submit(RequestKind::from(sweep));
+    assert!(handle.is_done());
+    let stats = session.stats();
+    assert_eq!(stats.submitted, swept.submitted);
+    assert_eq!(stats.sweeps.hits - swept.sweeps.hits, 1);
+    assert_eq!(stats.requests() - swept.requests(), 1);
+}
+
+/// A request whose key is being built on another thread is probed as a
+/// miss without waiting for that build, and its job then joins the
+/// build in flight and returns the single-flight value.
+#[test]
+fn probes_never_wait_on_a_build_in_flight() {
+    use std::sync::{Condvar, Mutex};
+    let session = Session::new();
+    let lot = cnfet::RepairRequest::new([StdCellKind::Inv, StdCellKind::Nand(2)]).dies(4);
+    // The gate holds the lot's build open from its observer: (entered,
+    // opened). A watchdog opens it after a while, so a probe that waits
+    // on the build fails the test instead of hanging it.
+    let gate = Arc::new((Mutex::new((false, false)), Condvar::new()));
+    let open = |gate: &(Mutex<(bool, bool)>, Condvar)| {
+        gate.0.lock().unwrap().1 = true;
+        gate.1.notify_all();
+    };
+    let observed = lot.clone().observe_dies(cnfet::Observer::new({
+        let gate = gate.clone();
+        move |_, _| {
+            let mut state = gate.0.lock().unwrap();
+            state.0 = true;
+            gate.1.notify_all();
+            while !state.1 {
+                state = gate.1.wait(state).unwrap();
+            }
+        }
+    }));
+    let builder = {
+        let session = session.clone();
+        std::thread::spawn(move || session.run(&observed).unwrap())
+    };
+    let watchdog = {
+        let gate = gate.clone();
+        std::thread::spawn(move || {
+            let state = gate.0.lock().unwrap();
+            let ten_s = std::time::Duration::from_secs(10);
+            drop(gate.1.wait_timeout_while(state, ten_s, |s| !s.1).unwrap());
+            open(&gate);
+        })
+    };
+    {
+        let mut state = gate.0.lock().unwrap();
+        while !state.0 {
+            state = gate.1.wait(state).unwrap();
+        }
+    }
+    let before = session.stats();
+    let handle = session.submit(lot);
+    assert!(
+        !gate.0.lock().unwrap().1,
+        "submit returned while the build was still in flight"
+    );
+    let probed = session.stats();
+    assert_eq!(probed.submitted - before.submitted, 1, "probed as a miss");
+    // The lot's dies still run and count misses meanwhile; no hit can
+    // land until the lot's build is released.
+    assert_eq!(probed.repairs.hits, before.repairs.hits, "no hit counted");
+    open(&gate);
+    let built = builder.join().unwrap();
+    let joined = handle.wait().unwrap();
+    assert!(Arc::ptr_eq(&built, &joined), "the single-flight value");
+    let stats = session.stats();
+    assert_eq!(stats.repairs.hits - before.repairs.hits, 1, "the job hit");
+    watchdog.join().unwrap();
+}
+
+/// A sweep whose corners are half cached still feeds its observer every
+/// row, in row order, with the cached rows read on the spot and only the
+/// new corners run as jobs.
+#[test]
+fn observers_see_rows_in_order_when_half_the_corners_are_cached() {
+    use std::sync::Mutex;
+    let session = Session::new();
+    let base = SweepRequest::new([StdCellKind::Inv, StdCellKind::Nand(2)])
+        .metrics(SweepMetrics::IMMUNITY)
+        .mc(cnfet::immunity::McOptions {
+            tubes: 20,
+            ..Default::default()
+        });
+    let half = base
+        .clone()
+        .grid(VariationGrid::nominal().tube_counts([26, 10]).seeds([1]));
+    session.run(&half).unwrap();
+    let before = session.stats();
+
+    let seen = Arc::new(Mutex::new(Vec::new()));
+    let full = base
+        .grid(VariationGrid::nominal().tube_counts([26, 10]).seeds([1, 2]))
+        .observe_rows(cnfet::Observer::new({
+            let seen = seen.clone();
+            move |index, row: &cnfet::CornerRow| seen.lock().unwrap().push((index, row.clone()))
+        }));
+    let report = session.run(&full).unwrap();
+    let seen = seen.lock().unwrap();
+    assert_eq!(report.rows.len(), 8);
+    assert_eq!(seen.len(), report.rows.len());
+    for (at, ((index, row), reported)) in seen.iter().zip(&report.rows).enumerate() {
+        assert_eq!(*index, at, "observed in row order");
+        assert_eq!(format!("{row:?}"), format!("{reported:?}"));
+    }
+    let stats = session.stats();
+    assert_eq!(
+        stats.submitted - before.submitted,
+        4,
+        "only new corners ran"
+    );
+    assert_eq!(
+        stats.sweeps.hits - before.sweeps.hits,
+        4,
+        "cached corners hit"
+    );
 }
 
 #[test]
