@@ -5,8 +5,9 @@
 //! over a fixed iteration count, min/median/mean/max reporting, and a
 //! machine-readable JSON baseline under `target/bench-baselines/<suite>.json`
 //! that future perf PRs diff against. A baseline also records the shape
-//! of the machine that wrote it (`nproc`, `rustc`), since timings only
-//! compare across runs of one shape.
+//! of the machine that wrote it (`nproc`, `rustc`) and the session pool
+//! width it ran with (`workers`), since timings only compare across runs
+//! of one shape.
 
 use std::hint::black_box;
 use std::time::Instant;
@@ -35,6 +36,10 @@ pub struct Harness {
     suite: String,
     /// Available parallelism of the machine running the suite.
     nproc: usize,
+    /// Worker threads of a default session's pool on this run
+    /// ([`cnfet::Session::worker_count`], which honours
+    /// `CNFET_TEST_WORKERS`).
+    workers: usize,
     /// `rustc --version` of the toolchain on the path, or `"unknown"`.
     rustc: String,
     samples: Vec<Sample>,
@@ -52,6 +57,8 @@ impl Harness {
         Harness {
             suite,
             nproc: std::thread::available_parallelism().map_or(1, |n| n.get()),
+            // The pool starts on first use, so this spawns no thread.
+            workers: cnfet::Session::new().worker_count(),
             rustc: rustc_version(),
             samples: Vec::new(),
         }
@@ -111,8 +118,8 @@ impl Harness {
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n");
         out.push_str(&format!(
-            "  \"suite\": \"{}\",\n  \"nproc\": {},\n  \"rustc\": \"{}\",\n  \"samples\": [\n",
-            self.suite, self.nproc, self.rustc
+            "  \"suite\": \"{}\",\n  \"nproc\": {},\n  \"workers\": {},\n  \"rustc\": \"{}\",\n  \"samples\": [\n",
+            self.suite, self.nproc, self.workers, self.rustc
         ));
         for (i, s) in self.samples.iter().enumerate() {
             let median = s
@@ -139,8 +146,9 @@ impl Harness {
 /// [`Harness::to_json`] — a hand-rolled scanner, since the workspace
 /// builds without serde — and returns `None` on any malformed field.
 /// `median_ns` is optional: baselines recorded before it existed read
-/// back with `median_ns: None`. The suite-level machine fields (`nproc`,
-/// `rustc`) are not read back; baselines without them parse the same.
+/// back with `median_ns: None`. The suite-level fields (`nproc`,
+/// `workers`, `rustc`) are not read back; baselines without them parse
+/// the same.
 pub fn parse_baseline(json: &str) -> Option<(String, Vec<Sample>)> {
     let suite = field_str(json, "\"suite\"")?;
     let mut samples = Vec::new();
@@ -263,6 +271,9 @@ mod tests {
         assert!(json.contains("\"name\": \"counting\""));
         assert!(h.nproc >= 1);
         assert!(json.contains(&format!("\"nproc\": {},", h.nproc)));
+        assert!(h.workers >= 1);
+        assert_eq!(h.workers, cnfet::Session::new().worker_count());
+        assert!(json.contains(&format!("\"workers\": {},", h.workers)));
         assert_eq!(
             field_str(&json, "\"rustc\"").as_deref(),
             Some(h.rustc.as_str())

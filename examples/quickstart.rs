@@ -48,7 +48,7 @@ fn main() -> cnfet::Result<()> {
     // Both are 100% immune to mispositioned CNTs — but only the new one
     // passes conventional design rules (no via-on-gate). The immunity
     // verdicts are submitted non-blocking: both JobHandles resolve on the
-    // session's work-stealing pool while this thread does other work.
+    // session's job pool while this thread does other work.
     let new_job = session.submit(ImmunityRequest::certify(
         CellRequest::new(StdCellKind::Nand(3)).options(opts(Style::NewImmune)),
     ));

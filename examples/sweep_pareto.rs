@@ -2,7 +2,7 @@
 //! grid (tube count × pitch spread × metallic fraction) and print the
 //! per-corner rows, the delay/energy/yield Pareto frontier, and the
 //! best/worst corners — one composite `SweepRequest` through the
-//! `Session` engine, fanned out on its work-stealing pool.
+//! `Session` engine, fanned out on its job pool.
 //!
 //! Run with: `cargo run --release --example sweep_pareto`
 

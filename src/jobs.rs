@@ -1,5 +1,5 @@
-//! The persistent work-stealing pool — the session's one executor —
-//! and the [`JobHandle`] it returns.
+//! The session's one executor — a persistent pool of workers over one
+//! FIFO job queue — and the [`JobHandle`] it returns.
 //!
 //! Every multi-request path enqueues through one step that probes the
 //! cache on the calling thread first: a request whose answer is cached
@@ -13,11 +13,10 @@
 //!
 //! * [`Pool`] — a lazily-started set of worker threads, persistent:
 //!   workers park on a condvar when idle and live as long as the
-//!   session. Each worker pops through [`next_item`]: its own deque
-//!   front-to-back, then a chunk refilled from the shared FIFO
-//!   injector, then the back half of the fullest other deque, so a
-//!   skewed tail of expensive jobs is redistributed instead of pinning
-//!   one thread.
+//!   session. Workers pop the front of one shared queue, so whichever
+//!   thread is free takes the next job and a skewed tail of expensive
+//!   jobs never pins one thread; a caller waiting on its own batch
+//!   takes that batch's frontmost job from the same queue.
 //! * [`JobHandle`] — the caller's side of one submitted request: [`wait`],
 //!   [`try_get`], [`wait_timeout`], [`is_done`] to pull the result, or
 //!   [`on_resolve`] to have it pushed to a callback the moment the job
@@ -43,7 +42,7 @@
 use crate::error::{CnfetError, Result};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
@@ -325,24 +324,38 @@ pub(crate) fn job_channel<T>() -> (Completion<T>, JobHandle<T>) {
 // The pool
 // ---------------------------------------------------------------------------
 
-/// Backstop interval after which a parked worker rescans for stealable
-/// work. Wakeups are event-driven — submissions and steal/refill residue
-/// notify the condvar, and a worker scans every deque before parking —
-/// so this only papers over the one unsynchronized window (items in
-/// transit between deques at the exact park instant) and can be long.
-const IDLE_RESCAN: Duration = Duration::from_millis(250);
-
-struct PoolShared {
-    injector: Mutex<VecDeque<Job>>,
-    available: Condvar,
-    locals: Vec<Mutex<VecDeque<Job>>>,
-    steals: AtomicU64,
-    shutdown: AtomicBool,
+/// The pool's one queue and its shutdown flag, under one mutex, so a
+/// worker that finds the queue empty and the flag clear parks before any
+/// push or shutdown can notify it.
+struct Queue {
+    jobs: VecDeque<Job>,
+    shutdown: bool,
 }
 
-/// The persistent work-stealing executor of a session's jobs. Started
-/// lazily on the first submission; shut down (draining the queue as
-/// cancellations) when the session's last handle drops.
+impl Queue {
+    /// Removes the frontmost job of `batch`.
+    fn take_batch(&mut self, batch: u64) -> Option<Job> {
+        let at = self.jobs.iter().position(|job| job.batch == batch)?;
+        self.jobs.remove(at)
+    }
+}
+
+struct PoolShared {
+    queue: Mutex<Queue>,
+    available: Condvar,
+    steals: AtomicU64,
+}
+
+impl PoolShared {
+    fn lock(&self) -> MutexGuard<'_, Queue> {
+        self.queue.lock().expect("pool queue lock")
+    }
+}
+
+/// The persistent executor of a session's jobs: one FIFO queue shared
+/// by the workers and the helping callers. Started lazily on the first
+/// submission; shut down (draining the queue as cancellations) when the
+/// session's last handle drops.
 pub(crate) struct Pool {
     shared: Arc<PoolShared>,
     workers: Vec<std::thread::JoinHandle<()>>,
@@ -362,18 +375,19 @@ impl Pool {
     pub(crate) fn new(workers: usize) -> Pool {
         let workers = workers.max(1);
         let shared = Arc::new(PoolShared {
-            injector: Mutex::new(VecDeque::new()),
+            queue: Mutex::new(Queue {
+                jobs: VecDeque::new(),
+                shutdown: false,
+            }),
             available: Condvar::new(),
-            locals: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
             steals: AtomicU64::new(0),
-            shutdown: AtomicBool::new(false),
         });
         let handles = (0..workers)
             .map(|me| {
                 let shared = shared.clone();
                 std::thread::Builder::new()
                     .name(format!("cnfet-pool-{me}"))
-                    .spawn(move || worker(&shared, me))
+                    .spawn(move || worker(&shared))
                     .expect("spawn pool worker")
             })
             .collect();
@@ -383,16 +397,12 @@ impl Pool {
         }
     }
 
-    /// Enqueues jobs under one injector lock. A lone job wakes one
+    /// Appends jobs to the queue under one lock. A lone job wakes one
     /// parked worker; a fan-out wakes them all, so a heterogeneous batch
     /// starts on every thread at once.
     pub(crate) fn submit(&self, jobs: Vec<Job>) {
         let count = jobs.len();
-        self.shared
-            .injector
-            .lock()
-            .expect("pool injector lock")
-            .extend(jobs);
+        self.shared.lock().jobs.extend(jobs);
         match count {
             0 => {}
             1 => self.shared.available.notify_one(),
@@ -400,15 +410,15 @@ impl Pool {
         }
     }
 
-    /// Deque-to-deque steal operations performed so far.
+    /// Jobs that waiting callers ran through [`Pool::help_run_one`] to
+    /// help their own batch.
     pub(crate) fn steals(&self) -> u64 {
         self.shared.steals.load(Ordering::Relaxed)
     }
 
     /// Runs **one** queued job *of the given batch* on the calling
-    /// thread, if any is immediately available: the injector is scanned
-    /// front to back, then every worker deque back to front. Returns
-    /// whether a job ran.
+    /// thread — the frontmost one — if any is queued. Returns whether a
+    /// job ran.
     ///
     /// This is the deadlock escape hatch of the session's fan-out: a
     /// caller that submitted a batch and waits for it — possibly a
@@ -424,39 +434,12 @@ impl Pool {
     /// Panicking jobs are contained exactly as on a worker (the job's
     /// `Completion` cancels its handle while unwinding).
     pub(crate) fn help_run_one(&self, batch: u64) -> bool {
-        // Injector: FIFO, take the frontmost matching job. Worker
-        // deques: take the hindmost, steal-style, so the helper contends
-        // with the owning worker's `pop_front` as little as possible.
-        let take_front = |queue: &Mutex<VecDeque<Job>>| -> Option<Job> {
-            let mut queue = queue.lock().expect("pool queue lock");
-            let at = queue.iter().position(|job| job.batch == batch)?;
-            queue.remove(at)
+        let Some(job) = self.shared.lock().take_batch(batch) else {
+            return false;
         };
-        let take_back = |queue: &Mutex<VecDeque<Job>>| -> Option<Job> {
-            let mut queue = queue.lock().expect("pool queue lock");
-            let at = queue.iter().rposition(|job| job.batch == batch)?;
-            queue.remove(at)
-        };
-        let mut job = take_front(&self.shared.injector);
-        if job.is_none() {
-            // The batch's jobs may have been chunk-refilled or stolen
-            // into a worker deque whose owner is itself blocked helping
-            // a composite — their queued tails must stay reachable.
-            for local in &self.shared.locals {
-                job = take_back(local);
-                if job.is_some() {
-                    self.shared.steals.fetch_add(1, Ordering::Relaxed);
-                    break;
-                }
-            }
-        }
-        match job {
-            Some(job) => {
-                let _ = catch_unwind(AssertUnwindSafe(job.run));
-                true
-            }
-            None => false,
-        }
+        self.shared.steals.fetch_add(1, Ordering::Relaxed);
+        let _ = catch_unwind(AssertUnwindSafe(job.run));
+        true
     }
 }
 
@@ -466,19 +449,16 @@ impl Drop for Pool {
     /// every outstanding [`JobHandle`] resolves to
     /// [`CnfetError::Canceled`] rather than hanging.
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Release);
-        // Lock-and-release before notifying: a worker between its
-        // shutdown check and its park holds the injector lock, so this
-        // handshake guarantees it is either not yet parked (and will see
-        // the flag) or parked (and receives the notification).
-        drop(self.shared.injector.lock().expect("pool injector lock"));
+        // Set under the queue lock: a worker is either parked (and gets
+        // the notification) or has yet to look (and sees the flag).
+        self.shared.lock().shutdown = true;
         self.shared.available.notify_all();
         let current = std::thread::current().id();
         for handle in self.workers.drain(..) {
             // A job holding the last live reference to its session drops
             // the pool from inside a worker thread; joining that thread
             // from itself would deadlock — detach it instead (it exits on
-            // its own once it observes the shutdown flag).
+            // its own once it has drained the queue and sees the flag).
             if handle.thread().id() == current {
                 continue;
             }
@@ -487,103 +467,21 @@ impl Drop for Pool {
     }
 }
 
-/// Pops worker `me`'s next item: its own deque front-to-back; else a
-/// small chunk refilled from the injector (keeping the tail available
-/// to other workers while amortizing the injector lock); else the back
-/// half of the fullest other deque. Whenever the call leaves extra
-/// items in the worker's own deque (refill or steal residue) it wakes
-/// the parked peers on `available`, so the residue is stealable at once.
-fn next_item<T>(
-    me: usize,
-    injector: &Mutex<VecDeque<T>>,
-    locals: &[Mutex<VecDeque<T>>],
-    steals: &AtomicU64,
-    available: &Condvar,
-) -> Option<T> {
-    if let Some(item) = locals[me].lock().expect("local deque lock").pop_front() {
-        return Some(item);
-    }
-
-    // Refill from the injector.
-    {
-        let mut inj = injector.lock().expect("injector lock");
-        if !inj.is_empty() {
-            let chunk = (inj.len() / (2 * locals.len())).max(1).min(inj.len());
-            let first = inj.pop_front().expect("non-empty injector");
-            let mut residue = 0;
-            {
-                let mut local = locals[me].lock().expect("local deque lock");
-                for _ in 1..chunk {
-                    match inj.pop_front() {
-                        Some(item) => {
-                            local.push_back(item);
-                            residue += 1;
-                        }
-                        None => break,
-                    }
-                }
-            }
-            drop(inj);
-            if residue > 0 {
-                available.notify_all();
-            }
-            return Some(first);
-        }
-    }
-
-    // Steal the back half of the fullest victim deque.
-    let victim = (0..locals.len())
-        .filter(|&w| w != me)
-        .max_by_key(|&w| locals[w].lock().expect("victim deque lock").len())?;
-    let mut stolen: VecDeque<T> = {
-        let mut v = locals[victim].lock().expect("victim deque lock");
-        let keep = v.len() / 2;
-        v.split_off(keep)
-    };
-    let first = stolen.pop_front()?;
-    steals.fetch_add(1, Ordering::Relaxed);
-    if !stolen.is_empty() {
-        locals[me].lock().expect("local deque lock").extend(stolen);
-        available.notify_all();
-    }
-    Some(first)
-}
-
-/// One worker: run everything reachable through [`next_item`], then
-/// park until new work or shutdown.
-fn worker(shared: &PoolShared, me: usize) {
+/// One worker: run the front job while there is one, park while the
+/// queue is empty, and exit once it is empty after shutdown.
+fn worker(shared: &PoolShared) {
+    let mut queue = shared.lock();
     loop {
-        while let Some(job) = next_item(
-            me,
-            &shared.injector,
-            &shared.locals,
-            &shared.steals,
-            &shared.available,
-        ) {
+        if let Some(job) = queue.jobs.pop_front() {
+            drop(queue);
             // A panicking request must not kill the worker; the job's
             // Completion resolves the handle to Canceled while unwinding.
             let _ = catch_unwind(AssertUnwindSafe(job.run));
-        }
-        if shared.shutdown.load(Ordering::Acquire) {
+            queue = shared.lock();
+        } else if queue.shutdown {
             return;
-        }
-        let queue = shared.injector.lock().expect("pool injector lock");
-        // Park only if there is truly nothing anywhere. Residue is
-        // pushed under the injector lock (refill) or notified after the
-        // push (steal), so scanning the deques while holding the
-        // injector lock closes the lost-wakeup races; IDLE_RESCAN
-        // backstops the remaining in-transit window.
-        let nothing_to_do = queue.is_empty()
-            && !shared.shutdown.load(Ordering::Acquire)
-            && shared
-                .locals
-                .iter()
-                .all(|local| local.lock().expect("local deque lock").is_empty());
-        if nothing_to_do {
-            let _ = shared
-                .available
-                .wait_timeout(queue, IDLE_RESCAN)
-                .expect("pool injector lock");
+        } else {
+            queue = shared.available.wait(queue).expect("pool queue lock");
         }
     }
 }
@@ -814,6 +712,7 @@ mod tests {
             ran += 1;
         }
         assert_eq!(ran, 4, "helper drained exactly its batch");
+        assert_eq!(pool.steals(), 4, "steals counts the helped jobs");
         for (i, handle) in handles.into_iter().enumerate() {
             assert_eq!(handle.wait().unwrap(), i as u32 + 1);
         }
@@ -831,6 +730,27 @@ mod tests {
             99
         );
         assert!(!pool.help_run_one(batch), "nothing left to help with");
+    }
+
+    #[test]
+    fn every_single_job_wakes_a_parked_worker() {
+        // Nothing rescans the queue on a timer, so a lost wake-up would
+        // strand a job for good. A short pause before each submission
+        // lets the workers park first.
+        for workers in [1, 2] {
+            let pool = Pool::new(workers);
+            for i in 0..200u32 {
+                std::thread::sleep(Duration::from_micros(500));
+                let (completion, mut handle) = job_channel::<u32>();
+                pool.submit(job(move || completion.complete(Ok(i))));
+                let result = handle.wait_timeout(Duration::from_secs(10));
+                assert_eq!(
+                    result.map(Result::unwrap),
+                    Some(i),
+                    "job {i} on a {workers}-worker pool resolved"
+                );
+            }
+        }
     }
 
     #[test]
@@ -863,44 +783,5 @@ mod tests {
             Ok(2) | Err(CnfetError::Canceled) => {}
             other => panic!("queued job resolved unexpectedly: {other:?}"),
         }
-    }
-
-    #[test]
-    fn drains_everything_exactly_once() {
-        let injector: Mutex<VecDeque<u32>> = Mutex::new((0..100).collect());
-        let locals: Vec<Mutex<VecDeque<u32>>> =
-            (0..4).map(|_| Mutex::new(VecDeque::new())).collect();
-        let (steals, available) = (AtomicU64::new(0), Condvar::new());
-        let mut seen = [false; 100];
-        for me in (0..4).cycle() {
-            match next_item(me, &injector, &locals, &steals, &available) {
-                Some(item) => {
-                    assert!(!seen[item as usize], "{item} popped twice");
-                    seen[item as usize] = true;
-                }
-                None if seen.iter().all(|&s| s) => break,
-                None => {}
-            }
-        }
-        assert!(seen.iter().all(|&s| s));
-    }
-
-    #[test]
-    fn chunked_refill_leaves_residue_for_peers() {
-        let injector: Mutex<VecDeque<u32>> = Mutex::new((0..64).collect());
-        let locals: Vec<Mutex<VecDeque<u32>>> =
-            (0..2).map(|_| Mutex::new(VecDeque::new())).collect();
-        let (steals, available) = (AtomicU64::new(0), Condvar::new());
-        let item = next_item(0, &injector, &locals, &steals, &available);
-        assert_eq!(item, Some(0));
-        let residue = locals[0].lock().unwrap().len();
-        assert!(residue > 0, "the chunk left residue in worker 0's deque");
-        // With the injector drained, worker 1 steals the residue's back
-        // half rather than idling.
-        injector.lock().unwrap().clear();
-        let back_half_front = locals[0].lock().unwrap()[residue / 2];
-        let stolen = next_item(1, &injector, &locals, &steals, &available);
-        assert_eq!(stolen, Some(back_half_front));
-        assert_eq!(steals.load(Ordering::Relaxed), 1);
     }
 }

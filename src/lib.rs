@@ -20,7 +20,8 @@
 //! generation input, so repeated requests — the shape of any
 //! co-optimization sweep — cost one execution plus
 //! [`Arc`](std::sync::Arc) clones. Every multi-request path runs on one
-//! persistent work-stealing pool per session: [`Session::run_batch`]
+//! persistent pool per session, one FIFO job queue that its workers
+//! and waiting callers share: [`Session::run_batch`]
 //! fans a request list out on it and helps until the ordered results
 //! are in, and [`Session::submit`] / [`Session::submit_all`] enqueue
 //! work **non-blocking**, returning [`JobHandle`]s (heterogeneous mixes
@@ -125,7 +126,7 @@
 //! it with [`SessionBuilder::cache_capacity`] and
 //! [`SessionBuilder::cache_shards`] — and batches, submitted jobs and
 //! composite fan-outs all run on the session's one std-only
-//! work-stealing pool. The per-crate free functions
+//! pool over one job queue. The per-crate free functions
 //! ([`core::generate_cell`], `dk::build_library`, …) remain available
 //! for one-shot use; the deprecated PR-1 shims that rebuilt state on
 //! every call (`dk::DesignKit::build_library`, `flow::place_cnfet`, …)

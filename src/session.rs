@@ -17,8 +17,8 @@
 //! * [`Session::run`] — synchronous, one request;
 //! * [`Session::run_batch`] — synchronous, a slice of one request kind:
 //!   cached answers are read on the calling thread and the misses fan
-//!   out across the session's persistent work-stealing pool with the
-//!   caller helping;
+//!   out across the session's persistent pool, one FIFO job queue,
+//!   with the caller helping;
 //! * [`Session::submit`] / [`Session::submit_all`] — **non-blocking**:
 //!   a [`JobHandle`] comes back immediately, resolved already when the
 //!   answer was cached and otherwise backed by a job on the same pool,
@@ -492,8 +492,8 @@ pub struct SessionStats {
     pub inflight_waits: u64,
     /// [`Session::run_batch`] invocations.
     pub batches: u64,
-    /// Deque-to-deque steals performed by the job pool, including jobs a
-    /// waiting caller took from a worker's deque to help its own batch.
+    /// Jobs a waiting caller took from the pool's queue and ran itself
+    /// to help its own batch (the name predates the single queue).
     pub steals: u64,
     /// Every job enqueued on the pool. Requests are probed when they
     /// are enqueued and only misses become jobs, so this counts the
@@ -961,8 +961,8 @@ impl Session {
     /// Services many requests of one kind at once, against the shared
     /// caches: each request is probed on the calling thread, a cached
     /// answer is taken on the spot, and only the misses are cloned and
-    /// enqueued as one batch on the session's persistent work-stealing
-    /// pool; the caller helps run that batch while it harvests, so
+    /// enqueued as one batch on the job queue of the session's
+    /// persistent pool; the caller helps run that batch while it harvests, so
     /// cost-skewed request lists keep every worker busy. A batch of
     /// hits starts no worker. Results keep request order, one per
     /// request; all requests are attempted even when some fail. A
@@ -983,7 +983,7 @@ impl Session {
     /// Hands one request to the session and returns immediately. The
     /// request's key is probed on the calling thread: a cached answer
     /// comes back in an already-resolved [`JobHandle`]; a miss is
-    /// enqueued on the session's persistent work-stealing pool. Either
+    /// appended to the job queue of the session's persistent pool. Either
     /// way the handle resolves to the same output `run` would produce;
     /// dropping it abandons the result but not the work. A request that
     /// panics, or that is still queued when the session's last handle
@@ -1002,8 +1002,8 @@ impl Session {
     /// [`RequestKind`] — and returns one [`JobHandle`] per request **in
     /// submission order**. Each request is probed like
     /// [`Session::submit`]: hits resolve on the spot, and the misses go
-    /// to the pool as one batch, where the workers chunk and steal
-    /// across the mix, so a cheap-cell tail never waits behind one
+    /// to the pool as one batch, where each free worker takes the next
+    /// job of the mix, so a cheap-cell tail never waits behind one
     /// heavy flow.
     pub fn submit_all<I>(&self, requests: I) -> Vec<JobHandle<ResponseKind>>
     where
@@ -1035,7 +1035,7 @@ impl Session {
     /// [`SessionStats::submitted`]. Misses reach the pool as they are
     /// found, in chunks that double from one, so the workers start on
     /// the first miss while the caller probes the rest, and a long list
-    /// takes the injector lock only a logarithmic number of times. A
+    /// takes the queue lock only a logarithmic number of times. A
     /// list without misses starts no worker threads.
     fn enqueue<R, Q>(
         &self,
@@ -1070,7 +1070,7 @@ impl Session {
     }
 
     /// Counts `jobs` in [`SessionStats::submitted`] and pushes them under
-    /// one injector lock; an empty list touches neither the counter nor
+    /// one queue lock; an empty list touches neither the counter nor
     /// the pool.
     fn submit_jobs(&self, jobs: Vec<Job>) {
         if jobs.is_empty() {
@@ -1180,8 +1180,7 @@ where
 
 /// How long a fan-out harvest blocks on a pending handle when there is
 /// nothing of its own batch left to help with (the job is mid-flight on
-/// another thread, or in transit between deques). Short, because
-/// helping is the fast path.
+/// another thread). Short, because helping is the fast path.
 const HELP_WAIT: Duration = Duration::from_millis(2);
 
 /// The most children one composite request may fan out: the dies of a

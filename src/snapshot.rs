@@ -200,7 +200,9 @@ pub fn load(session: &Session, path: &Path) -> Result<usize, SnapshotError> {
         });
     }
     let count = r.u32()? as usize;
-    let mut seeds: Vec<(CacheKey, CachedValue)> = Vec::with_capacity(count);
+    // The count is read from the file, so it reserves nothing: a bogus
+    // one must fail as truncated, not as an allocation.
+    let mut seeds: Vec<(CacheKey, CachedValue)> = Vec::new();
     for _ in 0..count {
         match r.u8()? {
             0 => {
@@ -471,9 +473,17 @@ fn get_row(r: &mut Reader) -> Result<CornerRow, SnapshotError> {
         immune: r.opt(Reader::bool)?,
         metallic_yield: r.opt(Reader::f64)?,
         timing: r.opt(|r| {
+            let (loads_f, delays_s) = (r.f64s()?, r.f64s()?);
+            if loads_f.len() != delays_s.len() {
+                return Err(SnapshotError::Corrupt(format!(
+                    "{} delays for {} loads",
+                    delays_s.len(),
+                    loads_f.len()
+                )));
+            }
             Ok(TimingTable {
-                loads_f: r.f64s()?,
-                delays_s: r.f64s()?,
+                loads_f,
+                delays_s,
                 energy_j: r.f64()?,
             })
         })?,
@@ -506,14 +516,43 @@ fn get_report(r: &mut Reader) -> Result<SweepReport, SnapshotError> {
     let pareto = (0..pareto_count)
         .map(|_| r.u64().map(|v| v as usize))
         .collect::<Result<Vec<_>, _>>()?;
-    Ok(SweepReport {
+    let report = SweepReport {
         cells,
         corners,
         rows,
         pareto,
         best_corner: r.opt(get_summary)?,
         worst_corner: r.opt(get_summary)?,
-    })
+    };
+    check_report(&report)?;
+    Ok(report)
+}
+
+/// Rejects a report whose indices disagree with its own shape, which
+/// [`SweepReport::row`] and every reader of `pareto` and the corner
+/// summaries would otherwise index past.
+fn check_report(report: &SweepReport) -> Result<(), SnapshotError> {
+    let corrupt = |why: String| Err(SnapshotError::Corrupt(why));
+    let (rows, corners) = (report.rows.len(), report.corners.len());
+    if report.cells.checked_mul(corners) != Some(rows) {
+        return corrupt(format!(
+            "{rows} rows for {} cells × {corners} corners",
+            report.cells
+        ));
+    }
+    if let Some(&at) = report.pareto.iter().find(|&&at| at >= rows) {
+        return corrupt(format!("pareto index {at} past {rows} rows"));
+    }
+    let summaries = [&report.best_corner, &report.worst_corner];
+    if let Some(at) = summaries
+        .into_iter()
+        .flatten()
+        .map(|summary| summary.corner_index)
+        .find(|&at| at >= corners)
+    {
+        return corrupt(format!("corner index {at} past {corners} corners"));
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -591,6 +630,82 @@ mod tests {
         }
         let mut r = Reader::new(&[0xFF; 64]);
         assert!(get_row(&mut r).is_err());
+    }
+
+    /// A snapshot file's header claiming `count` entries.
+    fn header(count: u32) -> Vec<u8> {
+        let mut buf = MAGIC.to_vec();
+        put_u32(&mut buf, VERSION);
+        put_u32(&mut buf, count);
+        buf
+    }
+
+    /// Writes `report` as a one-entry snapshot and checks it is rejected.
+    fn assert_report_rejected(report: &SweepReport, name: &str) {
+        let mut buf = header(1);
+        buf.push(0);
+        put_str(&mut buf, "sweep-key");
+        put_report(&mut buf, report);
+        assert_rejected(&buf, name);
+    }
+
+    /// Loads `bytes` into a fresh session: the load must fail as
+    /// corrupt and seed nothing.
+    fn assert_rejected(bytes: &[u8], name: &str) {
+        let path =
+            std::env::temp_dir().join(format!("cnfet-snap-{name}-{}.snap", std::process::id()));
+        std::fs::write(&path, bytes).unwrap();
+        let session = Session::new();
+        let loaded = session.load_snapshot(&path);
+        std::fs::remove_file(&path).unwrap();
+        assert!(
+            matches!(loaded, Err(SnapshotError::Corrupt(_))),
+            "{name}: {loaded:?}"
+        );
+        let seeded = session.class_cache(RequestClass::Sweeps).export();
+        assert!(seeded.is_empty(), "{name}: nothing is seeded");
+    }
+
+    #[test]
+    fn an_entry_count_past_the_file_is_corrupt() {
+        assert_rejected(&header(u32::MAX), "count");
+    }
+
+    #[test]
+    fn rows_that_do_not_fill_the_grid_are_corrupt() {
+        let mut report = sample_report();
+        report.rows.pop();
+        report.pareto.clear();
+        assert_report_rejected(&report, "short-rows");
+        let mut report = sample_report();
+        report.cells = 2;
+        assert_report_rejected(&report, "extra-cell");
+    }
+
+    #[test]
+    fn timing_tables_with_unpaired_loads_are_corrupt() {
+        // `TimingTable::delay_at` indexes the delays by load.
+        let mut report = sample_report();
+        report.rows[1].timing.as_mut().unwrap().delays_s.pop();
+        assert_report_rejected(&report, "timing");
+    }
+
+    #[test]
+    fn pareto_indices_past_the_rows_are_corrupt() {
+        let mut report = sample_report();
+        report.pareto.push(report.rows.len());
+        assert_report_rejected(&report, "pareto");
+    }
+
+    #[test]
+    fn summary_corner_indices_past_the_corners_are_corrupt() {
+        let mut report = sample_report();
+        report.best_corner.as_mut().unwrap().corner_index = report.corners.len();
+        assert_report_rejected(&report, "best-corner");
+        let mut report = sample_report();
+        report.worst_corner = report.best_corner.clone();
+        report.worst_corner.as_mut().unwrap().corner_index = usize::MAX;
+        assert_report_rejected(&report, "worst-corner");
     }
 
     #[test]

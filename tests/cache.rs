@@ -1,6 +1,6 @@
 //! Integration tests of the sharded session cache (bounded capacity, LRU
 //! eviction, disable switch, per-shard stats, uniform coverage of every
-//! request class) and `run_batch` on the work-stealing pool under
+//! request class) and `run_batch` on the session's job pool under
 //! skewed workloads.
 
 use cnfet::core::{GenerateOptions, Scheme, StdCellKind};

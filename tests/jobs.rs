@@ -1,7 +1,7 @@
 //! Integration tests of the non-blocking submission API:
 //! `Session::submit` / `Session::submit_all`, `JobHandle` semantics
 //! (`wait`, `try_get`, `wait_timeout`, `is_done`), handle-drop safety,
-//! and heterogeneous mixes through the work-stealing pool.
+//! and heterogeneous mixes through the session's job pool.
 
 use cnfet::core::{Scheme, StdCellKind};
 use cnfet::immunity::McOptions;
