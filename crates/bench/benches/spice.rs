@@ -1,6 +1,8 @@
 //! Bench: transient-simulation throughput (the Figure 7 / Case-study hot
-//! path), and one-load cell characterizations (the library and macro
-//! slice hot path: a 2 ps grid over 4.4 ns, mostly settled).
+//! path), one-load cell characterizations (the library and macro slice
+//! hot path: a 2 ps grid over 4.4 ns, mostly settled), and linear deck
+//! transients on uniform 41-section RC and RLC ladders (dim 43 and 63,
+//! 2,000 steps of 2 ps: the `cold_timing` deck shapes).
 
 use cnfet_bench::harness::Harness;
 use cnfet_core::{Scheme, StdCellKind};
@@ -41,6 +43,23 @@ fn inverter_chain(stages: usize) -> Circuit {
     ckt
 }
 
+/// A pulse-driven ladder of `sections` series elements, each followed
+/// by a shunt capacitor; with `rlc`, every odd section is an inductor.
+fn ladder(sections: usize, rlc: bool) -> Circuit {
+    let mut deck = String::from("V1 n0 0 PULSE(0 1 1e-10 1e-11 1e-11 2e-9 4e-9)\n");
+    for i in 0..sections {
+        let next = i + 1;
+        if rlc && i % 2 == 1 {
+            deck.push_str(&format!("L{i} n{i} n{next} 1n\n"));
+        } else {
+            deck.push_str(&format!("R{i} n{i} n{next} 100\n"));
+        }
+        deck.push_str(&format!("C{i} n{next} 0 10f\n"));
+    }
+    deck.push_str(".end\n");
+    Circuit::from_spice(&deck).unwrap()
+}
+
 /// One cold fixed-grid transient: symbolic analysis, engine allocation
 /// and every step.
 fn transient(ckt: &Circuit, dt: f64, t_stop: f64) -> Waveform {
@@ -61,6 +80,13 @@ fn main() {
     h.bench("transient_inv15_250steps", 20, || {
         transient(&ckt15, 2e-12, 0.5e-9)
     });
+    for (name, rlc) in [
+        ("tran_ladder_rc41_2000steps", false),
+        ("tran_ladder_rlc41_2000steps", true),
+    ] {
+        let ckt = ladder(41, rlc);
+        h.bench(name, 20, || transient(&ckt, 2e-12, 4e-9));
+    }
     let kit = DesignKit::cnfet65();
     for (name, kind, strength, load_f) in [
         ("characterize_inv9_1load", StdCellKind::Inv, 9, 2e-15),

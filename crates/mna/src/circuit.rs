@@ -289,6 +289,19 @@ impl MnaCircuit {
             .count()
     }
 
+    /// System dimension: node unknowns (excluding ground) plus one
+    /// branch-current unknown per voltage source and per inductor — the
+    /// [`crate::Pattern::dim`] its analysis would have, counted without
+    /// analyzing it.
+    pub fn dim(&self) -> usize {
+        let branches = self
+            .elements
+            .iter()
+            .filter(|e| matches!(e, MnaElement::VSource { .. } | MnaElement::Inductor { .. }))
+            .count();
+        self.n_nodes - 1 + branches
+    }
+
     /// Whether the circuit contains any nonlinear (FET) element.
     pub fn has_fets(&self) -> bool {
         self.elements

@@ -2,21 +2,26 @@
 //! all against one preallocated factorization working set.
 //!
 //! An [`Engine`] is built from an [`std::sync::Arc`]`<`[`Pattern`]`>` and
-//! owns every numeric buffer the pattern's dimension implies. Each solve
-//! re-stamps values and re-factors **in place** — the first factorization
-//! records a pivot order that [`crate::LuFactor::refactor`] then reuses
-//! across Newton iterations and timesteps, so the steady-state transient
-//! loop performs no allocation and no fresh pivot search.
+//! owns every numeric buffer the pattern's dimension implies. Its
+//! [`crate::LuFactor`] works over the positions the pattern's elements
+//! stamp plus the fill-in of its pivot order, so elimination and both
+//! triangular solves cost what the factors hold (O(n) on a ladder), not
+//! O(n²). Each solve re-stamps values and re-factors **in place** — the
+//! first factorization records a pivot order (and derives its fill-in)
+//! that [`crate::LuFactor::refactor`] then reuses across Newton
+//! iterations and timesteps, so the steady-state transient loop performs
+//! no allocation, no fresh pivot search and no symbolic work.
 //!
 //! A pattern without FETs is linear: its matrix depends only on the
 //! element values and the system solved — DC, or a transient step of a
 //! given method and companion step. Every full transient step uses the
 //! nominal `dt` as its companion step, so such an analysis factors once
-//! for the whole DC ladder and once per distinct step length, and
-//! otherwise only re-stamps and re-solves the right-hand side. The
-//! engine remembers which system its factorization belongs to and
-//! forgets it at the start of every [`Engine::dc`], so circuits with new
-//! values never meet a stale LU.
+//! for the whole DC ladder and once per distinct step length. While the
+//! factorization belongs to the running system, a solve clears and
+//! stamps no matrix entry: it stamps and solves the right-hand side
+//! only. The engine remembers which system its factorization belongs to
+//! and forgets it at the start of every [`Engine::dc`], so circuits with
+//! new values never meet a stale LU.
 //!
 //! A transient step is a pure function of the previous solution (the
 //! Newton guess), the dynamic elements' companion state, every source
@@ -37,7 +42,10 @@
 use crate::circuit::{MnaCircuit, MnaElement};
 use crate::pattern::Pattern;
 use crate::solver::{LuFactor, SolveStats};
-use crate::stamp::{set_slot, stamp_system, DynamicState, Dynamics, Method, StampSpec};
+use crate::stamp::{
+    linearize_fets, matrix_entries, set_slot, stamp_matrix, stamp_rhs, DynamicState, Dynamics,
+    FetLinear, Method, StampSpec,
+};
 use crate::waveform::Waveform;
 use std::fmt;
 use std::sync::Arc;
@@ -60,6 +68,21 @@ const SOURCE_RAMP_STEPS: usize = 4;
 /// for petabytes of waveform (or, with `dt` near the smallest float, an
 /// endless loop). Local halving may add interior samples beyond it.
 pub const MAX_TRAN_STEPS: usize = 1_000_000;
+/// Largest system dimension (node plus branch-current unknowns) an
+/// [`Engine`] takes. Its LU stores two dense `dim × dim` value arrays,
+/// 16 MiB at this bound (AC's `2·dim` embedding, four times that); the
+/// decks, cells and netlists in this workspace reach dim 63. Callers
+/// taking a circuit from outside check it before [`Engine::new`], which
+/// panics past it.
+pub const MAX_DENSE_DIM: usize = 1024;
+/// Most values one transient's [`Waveform`] may hold,
+/// `(steps + 1) × (dim + 1)`: one sample per nominal step and the
+/// operating point, of every unknown and the time axis. That is 32 MiB
+/// of `f64` at this bound; the transients in this workspace reach about
+/// 128k (a dim-63 deck over 2,000 steps). Local halving may add samples
+/// beyond it. Callers taking a spec from outside check it before
+/// [`Engine::tran`], which panics past it.
+pub const MAX_WAVEFORM_SAMPLES: usize = 1 << 22;
 
 /// Analysis failures.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -162,6 +185,8 @@ pub struct Engine {
     b: Vec<f64>,
     x: Vec<f64>,
     saved: Vec<f64>,
+    /// Every FET's linearization about `x`, refreshed per Newton iteration.
+    fets: Vec<FetLinear>,
     /// For a linear pattern, the system `lu` currently holds factored for
     /// the circuit of the running analysis; `None` when unknown.
     factored: Option<LinearSystem>,
@@ -170,14 +195,26 @@ pub struct Engine {
 }
 
 impl Engine {
-    /// Creates an engine (and its buffers) for a topology.
+    /// Creates an engine (and its buffers) for a topology. Its
+    /// factorization works over the positions the pattern's elements
+    /// stamp, plus the fill-in of its pivot order.
+    ///
+    /// # Panics
+    ///
+    /// Panics before allocating when the pattern's dimension exceeds
+    /// [`MAX_DENSE_DIM`].
     pub fn new(pattern: Arc<Pattern>) -> Engine {
         let dim = pattern.dim();
+        assert!(
+            dim <= MAX_DENSE_DIM,
+            "system dimension {dim} exceeds the dense LU bound of {MAX_DENSE_DIM}"
+        );
         Engine {
-            lu: LuFactor::new(dim),
+            lu: LuFactor::with_structure(dim, matrix_entries(&pattern)),
             b: vec![0.0; dim],
             x: vec![0.0; dim],
             saved: vec![0.0; dim],
+            fets: Vec::new(),
             factored: None,
             repeated_steps: 0,
             pattern,
@@ -215,7 +252,8 @@ impl Engine {
         let n_nodes = self.pattern.n_nodes();
         let linear = !self.pattern.has_fets();
         // A linear matrix is fixed by its system: when the factorization
-        // already belongs to it, only the right-hand side needs solving.
+        // already belongs to it, only the right-hand side is stamped and
+        // solved.
         let system = match &dynamics {
             _ if !linear => None,
             Dynamics::Dc => Some(LinearSystem::Dc),
@@ -229,20 +267,17 @@ impl Engine {
             dynamics,
         };
         for _ in 0..NR_MAX_ITERS {
-            self.lu.clear();
-            self.b.fill(0.0);
-            stamp_system(
-                &self.pattern,
-                circuit,
-                &self.x,
-                &mut self.lu,
-                &mut self.b,
-                &spec,
-            );
+            if !linear {
+                linearize_fets(&self.pattern, circuit, &self.x, &mut self.fets);
+            }
             if !reuse {
+                self.lu.clear();
+                stamp_matrix(&self.pattern, circuit, &self.fets, &mut self.lu, &spec);
                 self.lu.refactor().map_err(|_| MnaError::Singular)?;
                 self.factored = system;
             }
+            self.b.fill(0.0);
+            stamp_rhs(&self.pattern, circuit, &self.fets, &mut self.b, &spec);
             self.lu.solve_in_place(&mut self.b);
             if linear {
                 // No nonlinear elements: the first solve is exact.
@@ -398,8 +433,9 @@ impl Engine {
     ///
     /// Panics unless [`TranSpec::nominal_steps`] accepts the spec (`dt`
     /// and `t_stop` positive and finite, at most [`MAX_TRAN_STEPS`]
-    /// steps), or when the circuit's topology does not match the engine's
-    /// pattern.
+    /// steps), when the waveform would exceed [`MAX_WAVEFORM_SAMPLES`]
+    /// (both checked before any buffer is allocated), or when the
+    /// circuit's topology does not match the engine's pattern.
     pub fn tran(&mut self, circuit: &MnaCircuit, spec: &TranSpec) -> Result<Waveform, MnaError> {
         let steps = spec.nominal_steps().unwrap_or_else(|| {
             panic!(
@@ -408,6 +444,11 @@ impl Engine {
                 spec.dt, spec.t_stop
             )
         });
+        let samples = (steps + 1).saturating_mul(self.pattern.dim() + 1);
+        assert!(
+            samples <= MAX_WAVEFORM_SAMPLES,
+            "a waveform of {samples} values exceeds the bound of {MAX_WAVEFORM_SAMPLES}"
+        );
         self.dc(circuit)?; // leaves self.x at the operating point
         let mut state = DynamicState::init(&self.pattern, &self.x);
         let mut wave = Waveform::new(&self.pattern, steps + 1);
@@ -1073,6 +1114,29 @@ mod tests {
     fn tran_past_the_step_ceiling_panics_before_allocating() {
         let c = pulse_ladder(false);
         let _ = engine_for(&c).tran(&c, &TranSpec::new(1e-15, 1.0));
+    }
+
+    /// The dimension bound is checked before the LU is allocated.
+    #[test]
+    #[should_panic(expected = "exceeds the dense LU bound of 1024")]
+    fn engines_past_the_dimension_bound_panic_before_allocating() {
+        let mut c = MnaCircuit::new();
+        c.vsource(1, 0, SourceWave::Dc(1.0));
+        for i in 1..MAX_DENSE_DIM {
+            c.resistor(i, i + 1, 1.0);
+        }
+        assert_eq!(c.dim(), MAX_DENSE_DIM + 1);
+        let _ = engine_for(&c);
+    }
+
+    /// The sample bound is checked before the DC point or any buffer.
+    #[test]
+    #[should_panic(expected = "exceeds the bound of 4194304")]
+    fn tran_past_the_sample_bound_panics_before_allocating() {
+        let c = pulse_ladder(false);
+        let spec = TranSpec::new(1e-12, 0.9e-6);
+        assert!(spec.nominal_steps().unwrap() * (c.dim() + 1) > MAX_WAVEFORM_SAMPLES);
+        let _ = engine_for(&c).tran(&c, &spec);
     }
 
     #[test]

@@ -15,8 +15,12 @@
 //!   is re-stamped and re-factored **in place** per Newton iteration and
 //!   per timestep, reusing the recorded pivot order
 //!   ([`LuFactor::refactor`]) so steady-state solving allocates nothing
-//!   and searches no pivots. A circuit without FETs skips even the
-//!   refactor while its system (DC, or the companion step) is unchanged.
+//!   and searches no pivots. The factorization walks only the positions
+//!   the pattern's elements stamp plus the fill-in of its pivot order,
+//!   derived once per pivot order, so a ladder's solve is O(n). A
+//!   circuit without FETs skips the matrix altogether while its system
+//!   (DC, or the companion step) is unchanged: each step stamps and
+//!   solves only the right-hand side.
 //!
 //! Transient analysis ([`Engine::tran`]) integrates capacitors and
 //! inductors through companion models (backward-Euler or trapezoidal,
@@ -62,7 +66,9 @@ mod waveform;
 
 pub use ac::{AcResult, AcSpec};
 pub use circuit::{MnaCircuit, MnaElement, SourceWave};
-pub use engine::{Engine, MnaError, TranSpec, GMIN, MAX_TRAN_STEPS};
+pub use engine::{
+    Engine, MnaError, TranSpec, GMIN, MAX_DENSE_DIM, MAX_TRAN_STEPS, MAX_WAVEFORM_SAMPLES,
+};
 pub use pattern::{Pattern, PatternCache};
 pub use solver::{LuFactor, Singular, SolveStats};
 pub use stamp::Method;

@@ -261,6 +261,7 @@ mod tests {
         assert_eq!(p.n_inductors(), 1);
         assert_eq!(p.n_capacitors(), 1);
         assert_eq!(p.dim(), 5); // 3 nodes + 1 source branch + 1 inductor branch
+        assert_eq!(c.dim(), p.dim());
         assert!(!p.has_fets());
     }
 

@@ -1,10 +1,15 @@
 //! Numeric stamping: fills the preallocated system matrix and right-hand
 //! side from a circuit's values against its symbolic [`Pattern`].
 //!
-//! Dynamic elements use companion models — backward-Euler or trapezoidal
-//! — referencing the previous step's [`DynamicState`]; FETs are
-//! linearized about the candidate solution with numerically-differenced
-//! conductances.
+//! The matrix ([`stamp_matrix`]) and the right-hand side ([`stamp_rhs`])
+//! are stamped separately, so a linear system whose factorization is
+//! still current re-stamps only the right-hand side; [`matrix_entries`]
+//! lists every position [`stamp_matrix`] may touch, the structure the
+//! factorization works over. Dynamic elements use companion models —
+//! backward-Euler or trapezoidal — referencing the previous step's
+//! [`DynamicState`]; FETs are linearized about the candidate solution
+//! with numerically-differenced conductances ([`linearize_fets`]), once
+//! per Newton iteration for both stamps.
 
 use crate::circuit::{MnaCircuit, MnaElement};
 use crate::pattern::{Pattern, Plan};
@@ -141,6 +146,18 @@ fn voltage_of(x: &[f64], idx: Option<usize>) -> f64 {
     }
 }
 
+/// The `±1` entries tying branch current `row` to terminals `p`/`n`.
+fn stamp_branch(lu: &mut LuFactor, p: Option<usize>, n: Option<usize>, row: usize) {
+    if let Some(i) = p {
+        lu.stamp(i, row, 1.0);
+        lu.stamp(row, i, 1.0);
+    }
+    if let Some(i) = n {
+        lu.stamp(i, row, -1.0);
+        lu.stamp(row, i, -1.0);
+    }
+}
+
 fn stamp_conductance(lu: &mut LuFactor, a: Option<usize>, b: Option<usize>, g: f64) {
     if let Some(i) = a {
         lu.stamp(i, i, g);
@@ -193,76 +210,187 @@ pub(crate) fn fet_small_signal(
     (id0, gds, gm, gs)
 }
 
-#[allow(clippy::too_many_arguments)]
-fn stamp_fet(
-    lu: &mut LuFactor,
-    b: &mut [f64],
-    x: &[f64],
-    d: Option<usize>,
-    g: Option<usize>,
-    s: Option<usize>,
-    model: &dyn FetModel,
-    gmin: f64,
-) {
-    let vd = voltage_of(x, d);
-    let vg = voltage_of(x, g);
-    let vs = voltage_of(x, s);
-    let (id0, gds, gm, gsrc) = fet_small_signal(model, vd, vg, vs);
-
-    // Linearized: i_d(v) ≈ id0 + gds·Δvd + gm·Δvg + gs·Δvs.
-    // Equivalent current source: ieq = id0 - gds·vd - gm·vg - gs·vs.
-    let ieq = id0 - gds * vd - gm * vg - gsrc * vs;
-
-    // Current leaves the drain node and enters the source node.
-    if let Some(i) = d {
-        if let Some(jd) = d {
-            lu.stamp(i, jd, gds);
-        }
-        if let Some(jg) = g {
-            lu.stamp(i, jg, gm);
-        }
-        if let Some(js) = s {
-            lu.stamp(i, js, gsrc);
-        }
-        b[i] -= ieq;
-    }
-    if let Some(i) = s {
-        if let Some(jd) = d {
-            lu.stamp(i, jd, -gds);
-        }
-        if let Some(jg) = g {
-            lu.stamp(i, jg, -gm);
-        }
-        if let Some(js) = s {
-            lu.stamp(i, js, -gsrc);
-        }
-        b[i] += ieq;
-    }
-
-    // Convergence aids: gmin from drain and source to ground.
-    if let Some(i) = d {
-        lu.stamp(i, i, gmin);
-    }
-    if let Some(i) = s {
-        lu.stamp(i, i, gmin);
-    }
+/// A FET's linearization about a candidate solution: drain-current
+/// conductances to the drain, gate and source voltages, and the
+/// equivalent current source `ieq = id0 − gds·vd − gm·vg − gs·vs`.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct FetLinear {
+    gds: f64,
+    gm: f64,
+    gs: f64,
+    ieq: f64,
 }
 
-/// Fills `lu` and `b` with the linearized MNA system about the candidate
-/// solution `x`. `lu` and `b` must be pre-cleared.
-pub(crate) fn stamp_system(
+/// Linearizes every FET about `x`, in element order, into `out`.
+pub(crate) fn linearize_fets(
     pattern: &Pattern,
     circuit: &MnaCircuit,
     x: &[f64],
+    out: &mut Vec<FetLinear>,
+) {
+    out.clear();
+    for (plan, elem) in pattern.plans().iter().zip(circuit.elements()) {
+        if let (Plan::Fet { d, g, s }, MnaElement::Fet { model, .. }) = (plan, elem) {
+            let (vd, vg, vs) = (voltage_of(x, *d), voltage_of(x, *g), voltage_of(x, *s));
+            let (id0, gds, gm, gs) = fet_small_signal(model.as_ref(), vd, vg, vs);
+            // Linearized: i_d(v) ≈ id0 + gds·Δvd + gm·Δvg + gs·Δvs.
+            let ieq = id0 - gds * vd - gm * vg - gs * vs;
+            out.push(FetLinear { gds, gm, gs, ieq });
+        }
+    }
+}
+
+/// A capacitor's companion model for one step: conductance `g` and the
+/// current `ieq` pushed into terminal `a`.
+fn capacitor_companion(
+    method: Method,
+    farads: f64,
+    dt: f64,
+    prev: &DynamicState,
+    k: usize,
+) -> (f64, f64) {
+    match method {
+        // Backward Euler companion: i = C/dt (v - v_prev).
+        Method::BackwardEuler => {
+            let g = farads / dt;
+            (g, g * prev.cap_v[k])
+        }
+        // Trapezoidal companion: i = 2C/dt (v - v_prev) - i_prev.
+        Method::Trapezoidal => {
+            let g = 2.0 * farads / dt;
+            (g, g * prev.cap_v[k] + prev.cap_i[k])
+        }
+    }
+}
+
+/// An inductor's companion branch row for one step,
+/// `v_a − v_b − z·i = rhs`: the impedance `z` and `rhs`.
+fn inductor_companion(
+    method: Method,
+    henries: f64,
+    dt: f64,
+    prev: &DynamicState,
+    k: usize,
+) -> (f64, f64) {
+    match method {
+        // Backward Euler: v = L/dt (i − i_prev).
+        Method::BackwardEuler => {
+            let z = henries / dt;
+            (z, -z * prev.ind_i[k])
+        }
+        // Trapezoidal: v + v_prev = 2L/dt (i − i_prev).
+        Method::Trapezoidal => {
+            let z = 2.0 * henries / dt;
+            (z, -prev.ind_v[k] - z * prev.ind_i[k])
+        }
+    }
+}
+
+/// Every matrix position [`stamp_matrix`] may touch for a pattern — the
+/// stamped structure of its factorization.
+pub(crate) fn matrix_entries(pattern: &Pattern) -> Vec<(usize, usize)> {
+    let mut entries = Vec::new();
+    // Every row in `rows` meets every column in `cols` (ground skipped).
+    let mut cross = |rows: &[Option<usize>], cols: &[Option<usize>]| {
+        for &i in rows.iter().flatten() {
+            entries.extend(cols.iter().flatten().map(|&j| (i, j)));
+        }
+    };
+    for plan in pattern.plans() {
+        match *plan {
+            Plan::Conductance { a, b } | Plan::Capacitor { a, b, .. } => cross(&[a, b], &[a, b]),
+            Plan::Inductor { a, b, row, .. } => {
+                cross(&[a, b, Some(row)], &[Some(row)]);
+                cross(&[Some(row)], &[a, b]);
+            }
+            Plan::VSource { p, n, row } => {
+                cross(&[p, n], &[Some(row)]);
+                cross(&[Some(row)], &[p, n]);
+            }
+            Plan::Fet { d, g, s } => cross(&[d, s], &[d, g, s]),
+        }
+    }
+    entries
+}
+
+/// Fills `lu` with the linearized MNA matrix; `fets` holds every FET's
+/// linearization (see [`linearize_fets`]). `lu` must be pre-cleared.
+pub(crate) fn stamp_matrix(
+    pattern: &Pattern,
+    circuit: &MnaCircuit,
+    fets: &[FetLinear],
     lu: &mut LuFactor,
+    spec: &StampSpec<'_>,
+) {
+    let mut fets = fets.iter();
+    for (plan, elem) in pattern.plans().iter().zip(circuit.elements()) {
+        match (plan, elem) {
+            (Plan::Conductance { a, b }, MnaElement::Resistor { ohms, .. }) => {
+                stamp_conductance(lu, *a, *b, 1.0 / ohms);
+            }
+            (Plan::Capacitor { a, b, state }, MnaElement::Capacitor { farads, .. }) => {
+                // DC: open circuit — no stamp.
+                if let Dynamics::Tran {
+                    method,
+                    dt,
+                    state: prev,
+                } = &spec.dynamics
+                {
+                    let (g, _) = capacitor_companion(*method, *farads, *dt, prev, *state);
+                    stamp_conductance(lu, *a, *b, g);
+                }
+            }
+            (Plan::Inductor { a, b, row, state }, MnaElement::Inductor { henries, .. }) => {
+                // Branch current unknown: KCL columns ±1, branch row
+                // v_a − v_b − z·i = rhs (DC: a short, z = 0).
+                stamp_branch(lu, *a, *b, *row);
+                if let Dynamics::Tran {
+                    method,
+                    dt,
+                    state: prev,
+                } = &spec.dynamics
+                {
+                    let (z, _) = inductor_companion(*method, *henries, *dt, prev, *state);
+                    lu.stamp(*row, *row, -z);
+                }
+            }
+            (Plan::VSource { p, n, row }, MnaElement::VSource { .. }) => {
+                stamp_branch(lu, *p, *n, *row);
+            }
+            (Plan::Fet { d, g, s }, MnaElement::Fet { .. }) => {
+                let fet = fets.next().expect("one linearization per FET");
+                // Current leaves the drain node and enters the source node.
+                for (i, sign) in [(*d, 1.0), (*s, -1.0)] {
+                    let Some(i) = i else { continue };
+                    for (j, v) in [(*d, fet.gds), (*g, fet.gm), (*s, fet.gs)] {
+                        if let Some(j) = j {
+                            lu.stamp(i, j, sign * v);
+                        }
+                    }
+                }
+                // Convergence aids: gmin from drain and source to ground.
+                for i in [*d, *s].into_iter().flatten() {
+                    lu.stamp(i, i, spec.gmin);
+                }
+            }
+            _ => unreachable!("pattern/circuit element mismatch"),
+        }
+    }
+}
+
+/// Fills `b` with the MNA right-hand side; `fets` holds every FET's
+/// linearization (see [`linearize_fets`]). `b` must be pre-cleared.
+pub(crate) fn stamp_rhs(
+    pattern: &Pattern,
+    circuit: &MnaCircuit,
+    fets: &[FetLinear],
     b: &mut [f64],
     spec: &StampSpec<'_>,
 ) {
+    let mut fets = fets.iter();
     for (plan, elem) in pattern.plans().iter().zip(circuit.elements()) {
         match (plan, elem) {
-            (Plan::Conductance { a, b: nb }, MnaElement::Resistor { ohms, .. }) => {
-                stamp_conductance(lu, *a, *nb, 1.0 / ohms);
-            }
+            (Plan::Conductance { .. }, MnaElement::Resistor { .. }) => {}
             (Plan::Capacitor { a, b: nb, state }, MnaElement::Capacitor { farads, .. }) => {
                 if let Dynamics::Tran {
                     method,
@@ -270,20 +398,7 @@ pub(crate) fn stamp_system(
                     state: prev,
                 } = &spec.dynamics
                 {
-                    let (g, ieq) = match method {
-                        // Backward Euler companion: i = C/dt (v - v_prev).
-                        Method::BackwardEuler => {
-                            let g = farads / dt;
-                            (g, g * prev.cap_v[*state])
-                        }
-                        // Trapezoidal companion:
-                        // i = 2C/dt (v - v_prev) - i_prev.
-                        Method::Trapezoidal => {
-                            let g = 2.0 * farads / dt;
-                            (g, g * prev.cap_v[*state] + prev.cap_i[*state])
-                        }
-                    };
-                    stamp_conductance(lu, *a, *nb, g);
+                    let (_, ieq) = capacitor_companion(*method, *farads, *dt, prev, *state);
                     if let Some(i) = a {
                         b[*i] += ieq;
                     }
@@ -291,62 +406,28 @@ pub(crate) fn stamp_system(
                         b[*i] -= ieq;
                     }
                 }
-                // DC: open circuit — no stamp.
             }
-            (
-                Plan::Inductor {
-                    a,
-                    b: nb,
-                    row,
-                    state,
-                },
-                MnaElement::Inductor { henries, .. },
-            ) => {
-                // Branch current unknown: KCL columns ±1, branch row
-                // v_a − v_b − z·i = rhs with z, rhs per method (DC: short).
-                if let Some(i) = a {
-                    lu.stamp(*i, *row, 1.0);
-                    lu.stamp(*row, *i, 1.0);
-                }
-                if let Some(i) = nb {
-                    lu.stamp(*i, *row, -1.0);
-                    lu.stamp(*row, *i, -1.0);
-                }
-                match &spec.dynamics {
-                    Dynamics::Dc => {}
-                    Dynamics::Tran {
-                        method,
-                        dt,
-                        state: prev,
-                    } => match method {
-                        // Backward Euler: v = L/dt (i − i_prev).
-                        Method::BackwardEuler => {
-                            let z = henries / dt;
-                            lu.stamp(*row, *row, -z);
-                            b[*row] = -z * prev.ind_i[*state];
-                        }
-                        // Trapezoidal: v + v_prev = 2L/dt (i − i_prev).
-                        Method::Trapezoidal => {
-                            let z = 2.0 * henries / dt;
-                            lu.stamp(*row, *row, -z);
-                            b[*row] = -prev.ind_v[*state] - z * prev.ind_i[*state];
-                        }
-                    },
+            (Plan::Inductor { row, state, .. }, MnaElement::Inductor { henries, .. }) => {
+                if let Dynamics::Tran {
+                    method,
+                    dt,
+                    state: prev,
+                } = &spec.dynamics
+                {
+                    b[*row] = inductor_companion(*method, *henries, *dt, prev, *state).1;
                 }
             }
-            (Plan::VSource { p, n, row }, MnaElement::VSource { wave, .. }) => {
-                if let Some(i) = p {
-                    lu.stamp(*i, *row, 1.0);
-                    lu.stamp(*row, *i, 1.0);
-                }
-                if let Some(i) = n {
-                    lu.stamp(*i, *row, -1.0);
-                    lu.stamp(*row, *i, -1.0);
-                }
+            (Plan::VSource { row, .. }, MnaElement::VSource { wave, .. }) => {
                 b[*row] = wave.value_at(spec.t) * spec.source_scale;
             }
-            (Plan::Fet { d, g, s }, MnaElement::Fet { model, .. }) => {
-                stamp_fet(lu, b, x, *d, *g, *s, model.as_ref(), spec.gmin);
+            (Plan::Fet { d, s, .. }, MnaElement::Fet { .. }) => {
+                let fet = fets.next().expect("one linearization per FET");
+                if let Some(i) = d {
+                    b[*i] -= fet.ieq;
+                }
+                if let Some(i) = s {
+                    b[*i] += fet.ieq;
+                }
             }
             _ => unreachable!("pattern/circuit element mismatch"),
         }

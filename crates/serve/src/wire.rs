@@ -133,7 +133,8 @@ pub fn error_body(kind: &str, message: &str, position: Option<usize>) -> Json {
 
 /// Maps an execution failure to its HTTP status and structured payload.
 /// Domain failures are the client's problem (`422`); a canceled job
-/// means the engine is going away (`503`).
+/// means the engine is going away (`503`); I/O and a cache entry that
+/// lacks what its key asks for are the server's (`500`).
 pub fn error_response(error: &CnfetError) -> (u16, Json) {
     let kind = match error {
         CnfetError::Generate(_) => "generate",
@@ -149,12 +150,13 @@ pub fn error_response(error: &CnfetError) -> (u16, Json) {
         CnfetError::InvalidRequest { .. } => "invalid_request",
         CnfetError::Canceled => "canceled",
         CnfetError::Io(_) => "io",
+        CnfetError::CacheMismatch { .. } => "cache_mismatch",
         _ => "internal",
     };
     let status = match error {
         CnfetError::InvalidRequest { .. } => 400,
         CnfetError::Canceled => 503,
-        CnfetError::Io(_) => 500,
+        CnfetError::Io(_) | CnfetError::CacheMismatch { .. } => 500,
         _ => 422,
     };
     (status, error_body(kind, &error.to_string(), None))
@@ -1406,5 +1408,15 @@ mod tests {
             .as_str()
             .unwrap()
             .contains("step 7"));
+
+        // A cache entry missing what its key asks for is the server's
+        // fault, not the request's.
+        let (status, body) = error_response(&CnfetError::CacheMismatch {
+            entry: "timing corner of INV_X4".into(),
+            message: "carries no timing table".into(),
+        });
+        assert_eq!(status, 500);
+        let kind = body.get("error").unwrap().get("kind").unwrap();
+        assert_eq!(kind.as_str(), Some("cache_mismatch"));
     }
 }

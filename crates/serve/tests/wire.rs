@@ -1491,6 +1491,48 @@ fn oversized_transients_answer_400_before_any_engine_runs() {
 }
 
 #[test]
+fn oversized_decks_answer_422_before_any_buffer_is_allocated() {
+    // Past the dense solver's dimension bound, and a four-unknown deck
+    // whose million-step waveform is past the sample bound: both are
+    // deck errors, and the server keeps answering.
+    let server = server();
+    let mut client = Client::new(server.addr());
+    let mut wide = String::from("V1 n0 0 DC 1\n");
+    for i in 0..cnfet::mna::MAX_DENSE_DIM {
+        wide.push_str(&format!("R{i} n{i} n{} 1\n", i + 1));
+    }
+    wide.push_str(".end");
+    let long = "V1 in 0 DC 1\nR1 in a 1k\nR2 a b 1k\nC1 b 0 1p\n.end";
+    for (deck, t_stop, names) in [
+        (wide.as_str(), 1e-11, "unknowns"),
+        (long, 0.9e-6, "waveform"),
+    ] {
+        let body = Json::obj([
+            ("type", Json::str("tran")),
+            ("deck", Json::str(deck)),
+            ("dt", Json::from(1e-12)),
+            ("t_stop", Json::from(t_stop)),
+        ]);
+        let response = client
+            .request("POST", "/v1/run")
+            .body(&body)
+            .send()
+            .unwrap();
+        assert_eq!(response.status, 422, "{names}");
+        let error = response.body.get("error").unwrap();
+        assert_eq!(error.get("kind").unwrap().as_str(), Some("deck"));
+        let message = error.get("message").unwrap().as_str().unwrap();
+        assert!(message.contains(names), "{message}");
+    }
+    client
+        .request("GET", "/v1/healthz")
+        .send()
+        .unwrap()
+        .expect_status(200);
+    server.shutdown();
+}
+
+#[test]
 fn binary_die_tables_reassemble_identical_to_json() {
     let server = server();
     let mut client = Client::new(server.addr());

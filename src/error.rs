@@ -54,6 +54,15 @@ pub enum CnfetError {
     Canceled,
     /// Filesystem I/O failed (artifact export).
     Io(std::io::Error),
+    /// A cached value lacks what its key asks for — a snapshot can seed
+    /// a timing corner's row without its timing table. The request fails
+    /// instead of reading it.
+    CacheMismatch {
+        /// The cached entry, e.g. a timing corner's cell and corner.
+        entry: String,
+        /// What the entry lacks.
+        message: String,
+    },
 }
 
 impl fmt::Display for CnfetError {
@@ -75,6 +84,9 @@ impl fmt::Display for CnfetError {
             }
             CnfetError::Canceled => write!(f, "job canceled before it produced a result"),
             CnfetError::Io(e) => write!(f, "io: {e}"),
+            CnfetError::CacheMismatch { entry, message } => {
+                write!(f, "cached {entry}: {message}")
+            }
         }
     }
 }
@@ -94,6 +106,7 @@ impl std::error::Error for CnfetError {
             CnfetError::InvalidRequest { .. } => None,
             CnfetError::Canceled => None,
             CnfetError::Io(e) => Some(e),
+            CnfetError::CacheMismatch { .. } => None,
         }
     }
 }

@@ -403,7 +403,13 @@ pub(crate) fn execute_slice(
             mc: McOptions::default(),
             loads_f: vec![internal_f],
         })?;
-        let table = row.timing.expect("timing corners carry a timing table");
+        // A snapshot may have seeded this key with a row that lacks it.
+        let Some(table) = row.timing else {
+            return Err(CnfetError::CacheMismatch {
+                entry: format!("timing corner of {} at {:?}", row.cell, row.corner),
+                message: "carries no timing table".into(),
+            });
+        };
         Ok(table.delay_at(internal_f))
     };
     let d_nand = stage_delay(FA_CELL_MIX[0])?;
@@ -518,6 +524,34 @@ mod tests {
                     "{slice:?}"
                 );
             }
+        }
+    }
+
+    /// A `Sweeps` row seeded without the timing table its key asks for,
+    /// as a snapshot can hold it, fails the macro with a typed error
+    /// naming the corner instead of panicking its worker.
+    #[test]
+    fn a_timing_row_without_its_table_is_a_typed_error() {
+        use crate::request::RequestClass;
+        use crate::sweep::CornerRow;
+
+        let warm = Session::new();
+        let request = MacroRequest::new(AdderKind::Ripple, 8);
+        warm.run(&request).unwrap();
+        let session = Session::new();
+        let sweeps = session.class_cache(RequestClass::Sweeps);
+        for (key, value) in warm.class_cache(RequestClass::Sweeps).export() {
+            let mut row = value.downcast_ref::<CornerRow>().unwrap().clone();
+            row.timing = None;
+            sweeps.seed(key, Arc::new(row));
+        }
+        match session.run(&request) {
+            Err(CnfetError::CacheMismatch { entry, message }) => {
+                assert!(entry.starts_with("timing corner of "), "{entry}");
+                assert!(entry.contains("tubes_per_4lambda"), "{entry}");
+                assert_eq!(message, "carries no timing table");
+            }
+            other => panic!("expected a cache mismatch, got {other:?}"),
         }
     }
 

@@ -596,12 +596,16 @@ impl SessionRequest for TranRequest {
     /// symbolic analysis, one pivot search reused across every timestep,
     /// and — for a deck without FETs — one numeric factorization for the
     /// DC point and one per step size, after which each step only
-    /// re-solves ([`crate::mna`]).
+    /// re-stamps and re-solves the right-hand side ([`crate::mna`]). A
+    /// deck with more than [`MAX_DENSE_DIM`](crate::mna::MAX_DENSE_DIM)
+    /// unknowns, or whose waveform would exceed
+    /// [`MAX_WAVEFORM_SAMPLES`](crate::mna::MAX_WAVEFORM_SAMPLES), fails
+    /// with [`CnfetError::Deck`] before either buffer is allocated.
     fn execute(&self, _session: &Session) -> Result<TranResult> {
         let spec_err =
             |message: String| CnfetError::Deck(crate::spice::DeckError { line: 0, message });
         let spec = crate::mna::TranSpec::new(self.dt, self.t_stop);
-        if spec.nominal_steps().is_none() {
+        let Some(steps) = spec.nominal_steps() else {
             return Err(spec_err(format!(
                 "tran dt and t_stop must be positive and finite, with t_stop at most {} \
                  steps of dt; got dt {:e}, t_stop {:e}",
@@ -609,7 +613,7 @@ impl SessionRequest for TranRequest {
                 self.dt,
                 self.t_stop
             )));
-        }
+        };
         let circuit = crate::spice::Circuit::from_spice(&self.deck)?;
         let probes: Vec<(String, usize)> = if self.probes.is_empty() {
             (1..circuit.node_count())
@@ -627,6 +631,24 @@ impl SessionRequest for TranRequest {
                 .collect::<Result<_>>()?
         };
         let mna = crate::spice::to_mna(&circuit);
+        // Both buffers are sized from the deck: refuse it before either
+        // is allocated.
+        let dim = mna.dim();
+        if dim > crate::mna::MAX_DENSE_DIM {
+            return Err(spec_err(format!(
+                "deck has {dim} unknowns; the dense solver takes at most {}",
+                crate::mna::MAX_DENSE_DIM
+            )));
+        }
+        let samples = (steps + 1) * (dim + 1);
+        if samples > crate::mna::MAX_WAVEFORM_SAMPLES {
+            return Err(spec_err(format!(
+                "waveform of {} steps × {} traces is {samples} values; at most {} fit",
+                steps + 1,
+                dim + 1,
+                crate::mna::MAX_WAVEFORM_SAMPLES
+            )));
+        }
         let pattern = Arc::new(crate::mna::Pattern::analyze(mna));
         let mut engine = crate::mna::Engine::new(pattern);
         let wave = engine.tran(mna, &spec)?;

@@ -367,7 +367,10 @@ pub struct FlowResult {
 #[derive(Clone, Debug)]
 pub struct TranRequest {
     /// SPICE deck text (`R`/`C`/`L`/`V` cards; see
-    /// [`crate::spice::deck`]).
+    /// [`crate::spice::deck`]), with at most
+    /// [`MAX_DENSE_DIM`](crate::mna::MAX_DENSE_DIM) unknowns and a
+    /// waveform of at most
+    /// [`MAX_WAVEFORM_SAMPLES`](crate::mna::MAX_WAVEFORM_SAMPLES) values.
     pub deck: String,
     /// Nominal timestep, seconds (must be positive and finite).
     pub dt: f64,

@@ -847,6 +847,45 @@ fn oversized_transients_fail_typed_before_any_engine_runs() {
     assert_eq!(result.time.len(), steps + 1);
 }
 
+/// A chain of `resistors` 1 Ω resistors from a 1 V source: a deck with
+/// `resistors + 2` unknowns.
+fn resistor_chain(resistors: usize) -> String {
+    let mut deck = String::from("V1 n0 0 DC 1\n");
+    for i in 0..resistors {
+        deck.push_str(&format!("R{i} n{i} n{} 1\n", i + 1));
+    }
+    deck + ".end"
+}
+
+/// A deck past the dense solver's dimension bound, and a four-unknown
+/// deck whose million-step waveform is past the sample bound, are both
+/// refused as deck errors before the engine allocates either buffer.
+#[test]
+fn oversized_decks_fail_typed_before_allocating() {
+    let session = Session::new();
+    let wide = resistor_chain(cnfet::mna::MAX_DENSE_DIM);
+    let long = "V1 in 0 DC 1\nR1 in a 1k\nR2 a b 1k\nC1 b 0 1p\n.end";
+    let steps = cnfet::mna::TranSpec::new(1e-12, 0.9e-6).nominal_steps();
+    assert!((steps.unwrap() + 1) * 5 > cnfet::mna::MAX_WAVEFORM_SAMPLES);
+    for (deck, t_stop, names) in [
+        (wide.as_str(), 1e-11, "unknowns"),
+        (long, 0.9e-6, "waveform"),
+    ] {
+        match session.run(&cnfet::TranRequest::new(deck, 1e-12, t_stop)) {
+            Err(CnfetError::Deck(e)) => assert!(e.message.contains(names), "{e}"),
+            other => panic!("expected a deck error naming {names}, got {other:?}"),
+        }
+    }
+    // A deck at the bound itself runs.
+    let result = session
+        .run(
+            &cnfet::TranRequest::new(resistor_chain(cnfet::mna::MAX_DENSE_DIM - 2), 1e-12, 1e-11)
+                .probes(["n1"]),
+        )
+        .unwrap();
+    assert_eq!(result.time.len(), 11);
+}
+
 /// Oversized composites are refused before a single child is allocated
 /// or enqueued: a trillion-die lot, a two-million-row sweep and a search
 /// of 3 × u32::MAX candidates each return `InvalidRequest`.
