@@ -8,7 +8,7 @@ use cnfet_device::{FetModel, Polarity};
 use cnfet_dk::DesignKit;
 use cnfet_logic::{NodeKind, PullGraph};
 use cnfet_mna::measure::{energy_from_supply, propagation_delay, Edge};
-use cnfet_mna::{Engine, MnaError, Pattern, Probe, SourceWave, TranSpec};
+use cnfet_mna::{Engine, MnaError, Pattern, Probe, SourceWave, TranSpec, MAX_DENSE_DIM};
 use cnfet_spice::{to_mna, Circuit, Node};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -41,7 +41,8 @@ pub struct NetlistMetrics {
 ///
 /// # Errors
 ///
-/// Returns [`MnaError`] when the transient fails.
+/// Returns [`MnaError`] when the netlist is too large for the dense
+/// solver or the transient fails.
 ///
 /// # Panics
 ///
@@ -71,7 +72,9 @@ pub fn simulate_netlist(
 ///
 /// # Errors
 ///
-/// Returns [`MnaError`] when the transient fails.
+/// Returns [`MnaError::TooLarge`] when the expanded netlist has more
+/// than [`MAX_DENSE_DIM`] unknowns, before the engine is built, and
+/// [`MnaError`] when the transient fails.
 ///
 /// # Panics
 ///
@@ -152,6 +155,12 @@ pub fn simulate_netlist_with(
 
     let out_node = ckt.node(watch_out);
     let mna = to_mna(&ckt);
+    // The engine's dense buffers are sized from the netlist: refuse it
+    // before they are allocated.
+    let dim = mna.dim();
+    if dim > MAX_DENSE_DIM {
+        return Err(MnaError::TooLarge { dim });
+    }
     let mut engine = Engine::new(Arc::new(Pattern::analyze(mna)));
     // A fixed uniform step grid: no local halving.
     let spec = TranSpec::new(4e-12, period * 1.05).max_halvings(0);

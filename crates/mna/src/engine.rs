@@ -95,6 +95,12 @@ pub enum MnaError {
     },
     /// The MNA matrix was singular (floating node or source loop).
     Singular,
+    /// The system has more unknowns than the dense solver takes
+    /// ([`MAX_DENSE_DIM`]); refused before any buffer is allocated.
+    TooLarge {
+        /// Unknowns in the refused system.
+        dim: usize,
+    },
 }
 
 impl fmt::Display for MnaError {
@@ -104,6 +110,10 @@ impl fmt::Display for MnaError {
                 write!(f, "newton iteration did not converge at step {at_step}")
             }
             MnaError::Singular => write!(f, "singular MNA matrix (floating node?)"),
+            MnaError::TooLarge { dim } => write!(
+                f,
+                "system has {dim} unknowns; the dense solver takes at most {MAX_DENSE_DIM}"
+            ),
         }
     }
 }

@@ -55,13 +55,14 @@
 //! ```
 //!
 //! where `kind` names the [`CnfetError`] variant (`generate`, `parse`,
-//! `network`, `sim_singular`, `sim_no_convergence`, `deck`, `gds`,
-//! `library`, `verilog`, `missing_cell`, `invalid_request`, `canceled`,
-//! `io`) and malformed requests use `bad_request` with a byte `position`
-//! when the JSON itself failed to parse. Simulation failures split by
-//! cause so a client can tell a structurally broken deck (`sim_singular`
-//! — floating node or source loop) from Newton trouble
-//! (`sim_no_convergence`). Grid axes are validated at parse time — a
+//! `network`, `sim_singular`, `sim_no_convergence`, `sim_too_large`,
+//! `deck`, `gds`, `library`, `verilog`, `missing_cell`,
+//! `invalid_request`, `canceled`, `io`) and malformed requests use
+//! `bad_request` with a byte `position` when the JSON itself failed to
+//! parse. Simulation failures split by cause so a client can tell a
+//! structurally broken deck (`sim_singular` — floating node or source
+//! loop) from Newton trouble (`sim_no_convergence`) and from a flow
+//! netlist past the dense solver's bound (`sim_too_large`, a `422`). Grid axes are validated at parse time — a
 //! negative or non-finite `pitch_scales` / `metallic_fractions` entry
 //! answers `400` naming the offending index (`grid.pitch_scales[1]`)
 //! before the engine ever renders a cache key — and the engine's own
@@ -142,6 +143,7 @@ pub fn error_response(error: &CnfetError) -> (u16, Json) {
         CnfetError::Network(_) => "network",
         CnfetError::Sim(MnaError::Singular) => "sim_singular",
         CnfetError::Sim(MnaError::NoConvergence { .. }) => "sim_no_convergence",
+        CnfetError::Sim(MnaError::TooLarge { .. }) => "sim_too_large",
         CnfetError::Deck(_) => "deck",
         CnfetError::Gds(_) => "gds",
         CnfetError::Library(_) => "library",

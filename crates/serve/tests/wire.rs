@@ -1532,6 +1532,96 @@ fn oversized_decks_answer_422_before_any_buffer_is_allocated() {
     server.shutdown();
 }
 
+/// A one-HTTP-worker server: a request that panicked the thread running
+/// it would leave every later request hanging.
+fn one_worker_server() -> Server {
+    Server::start(ServeConfig::default().addr("127.0.0.1:0").workers(1)).unwrap()
+}
+
+#[test]
+fn bad_loads_answer_400_and_a_one_worker_server_keeps_serving() {
+    let server = one_worker_server();
+    let mut client = Client::new(server.addr());
+    let loads = || Json::Arr(vec![Json::from(-1e-15)]);
+    let corner = Json::obj([
+        ("type", Json::str("sweep_corner")),
+        ("cell", cell_fields("inv")),
+        ("metrics", Json::str("timing")),
+        ("loads_f", loads()),
+    ]);
+    let sweep = Json::obj([
+        ("type", Json::str("sweep")),
+        ("cells", Json::Arr(vec![cell_fields("inv")])),
+        ("metrics", Json::str("timing")),
+        ("loads_f", loads()),
+    ]);
+    for (name, body) in [("sweep_corner", corner), ("sweep", sweep)] {
+        let response = client
+            .request("POST", "/v1/run")
+            .body(&body)
+            .send()
+            .unwrap();
+        assert_eq!(response.status, 400, "{name}");
+        let error = response.body.get("error").unwrap();
+        assert_eq!(error.get("kind").unwrap().as_str(), Some("invalid_request"));
+        let message = error.get("message").unwrap().as_str().unwrap();
+        assert!(message.contains("loads_f[0]"), "{name}: {message}");
+    }
+    client
+        .request("POST", "/v1/run")
+        .body(&cell("inv"))
+        .send()
+        .unwrap()
+        .expect_status(200);
+    server.shutdown();
+}
+
+#[test]
+fn oversized_flow_sims_answer_422_and_a_one_worker_server_keeps_serving() {
+    let server = one_worker_server();
+    let mut client = Client::new(server.addr());
+    // About one MNA unknown per inverter: past the dense solver's bound.
+    let n = cnfet::mna::MAX_DENSE_DIM + 100;
+    let mut verilog = String::from("module chain (input n0, output y);\n");
+    for i in 0..n {
+        let out = if i + 1 == n {
+            "y".to_string()
+        } else {
+            format!("n{}", i + 1)
+        };
+        verilog.push_str(&format!("  INV_X1 u{i} (.A(n{i}), .OUT({out}));\n"));
+    }
+    verilog.push_str("endmodule\n");
+    let flow = Json::obj([
+        ("type", Json::str("flow")),
+        ("source", Json::obj([("verilog", Json::str(&verilog))])),
+        ("target", Json::str("s1")),
+        (
+            "sim",
+            Json::obj([
+                ("toggle_in", Json::str("n0")),
+                ("watch_out", Json::str("y")),
+            ]),
+        ),
+    ]);
+    let response = client
+        .request("POST", "/v1/run")
+        .body(&flow)
+        .send()
+        .unwrap();
+    assert_eq!(response.status, 422);
+    let error = response.body.get("error").unwrap();
+    assert_eq!(error.get("kind").unwrap().as_str(), Some("sim_too_large"));
+    let message = error.get("message").unwrap().as_str().unwrap();
+    assert!(message.contains("unknowns"), "{message}");
+    client
+        .request("GET", "/v1/healthz")
+        .send()
+        .unwrap()
+        .expect_status(200);
+    server.shutdown();
+}
+
 #[test]
 fn binary_die_tables_reassemble_identical_to_json() {
     let server = server();
@@ -1647,7 +1737,7 @@ fn optimize_runs_streams_and_reuses_over_the_wire() {
     );
 
     // A widened-target search misses only its new trajectory key: every
-    // candidate outcome is target-free, so no sweep corner re-executes —
+    // candidate sweep is target-free, so no sweep corner re-executes —
     // the acceptance check, observed entirely through `/v1/stats`.
     client
         .request("POST", "/v1/run")

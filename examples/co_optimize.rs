@@ -57,18 +57,18 @@ fn main() -> cnfet::Result<()> {
     print!("\n{}", report.render());
 
     // Relaxing the target is a new trajectory over the SAME candidates:
-    // every outcome is memoized target-free, so only the trajectory key
-    // itself is new work.
+    // every candidate is a sweep memoized target-free, so only the
+    // trajectory key itself is new work.
     let relaxed = request
         .clone()
         .target(OptimizeTarget::new().min_yield(0.5).max_delay_s(80e-12));
     let second = session.run(&relaxed)?;
     let stats = session.stats();
     println!(
-        "\nre-targeted search: converged {} — {} optimization-class hits, {} misses, {} sweep corners executed once",
+        "\nre-targeted search: converged {} — {} trajectories searched, {} candidate sweeps recalled, {} sweeps and corners executed once",
         second.converged,
-        stats.optimizations.hits,
         stats.optimizations.misses,
+        stats.sweeps.hits,
         stats.sweeps.misses,
     );
     Ok(())

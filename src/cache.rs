@@ -106,13 +106,10 @@ struct Stored<V> {
 
 /// Everything a shard owns, guarded by its one mutex.
 struct ShardState<K, V> {
-    /// Indexed by the key's full 64-bit hash (computed once per request,
-    /// also used for shard selection) with a tiny collision vector per
-    /// slot, so a hit hashes the — potentially large — key exactly once
-    /// and then does one `u64` map probe plus one key compare.
-    buckets: HashMap<u64, Vec<(K, Stored<V>)>>,
-    /// Total entries across all buckets.
-    len: usize,
+    /// The resident entries. A [`CacheKey`](crate::CacheKey) carries
+    /// its hash, computed once when the key is built, so a probe hashes
+    /// one `u64` and then compares keys.
+    entries: HashMap<K, Stored<V>>,
     /// Monotone use tick behind [`Stored::last_used`].
     tick: u64,
     /// Hashes with a build in flight. Keyed by hash, not key: a 64-bit
@@ -128,73 +125,42 @@ struct ShardState<K, V> {
     inflight_waits: u64,
 }
 
-impl<K: Eq, V> ShardState<K, V> {
+impl<K: Eq + Hash, V> ShardState<K, V> {
     /// The resident value of `key`, refreshing its recency and counting
     /// the hit.
-    fn hit(&mut self, hash: u64, key: &K) -> Option<V>
+    fn hit(&mut self, key: &K) -> Option<V>
     where
         V: Clone,
     {
-        let (_, stored) = self
-            .buckets
-            .get_mut(&hash)?
-            .iter_mut()
-            .find(|(k, _)| k == key)?;
+        let stored = self.entries.get_mut(key)?;
         self.tick += 1;
         stored.last_used = self.tick;
         self.hits += 1;
         Some(stored.value.clone())
     }
 
-    fn contains(&self, hash: u64, key: &K) -> bool {
-        self.buckets
-            .get(&hash)
-            .is_some_and(|bucket| bucket.iter().any(|(k, _)| k == key))
-    }
-
     /// Inserts a key that is not resident, counts its miss, and evicts
-    /// least-recently-used entries past `capacity`. The miss and the
-    /// entry land in one critical section, so a stats snapshot never sees
-    /// one without the other: `misses >= entries + evictions` holds at
-    /// every instant.
-    fn insert(&mut self, hash: u64, key: K, value: V, capacity: usize) {
+    /// the least-recently-used entry past `capacity` (at least 1). The
+    /// miss and the entry land in one critical section, so a stats
+    /// snapshot never sees one without the other:
+    /// `misses >= entries + evictions` holds at every instant.
+    fn insert(&mut self, key: K, value: V, capacity: usize) {
         self.tick += 1;
         let stored = Stored {
             value,
             last_used: self.tick,
         };
-        self.buckets.entry(hash).or_default().push((key, stored));
-        self.len += 1;
+        self.entries.insert(key, stored);
         self.misses += 1;
-        while self.len > capacity && self.evict_lru() {
-            self.len -= 1;
+        if self.entries.len() > capacity {
+            // Ticks are unique within a shard, so the minimum names
+            // exactly one entry and no key is cloned to remove it. Two
+            // linear scans, on over-capacity inserts only, never on hits.
+            let lru = self.entries.values().map(|s| s.last_used).min();
+            self.entries
+                .retain(|_, stored| Some(stored.last_used) != lru);
             self.evictions += 1;
         }
-    }
-
-    /// Removes the least-recently-used entry (linear scan; runs only on
-    /// over-capacity inserts, never on hits).
-    fn evict_lru(&mut self) -> bool {
-        let Some((lru_hash, lru_pos)) = self
-            .buckets
-            .iter()
-            .flat_map(|(&h, bucket)| {
-                bucket
-                    .iter()
-                    .enumerate()
-                    .map(move |(i, (_, s))| ((h, i), s.last_used))
-            })
-            .min_by_key(|(_, used)| *used)
-            .map(|(at, _)| at)
-        else {
-            return false;
-        };
-        let bucket = self.buckets.get_mut(&lru_hash).expect("bucket exists");
-        bucket.swap_remove(lru_pos);
-        if bucket.is_empty() {
-            self.buckets.remove(&lru_hash);
-        }
-        true
     }
 }
 
@@ -207,8 +173,7 @@ impl<K, V> Shard<K, V> {
     fn new() -> Shard<K, V> {
         Shard {
             state: Mutex::new(ShardState {
-                buckets: HashMap::new(),
-                len: 0,
+                entries: HashMap::new(),
                 tick: 0,
                 in_flight: HashSet::new(),
                 waiters: 0,
@@ -306,8 +271,8 @@ impl<K: Clone + Eq + Hash, V: Clone> ShardedCache<K, V> {
         }
     }
 
-    /// Hashes the key once; the result selects the shard and indexes the
-    /// shard's buckets.
+    /// Hashes the key once; the result selects the shard and names the
+    /// key's in-flight claim.
     fn shard_of(&self, key: &K) -> (u64, &Shard<K, V>) {
         let mut h = std::collections::hash_map::DefaultHasher::new();
         key.hash(&mut h);
@@ -342,7 +307,7 @@ impl<K: Clone + Eq + Hash, V: Clone> ShardedCache<K, V> {
 
         let mut state = shard.lock();
         loop {
-            if let Some(value) = state.hit(hash, key) {
+            if let Some(value) = state.hit(key) {
                 return Ok((value, true));
             }
             if !state.in_flight.contains(&hash) {
@@ -366,7 +331,7 @@ impl<K: Clone + Eq + Hash, V: Clone> ShardedCache<K, V> {
         let value = build()?;
         shard
             .lock()
-            .insert(hash, key.clone(), value.clone(), self.shard_capacity);
+            .insert(key.clone(), value.clone(), self.shard_capacity);
         drop(claim);
         Ok((value, false))
     }
@@ -381,8 +346,8 @@ impl<K: Clone + Eq + Hash, V: Clone> ShardedCache<K, V> {
         if self.shard_capacity == 0 {
             return None;
         }
-        let (hash, shard) = self.shard_of(key);
-        shard.lock().hit(hash, key)
+        let (_, shard) = self.shard_of(key);
+        shard.lock().hit(key)
     }
 
     /// Clones every resident `(key, value)` pair, shard by shard — the
@@ -394,10 +359,8 @@ impl<K: Clone + Eq + Hash, V: Clone> ShardedCache<K, V> {
         let mut out = Vec::new();
         for shard in &self.shards {
             let state = shard.lock();
-            for bucket in state.buckets.values() {
-                for (key, stored) in bucket {
-                    out.push((key.clone(), stored.value.clone()));
-                }
+            for (key, stored) in &state.entries {
+                out.push((key.clone(), stored.value.clone()));
             }
         }
         out
@@ -415,16 +378,16 @@ impl<K: Clone + Eq + Hash, V: Clone> ShardedCache<K, V> {
         if self.shard_capacity == 0 {
             return;
         }
-        let (hash, shard) = self.shard_of(&key);
+        let (_, shard) = self.shard_of(&key);
         let mut state = shard.lock();
-        if !state.contains(hash, &key) {
-            state.insert(hash, key, value, self.shard_capacity);
+        if !state.entries.contains_key(&key) {
+            state.insert(key, value, self.shard_capacity);
         }
     }
 
     /// Entries currently resident across all shards.
     pub(crate) fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().len).sum()
+        self.shards.iter().map(|s| s.lock().entries.len()).sum()
     }
 
     /// Drops every resident entry; counters are kept, and so are the
@@ -434,9 +397,7 @@ impl<K: Clone + Eq + Hash, V: Clone> ShardedCache<K, V> {
     /// zero on its own.
     pub(crate) fn clear(&self) {
         for shard in &self.shards {
-            let mut state = shard.lock();
-            state.buckets.clear();
-            state.len = 0;
+            shard.lock().entries.clear();
         }
     }
 
@@ -454,7 +415,7 @@ impl<K: Clone + Eq + Hash, V: Clone> ShardedCache<K, V> {
             let s = {
                 let state = shard.lock();
                 ShardStats {
-                    entries: state.len,
+                    entries: state.entries.len(),
                     hits: state.hits,
                     misses: state.misses,
                     evictions: state.evictions,

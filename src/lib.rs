@@ -55,8 +55,8 @@
 //! [`OptimizeRequest`] nests them deepest: a coordinate-descent /
 //! successive-halving search whose every candidate evaluation is itself
 //! a memoized sweep, so overlapping candidates re-execute only new
-//! corners and a re-targeted search replays measured candidates as pure
-//! cache hits ([`optimize`]).
+//! corners and a re-targeted search recalls every candidate sweep as a
+//! pure cache hit ([`optimize`]).
 //! [`MacroRequest`] is the fourth and the first to climb a level of
 //! *layout* hierarchy: it composes the paper's full adder into an
 //! 8/32/64-bit ripple-carry or carry-look-ahead macro whose slices hold

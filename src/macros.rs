@@ -142,14 +142,7 @@ impl MacroRequest {
     /// rendering, so a malformed macro can neither poison a
     /// single-flight entry nor occupy a cache slot.
     pub fn validate(&self) -> Result<()> {
-        if MACRO_WIDTHS.contains(&self.width) {
-            Ok(())
-        } else {
-            Err(CnfetError::InvalidRequest {
-                field: "width".into(),
-                message: "expected one of 8|32|64".into(),
-            })
-        }
+        check_width(self.width)
     }
 
     /// The per-bit sub-request of one slice.
@@ -182,6 +175,39 @@ pub struct MacroSliceRequest {
     pub scheme: Scheme,
     /// Wire-load jitter seed.
     pub seed: u64,
+}
+
+impl MacroSliceRequest {
+    /// Rejects a width outside [`MACRO_WIDTHS`] and a bit index at or
+    /// past the width. An invalid slice gets no cache key and `execute`
+    /// rejects it before the adder plan is allocated.
+    ///
+    /// # Errors
+    ///
+    /// [`CnfetError::InvalidRequest`] naming `width` or `bit`.
+    pub fn validate(&self) -> Result<()> {
+        check_width(self.width)?;
+        if self.bit < self.width {
+            Ok(())
+        } else {
+            Err(CnfetError::InvalidRequest {
+                field: "bit".into(),
+                message: format!("expected a bit index below the width {}", self.width),
+            })
+        }
+    }
+}
+
+/// Rejects a macro width outside [`MACRO_WIDTHS`].
+fn check_width(width: u32) -> Result<()> {
+    if MACRO_WIDTHS.contains(&width) {
+        Ok(())
+    } else {
+        Err(CnfetError::InvalidRequest {
+            field: "width".into(),
+            message: "expected one of 8|32|64".into(),
+        })
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -352,6 +378,7 @@ pub(crate) fn execute_slice(
     request: &MacroSliceRequest,
     session: &Session,
 ) -> Result<SliceOutcome> {
+    request.validate()?;
     let plan = AdderPlan::new(request.kind, request.width);
     let fanout = plan.fanout_of(request.bit) as u32;
 
@@ -561,6 +588,30 @@ mod tests {
         let text = err.to_string();
         assert!(text.contains("width"), "{text}");
         assert!(text.contains("expected one of 8|32|64"), "{text}");
+    }
+
+    #[test]
+    fn invalid_slices_get_no_key_and_never_execute() {
+        use crate::request::SessionRequest;
+        let session = Session::new();
+        let slice = |width, bit| MacroSliceRequest {
+            kind: AdderKind::Cla,
+            width,
+            bit,
+            scheme: Scheme::Scheme2,
+            seed: 7,
+        };
+        for (width, bit, field) in [(8, 100, "bit"), (8, 8, "bit"), (7, 0, "width")] {
+            let request = slice(width, bit);
+            assert!(request.cache_key(&session).is_none(), "{width}/{bit}");
+            match session.run(&request) {
+                Err(CnfetError::InvalidRequest { field: f, .. }) => assert_eq!(f, field),
+                other => panic!("expected an invalid {field}, got {other:?}"),
+            }
+        }
+        assert_eq!(session.stats().macros.misses, 0, "nothing was cached");
+        assert!(slice(8, 7).validate().is_ok());
+        assert!(slice(8, 7).cache_key(&session).is_some());
     }
 
     #[test]

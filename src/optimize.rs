@@ -43,13 +43,14 @@
 //! the nested fan-outs, and overlapping candidates re-execute only new
 //! corners.
 //!
-//! Memoization works at both granularities in the
-//! [`RequestClass::Optimizations`](crate::RequestClass::Optimizations)
-//! cache: a repeated search is one pure whole-trajectory hit, and each
-//! measured candidate ([`CandidateOutcome`]) is memoized **target-free**
-//! — re-running a search with a widened or different target replays
-//! every already-measured candidate as a hit and the optimizer gets
-//! cheaper as it converges.
+//! The search memoizes at two levels and no more: the whole trajectory
+//! in the [`RequestClass::Optimizations`](crate::RequestClass::Optimizations)
+//! cache (a repeated search is one pure hit), and each candidate's
+//! sweep in the [`RequestClass::Sweeps`](crate::RequestClass::Sweeps)
+//! cache. The sweep key never holds the target, so a revisited
+//! coordinate, or a re-run with a widened or different target, reduces
+//! cached sweep reports into its [`CandidateOutcome`]s and executes no
+//! corner again — the optimizer gets cheaper as it converges.
 //!
 //! # Example
 //!
@@ -86,7 +87,8 @@ use crate::error::Result;
 use crate::immunity::McOptions;
 use crate::session::{check_fanout, CellRequest, Observer, Session};
 use crate::sweep::{
-    canonical_axis_value, check_axis_value, SweepMetrics, SweepRequest, VariationGrid,
+    canonical_axis_value, check_axis_value, check_loads, SweepMetrics, SweepReport, SweepRequest,
+    VariationGrid,
 };
 use std::sync::Arc;
 
@@ -353,7 +355,7 @@ impl OptimizeRequest {
 
     /// Checks the request describes a runnable search: at least one
     /// cell, one pass, a non-empty value list on every axis (including
-    /// seeds), valid grid floats, a valid target, and at most
+    /// seeds), valid grid floats and loads, a valid target, and at most
     /// [`MAX_FANOUT`](crate::MAX_FANOUT) candidates and rows per
     /// candidate sweep (cells × seeds).
     ///
@@ -386,6 +388,7 @@ impl OptimizeRequest {
             }
         }
         self.grid.validate("grid")?;
+        check_loads(&self.loads_f)?;
         self.target.validate("target")?;
         check_fanout(self.candidate_count(), "passes", "candidates")?;
         check_sweep_rows(self.cells.len(), self.grid.seeds.len(), "grid.seeds")
@@ -407,12 +410,12 @@ impl OptimizeRequest {
 }
 
 /// One candidate processing point: the unit an [`OptimizeRequest`]
-/// measures, itself a [`SessionRequest`](crate::SessionRequest) memoized
-/// in the [`RequestClass::Optimizations`](crate::RequestClass::Optimizations)
-/// cache. The key holds the candidate's coordinates and evaluation
-/// configuration but **never any target** — overlapping searches (and
-/// direct submissions) share measured candidates whatever they were
-/// searching for.
+/// measures, runnable on its own as an **uncached**
+/// [`SessionRequest`](crate::SessionRequest). Its measurement is the
+/// memoized sweep [`sweep_request`](Self::sweep_request) builds, so
+/// running a candidate twice (or after a search measured it) executes
+/// no corner again; only the O(rows) reduction into a
+/// [`CandidateOutcome`] repeats.
 #[derive(Clone, Debug)]
 pub struct OptimizeCandidateRequest {
     /// Cells evaluated at this point (generated through the session
@@ -435,19 +438,9 @@ pub struct OptimizeCandidateRequest {
 }
 
 impl OptimizeCandidateRequest {
-    /// The candidate with its float coordinates in canonical form
-    /// (`-0.0` folded to `0.0`) — cache keys render the canonical
-    /// candidate.
-    #[must_use]
-    pub fn canonical(mut self) -> OptimizeCandidateRequest {
-        self.pitch_scale = canonical_axis_value(self.pitch_scale);
-        self.metallic_fraction = canonical_axis_value(self.metallic_fraction);
-        self
-    }
-
     /// Checks the candidate is measurable: at least one cell and one
     /// seed, at most [`MAX_FANOUT`](crate::MAX_FANOUT) sweep rows
-    /// (cells × seeds), finite non-negative float coordinates.
+    /// (cells × seeds), finite non-negative float coordinates and loads.
     ///
     /// # Errors
     ///
@@ -466,7 +459,18 @@ impl OptimizeCandidateRequest {
         }
         check_sweep_rows(self.cells.len(), self.seeds.len(), "seeds")?;
         check_axis_value(self.pitch_scale, || "pitch_scale".to_string())?;
-        check_axis_value(self.metallic_fraction, || "metallic_fraction".to_string())
+        check_axis_value(self.metallic_fraction, || "metallic_fraction".to_string())?;
+        check_loads(&self.loads_f)
+    }
+
+    /// The candidate's coordinates with the floats in canonical form
+    /// (`-0.0` folded to `0.0`).
+    fn coords(&self) -> (u32, f64, f64) {
+        (
+            self.tubes_per_4lambda,
+            canonical_axis_value(self.pitch_scale),
+            canonical_axis_value(self.metallic_fraction),
+        )
     }
 
     /// The memoized sweep this candidate's measurement **is**: a
@@ -475,13 +479,13 @@ impl OptimizeCandidateRequest {
     /// `execute` build the sweep through this one constructor, so the
     /// two always agree on the sweep's cache key.
     pub fn sweep_request(&self) -> SweepRequest {
-        let canonical = self.clone().canonical();
+        let (tubes, pitch, metallic) = self.coords();
         SweepRequest::new(self.cells.iter().cloned())
             .grid(VariationGrid {
-                tube_counts: vec![canonical.tubes_per_4lambda],
-                pitch_scales: vec![canonical.pitch_scale],
-                metallic_fractions: vec![canonical.metallic_fraction],
-                seeds: canonical.seeds.clone(),
+                tube_counts: vec![tubes],
+                pitch_scales: vec![pitch],
+                metallic_fractions: vec![metallic],
+                seeds: self.seeds.clone(),
             })
             .metrics(self.metrics)
             .mc(self.mc.clone())
@@ -493,9 +497,8 @@ impl OptimizeCandidateRequest {
 // Results
 // ---------------------------------------------------------------------------
 
-/// Target-free aggregate measurements of one candidate point — what the
-/// [`RequestClass::Optimizations`](crate::RequestClass::Optimizations)
-/// cache memoizes per candidate. Worst-case over the candidate's sweep:
+/// Target-free aggregate measurements of one candidate point, reduced
+/// from its (memoized) sweep report. Worst-case over the candidate's sweep:
 /// the minimum per-row combined yield, the slowest cell delay, and the
 /// largest per-corner summed switching energy. Metrics the sweep did
 /// not measure are `None`.
@@ -780,7 +783,7 @@ pub(crate) fn execute_optimize(
         // Successive halving: each continuous axis re-spans half its
         // previous width, centered on the current point. The tube axis
         // is discrete — it re-walks the full user list each pass (the
-        // repeats are pure candidate-cache hits).
+        // repeats are pure sweep-cache hits).
         if pass + 1 < request.passes {
             pitch_axis = refine_axis(&pitch_axis, point.1, 0.0, f64::INFINITY);
             metallic_axis = refine_axis(&metallic_axis, point.2, 0.0, 1.0);
@@ -801,8 +804,8 @@ pub(crate) fn execute_optimize(
 /// Evaluates one axis round: fan every coordinate's sweep through the
 /// job pool (each a memoized [`SweepRequest`] — overlapping candidates
 /// re-execute only new corners), helping the round's own batch while
-/// harvesting, then reduce each sweep into its memoized
-/// [`CandidateOutcome`] (a pure sweep-cache hit at that point).
+/// harvesting, and reduce each harvested report into its
+/// [`CandidateOutcome`].
 fn evaluate_round(
     request: &OptimizeRequest,
     session: &Session,
@@ -813,27 +816,25 @@ fn evaluate_round(
             .iter()
             .map(|&c| request.candidate_request(c).sweep_request()),
     );
-    let mut outcomes = Vec::with_capacity(coords.len());
-    for (sweep, &c) in sweeps.zip(coords) {
-        sweep?;
-        // The candidate reduction runs through the session so the
-        // outcome memoizes in the Optimizations class; its inner sweep
-        // re-run is a pure hit on the report just harvested.
-        outcomes.push(session.run(&request.candidate_request(c))?);
-    }
-    Ok(outcomes)
+    sweeps
+        .zip(coords)
+        .map(|(sweep, &c)| Ok(candidate_outcome(&*sweep?, c)))
+        .collect()
 }
 
-/// Executes one candidate: run (or recall) its sweep, then reduce the
-/// rows into target-free worst-case aggregates.
+/// Executes one candidate: run (or recall) its sweep, then reduce it.
 pub(crate) fn execute_candidate(
     request: &OptimizeCandidateRequest,
     session: &Session,
 ) -> Result<CandidateOutcome> {
     request.validate()?;
     let report = session.run(&request.sweep_request())?;
-    let canonical = request.clone().canonical();
+    Ok(candidate_outcome(&report, request.coords()))
+}
 
+/// Reduces a candidate's sweep report into target-free worst-case
+/// aggregates at the canonical coordinates `coords`.
+fn candidate_outcome(report: &SweepReport, coords: (u32, f64, f64)) -> CandidateOutcome {
     let mut min_yield: Option<f64> = None;
     let mut max_delay: Option<f64> = None;
     for row in &report.rows {
@@ -858,15 +859,15 @@ pub(crate) fn execute_candidate(
             total_energy = Some(total_energy.map_or(e, |m: f64| m.max(e)));
         }
     }
-    Ok(CandidateOutcome {
-        tubes_per_4lambda: canonical.tubes_per_4lambda,
-        pitch_scale: canonical.pitch_scale,
-        metallic_fraction: canonical.metallic_fraction,
+    CandidateOutcome {
+        tubes_per_4lambda: coords.0,
+        pitch_scale: coords.1,
+        metallic_fraction: coords.2,
         rows: report.rows.len(),
         min_yield,
         max_delay_s: max_delay,
         total_energy_j: total_energy,
-    })
+    }
 }
 
 /// Halves a continuous axis: the same number of points, evenly spaced

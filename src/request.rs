@@ -54,7 +54,7 @@ use crate::session::{
     ImmunityEngine, ImmunityReport, ImmunityRequest, LibraryRequest, Session, TranRequest,
     TranResult,
 };
-use crate::sweep::{CornerRow, SweepCornerRequest, SweepReport, SweepRequest};
+use crate::sweep::{canonical_loads, CornerRow, SweepCornerRequest, SweepReport, SweepRequest};
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
@@ -85,12 +85,11 @@ pub enum RequestClass {
     /// ([`DieRequest`]) memoize here, so overlapping lots share die
     /// outcomes.
     Repairs,
-    /// A processing↔circuit co-optimization search — both whole
-    /// trajectories ([`OptimizeRequest`]) and the per-candidate outcomes
-    /// they derive ([`OptimizeCandidateRequest`]) memoize here, so a
-    /// re-run against a different target replays every already-measured
-    /// candidate as a hit (the measurements are target-free; only the
-    /// scoring depends on the target).
+    /// A processing↔circuit co-optimization search: one entry per whole
+    /// trajectory ([`OptimizeRequest`]). Its candidates are measured by
+    /// sweeps memoized in the [`Sweeps`](RequestClass::Sweeps) class,
+    /// whose keys hold no target, so a re-run against a different target
+    /// misses only here and executes no corner again.
     Optimizations,
     /// A hierarchical arithmetic macro — both whole macros
     /// ([`MacroRequest`]) and the per-bit-slice sub-requests they fan
@@ -223,12 +222,6 @@ pub(crate) enum KeyInner {
     /// resolved cell keys plus the search grid, target, pass count,
     /// metric selection, MC base options, and loads.
     Optimize(String),
-    /// One measured candidate: the resolved cell keys plus the
-    /// candidate's canonical corner coordinates and the seed/metric/MC/
-    /// load configuration — never the target, so re-targeted searches
-    /// replay measured candidates as hits. Lives in the
-    /// [`RequestClass::Optimizations`] cache next to whole trajectories.
-    OptimizeCandidate(String),
     /// Whole adder macros: the kind, width, scheme and jitter seed (the
     /// attached observer is *observation, not identity* — excluded, like
     /// every other composite's).
@@ -239,6 +232,14 @@ pub(crate) enum KeyInner {
     /// bits of different widths are different work. Lives in the
     /// [`RequestClass::Macros`] cache next to whole macros.
     MacroSlice(MacroKey, u32),
+}
+
+/// The session-resolved keys of a composite's cells, in request order.
+fn cell_keys(session: &Session, cells: &[CellRequest]) -> Vec<CellKey> {
+    cells
+        .iter()
+        .map(|cell| session.catalog_key(cell).0)
+        .collect()
 }
 
 /// The immunity engine selection as a key. Monte-Carlo floats are keyed
@@ -304,7 +305,7 @@ impl CacheKey {
             KeyInner::Flow(_) => RequestClass::Flow,
             KeyInner::Sweep(_) | KeyInner::SweepCorner(_) => RequestClass::Sweeps,
             KeyInner::Repair(_) | KeyInner::Die(_) => RequestClass::Repairs,
-            KeyInner::Optimize(_) | KeyInner::OptimizeCandidate(_) => RequestClass::Optimizations,
+            KeyInner::Optimize(_) => RequestClass::Optimizations,
             KeyInner::Macro(_) | KeyInner::MacroSlice(..) => RequestClass::Macros,
         }
     }
@@ -683,17 +684,13 @@ impl SessionRequest for SweepRequest {
     /// poison a single-flight entry nor occupy a cache slot.
     fn cache_key(&self, session: &Session) -> Option<CacheKey> {
         self.validate().ok()?;
-        let cell_keys: Vec<CellKey> = self
-            .cells
-            .iter()
-            .map(|cell| session.catalog_key(cell).0)
-            .collect();
+        let cell_keys = cell_keys(session, &self.cells);
         Some(CacheKey::new(KeyInner::Sweep(format!(
             "{cell_keys:?}|{:?}|{:?}|{:?}|{:?}",
             self.grid.clone().canonical(),
             self.metrics,
             self.mc,
-            self.loads_f
+            canonical_loads(&self.loads_f)
         ))))
     }
 
@@ -713,21 +710,19 @@ impl sealed::Sealed for SweepCornerRequest {}
 impl SessionRequest for SweepCornerRequest {
     type Output = CornerRow;
 
-    /// Per-corner memoization, keyed by the **canonical** corner (`-0.0`
-    /// folded to `0.0`, exactly like the whole-sweep key). Invalid float
-    /// fields (NaN, infinite, negative) yield no key — the corner
+    /// Per-corner memoization, keyed by the **canonical** corner and
+    /// loads (`-0.0` folded to `0.0`, exactly like the whole-sweep key).
+    /// Invalid floats (NaN, infinite, negative) yield no key — the corner
     /// executes uncached and `execute` rejects it.
     fn cache_key(&self, session: &Session) -> Option<CacheKey> {
-        if self.corner.validate("corner").is_err() {
-            return None;
-        }
+        self.validate().ok()?;
         let cell_key = session.catalog_key(&self.cell).0;
         Some(CacheKey::new(KeyInner::SweepCorner(format!(
             "{cell_key:?}|{:?}|{:?}|{:?}|{:?}",
             self.corner.canonical(),
             self.metrics,
             self.mc,
-            self.loads_f
+            canonical_loads(&self.loads_f)
         ))))
     }
 
@@ -804,14 +799,8 @@ impl SessionRequest for OptimizeRequest {
     /// [`Observer`](crate::Observer), if any, is deliberately excluded —
     /// observation is not identity.
     fn cache_key(&self, session: &Session) -> Option<CacheKey> {
-        if self.validate().is_err() {
-            return None;
-        }
-        let cell_keys: Vec<CellKey> = self
-            .cells
-            .iter()
-            .map(|cell| session.catalog_key(cell).0)
-            .collect();
+        self.validate().ok()?;
+        let cell_keys = cell_keys(session, &self.cells);
         Some(CacheKey::new(KeyInner::Optimize(format!(
             "{cell_keys:?}|{:?}|{:?}|{}|{:?}|{:?}|{:?}",
             self.grid.clone().canonical(),
@@ -819,15 +808,15 @@ impl SessionRequest for OptimizeRequest {
             self.passes,
             self.metrics,
             self.mc,
-            self.loads_f
+            canonical_loads(&self.loads_f)
         ))))
     }
 
     /// Runs the coordinate-descent / successive-halving search: each
     /// round fans candidate sweeps through the session's job pool
-    /// (batch-targeted helping, like every composite) and scores the
-    /// memoized [`CandidateOutcome`]s against the target. See
-    /// [`crate::optimize`] for the full schedule.
+    /// (batch-targeted helping, like every composite), reduces each
+    /// report into a [`CandidateOutcome`] and scores it against the
+    /// target. See [`crate::optimize`] for the full schedule.
     fn execute(&self, session: &Session) -> Result<Arc<OptimizeReport>> {
         crate::optimize::execute_optimize(self, session)
     }
@@ -838,36 +827,15 @@ impl sealed::Sealed for OptimizeCandidateRequest {}
 impl SessionRequest for OptimizeCandidateRequest {
     type Output = CandidateOutcome;
 
-    /// Per-candidate memoization: resolved cell keys plus the
-    /// candidate's **canonical** coordinates and the seed/metric/MC/load
-    /// configuration — never any target, so a widened or re-targeted
-    /// search replays every already-measured candidate as a pure
-    /// `Optimizations`-class hit.
-    fn cache_key(&self, session: &Session) -> Option<CacheKey> {
-        if self.validate().is_err() {
-            return None;
-        }
-        let cell_keys: Vec<CellKey> = self
-            .cells
-            .iter()
-            .map(|cell| session.catalog_key(cell).0)
-            .collect();
-        let canonical = self.clone().canonical();
-        Some(CacheKey::new(KeyInner::OptimizeCandidate(format!(
-            "{cell_keys:?}|{}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}",
-            canonical.tubes_per_4lambda,
-            canonical.pitch_scale,
-            canonical.metallic_fraction,
-            canonical.seeds,
-            canonical.metrics,
-            canonical.mc,
-            canonical.loads_f
-        ))))
+    /// `None`: a candidate is not memoized under its own key. Its
+    /// measurement is a memoized sweep, so only the O(rows) reduction
+    /// repeats.
+    fn cache_key(&self, _session: &Session) -> Option<CacheKey> {
+        None
     }
 
-    /// Reduces the candidate's (memoized) sweep into target-free
-    /// aggregate measurements. The sweep itself is a pure hit whenever
-    /// the surrounding optimizer already fanned it out.
+    /// Validates the candidate, runs (or recalls) its sweep, and reduces
+    /// the rows into target-free aggregate measurements.
     fn execute(&self, session: &Session) -> Result<CandidateOutcome> {
         crate::optimize::execute_candidate(self, session)
     }
@@ -888,9 +856,7 @@ impl SessionRequest for MacroRequest {
     /// [`Observer`](crate::Observer), if any, is deliberately
     /// excluded — observation is not identity.
     fn cache_key(&self, _session: &Session) -> Option<CacheKey> {
-        if self.validate().is_err() {
-            return None;
-        }
+        self.validate().ok()?;
         Some(CacheKey::new(KeyInner::Macro(MacroKey {
             kind: self.kind,
             width: self.width,
@@ -915,8 +881,10 @@ impl SessionRequest for MacroSliceRequest {
     /// Per-slice memoization: the whole-macro key plus the bit index.
     /// Width stays in the key (a CLA bit's fan-out depends on it);
     /// cross-macro sharing happens one level down, in the `Cell` class
-    /// the slice's sub-cell layouts memoize in.
+    /// the slice's sub-cell layouts memoize in. An invalid slice (see
+    /// [`MacroSliceRequest::validate`]) gets no key.
     fn cache_key(&self, _session: &Session) -> Option<CacheKey> {
+        self.validate().ok()?;
         let key = MacroKey {
             kind: self.kind,
             width: self.width,

@@ -480,10 +480,10 @@ pub struct SessionStats {
     /// their per-die sub-requests share this class, so an overlapping
     /// lot's die reuse shows up here as hits.
     pub repairs: RequestStats,
-    /// Optimization requests ([`RequestClass::Optimizations`]): whole
-    /// search trajectories *and* their target-free per-candidate
-    /// outcomes share this class, so a re-targeted search's candidate
-    /// reuse shows up here as hits (its sweep reuse lands in `sweeps`).
+    /// Optimization requests ([`RequestClass::Optimizations`]): one entry
+    /// per whole search trajectory. A search's candidates are sweeps, so
+    /// a revisited or re-targeted candidate shows up in `sweeps` as a
+    /// hit.
     pub optimizations: RequestStats,
     /// Macro requests ([`RequestClass::Macros`]): whole adder macros
     /// *and* their per-bit-slice sub-requests share this class, so an

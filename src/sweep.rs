@@ -152,6 +152,23 @@ pub(crate) fn check_axis_value(value: f64, field: impl FnOnce() -> String) -> Re
     Ok(())
 }
 
+/// Rejects a characterization load that is NaN, infinite, or negative,
+/// naming it `loads_f[i]` — it would reach the MNA capacitor stamp.
+pub(crate) fn check_loads(loads_f: &[f64]) -> Result<()> {
+    for (i, &load) in loads_f.iter().enumerate() {
+        check_axis_value(load, || format!("loads_f[{i}]"))?;
+    }
+    Ok(())
+}
+
+/// The loads with `-0.0` folded to `0.0`, as cache keys render them.
+pub(crate) fn canonical_loads(loads_f: &[f64]) -> Vec<f64> {
+    loads_f
+        .iter()
+        .map(|&load| canonical_axis_value(load))
+        .collect()
+}
+
 /// A cross-product variation grid: every combination of the four axes is
 /// one [`VariationCorner`]. Axes left at their [`nominal`] single value
 /// do not multiply the corner count.
@@ -451,19 +468,20 @@ impl SweepRequest {
         self.cells.len().saturating_mul(self.grid.len())
     }
 
-    /// Checks every grid float is finite and non-negative and that the
-    /// sweep has at most [`MAX_FANOUT`](crate::MAX_FANOUT) rows and grid
-    /// corners (a sweep with no cells still allocates its corners). An
-    /// invalid sweep gets no cache key and `execute` rejects it before
-    /// any corner is allocated.
+    /// Checks every grid float and load is finite and non-negative and
+    /// that the sweep has at most [`MAX_FANOUT`](crate::MAX_FANOUT) rows
+    /// and grid corners (a sweep with no cells still allocates its
+    /// corners). An invalid sweep gets no cache key and `execute` rejects
+    /// it before any corner is allocated.
     ///
     /// # Errors
     ///
     /// [`CnfetError::InvalidRequest`](crate::CnfetError::InvalidRequest)
     /// naming the offending field (`grid`, or e.g.
-    /// `grid.pitch_scales[1]`).
+    /// `grid.pitch_scales[1]`, `loads_f[0]`).
     pub fn validate(&self) -> Result<()> {
         self.grid.validate("grid")?;
+        check_loads(&self.loads_f)?;
         crate::session::check_fanout(
             self.row_count().max(self.grid.len()),
             "grid",
@@ -500,6 +518,22 @@ pub struct SweepCornerRequest {
     pub mc: McOptions,
     /// Characterization loads, farads.
     pub loads_f: Vec<f64>,
+}
+
+impl SweepCornerRequest {
+    /// Checks the corner's floats and every load are finite and
+    /// non-negative. An invalid corner gets no cache key and `execute`
+    /// rejects it.
+    ///
+    /// # Errors
+    ///
+    /// [`CnfetError::InvalidRequest`](crate::CnfetError::InvalidRequest)
+    /// naming the offending field (e.g. `corner.pitch_scale`,
+    /// `loads_f[0]`).
+    pub fn validate(&self) -> Result<()> {
+        self.corner.validate("corner")?;
+        check_loads(&self.loads_f)
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -654,7 +688,7 @@ pub(crate) fn execute_sweep(request: &SweepRequest, session: &Session) -> Result
 
 /// Evaluates one cell at one corner.
 pub(crate) fn execute_corner(request: &SweepCornerRequest, session: &Session) -> Result<CornerRow> {
-    request.corner.validate("corner")?;
+    request.validate()?;
     let result = session.run(&request.cell)?;
     let cell = result.cell.clone();
     let corner = request.corner;

@@ -722,26 +722,25 @@ fn errors_unify_under_cnfet_error() {
 
 #[test]
 fn optimize_memoizes_trajectory_and_reuses_candidates_on_retarget() {
-    // The search memoizes at BOTH granularities in the `Optimizations`
-    // class: the whole trajectory (keyed on the target) and every
-    // candidate outcome (target-free). A re-targeted search therefore
-    // misses only its new trajectory key — every measured candidate and
-    // every underlying sweep corner comes back from the cache.
+    // The search memoizes its whole trajectory (keyed on the target) in
+    // the `Optimizations` class and each candidate's sweep (target-free)
+    // in the `Sweeps` class. A re-targeted search therefore misses only
+    // its new trajectory key — every candidate sweep and every corner
+    // under it comes back from the cache.
     let session = Session::new();
     let first = session.run(&small_optimize()).unwrap();
     assert_eq!(first.candidates.len(), 4, "2 tubes + 1 pitch + 1 metallic");
     assert!(first.best_index.is_some());
 
     let after_first = session.stats();
+    assert_eq!(after_first.optimizations.misses, 1, "one trajectory key");
+    assert_eq!(after_first.optimizations.hits, 0);
     // The coordinate revisited by the pitch and metallic rounds is a
-    // candidate-cache hit, not a fourth sweep execution.
+    // sweep-cache hit, not a third or fourth sweep execution.
+    assert_eq!(after_first.sweeps.hits, 2, "two revisited candidates");
     assert_eq!(
-        after_first.optimizations.misses, 3,
-        "one trajectory key + two distinct candidates"
-    );
-    assert_eq!(
-        after_first.optimizations.hits, 2,
-        "two revisited candidates"
+        after_first.sweeps.misses, 4,
+        "two distinct candidate sweeps and their one corner each"
     );
     let sweep_misses = after_first.sweeps.misses;
     let cell_misses = after_first.cells.misses;
@@ -750,11 +749,12 @@ fn optimize_memoizes_trajectory_and_reuses_candidates_on_retarget() {
     let again = session.run(&small_optimize()).unwrap();
     assert!(Arc::ptr_eq(&first, &again));
     let stats = session.stats();
-    assert_eq!(stats.optimizations.hits, 3);
-    assert_eq!(stats.optimizations.misses, 3);
+    assert_eq!(stats.optimizations.hits, 1);
+    assert_eq!(stats.optimizations.misses, 1);
+    assert_eq!(stats.sweeps.hits, after_first.sweeps.hits);
     assert_eq!(stats.sweeps.misses, sweep_misses);
 
-    // Widened target: a fresh trajectory, but every candidate outcome is
+    // Widened target: a fresh trajectory, but every candidate sweep is
     // target-free — only the new trajectory key misses, and no sweep
     // corner (or cell) executes again.
     let widened = small_optimize().target(OptimizeTarget::new().min_yield(0.5));
@@ -762,8 +762,14 @@ fn optimize_memoizes_trajectory_and_reuses_candidates_on_retarget() {
     assert_eq!(retargeted.candidates.len(), first.candidates.len());
     let stats = session.stats();
     assert_eq!(
-        stats.optimizations.misses, 4,
+        stats.optimizations.misses, 2,
         "only the widened trajectory key is new"
+    );
+    assert_eq!(stats.optimizations.hits, 1);
+    assert_eq!(
+        stats.sweeps.hits,
+        after_first.sweeps.hits + 4,
+        "every candidate sweep is a hit"
     );
     assert_eq!(stats.sweeps.misses, sweep_misses, "no corner re-executes");
     assert_eq!(stats.cells.misses, cell_misses, "no layout regenerates");
@@ -884,6 +890,102 @@ fn oversized_decks_fail_typed_before_allocating() {
         )
         .unwrap();
     assert_eq!(result.time.len(), 11);
+}
+
+/// A flow netlist whose transistor expansion is past the dense solver's
+/// dimension bound fails typed before the engine allocates anything.
+#[test]
+fn oversized_flow_sims_fail_typed_before_the_engine_is_built() {
+    match Session::new().run(&inverter_chain_flow(1100)) {
+        Err(CnfetError::Sim(cnfet::mna::MnaError::TooLarge { dim })) => {
+            assert!(dim > cnfet::mna::MAX_DENSE_DIM, "{dim}");
+        }
+        other => panic!("expected a too-large simulation, got {other:?}"),
+    }
+}
+
+/// A simulated CNFET flow over a chain of `n` inverters: about one MNA
+/// unknown per inverter.
+fn inverter_chain_flow(n: usize) -> FlowRequest {
+    let mut src = String::from("module chain (input n0, output y);\n");
+    for i in 0..n {
+        let out = if i + 1 == n {
+            "y".to_string()
+        } else {
+            format!("n{}", i + 1)
+        };
+        src.push_str(&format!("  INV_X1 u{i} (.A(n{i}), .OUT({out}));\n"));
+    }
+    src.push_str("endmodule\n");
+    FlowRequest::cnfet(FlowSource::Verilog(src), Scheme::Scheme1).simulate(cnfet::SimSpec {
+        toggle_in: "n0".into(),
+        ties: Default::default(),
+        watch_out: "y".into(),
+    })
+}
+
+/// A NaN, infinite or negative load is an invalid request on every
+/// request that carries loads, instead of a panic at the capacitor
+/// stamp; the two zeros share one cache entry.
+#[test]
+fn bad_loads_are_invalid_requests_and_signed_zero_loads_share_an_entry() {
+    let session = Session::new();
+    let field_of = |result: Result<(), CnfetError>| match result {
+        Err(CnfetError::InvalidRequest { field, .. }) => field,
+        other => panic!("expected an invalid request, got {other:?}"),
+    };
+    let corner = |load: f64| cnfet::SweepCornerRequest {
+        cell: CellRequest::new(StdCellKind::Inv),
+        corner: cnfet::VariationCorner::nominal(),
+        metrics: SweepMetrics::TIMING,
+        mc: Default::default(),
+        loads_f: vec![1e-15, load],
+    };
+    for bad in [-1e-15, f64::NAN, f64::INFINITY] {
+        let request = corner(bad);
+        assert_eq!(field_of(request.validate()), "loads_f[1]");
+        assert!(request.cache_key(&session).is_none());
+        assert_eq!(
+            field_of(session.run(&request).map(drop)),
+            "loads_f[1]",
+            "the corner never reaches characterization"
+        );
+
+        let sweep = SweepRequest::new([StdCellKind::Inv])
+            .metrics(SweepMetrics::TIMING)
+            .loads([bad]);
+        assert!(sweep.cache_key(&session).is_none());
+        assert_eq!(field_of(session.run(&sweep).map(drop)), "loads_f[0]");
+
+        let search = small_optimize().loads([bad]);
+        assert!(search.cache_key(&session).is_none());
+        assert_eq!(field_of(session.run(&search).map(drop)), "loads_f[0]");
+
+        let candidate = cnfet::OptimizeCandidateRequest {
+            cells: vec![CellRequest::new(StdCellKind::Inv)],
+            tubes_per_4lambda: 26,
+            pitch_scale: 1.0,
+            metallic_fraction: 0.0,
+            seeds: vec![7],
+            metrics: SweepMetrics::TIMING,
+            mc: Default::default(),
+            loads_f: vec![bad],
+        };
+        assert_eq!(field_of(session.run(&candidate).map(drop)), "loads_f[0]");
+    }
+    let stats = session.stats();
+    assert_eq!(stats.sweeps.requests(), 0, "nothing was cached or counted");
+    assert_eq!(stats.optimizations.requests(), 0);
+
+    assert_eq!(
+        corner(0.0).cache_key(&session),
+        corner(-0.0).cache_key(&session)
+    );
+    let sweep = |load: f64| SweepRequest::new([StdCellKind::Inv]).loads([load]);
+    assert_eq!(
+        sweep(0.0).cache_key(&session),
+        sweep(-0.0).cache_key(&session)
+    );
 }
 
 /// Oversized composites are refused before a single child is allocated
