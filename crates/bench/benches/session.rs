@@ -14,15 +14,17 @@
 use cnfet::core::{GenerateOptions, Scheme, StdCellKind};
 use cnfet::device::Polarity;
 use cnfet::dk::DesignKit;
+use cnfet::immunity::McOptions;
 use cnfet::logic::AdderKind;
-use cnfet::repair::DefectParams;
+use cnfet::repair::{DefectParams, Solver};
 use cnfet::spice::{Circuit, SourceWave};
 use cnfet::{
-    CellRequest, FlowRequest, FlowSource, ImmunityRequest, LibraryRequest, MacroRequest,
-    OptimizeRequest, OptimizeTarget, RepairRequest, RequestKind, Session, SweepMetrics,
-    SweepRequest, VariationGrid,
+    CellRequest, DieRequest, FlowRequest, FlowSource, ImmunityRequest, LibraryRequest,
+    MacroRequest, OptimizeRequest, OptimizeTarget, RepairRequest, RequestKind, Session,
+    SessionRequest, SweepCornerRequest, SweepMetrics, SweepRequest, VariationCorner, VariationGrid,
 };
 use cnfet_bench::harness::Harness;
+use std::hint::black_box;
 use std::sync::Arc;
 
 /// The golden-test inverter: a loaded CNFET inverter driven by a pulse
@@ -356,5 +358,47 @@ fn main() {
         warm_lib.run(&LibraryRequest::new(Scheme::Scheme1)).unwrap()
     });
 
+    // Key builds (record-only): one iteration builds 1,000 keys, so a
+    // sample's time over 1,000 is one key's cost. Every probe — so every
+    // cache hit and every fan-out child — builds one.
+    let keys = Session::new();
+    let three = [StdCellKind::Inv, StdCellKind::Nand(2), StdCellKind::Nor(2)];
+    let corner = SweepCornerRequest {
+        cell: CellRequest::new(StdCellKind::Inv),
+        corner: VariationCorner::nominal(),
+        metrics: SweepMetrics::ALL,
+        mc: McOptions::default(),
+        loads_f: vec![1e-15],
+    };
+    let die = DieRequest {
+        cells: three.map(CellRequest::new).to_vec(),
+        die: 7,
+        base_seed: 0xB0BBA,
+        spares: 2,
+        params: DefectParams::default(),
+        solver: Solver::Auto,
+        adjacent: Vec::new(),
+    };
+    let sweep = SweepRequest::new(three).grid(VariationGrid::nominal().seeds([1, 2]));
+    key_builds(
+        &mut h,
+        "cell",
+        &keys,
+        &CellRequest::new(StdCellKind::Nand(2)),
+    );
+    key_builds(&mut h, "sweep_3c", &keys, &sweep);
+    key_builds(&mut h, "corner", &keys, &corner);
+    key_builds(&mut h, "optimize_3c", &keys, &OptimizeRequest::new(three));
+    key_builds(&mut h, "die_3c", &keys, &die);
+
     h.finish();
+}
+
+/// Times 1,000 key builds of `request` per iteration as `key_build_{name}`.
+fn key_builds<R: SessionRequest>(h: &mut Harness, name: &str, session: &Session, request: &R) {
+    h.bench(format!("key_build_{name}"), 200, || {
+        for _ in 0..1000 {
+            black_box(request.cache_key(session));
+        }
+    });
 }

@@ -50,7 +50,7 @@ pub mod region;
 pub mod verdict;
 
 pub use cert::{certify, CertReport};
-pub use mc::{simulate, trace_polyline, McOptions, McReport, Witness};
+pub use mc::{sample_polyline, simulate, trace_polyline, McOptions, McReport, Witness};
 pub use metallic::{metallic_yield, MetallicProcess};
 pub use region::{build_columns, ColumnMap, RegionKind, Slab, TraceMap};
 pub use verdict::{Segment, Verdict};

@@ -109,11 +109,6 @@ impl McReport {
 /// Runs the Monte-Carlo mispositioning experiment on a prepared cell.
 pub fn simulate(map: &TraceMap, opts: &McOptions) -> McReport {
     let mut rng = StdRng::seed_from_u64(opts.seed);
-    let bbox = map.bbox();
-    let (x0, x1) = (bbox.x0().0, bbox.x1().0);
-    let (y0, y1) = (bbox.y0().0, bbox.y1().0);
-    let seg_dx = (opts.segment_len_lambda * DBU_PER_LAMBDA as f64).max(1.0);
-
     let mut failures = 0usize;
     let mut metallic_failures = 0usize;
     let mut witnesses = Vec::new();
@@ -125,19 +120,7 @@ pub fn simulate(map: &TraceMap, opts: &McOptions) -> McReport {
         // therefore every pre-variation golden result) is unchanged.
         let metallic =
             opts.metallic_fraction > 0.0 && rng.gen_range(0.0..1.0) < opts.metallic_fraction;
-
-        // Sample an x-monotone polyline spanning the cell.
-        poly.clear();
-        let mut x = x0 as f64;
-        let mut y = rng.gen_range(y0 as f64..=y1 as f64);
-        poly.push((x, y));
-        while x < x1 as f64 {
-            let slope: f64 = rng.gen_range(-opts.tau..=opts.tau);
-            let nx = (x + seg_dx).min(x1 as f64);
-            y += slope * (nx - x);
-            x = nx;
-            poly.push((x, y));
-        }
+        sample_polyline(map, &mut rng, opts.tau, opts.segment_len_lambda, &mut poly);
 
         if let Some(seg) = trace_polyline(map, &poly, metallic) {
             failures += 1;
@@ -158,6 +141,38 @@ pub fn simulate(map: &TraceMap, opts: &McOptions) -> McReport {
         failures,
         metallic_failures,
         witnesses,
+    }
+}
+
+/// Draws one wavy tube into `poly`: an x-monotone polyline spanning the
+/// cell of `map`, starting at a height drawn uniformly over the cell and
+/// stepping `segment_len_lambda` in x, each step's slope drawn uniformly
+/// from `[-tau, tau]`.
+///
+/// This is the one tube model of the workspace: the Monte-Carlo engine
+/// and the repair crate's site tester both draw through it, each after
+/// its own draws, so their RNG streams are those of the model alone.
+pub fn sample_polyline(
+    map: &TraceMap,
+    rng: &mut StdRng,
+    tau: f64,
+    segment_len_lambda: f64,
+    poly: &mut Vec<(f64, f64)>,
+) {
+    let bbox = map.bbox();
+    let (x0, x1) = (bbox.x0().0 as f64, bbox.x1().0 as f64);
+    let (y0, y1) = (bbox.y0().0 as f64, bbox.y1().0 as f64);
+    let seg_dx = (segment_len_lambda * DBU_PER_LAMBDA as f64).max(1.0);
+    poly.clear();
+    let mut x = x0;
+    let mut y = rng.gen_range(y0..=y1);
+    poly.push((x, y));
+    while x < x1 {
+        let slope: f64 = rng.gen_range(-tau..=tau);
+        let nx = (x + seg_dx).min(x1);
+        y += slope * (nx - x);
+        x = nx;
+        poly.push((x, y));
     }
 }
 

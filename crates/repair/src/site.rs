@@ -15,10 +15,9 @@
 //! fails on drive loss alone.
 
 use crate::defect::{DefectKind, DefectParams, SiteDefects};
-use cnfet_geom::DBU_PER_LAMBDA;
-use cnfet_immunity::{trace_polyline, TraceMap};
+use cnfet_immunity::{sample_polyline, trace_polyline, TraceMap};
 use cnfet_rng::rngs::StdRng;
-use cnfet_rng::{Rng, SeedableRng};
+use cnfet_rng::SeedableRng;
 
 /// The verdict of one (layout, site) evaluation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -47,11 +46,13 @@ impl<'a> SiteTester<'a> {
 
     /// Evaluates one site's defects against the prepared layout.
     ///
-    /// Each metallic or mispositioned tube's geometry is an x-monotone
-    /// polyline generated deterministically from the tube's recorded
-    /// seed (offset uniform over the cell height, then a bounded-slope
-    /// random walk — the Monte-Carlo engine's tube model), so the same
-    /// defect record always traces the same path over a given layout.
+    /// Each metallic or mispositioned tube's geometry is drawn by
+    /// [`sample_polyline`] — the Monte-Carlo engine's tube model — from
+    /// the tube's recorded seed and the process's
+    /// [`tau`](DefectParams::tau) and
+    /// [`segment_len_lambda`](DefectParams::segment_len_lambda), so the
+    /// same defect record always traces the same path over a given
+    /// layout.
     pub fn test(&self, site: &SiteDefects, params: &DefectParams) -> SiteVerdict {
         let mut harmful_shorts = 0u32;
         let mut open_tubes = 0u32;
@@ -60,7 +61,9 @@ impl<'a> SiteTester<'a> {
             match defect.kind {
                 DefectKind::Open => open_tubes += 1,
                 DefectKind::Metallic | DefectKind::Mispositioned => {
-                    self.polyline(defect.seed, params, &mut poly);
+                    let mut rng = StdRng::seed_from_u64(defect.seed);
+                    let (tau, segment) = (params.tau, params.segment_len_lambda);
+                    sample_polyline(self.map, &mut rng, tau, segment, &mut poly);
                     let metallic = defect.kind == DefectKind::Metallic;
                     if trace_polyline(self.map, &poly, metallic).is_some() {
                         harmful_shorts += 1;
@@ -74,28 +77,6 @@ impl<'a> SiteTester<'a> {
             functional: harmful_shorts == 0 && open_ok,
             harmful_shorts,
             open_tubes,
-        }
-    }
-
-    /// Writes the tube's trace into `poly`: an x-monotone polyline
-    /// spanning the cell, with a seeded vertical offset and bounded-slope
-    /// segments of [`DefectParams::segment_len_lambda`].
-    fn polyline(&self, seed: u64, params: &DefectParams, poly: &mut Vec<(f64, f64)>) {
-        let bbox = self.map.bbox();
-        let (x0, x1) = (bbox.x0().0 as f64, bbox.x1().0 as f64);
-        let (y0, y1) = (bbox.y0().0 as f64, bbox.y1().0 as f64);
-        let mut rng = StdRng::seed_from_u64(seed);
-        let seg_dx = (params.segment_len_lambda * DBU_PER_LAMBDA as f64).max(1.0);
-        poly.clear();
-        let mut x = x0;
-        let mut y = rng.gen_range(y0..=y1);
-        poly.push((x, y));
-        while x < x1 {
-            let slope: f64 = rng.gen_range(-params.tau..=params.tau);
-            let nx = (x + seg_dx).min(x1);
-            y += slope * (nx - x);
-            x = nx;
-            poly.push((x, y));
         }
     }
 }

@@ -1577,6 +1577,48 @@ fn bad_loads_answer_400_and_a_one_worker_server_keeps_serving() {
 }
 
 #[test]
+fn tube_counts_past_their_bounds_answer_400_and_a_one_worker_server_keeps_serving() {
+    let server = one_worker_server();
+    let mut client = Client::new(server.addr());
+    let immunity = Json::obj([
+        ("type", Json::str("immunity")),
+        ("cell", cell_fields("inv")),
+        ("engine", Json::str("monte_carlo")),
+        (
+            "mc",
+            Json::obj([("tubes", Json::from(1_000_000_000_000_000u64))]),
+        ),
+    ]);
+    let lot = Json::obj([
+        ("type", Json::str("repair")),
+        ("cells", Json::Arr(vec![cell_fields("inv")])),
+        (
+            "params",
+            Json::obj([("tubes_per_site", Json::from(u64::from(u32::MAX)))]),
+        ),
+    ]);
+    for (body, field) in [(immunity, "mc.tubes"), (lot, "params.tubes_per_site")] {
+        let response = client
+            .request("POST", "/v1/run")
+            .body(&body)
+            .send()
+            .unwrap();
+        assert_eq!(response.status, 400, "{field}");
+        let error = response.body.get("error").unwrap();
+        assert_eq!(error.get("kind").unwrap().as_str(), Some("invalid_request"));
+        let message = error.get("message").unwrap().as_str().unwrap();
+        assert!(message.contains(field), "{field}: {message}");
+    }
+    client
+        .request("POST", "/v1/run")
+        .body(&cell("inv"))
+        .send()
+        .unwrap()
+        .expect_status(200);
+    server.shutdown();
+}
+
+#[test]
 fn oversized_flow_sims_answer_422_and_a_one_worker_server_keeps_serving() {
     let server = one_worker_server();
     let mut client = Client::new(server.addr());

@@ -179,7 +179,8 @@ pub use request::{CacheKey, RequestClass, RequestKind, ResponseKind, SessionRequ
 pub use session::{
     CellRequest, CellResult, FlowRequest, FlowResult, FlowSource, FlowTarget, ImmunityEngine,
     ImmunityReport, ImmunityRequest, LibraryRequest, Observer, RequestStats, Session,
-    SessionBuilder, SessionStats, SimSpec, TranRequest, TranResult, MAX_FANOUT,
+    SessionBuilder, SessionStats, SimSpec, TranRequest, TranResult, MAX_FANOUT, MAX_MC_TUBES,
+    MAX_TUBES_PER_SITE,
 };
 pub use snapshot::SnapshotError;
 pub use sweep::{

@@ -93,7 +93,7 @@ pub struct MacroRequest {
     pub seed: u64,
     /// Per-slice progress hook, fed outcomes in bit order; excluded
     /// from the cache key (see [`Observer`]).
-    observer: Option<Observer<SliceOutcome>>,
+    pub(crate) observer: Option<Observer<SliceOutcome>>,
 }
 
 impl MacroRequest {

@@ -87,8 +87,8 @@ use crate::error::Result;
 use crate::immunity::McOptions;
 use crate::session::{check_fanout, CellRequest, Observer, Session};
 use crate::sweep::{
-    canonical_axis_value, check_axis_value, check_loads, SweepMetrics, SweepReport, SweepRequest,
-    VariationGrid,
+    canonical_axis_value, check_axis_value, check_loads, check_mc_tubes, SweepMetrics, SweepReport,
+    SweepRequest, VariationGrid,
 };
 use std::sync::Arc;
 
@@ -268,7 +268,7 @@ pub struct OptimizeRequest {
     pub loads_f: Vec<f64>,
     /// Per-candidate progress hook, fed rows in schedule order; excluded
     /// from the cache key (see [`Observer`]).
-    observer: Option<Observer<CandidateRow>>,
+    pub(crate) observer: Option<Observer<CandidateRow>>,
 }
 
 impl OptimizeRequest {
@@ -355,7 +355,9 @@ impl OptimizeRequest {
 
     /// Checks the request describes a runnable search: at least one
     /// cell, one pass, a non-empty value list on every axis (including
-    /// seeds), valid grid floats and loads, a valid target, and at most
+    /// seeds), valid grid floats and loads (at least one for timing or
+    /// liberty metrics), at most [`MAX_MC_TUBES`](crate::MAX_MC_TUBES)
+    /// Monte-Carlo tubes, a valid target, and at most
     /// [`MAX_FANOUT`](crate::MAX_FANOUT) candidates and rows per
     /// candidate sweep (cells × seeds).
     ///
@@ -388,7 +390,8 @@ impl OptimizeRequest {
             }
         }
         self.grid.validate("grid")?;
-        check_loads(&self.loads_f)?;
+        check_loads(&self.loads_f, self.metrics.needs_characterization())?;
+        check_mc_tubes(&self.mc)?;
         self.target.validate("target")?;
         check_fanout(self.candidate_count(), "passes", "candidates")?;
         check_sweep_rows(self.cells.len(), self.grid.seeds.len(), "grid.seeds")
@@ -440,7 +443,9 @@ pub struct OptimizeCandidateRequest {
 impl OptimizeCandidateRequest {
     /// Checks the candidate is measurable: at least one cell and one
     /// seed, at most [`MAX_FANOUT`](crate::MAX_FANOUT) sweep rows
-    /// (cells × seeds), finite non-negative float coordinates and loads.
+    /// (cells × seeds), finite non-negative float coordinates and loads
+    /// (at least one for timing or liberty metrics), and at most
+    /// [`MAX_MC_TUBES`](crate::MAX_MC_TUBES) Monte-Carlo tubes.
     ///
     /// # Errors
     ///
@@ -460,7 +465,8 @@ impl OptimizeCandidateRequest {
         check_sweep_rows(self.cells.len(), self.seeds.len(), "seeds")?;
         check_axis_value(self.pitch_scale, || "pitch_scale".to_string())?;
         check_axis_value(self.metallic_fraction, || "metallic_fraction".to_string())?;
-        check_loads(&self.loads_f)
+        check_loads(&self.loads_f, self.metrics.needs_characterization())?;
+        check_mc_tubes(&self.mc)
     }
 
     /// The candidate's coordinates with the floats in canonical form

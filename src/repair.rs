@@ -61,8 +61,8 @@ pub use cnfet_repair::{
 
 use crate::error::{CnfetError, Result};
 use crate::immunity::TraceMap;
-use crate::session::{CellKey, CellRequest, CellResult, Observer, Session};
-use crate::sweep::{canonical_axis_value, check_axis_value};
+use crate::session::{CellRequest, CellResult, Observer, Session, MAX_TUBES_PER_SITE};
+use crate::sweep::check_axis_value;
 use cnfet_repair::site_count;
 use std::sync::Arc;
 
@@ -105,7 +105,7 @@ pub struct RepairRequest {
     pub adjacent: Vec<(u32, u32)>,
     /// Per-die progress hook, fed outcomes in die order; excluded from
     /// the cache key (see [`Observer`]).
-    observer: Option<Observer<DieOutcome>>,
+    pub(crate) observer: Option<Observer<DieOutcome>>,
 }
 
 impl RepairRequest {
@@ -184,26 +184,18 @@ impl RepairRequest {
 
     /// Checks that the lot has at most [`MAX_FANOUT`](crate::MAX_FANOUT)
     /// dies, that a die's site count (one per cell plus the spares) fits
-    /// in a `u32` and that every [`DefectParams`] float is finite and
-    /// non-negative. An invalid lot gets no cache key and `execute`
-    /// rejects it before any die is allocated.
+    /// in a `u32`, that a site grows at most [`MAX_TUBES_PER_SITE`] tubes
+    /// and that every [`DefectParams`] float is finite and non-negative.
+    /// An invalid lot gets no cache key and `execute` rejects it before
+    /// any die is allocated.
     ///
     /// # Errors
     ///
     /// [`CnfetError::InvalidRequest`] naming the offending field
-    /// (`dies`, `spares`, or e.g. `params.tau`).
+    /// (`dies`, `spares`, `params.tubes_per_site`, or e.g. `params.tau`).
     pub fn validate(&self) -> Result<()> {
         crate::session::check_fanout(self.die_count(), "dies", "dies per lot")?;
         validate_die(self.cells.len(), self.spares, &self.params)
-    }
-
-    /// The structural cache key of the whole lot: a die's key with the
-    /// lot size in place of the die index.
-    pub(crate) fn key(&self, session: &Session) -> RepairKey {
-        RepairKey {
-            dies: self.dies,
-            ..self.die_request(0).key(session)
-        }
     }
 
     /// The per-die sub-request of one die index.
@@ -252,42 +244,6 @@ impl DieRequest {
     pub fn validate(&self) -> Result<()> {
         validate_die(self.cells.len(), self.spares, &self.params)
     }
-
-    /// The structural cache key of this die.
-    pub(crate) fn key(&self, session: &Session) -> RepairKey {
-        RepairKey {
-            cells: self
-                .cells
-                .iter()
-                .map(|cell| session.catalog_key(cell).0)
-                .collect(),
-            dies: self.die,
-            base_seed: self.base_seed,
-            spares: self.spares,
-            tubes_per_site: self.params.tubes_per_site,
-            params: param_floats(&self.params).map(|(_, v)| canonical_axis_value(v).to_bits()),
-            solver: self.solver,
-            adjacent: self.adjacent.clone(),
-        }
-    }
-}
-
-/// The memoization input of a repair lot or one die: the resolved cell
-/// keys, the process, and the solver set-up. Floats are keyed by their
-/// bits with `-0.0` folded to `0.0`; only valid requests get a key, so
-/// no NaN ever reaches one.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
-pub(crate) struct RepairKey {
-    cells: Vec<CellKey>,
-    /// The lot size in a lot key, the die index in a die key.
-    dies: u64,
-    base_seed: u64,
-    spares: u32,
-    tubes_per_site: u32,
-    /// The [`param_floats`], in order.
-    params: [u64; 6],
-    solver: Solver,
-    adjacent: Vec<(u32, u32)>,
 }
 
 /// The float fields of [`DefectParams`], named as on the wire.
@@ -310,6 +266,12 @@ fn validate_die(cells: usize, spares: u32, params: &DefectParams) -> Result<()> 
                 "{cells} cells plus {spares} spares exceed {} sites per die",
                 u32::MAX
             ),
+        });
+    }
+    if params.tubes_per_site > MAX_TUBES_PER_SITE {
+        return Err(CnfetError::InvalidRequest {
+            field: "params.tubes_per_site".into(),
+            message: format!("more than {MAX_TUBES_PER_SITE} tubes per site"),
         });
     }
     for (name, value) in param_floats(params) {

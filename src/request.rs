@@ -1,23 +1,14 @@
 //! The [`SessionRequest`] trait: one generic seam for every request the
 //! [`Session`](crate::Session) engine can service.
 //!
-//! PR 1 gave the session four hand-plumbed entry points (`generate`,
-//! `library`, `immunity`, `flow`), each re-implementing cache-key
-//! construction and memoization, and only cells could fan out through the
-//! batch executor. This module retires that shape: every request kind —
-//! [`CellRequest`], [`LibraryRequest`], [`ImmunityRequest`],
-//! [`FlowRequest`], the composite [`SweepRequest`] /
-//! [`SweepCornerRequest`] pair, and the uncached [`TranRequest`] —
-//! implements [`SessionRequest`], and
-//! memoization, single-flight, and stats accounting live once, in the
-//! generic [`Session::run`](crate::Session::run).
-//!
-//! The trait has three hooks:
+//! Every request kind implements [`SessionRequest`], so memoization,
+//! single-flight, and stats accounting live once, in the generic
+//! [`Session::run`](crate::Session::run). The trait has three hooks:
 //!
 //! * [`SessionRequest::cache_key`] — the request's complete memoization
-//!   input as a [`CacheKey`], or `None` for requests that must not be
-//!   cached at this level (the [`RequestKind`] dispatch wrapper returns
-//!   `None` because the inner request memoizes itself);
+//!   input as a [`CacheKey`]: canonical bytes written by one key writer.
+//!   `None` for requests that must not be cached at this level (the
+//!   [`RequestKind`] dispatch wrapper's inner request memoizes itself);
 //! * [`SessionRequest::execute`] — the miss path: the actual work, run
 //!   single-flight per key outside the cache locks;
 //! * [`SessionRequest::annotate`] — a post-cache touch-up applied to
@@ -36,25 +27,31 @@
 //! [`CacheKey`] can stay opaque and the session can hold exactly one
 //! cache per [`RequestClass`].
 
-use crate::core::generate_from_networks;
+use crate::core::{
+    generate_from_networks, DesignRules, GenerateOptions, RowPolicy, Scheme, Sizing, StdCellKind,
+    Style,
+};
 use crate::dk::{self, CellLibrary};
 use crate::error::{CnfetError, Result};
 use crate::flow::{
     assemble_gds_with, full_adder, parse_verilog, place_cmos_with, place_cnfet_with,
-    simulate_netlist_with, Tech,
+    simulate_netlist_with, GateInst, Netlist, PortDir, Tech,
 };
-use crate::immunity::{certify, simulate};
+use crate::immunity::{certify, simulate, McOptions};
+use crate::logic::{AdderKind, SpNetwork, VarId};
 use crate::macros::{MacroReport, MacroRequest, MacroSliceRequest, SliceOutcome};
 use crate::optimize::{
-    CandidateOutcome, OptimizeCandidateRequest, OptimizeReport, OptimizeRequest,
+    CandidateOutcome, OptimizeCandidateRequest, OptimizeReport, OptimizeRequest, OptimizeTarget,
 };
-use crate::repair::{DieOutcome, DieRequest, RepairKey, RepairReport, RepairRequest};
+use crate::repair::{DefectParams, DieOutcome, DieRequest, RepairReport, RepairRequest, Solver};
 use crate::session::{
-    CellKey, CellRequest, CellResult, FlowRequest, FlowResult, FlowSource, FlowTarget,
-    ImmunityEngine, ImmunityReport, ImmunityRequest, LibraryRequest, Session, TranRequest,
-    TranResult,
+    CellRequest, CellResult, FlowRequest, FlowResult, FlowSource, FlowTarget, ImmunityEngine,
+    ImmunityReport, ImmunityRequest, LibraryRequest, Session, SimSpec, TranRequest, TranResult,
 };
-use crate::sweep::{canonical_loads, CornerRow, SweepCornerRequest, SweepReport, SweepRequest};
+use crate::sweep::{
+    canonical_axis_value, CornerRow, SweepCornerRequest, SweepMetrics, SweepReport, SweepRequest,
+    VariationCorner, VariationGrid,
+};
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
@@ -141,33 +138,56 @@ impl RequestClass {
     }
 }
 
-/// A request's complete memoization input: which cache it lives in plus
-/// everything that distinguishes two non-interchangeable requests of that
-/// class. Two requests with equal keys are served the same cached result.
-#[derive(Clone)]
+/// A request's complete memoization input, as canonical bytes: which
+/// cache it lives in plus everything that distinguishes two
+/// non-interchangeable requests of that class. Two requests with equal
+/// keys are served the same cached result.
+///
+/// Every key is written by one key writer. The bytes start with the
+/// request kind, so a composite and its own sub-request never collide,
+/// and a snapshot stores them verbatim.
+#[derive(Clone, Debug)]
 pub struct CacheKey {
-    /// The payload's hash, computed once when the key is built. A key is
-    /// looked up twice when a probed miss runs, and some payloads take a
-    /// microsecond to hash (a die key holds every cell's full options),
-    /// so hashing a key hashes only this.
+    kind: KeyKind,
+    /// The bytes' hash, computed once when the key is built. A key is
+    /// looked up twice when a probed miss runs, so hashing a key hashes
+    /// only this.
     hash: u64,
-    pub(crate) inner: KeyInner,
+    /// The canonical bytes, kind byte first.
+    bytes: Vec<u8>,
 }
 
 impl CacheKey {
-    pub(crate) fn new(inner: KeyInner) -> CacheKey {
+    /// A key of `kind` over canonical `bytes` that start with its byte.
+    pub(crate) fn new(kind: KeyKind, bytes: Vec<u8>) -> CacheKey {
+        debug_assert_eq!(bytes.first(), Some(&(kind as u8)));
         let mut h = std::collections::hash_map::DefaultHasher::new();
-        inner.hash(&mut h);
+        h.write(&bytes);
         CacheKey {
+            kind,
             hash: h.finish(),
-            inner,
+            bytes,
         }
+    }
+
+    /// Which request class (and therefore which session cache) this key
+    /// belongs to.
+    pub fn class(&self) -> RequestClass {
+        self.kind.class()
+    }
+
+    pub(crate) fn kind(&self) -> KeyKind {
+        self.kind
+    }
+
+    pub(crate) fn bytes(&self) -> &[u8] {
+        &self.bytes
     }
 }
 
 impl PartialEq for CacheKey {
     fn eq(&self, other: &CacheKey) -> bool {
-        self.hash == other.hash && self.inner == other.inner
+        self.hash == other.hash && self.bytes == other.bytes
     }
 }
 
@@ -179,135 +199,296 @@ impl Hash for CacheKey {
     }
 }
 
-impl std::fmt::Debug for CacheKey {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_tuple("CacheKey").field(&self.inner).finish()
+/// The request kind a key's first byte names. Each kind belongs to one
+/// [`RequestClass`]; a composite and its sub-request share a class but
+/// never a kind. The byte values are part of the snapshot format.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum KeyKind {
+    Cell = 0,
+    CustomCell = 1,
+    Library = 2,
+    Immunity = 3,
+    Flow = 4,
+    Sweep = 5,
+    SweepCorner = 6,
+    Repair = 7,
+    Die = 8,
+    Optimize = 9,
+    Macro = 10,
+    MacroSlice = 11,
+}
+
+impl KeyKind {
+    fn class(self) -> RequestClass {
+        match self {
+            KeyKind::Cell | KeyKind::CustomCell => RequestClass::Cell,
+            KeyKind::Library => RequestClass::Library,
+            KeyKind::Immunity => RequestClass::Immunity,
+            KeyKind::Flow => RequestClass::Flow,
+            KeyKind::Sweep | KeyKind::SweepCorner => RequestClass::Sweeps,
+            KeyKind::Repair | KeyKind::Die => RequestClass::Repairs,
+            KeyKind::Optimize => RequestClass::Optimizations,
+            KeyKind::Macro | KeyKind::MacroSlice => RequestClass::Macros,
+        }
     }
 }
 
-/// The class-tagged key payload. Each variant belongs to exactly one
-/// request class — the tag is what lets all four caches share one value
-/// representation without keys of different kinds ever colliding.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
-pub(crate) enum KeyInner {
-    /// Cells: the full generation input (see [`CellKey`]).
-    Cell(CellKey),
-    /// Libraries: the request itself (scheme) is the complete input.
-    Library(LibraryRequest),
-    /// Immunity: the analyzed cell's key plus the engine selection, with
-    /// the Monte-Carlo floats keyed canonically (see [`EngineKey`]).
-    Immunity { cell: CellKey, engine: EngineKey },
-    /// Flows: the request's canonical `Debug` rendering, which covers
-    /// source, target, simulation spec and GDS flag.
-    Flow(String),
-    /// Whole sweeps: a canonical rendering of the resolved cell keys plus
-    /// the grid, metric selection, MC base options, and loads.
-    Sweep(String),
-    /// One sweep corner: the resolved cell key plus the corner and the
-    /// metric/MC/load configuration. Lives in the [`RequestClass::Sweeps`]
-    /// cache next to whole sweeps — the variant tag keeps a one-corner
-    /// sweep and its own corner from ever colliding.
-    SweepCorner(String),
-    /// Whole repair lots: the resolved cell keys plus the lot size,
-    /// seed, spare count, canonical process parameters, solver, and
-    /// adjacency constraints, as typed fields.
-    Repair(RepairKey),
-    /// One die's repair: the same fields with the die *index* in place
-    /// of the lot size — never the surrounding lot's die count, so
-    /// overlapping lots share die outcomes. Lives in the
-    /// [`RequestClass::Repairs`] cache next to whole lots; the variant
-    /// tag keeps a one-die lot and its own die from ever colliding.
-    Die(RepairKey),
-    /// Whole optimization trajectories: a canonical rendering of the
-    /// resolved cell keys plus the search grid, target, pass count,
-    /// metric selection, MC base options, and loads.
-    Optimize(String),
-    /// Whole adder macros: the kind, width, scheme and jitter seed (the
-    /// attached observer is *observation, not identity* — excluded, like
-    /// every other composite's).
-    Macro(MacroKey),
-    /// One bit slice's characterization: the macro's key plus the bit
-    /// index. The macro *width* stays in the key — a CLA bit's
-    /// prefix-tree fan-out depends on the width it sits in, so equal
-    /// bits of different widths are different work. Lives in the
-    /// [`RequestClass::Macros`] cache next to whole macros.
-    MacroSlice(MacroKey, u32),
+/// The one writer of [`CacheKey`]s. Its encoding is canonical:
+/// integers little-endian, floats by their bits with `-0.0` folded to
+/// `0.0`, enum variants as a byte, strings and sequences
+/// length-prefixed so adjacent fields cannot run together. Structs are
+/// written by exhaustive destructuring (`key_parts!`), so a field
+/// added later fails to compile here instead of silently leaving the
+/// key. Catalog cells resolve their options against the session's
+/// defaults, so implicit and explicit defaults share one key.
+struct KeyWriter<'s> {
+    session: &'s Session,
+    bytes: Vec<u8>,
 }
 
-/// The session-resolved keys of a composite's cells, in request order.
-fn cell_keys(session: &Session, cells: &[CellRequest]) -> Vec<CellKey> {
-    cells
-        .iter()
-        .map(|cell| session.catalog_key(cell).0)
-        .collect()
+impl KeyWriter<'_> {
+    /// The key of `part` as a request of `kind`.
+    fn key(session: &Session, kind: KeyKind, part: &(impl KeyPart + ?Sized)) -> CacheKey {
+        let bytes = Vec::with_capacity(256);
+        let mut writer = KeyWriter { session, bytes };
+        writer.put(&(kind as u8)).put(part);
+        CacheKey::new(kind, writer.bytes)
+    }
+
+    fn put(&mut self, part: &(impl KeyPart + ?Sized)) -> &mut Self {
+        part.put(self);
+        self
+    }
 }
 
-/// The immunity engine selection as a key. Monte-Carlo floats are keyed
-/// by their bits with `-0.0` folded to `0.0`, as in [`RepairKey`], so
-/// two option sets that compare equal share one entry.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
-pub(crate) enum EngineKey {
-    Certify,
-    MonteCarlo(McKey),
-    Both(McKey),
+/// A value a [`CacheKey`] holds, written canonically by [`KeyWriter`].
+trait KeyPart {
+    fn put(&self, key: &mut KeyWriter);
 }
 
-/// The fields of [`McOptions`](crate::immunity::McOptions), floats by
-/// canonical bits.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub(crate) struct McKey {
-    tubes: usize,
-    tau: u64,
-    segment_len_lambda: u64,
-    seed: u64,
-    metallic_fraction: u64,
+macro_rules! int_key_parts {
+    ($($int:ty),*) => {$(
+        impl KeyPart for $int {
+            fn put(&self, key: &mut KeyWriter) {
+                key.bytes.extend_from_slice(&self.to_le_bytes());
+            }
+        }
+    )*};
 }
 
-impl EngineKey {
-    fn new(engine: &ImmunityEngine) -> EngineKey {
-        let mc = |o: &crate::immunity::McOptions| McKey {
-            tubes: o.tubes,
-            tau: float_key(o.tau),
-            segment_len_lambda: float_key(o.segment_len_lambda),
-            seed: o.seed,
-            metallic_fraction: float_key(o.metallic_fraction),
+int_key_parts!(u8, u32, u64, i64);
+
+impl KeyPart for usize {
+    fn put(&self, key: &mut KeyWriter) {
+        key.put(&(*self as u64));
+    }
+}
+
+impl KeyPart for bool {
+    fn put(&self, key: &mut KeyWriter) {
+        key.put(&u8::from(*self));
+    }
+}
+
+impl KeyPart for f64 {
+    fn put(&self, key: &mut KeyWriter) {
+        key.put(&canonical_axis_value(*self).to_bits());
+    }
+}
+
+impl KeyPart for str {
+    fn put(&self, key: &mut KeyWriter) {
+        let bytes = self.as_bytes();
+        key.put(&bytes.len()).bytes.extend_from_slice(bytes);
+    }
+}
+
+impl KeyPart for String {
+    fn put(&self, key: &mut KeyWriter) {
+        key.put(self.as_str());
+    }
+}
+
+impl<T: KeyPart> KeyPart for Vec<T> {
+    fn put(&self, key: &mut KeyWriter) {
+        key.put(&self.len());
+        for item in self {
+            key.put(item);
+        }
+    }
+}
+
+impl<T: KeyPart> KeyPart for Option<T> {
+    fn put(&self, key: &mut KeyWriter) {
+        match self {
+            Some(value) => key.put(&1u8).put(value),
+            None => key.put(&0u8),
         };
-        match engine {
-            ImmunityEngine::Certify => EngineKey::Certify,
-            ImmunityEngine::MonteCarlo(o) => EngineKey::MonteCarlo(mc(o)),
-            ImmunityEngine::Both(o) => EngineKey::Both(mc(o)),
+    }
+}
+
+impl<A: KeyPart, B: KeyPart> KeyPart for (A, B) {
+    fn put(&self, key: &mut KeyWriter) {
+        key.put(&self.0).put(&self.1);
+    }
+}
+
+impl<K: KeyPart, V: KeyPart> KeyPart for std::collections::BTreeMap<K, V> {
+    fn put(&self, key: &mut KeyWriter) {
+        key.put(&self.len());
+        for (k, v) in self {
+            key.put(k).put(v);
         }
     }
 }
 
-/// A float's key bits, with `-0.0` folded to `0.0`.
-fn float_key(value: f64) -> u64 {
-    crate::sweep::canonical_axis_value(value).to_bits()
+impl<T: KeyPart + ?Sized> KeyPart for &T {
+    fn put(&self, key: &mut KeyWriter) {
+        (**self).put(key);
+    }
 }
 
-/// The identity of an adder macro; a slice key adds its bit.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub(crate) struct MacroKey {
-    kind: crate::logic::AdderKind,
-    width: u32,
-    scheme: crate::core::Scheme,
-    seed: u64,
-}
-
-impl CacheKey {
-    /// Which request class (and therefore which session cache) this key
-    /// belongs to.
-    pub fn class(&self) -> RequestClass {
-        match self.inner {
-            KeyInner::Cell(_) => RequestClass::Cell,
-            KeyInner::Library(_) => RequestClass::Library,
-            KeyInner::Immunity { .. } => RequestClass::Immunity,
-            KeyInner::Flow(_) => RequestClass::Flow,
-            KeyInner::Sweep(_) | KeyInner::SweepCorner(_) => RequestClass::Sweeps,
-            KeyInner::Repair(_) | KeyInner::Die(_) => RequestClass::Repairs,
-            KeyInner::Optimize(_) => RequestClass::Optimizations,
-            KeyInner::Macro(_) | KeyInner::MacroSlice(..) => RequestClass::Macros,
+/// Writes each struct field by field, in the listed order, through an
+/// exhaustive `let` pattern: `as Wrapper` writes a field through a
+/// wrapper's encoding, and the fields after `;` are no part of the key.
+macro_rules! key_parts {
+    ($($ty:ident { $($field:ident $(as $wrap:ident)?),* $(; $($skip:ident),*)? })*) => {$(
+        impl KeyPart for $ty {
+            fn put(&self, key: &mut KeyWriter) {
+                let $ty { $($field,)* $($($skip: _,)*)? } = self;
+                $(key.put(&$($wrap)?($field));)*
+            }
         }
+    )*};
+}
+
+key_parts! {
+    GenerateOptions { style, scheme, sizing, row_policy, rules }
+    DesignRules {
+        lg, lgs, lc, lgg, etch, via, gate_endcap, doping_overhang, vulnerable_endcap, row_gap,
+        sep_cnfet, sep_cmos, pin
+    }
+    LibraryRequest { scheme }
+    ImmunityRequest { cell, engine }
+    McOptions { tubes, tau, segment_len_lambda, seed, metallic_fraction }
+    FlowRequest { source, target, sim, emit_gds }
+    Netlist { name, ports, instances }
+    GateInst { name, kind, strength, inputs, output }
+    SimSpec { toggle_in, ties, watch_out }
+    SweepRequest { cells, grid, metrics, mc as CornerMc, loads_f; observer }
+    SweepCornerRequest { cell, corner, metrics, mc as CornerMc, loads_f }
+    VariationGrid { tube_counts, pitch_scales, metallic_fractions, seeds }
+    VariationCorner { tubes_per_4lambda, pitch_scale, metallic_fraction, seed }
+    SweepMetrics { immunity, timing, liberty, retain_waveforms }
+    RepairRequest { cells, dies, base_seed, spares, params, solver, adjacent; observer }
+    DieRequest { cells, die, base_seed, spares, params, solver, adjacent }
+    DefectParams {
+        metallic_fraction, open_fraction, misposition_fraction, open_tolerance, tau,
+        segment_len_lambda, tubes_per_site
+    }
+    OptimizeRequest {
+        cells, grid, target, passes, metrics, mc as CornerMc, loads_f; observer
+    }
+    OptimizeTarget { min_yield, max_delay_s, max_energy_j }
+    MacroRequest { kind, width, scheme, seed; observer }
+    MacroSliceRequest { kind, width, scheme, seed, bit }
+}
+
+/// Writes each enum as its listed variant byte, then the variant's
+/// fields in order.
+macro_rules! key_enums {
+    ($($ty:ident { $($variant:ident $(($($arg:ident),*))? = $byte:literal),* })*) => {$(
+        impl KeyPart for $ty {
+            fn put(&self, key: &mut KeyWriter) {
+                match self {
+                    $($ty::$variant $(($($arg),*))? => key.put(&($byte as u8)) $($(.put($arg))*)?,)*
+                };
+            }
+        }
+    )*};
+}
+
+key_enums! {
+    Style { NewImmune = 0, OldEtched = 1, Vulnerable = 2 }
+    Scheme { Scheme1 = 0, Scheme2 = 1 }
+    RowPolicy { PaperProductTerms = 0, FullEuler = 1 }
+    StdCellKind {
+        Inv = 0, Nand(inputs) = 1, Nor(inputs) = 2, Aoi21 = 3, Aoi22 = 4, Aoi31 = 5, Oai21 = 6,
+        Oai22 = 7
+    }
+    SpNetwork { Device(var) = 0, Series(parts) = 1, Parallel(parts) = 2 }
+    ImmunityEngine { Certify = 0, MonteCarlo(mc) = 1, Both(mc) = 2 }
+    FlowSource { FullAdder = 0, Verilog(text) = 1, Netlist(netlist) = 2 }
+    FlowTarget { Cnfet(scheme) = 0, Cmos = 1 }
+    PortDir { Input = 0, Output = 1 }
+    Solver { Auto = 0, Matching = 1, Sat = 2 }
+    AdderKind { Ripple = 0, Cla = 1 }
+}
+
+impl KeyPart for VarId {
+    fn put(&self, key: &mut KeyWriter) {
+        key.put(&self.0);
+    }
+}
+
+/// The base Monte-Carlo options a sweep corner reads: every corner
+/// replaces the seed and the metallic fraction with its own, so those
+/// two are no part of a sweep, corner or search key.
+struct CornerMc<'a>(&'a McOptions);
+
+impl KeyPart for CornerMc<'_> {
+    fn put(&self, key: &mut KeyWriter) {
+        let McOptions {
+            tubes,
+            tau,
+            segment_len_lambda,
+            seed: _,
+            metallic_fraction: _,
+        } = self.0;
+        key.put(tubes).put(tau).put(segment_len_lambda);
+    }
+}
+
+impl KeyPart for CellRequest {
+    fn put(&self, key: &mut KeyWriter) {
+        let CellRequest {
+            kind,
+            strength,
+            options,
+            name,
+        } = self;
+        let options = options.as_ref().unwrap_or(key.session.defaults());
+        key.put(kind)
+            .put(&(*strength).max(1))
+            .put(name)
+            .put(options);
+    }
+}
+
+impl KeyPart for CustomCellRequest {
+    fn put(&self, key: &mut KeyWriter) {
+        let CustomCellRequest {
+            name,
+            pdn,
+            pun,
+            vars,
+            options,
+        } = self;
+        let options = options.as_ref().unwrap_or(key.session.defaults());
+        key.put(name).put(pdn).put(pun).put(&vars.len());
+        for (_, var) in vars.iter() {
+            key.put(var);
+        }
+        key.put(options);
+    }
+}
+
+impl KeyPart for Sizing {
+    fn put(&self, key: &mut KeyWriter) {
+        match self {
+            Sizing::Uniform { width_lambda } => key.put(&0u8).put(width_lambda),
+            Sizing::Matched { base_lambda } => key.put(&1u8).put(base_lambda),
+        };
     }
 }
 
@@ -419,7 +600,7 @@ impl SessionRequest for CellRequest {
     type Output = CellResult;
 
     fn cache_key(&self, session: &Session) -> Option<CacheKey> {
-        Some(CacheKey::new(KeyInner::Cell(session.catalog_key(self).0)))
+        Some(KeyWriter::key(session, KeyKind::Cell, self))
     }
 
     fn execute(&self, session: &Session) -> Result<CellResult> {
@@ -452,8 +633,8 @@ impl sealed::Sealed for LibraryRequest {}
 impl SessionRequest for LibraryRequest {
     type Output = Arc<CellLibrary>;
 
-    fn cache_key(&self, _session: &Session) -> Option<CacheKey> {
-        Some(CacheKey::new(KeyInner::Library(*self)))
+    fn cache_key(&self, session: &Session) -> Option<CacheKey> {
+        Some(KeyWriter::key(session, KeyKind::Library, self))
     }
 
     /// Builds the full function × strength matrix of the session's kit,
@@ -484,11 +665,11 @@ impl sealed::Sealed for ImmunityRequest {}
 impl SessionRequest for ImmunityRequest {
     type Output = ImmunityReport;
 
+    /// The analyzed cell's key plus the engine selection. A request past
+    /// [`MAX_MC_TUBES`](crate::MAX_MC_TUBES) gets no key.
     fn cache_key(&self, session: &Session) -> Option<CacheKey> {
-        Some(CacheKey::new(KeyInner::Immunity {
-            cell: session.catalog_key(&self.cell).0,
-            engine: EngineKey::new(&self.engine),
-        }))
+        self.validate().ok()?;
+        Some(KeyWriter::key(session, KeyKind::Immunity, self))
     }
 
     /// Generates (or recalls) the cell through the session, then runs the
@@ -496,6 +677,7 @@ impl SessionRequest for ImmunityRequest {
     /// analysis (certification or a deterministic seeded Monte-Carlo) is
     /// a pure immunity-cache hit that never touches the cell cache.
     fn execute(&self, session: &Session) -> Result<ImmunityReport> {
+        self.validate()?;
         let result = session.run(&self.cell)?;
         let map = result.trace_map();
         let (cert, mc) = match &self.engine {
@@ -519,8 +701,9 @@ impl sealed::Sealed for FlowRequest {}
 impl SessionRequest for FlowRequest {
     type Output = FlowResult;
 
-    fn cache_key(&self, _session: &Session) -> Option<CacheKey> {
-        Some(CacheKey::new(KeyInner::Flow(format!("{self:?}"))))
+    /// Source, target, simulation spec and GDS flag.
+    fn cache_key(&self, session: &Session) -> Option<CacheKey> {
+        Some(KeyWriter::key(session, KeyKind::Flow, self))
     }
 
     /// Runs the flow end to end: netlist → placement → optional
@@ -675,23 +858,15 @@ impl SessionRequest for SweepRequest {
     /// Whole-sweep memoization: cell keys are resolved against the
     /// session defaults (so implicit and explicit default options share
     /// one entry, exactly like direct cell requests), then combined with
-    /// the **canonicalized** grid (`-0.0` folded to `0.0` — two
-    /// semantically identical grids must never render distinct keys),
-    /// the metric selection, MC base options and load list. A grid with
-    /// an invalid float axis (NaN, infinite, negative) or more than
-    /// [`MAX_FANOUT`](crate::MAX_FANOUT) rows gets no key at all:
+    /// the grid, the metric selection, the MC options a corner reads
+    /// (not `seed` or `metallic_fraction`, which every corner replaces)
+    /// and the load list, floats with `-0.0` folded to `0.0`. An invalid
+    /// sweep (see [`SweepRequest::validate`]) gets no key at all:
     /// `execute` rejects it, and an uncacheable request can neither
     /// poison a single-flight entry nor occupy a cache slot.
     fn cache_key(&self, session: &Session) -> Option<CacheKey> {
         self.validate().ok()?;
-        let cell_keys = cell_keys(session, &self.cells);
-        Some(CacheKey::new(KeyInner::Sweep(format!(
-            "{cell_keys:?}|{:?}|{:?}|{:?}|{:?}",
-            self.grid.clone().canonical(),
-            self.metrics,
-            self.mc,
-            canonical_loads(&self.loads_f)
-        ))))
+        Some(KeyWriter::key(session, KeyKind::Sweep, self))
     }
 
     /// Fans the corner × cell cross-product out through the session's
@@ -710,20 +885,13 @@ impl sealed::Sealed for SweepCornerRequest {}
 impl SessionRequest for SweepCornerRequest {
     type Output = CornerRow;
 
-    /// Per-corner memoization, keyed by the **canonical** corner and
-    /// loads (`-0.0` folded to `0.0`, exactly like the whole-sweep key).
-    /// Invalid floats (NaN, infinite, negative) yield no key — the corner
-    /// executes uncached and `execute` rejects it.
+    /// Per-corner memoization: the cell, the corner, and the rest of
+    /// the whole-sweep key's fields, floats with `-0.0` folded to `0.0`.
+    /// An invalid corner (see [`SweepCornerRequest::validate`]) gets no
+    /// key — it executes uncached and `execute` rejects it.
     fn cache_key(&self, session: &Session) -> Option<CacheKey> {
         self.validate().ok()?;
-        let cell_key = session.catalog_key(&self.cell).0;
-        Some(CacheKey::new(KeyInner::SweepCorner(format!(
-            "{cell_key:?}|{:?}|{:?}|{:?}|{:?}",
-            self.corner.canonical(),
-            self.metrics,
-            self.mc,
-            canonical_loads(&self.loads_f)
-        ))))
+        Some(KeyWriter::key(session, KeyKind::SweepCorner, self))
     }
 
     fn execute(&self, session: &Session) -> Result<CornerRow> {
@@ -749,7 +917,7 @@ impl SessionRequest for RepairRequest {
     /// deliberately excluded — observation is not identity.
     fn cache_key(&self, session: &Session) -> Option<CacheKey> {
         self.validate().ok()?;
-        Some(CacheKey::new(KeyInner::Repair(self.key(session))))
+        Some(KeyWriter::key(session, KeyKind::Repair, self))
     }
 
     /// Fans one [`DieRequest`] per die out through the session's job
@@ -774,7 +942,7 @@ impl SessionRequest for DieRequest {
     /// gets no key.
     fn cache_key(&self, session: &Session) -> Option<CacheKey> {
         self.validate().ok()?;
-        Some(CacheKey::new(KeyInner::Die(self.key(session))))
+        Some(KeyWriter::key(session, KeyKind::Die, self))
     }
 
     fn execute(&self, session: &Session) -> Result<DieOutcome> {
@@ -791,25 +959,16 @@ impl sealed::Sealed for OptimizeRequest {}
 impl SessionRequest for OptimizeRequest {
     type Output = Arc<OptimizeReport>;
 
-    /// Whole-trajectory memoization: resolved cell keys plus the
-    /// **canonicalized** search grid, the target, the pass count, and the
-    /// metric/MC/load configuration. An invalid request (NaN axis, empty
-    /// schedule, zero passes) gets no key — `execute` rejects it before
-    /// it can occupy a cache slot. The attached
-    /// [`Observer`](crate::Observer), if any, is deliberately excluded —
-    /// observation is not identity.
+    /// Whole-trajectory memoization: resolved cell keys plus the search
+    /// grid, the target, the pass count, and the metric/MC/load
+    /// configuration of a sweep key, floats with `-0.0` folded to `0.0`.
+    /// An invalid request (NaN axis, empty schedule, zero passes) gets no
+    /// key — `execute` rejects it before it can occupy a cache slot. The
+    /// attached [`Observer`](crate::Observer), if any, is deliberately
+    /// excluded — observation is not identity.
     fn cache_key(&self, session: &Session) -> Option<CacheKey> {
         self.validate().ok()?;
-        let cell_keys = cell_keys(session, &self.cells);
-        Some(CacheKey::new(KeyInner::Optimize(format!(
-            "{cell_keys:?}|{:?}|{:?}|{}|{:?}|{:?}|{:?}",
-            self.grid.clone().canonical(),
-            self.target.canonical(),
-            self.passes,
-            self.metrics,
-            self.mc,
-            canonical_loads(&self.loads_f)
-        ))))
+        Some(KeyWriter::key(session, KeyKind::Optimize, self))
     }
 
     /// Runs the coordinate-descent / successive-halving search: each
@@ -855,14 +1014,9 @@ impl SessionRequest for MacroRequest {
     /// it before it can occupy a cache slot. The attached
     /// [`Observer`](crate::Observer), if any, is deliberately
     /// excluded — observation is not identity.
-    fn cache_key(&self, _session: &Session) -> Option<CacheKey> {
+    fn cache_key(&self, session: &Session) -> Option<CacheKey> {
         self.validate().ok()?;
-        Some(CacheKey::new(KeyInner::Macro(MacroKey {
-            kind: self.kind,
-            width: self.width,
-            scheme: self.scheme,
-            seed: self.seed,
-        })))
+        Some(KeyWriter::key(session, KeyKind::Macro, self))
     }
 
     /// Fans one slice per bit through the session's job pool
@@ -883,15 +1037,9 @@ impl SessionRequest for MacroSliceRequest {
     /// cross-macro sharing happens one level down, in the `Cell` class
     /// the slice's sub-cell layouts memoize in. An invalid slice (see
     /// [`MacroSliceRequest::validate`]) gets no key.
-    fn cache_key(&self, _session: &Session) -> Option<CacheKey> {
+    fn cache_key(&self, session: &Session) -> Option<CacheKey> {
         self.validate().ok()?;
-        let key = MacroKey {
-            kind: self.kind,
-            width: self.width,
-            scheme: self.scheme,
-            seed: self.seed,
-        };
-        Some(CacheKey::new(KeyInner::MacroSlice(key, self.bit)))
+        Some(KeyWriter::key(session, KeyKind::MacroSlice, self))
     }
 
     fn execute(&self, session: &Session) -> Result<SliceOutcome> {
@@ -921,17 +1069,7 @@ impl SessionRequest for CustomCellRequest {
     type Output = CellResult;
 
     fn cache_key(&self, session: &Session) -> Option<CacheKey> {
-        let opts = self
-            .options
-            .clone()
-            .unwrap_or_else(|| session.defaults().clone());
-        Some(CacheKey::new(KeyInner::Cell(CellKey::Custom {
-            name: self.name.clone(),
-            pdn: self.pdn.clone(),
-            pun: self.pun.clone(),
-            var_names: self.vars.iter().map(|(_, n)| n.to_string()).collect(),
-            opts,
-        })))
+        Some(KeyWriter::key(session, KeyKind::CustomCell, self))
     }
 
     fn execute(&self, session: &Session) -> Result<CellResult> {

@@ -218,6 +218,23 @@ pub struct ImmunityRequest {
 }
 
 impl ImmunityRequest {
+    /// Checks that a Monte-Carlo engine samples at most
+    /// [`MAX_MC_TUBES`] tubes. An invalid request gets no cache key and
+    /// `execute` rejects it before any tube is sampled.
+    ///
+    /// # Errors
+    ///
+    /// [`CnfetError::InvalidRequest`](crate::CnfetError::InvalidRequest)
+    /// naming `mc.tubes`.
+    pub fn validate(&self) -> Result<()> {
+        match &self.engine {
+            ImmunityEngine::Certify => Ok(()),
+            ImmunityEngine::MonteCarlo(mc) | ImmunityEngine::Both(mc) => {
+                crate::sweep::check_mc_tubes(mc)
+            }
+        }
+    }
+
     /// Certification-only request for a cell.
     pub fn certify(cell: impl Into<CellRequest>) -> ImmunityRequest {
         ImmunityRequest {
@@ -533,28 +550,8 @@ impl SessionStats {
 }
 
 // ---------------------------------------------------------------------------
-// Cache keys
+// Cached values
 // ---------------------------------------------------------------------------
-
-/// The memoization key of a cell: the complete input of a generation.
-/// Options embed the [`DesignRules`](crate::core::DesignRules), so two
-/// sessions-worth of rule decks never collide.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
-pub(crate) enum CellKey {
-    Catalog {
-        kind: StdCellKind,
-        strength: u8,
-        name: Option<String>,
-        opts: GenerateOptions,
-    },
-    Custom {
-        name: String,
-        pdn: SpNetwork,
-        pun: SpNetwork,
-        var_names: Vec<String>,
-        opts: GenerateOptions,
-    },
-}
 
 /// A memoized result, type-erased so all four class caches share one
 /// value representation. The concrete type behind the `dyn Any` is the
@@ -897,18 +894,6 @@ impl Session {
             .unwrap_or_else(|| self.core.defaults.clone())
     }
 
-    /// The cache key (and resolved options) of a catalog cell request.
-    pub(crate) fn catalog_key(&self, request: &CellRequest) -> (CellKey, GenerateOptions) {
-        let opts = self.resolve_options(request);
-        let key = CellKey::Catalog {
-            kind: request.kind,
-            strength: request.strength.max(1),
-            name: request.name.clone(),
-            opts: opts.clone(),
-        };
-        (key, opts)
-    }
-
     // -- the generic entry points -------------------------------------------
 
     /// Services any [`SessionRequest`] through the memoizing cache of its
@@ -1194,6 +1179,20 @@ const HELP_WAIT: Duration = Duration::from_millis(2);
 /// Real lots are far smaller: the largest in the examples and benchmarks
 /// is 1,000 dies.
 pub const MAX_FANOUT: usize = 1 << 20;
+
+/// The most tubes one Monte-Carlo analysis may sample: the `mc.tubes`
+/// of an immunity request, and of every corner of a sweep, a search or
+/// a candidate. Checked by each request's `validate` before a key is
+/// built; a request over it is an
+/// [`InvalidRequest`](crate::CnfetError::InvalidRequest). The largest
+/// run in the repository samples 100,000 tubes.
+pub const MAX_MC_TUBES: usize = 1 << 20;
+
+/// The most tubes one physical site of a repair lot may grow
+/// ([`DefectParams::tubes_per_site`](crate::repair::DefectParams::tubes_per_site)),
+/// checked like [`MAX_MC_TUBES`]. Every die samples each of them per
+/// site; the default is 8.
+pub const MAX_TUBES_PER_SITE: u32 = 1 << 10;
 
 /// Rejects a fan-out of `count` children — computed with saturating
 /// arithmetic, so an overflow reads as `usize::MAX` — over

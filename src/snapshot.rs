@@ -18,11 +18,13 @@
 //!
 //! ```text
 //! magic   8 bytes  "CNFSWEEP"
-//! version u32      1
+//! version u32      2
 //! count   u32      number of entries
-//! entry*  u8 tag   0 = whole sweep report, 1 = one corner row
-//!         key      length-prefixed canonical cache-key string
-//!         value    SweepReport / CornerRow, field by field
+//! entry*  key      u32 length + the cache key's canonical bytes, verbatim;
+//!                  their first byte is the key's kind: a whole sweep or
+//!                  one sweep corner
+//!         value    SweepReport (sweep key) / CornerRow (corner key),
+//!                  field by field
 //! ```
 //!
 //! Floats are serialized as raw IEEE-754 bits, so a round trip is
@@ -32,14 +34,14 @@
 //! with a [`SnapshotError`] and seeds **nothing** — a corrupt snapshot
 //! degrades to a cold boot, never to a half-warm cache or a crash.
 //!
-//! Cache keys are stored as their canonical strings (the same strings
-//! the session keys the `Sweeps` class by), so key hashing — which is
+//! Cache keys are stored as the same canonical bytes the session keys
+//! the `Sweeps` class by (see [`CacheKey`]), so key hashing — which is
 //! process-specific ([`std::collections::hash_map::DefaultHasher`] is
 //! not stable across processes) — is simply recomputed on seed.
 
 use crate::core::StdCellKind;
 use crate::dk::TimingTable;
-use crate::request::{CacheKey, KeyInner, RequestClass};
+use crate::request::{CacheKey, KeyKind, RequestClass};
 use crate::session::{CachedValue, Session};
 use crate::sweep::{CornerRow, CornerSummary, SweepReport, VariationCorner};
 use std::path::Path;
@@ -48,10 +50,12 @@ use std::sync::{Arc, Mutex};
 /// The 8-byte file magic.
 pub const MAGIC: [u8; 8] = *b"CNFSWEEP";
 
-/// Current snapshot format version. Bump on any layout change — old
-/// files then fail [`load`] with [`SnapshotError::Version`] and the
-/// server boots cold instead of misreading them.
-pub const VERSION: u32 = 1;
+/// Current snapshot version: the file layout or engine numerics. Bump it
+/// when either changes (a file or key layout, or what a request
+/// computes), so old files fail [`load`] with [`SnapshotError::Version`]
+/// and the server boots cold instead of serving rows the engine no
+/// longer computes. A unit test pins it to the golden outputs' digest.
+pub const VERSION: u32 = 2;
 
 /// Why a snapshot failed to load. Loading is all-or-nothing: any error
 /// leaves the session untouched (cold).
@@ -153,21 +157,19 @@ pub fn save_if(
     put_u32(&mut buf, 0);
     let mut count = 0u32;
     for (key, value) in &entries {
-        match &key.inner {
-            KeyInner::Sweep(k) => {
+        match key.kind() {
+            KeyKind::Sweep => {
                 let Some(report) = value.downcast_ref::<Arc<SweepReport>>() else {
                     continue;
                 };
-                buf.push(0);
-                put_str(&mut buf, k);
+                put_bytes(&mut buf, key.bytes());
                 put_report(&mut buf, report);
             }
-            KeyInner::SweepCorner(k) => {
+            KeyKind::SweepCorner => {
                 let Some(row) = value.downcast_ref::<CornerRow>() else {
                     continue;
                 };
-                buf.push(1);
-                put_str(&mut buf, k);
+                put_bytes(&mut buf, key.bytes());
                 put_row(&mut buf, row);
             }
             _ => continue,
@@ -204,27 +206,18 @@ pub fn load(session: &Session, path: &Path) -> Result<usize, SnapshotError> {
     // one must fail as truncated, not as an allocation.
     let mut seeds: Vec<(CacheKey, CachedValue)> = Vec::new();
     for _ in 0..count {
-        match r.u8()? {
-            0 => {
-                let key = r.string()?;
-                let report = get_report(&mut r)?;
-                seeds.push((
-                    CacheKey::new(KeyInner::Sweep(key)),
-                    // Wrapped exactly as `Session::run` caches a
-                    // `SweepRequest::Output = Arc<SweepReport>`.
-                    Arc::new(Arc::new(report)) as CachedValue,
-                ));
-            }
-            1 => {
-                let key = r.string()?;
-                let row = get_row(&mut r)?;
-                seeds.push((
-                    CacheKey::new(KeyInner::SweepCorner(key)),
-                    Arc::new(row) as CachedValue,
-                ));
-            }
-            tag => return Err(SnapshotError::Corrupt(format!("unknown entry tag {tag}"))),
-        }
+        let bytes = r.bytes()?.to_vec();
+        let kind = [KeyKind::Sweep, KeyKind::SweepCorner]
+            .into_iter()
+            .find(|&kind| bytes.first() == Some(&(kind as u8)))
+            .ok_or_else(|| SnapshotError::Corrupt("entry key of no sweep kind".into()))?;
+        let value = match kind {
+            // Wrapped exactly as `Session::run` caches a
+            // `SweepRequest::Output = Arc<SweepReport>`.
+            KeyKind::Sweep => Arc::new(Arc::new(get_report(&mut r)?)) as CachedValue,
+            _ => Arc::new(get_row(&mut r)?) as CachedValue,
+        };
+        seeds.push((CacheKey::new(kind, bytes), value));
     }
     if !r.at_end() {
         return Err(SnapshotError::Corrupt("trailing bytes".into()));
@@ -259,9 +252,13 @@ fn put_f64(buf: &mut Vec<u8>, v: f64) {
     buf.extend_from_slice(&v.to_bits().to_le_bytes());
 }
 
+fn put_bytes(buf: &mut Vec<u8>, bytes: &[u8]) {
+    put_u32(buf, bytes.len() as u32);
+    buf.extend_from_slice(bytes);
+}
+
 fn put_str(buf: &mut Vec<u8>, s: &str) {
-    put_u32(buf, s.len() as u32);
-    buf.extend_from_slice(s.as_bytes());
+    put_bytes(buf, s.as_bytes());
 }
 
 fn put_opt(buf: &mut Vec<u8>, present: bool) -> bool {
@@ -413,10 +410,13 @@ impl<'a> Reader<'a> {
         Ok(f64::from_bits(self.u64()?))
     }
 
-    fn string(&mut self) -> Result<String, SnapshotError> {
+    fn bytes(&mut self) -> Result<&'a [u8], SnapshotError> {
         let len = self.u32()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec())
+        self.take(len)
+    }
+
+    fn string(&mut self) -> Result<String, SnapshotError> {
+        String::from_utf8(self.bytes()?.to_vec())
             .map_err(|_| SnapshotError::Corrupt("non-UTF-8 string".into()))
     }
 
@@ -643,8 +643,7 @@ mod tests {
     /// Writes `report` as a one-entry snapshot and checks it is rejected.
     fn assert_report_rejected(report: &SweepReport, name: &str) {
         let mut buf = header(1);
-        buf.push(0);
-        put_str(&mut buf, "sweep-key");
+        put_bytes(&mut buf, &[KeyKind::Sweep as u8]);
         put_report(&mut buf, report);
         assert_rejected(&buf, name);
     }
@@ -664,6 +663,84 @@ mod tests {
         );
         let seeded = session.class_cache(RequestClass::Sweeps).export();
         assert!(seeded.is_empty(), "{name}: nothing is seeded");
+    }
+
+    #[test]
+    fn a_version_one_file_fails_and_leaves_the_session_cold() {
+        // Version 1 tagged each entry and keyed it by a `Debug` string.
+        let mut buf = MAGIC.to_vec();
+        put_u32(&mut buf, 1);
+        put_u32(&mut buf, 1);
+        buf.push(0);
+        put_str(&mut buf, "[Catalog { kind: Inv, .. }]|VariationGrid { .. }");
+        put_report(&mut buf, &sample_report());
+        let path = std::env::temp_dir().join(format!("cnfet-snap-v1-{}.snap", std::process::id()));
+        std::fs::write(&path, &buf).unwrap();
+        let session = Session::new();
+        let loaded = session.load_snapshot(&path);
+        std::fs::remove_file(&path).unwrap();
+        assert!(
+            matches!(
+                loaded,
+                Err(SnapshotError::Version {
+                    found: 1,
+                    expected: VERSION
+                })
+            ),
+            "{loaded:?}"
+        );
+        assert_eq!(session.cache_stats(RequestClass::Sweeps).entries, 0);
+    }
+
+    /// The golden outputs, which pin the engine's numerics.
+    const GOLDENS: [(&str, &[u8]); 7] = [
+        (
+            "adder_cla8.gds",
+            include_bytes!("../tests/golden/adder_cla8.gds"),
+        ),
+        (
+            "adder_cla8.sp",
+            include_bytes!("../tests/golden/adder_cla8.sp"),
+        ),
+        (
+            "die_repair.txt",
+            include_bytes!("../tests/golden/die_repair.txt"),
+        ),
+        ("inverter.sp", include_bytes!("../tests/golden/inverter.sp")),
+        (
+            "inverter.tran",
+            include_bytes!("../tests/golden/inverter.tran"),
+        ),
+        (
+            "library_scheme1.lib",
+            include_bytes!("../tests/golden/library_scheme1.lib"),
+        ),
+        (
+            "library_scheme2.lef",
+            include_bytes!("../tests/golden/library_scheme2.lef"),
+        ),
+    ];
+
+    /// FNV-1a over every golden's name and bytes, in order.
+    fn golden_digest() -> u64 {
+        let mut hash = 0xcbf2_9ce4_8422_2325_u64;
+        for (name, bytes) in GOLDENS {
+            for &byte in name.as_bytes().iter().chain(bytes) {
+                hash = (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        hash
+    }
+
+    /// A snapshot holds rows the engine computed: when the goldens move,
+    /// so may the rows, and an old file must then boot cold.
+    #[test]
+    fn the_version_is_pinned_to_the_golden_outputs() {
+        assert_eq!(
+            (VERSION, golden_digest()),
+            (2, 0x00e3_eba2_e3e1_2a57),
+            "goldens changed: bump `snapshot::VERSION` and re-record"
+        );
     }
 
     #[test]

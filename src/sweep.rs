@@ -100,9 +100,8 @@ impl VariationCorner {
     }
 
     /// The corner with its float fields in canonical form (`-0.0`
-    /// normalized to `0.0`). Cache keys render the canonical corner, so
-    /// two semantically identical corners that differ only in float sign
-    /// bits share one cache entry.
+    /// normalized to `0.0`), as cache keys write them: two corners that
+    /// differ only in float sign bits share one cache entry.
     #[must_use]
     pub fn canonical(mut self) -> VariationCorner {
         self.pitch_scale = canonical_axis_value(self.pitch_scale);
@@ -127,8 +126,8 @@ impl VariationCorner {
 }
 
 /// Normalizes one float axis value: `-0.0` becomes `0.0` (the two
-/// compare equal but `Debug`-render differently, and cache keys are
-/// rendered). Other values — including the invalid ones `validate`
+/// compare equal but have different bits, and cache keys are written
+/// by bits). Other values — including the invalid ones `validate`
 /// rejects — pass through untouched.
 pub(crate) fn canonical_axis_value(value: f64) -> f64 {
     if value == 0.0 {
@@ -141,7 +140,7 @@ pub(crate) fn canonical_axis_value(value: f64) -> f64 {
 /// Rejects NaN, infinite, and negative float axis values with a
 /// field-path [`CnfetError::InvalidRequest`](crate::CnfetError::InvalidRequest).
 /// `-0.0` is accepted (it
-/// *is* zero); `canonical_axis_value` folds it before any key render.
+/// *is* zero); `canonical_axis_value` folds it before any key is written.
 pub(crate) fn check_axis_value(value: f64, field: impl FnOnce() -> String) -> Result<()> {
     if !value.is_finite() || value < 0.0 {
         return Err(crate::CnfetError::InvalidRequest {
@@ -153,20 +152,32 @@ pub(crate) fn check_axis_value(value: f64, field: impl FnOnce() -> String) -> Re
 }
 
 /// Rejects a characterization load that is NaN, infinite, or negative,
-/// naming it `loads_f[i]` — it would reach the MNA capacitor stamp.
-pub(crate) fn check_loads(loads_f: &[f64]) -> Result<()> {
+/// naming it `loads_f[i]` — it would reach the MNA capacitor stamp — and
+/// an empty load list when the metrics `characterize`, naming `loads_f`:
+/// such a row would measure nothing yet report an energy of zero.
+pub(crate) fn check_loads(loads_f: &[f64], characterize: bool) -> Result<()> {
+    if characterize && loads_f.is_empty() {
+        return Err(crate::CnfetError::InvalidRequest {
+            field: "loads_f".to_string(),
+            message: "expected at least one load for timing or liberty metrics".to_string(),
+        });
+    }
     for (i, &load) in loads_f.iter().enumerate() {
         check_axis_value(load, || format!("loads_f[{i}]"))?;
     }
     Ok(())
 }
 
-/// The loads with `-0.0` folded to `0.0`, as cache keys render them.
-pub(crate) fn canonical_loads(loads_f: &[f64]) -> Vec<f64> {
-    loads_f
-        .iter()
-        .map(|&load| canonical_axis_value(load))
-        .collect()
+/// Rejects Monte-Carlo options over [`MAX_MC_TUBES`](crate::MAX_MC_TUBES),
+/// naming `mc.tubes`.
+pub(crate) fn check_mc_tubes(mc: &McOptions) -> Result<()> {
+    if mc.tubes > crate::MAX_MC_TUBES {
+        return Err(crate::CnfetError::InvalidRequest {
+            field: "mc.tubes".to_string(),
+            message: format!("more than {} Monte-Carlo tubes", crate::MAX_MC_TUBES),
+        });
+    }
+    Ok(())
 }
 
 /// A cross-product variation grid: every combination of the four axes is
@@ -242,7 +253,7 @@ impl VariationGrid {
     }
 
     /// The grid with both float axes in canonical form (`-0.0` normalized
-    /// to `0.0`). Cache keys render the canonical grid — see
+    /// to `0.0`), as cache keys write them — see
     /// [`VariationCorner::canonical`].
     #[must_use]
     pub fn canonical(mut self) -> VariationGrid {
@@ -407,7 +418,7 @@ pub struct SweepRequest {
     pub loads_f: Vec<f64>,
     /// Per-row progress hook, fed rows in [`SweepReport::rows`] order;
     /// excluded from the cache key (see [`Observer`]).
-    observer: Option<Observer<CornerRow>>,
+    pub(crate) observer: Option<Observer<CornerRow>>,
 }
 
 impl SweepRequest {
@@ -468,20 +479,23 @@ impl SweepRequest {
         self.cells.len().saturating_mul(self.grid.len())
     }
 
-    /// Checks every grid float and load is finite and non-negative and
-    /// that the sweep has at most [`MAX_FANOUT`](crate::MAX_FANOUT) rows
-    /// and grid corners (a sweep with no cells still allocates its
-    /// corners). An invalid sweep gets no cache key and `execute` rejects
-    /// it before any corner is allocated.
+    /// Checks every grid float and load is finite and non-negative, that
+    /// timing or liberty metrics have at least one load, that `mc.tubes`
+    /// is at most [`MAX_MC_TUBES`](crate::MAX_MC_TUBES), and that the
+    /// sweep has at most [`MAX_FANOUT`](crate::MAX_FANOUT) rows and grid
+    /// corners (a sweep with no cells still allocates its corners). An
+    /// invalid sweep gets no cache key and `execute` rejects it before
+    /// any corner is allocated.
     ///
     /// # Errors
     ///
     /// [`CnfetError::InvalidRequest`](crate::CnfetError::InvalidRequest)
-    /// naming the offending field (`grid`, or e.g.
+    /// naming the offending field (`grid`, `loads_f`, `mc.tubes`, or e.g.
     /// `grid.pitch_scales[1]`, `loads_f[0]`).
     pub fn validate(&self) -> Result<()> {
         self.grid.validate("grid")?;
-        check_loads(&self.loads_f)?;
+        check_loads(&self.loads_f, self.metrics.needs_characterization())?;
+        check_mc_tubes(&self.mc)?;
         crate::session::check_fanout(
             self.row_count().max(self.grid.len()),
             "grid",
@@ -522,17 +536,20 @@ pub struct SweepCornerRequest {
 
 impl SweepCornerRequest {
     /// Checks the corner's floats and every load are finite and
-    /// non-negative. An invalid corner gets no cache key and `execute`
-    /// rejects it.
+    /// non-negative, that timing or liberty metrics have at least one
+    /// load and that `mc.tubes` is at most
+    /// [`MAX_MC_TUBES`](crate::MAX_MC_TUBES). An invalid corner gets no
+    /// cache key and `execute` rejects it.
     ///
     /// # Errors
     ///
     /// [`CnfetError::InvalidRequest`](crate::CnfetError::InvalidRequest)
     /// naming the offending field (e.g. `corner.pitch_scale`,
-    /// `loads_f[0]`).
+    /// `loads_f[0]`, `mc.tubes`).
     pub fn validate(&self) -> Result<()> {
         self.corner.validate("corner")?;
-        check_loads(&self.loads_f)
+        check_loads(&self.loads_f, self.metrics.needs_characterization())?;
+        check_mc_tubes(&self.mc)
     }
 }
 

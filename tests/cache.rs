@@ -7,7 +7,7 @@ use cnfet::core::{GenerateOptions, Scheme, StdCellKind};
 use cnfet::logic::AdderKind;
 use cnfet::{
     CellRequest, FlowRequest, FlowSource, ImmunityRequest, LibraryRequest, MacroRequest,
-    RequestClass, Session, SessionBuilder, SessionRequest,
+    RequestClass, RequestKind, Session, SessionBuilder, SessionRequest,
 };
 use std::sync::Arc;
 
@@ -480,4 +480,658 @@ fn clear_cache_drops_every_request_class() {
     assert_eq!(stats.libraries.misses, 2, "library was dropped");
     assert_eq!(stats.immunity.misses, 2, "verdict was dropped");
     assert_eq!(stats.flows.misses, 2, "flow result was dropped");
+}
+
+/// The key a direct caller of the wrapped request builds (the wrapper
+/// itself is never keyed).
+fn key_of(request: &RequestKind, session: &Session) -> Option<cnfet::CacheKey> {
+    match request {
+        RequestKind::Cell(r) => r.cache_key(session),
+        RequestKind::Library(r) => r.cache_key(session),
+        RequestKind::Immunity(r) => r.cache_key(session),
+        RequestKind::Flow(r) => r.cache_key(session),
+        RequestKind::Sweep(r) => r.cache_key(session),
+        RequestKind::SweepCorner(r) => r.cache_key(session),
+        RequestKind::Repair(r) => r.cache_key(session),
+        RequestKind::Die(r) => r.cache_key(session),
+        RequestKind::Optimize(r) => r.cache_key(session),
+        RequestKind::Macro(r) => r.cache_key(session),
+        RequestKind::MacroSlice(r) => r.cache_key(session),
+        RequestKind::Tran(r) => r.cache_key(session),
+    }
+}
+
+/// A copy of `base` with one edit, wrapped for the table.
+fn with<T: Clone + Into<RequestKind>>(base: &T, edit: impl FnOnce(&mut T)) -> RequestKind {
+    let mut request = base.clone();
+    edit(&mut request);
+    request.into()
+}
+
+/// A one-gate netlist whose inverter reads `inputs`.
+fn netlist(inputs: &[&str]) -> cnfet::flow::Netlist {
+    cnfet::flow::Netlist {
+        name: "n".into(),
+        ports: vec![("y".into(), cnfet::flow::PortDir::Output)],
+        instances: vec![cnfet::flow::GateInst {
+            name: "u0".into(),
+            kind: StdCellKind::Inv,
+            strength: 1,
+            inputs: inputs.iter().map(|s| s.to_string()).collect(),
+            output: "y".into(),
+        }],
+    }
+}
+
+/// One row per keyed request kind: a valid base request and, for each
+/// identity field, a copy that changes that field alone.
+#[allow(clippy::type_complexity)]
+fn identity_table() -> Vec<(&'static str, RequestKind, Vec<(&'static str, RequestKind)>)> {
+    use cnfet::immunity::McOptions;
+    use cnfet::repair::{DefectParams, Solver};
+    use cnfet::{
+        DieRequest, ImmunityEngine, MacroSliceRequest, OptimizeRequest, OptimizeTarget,
+        RepairRequest, SimSpec, SweepCornerRequest, SweepMetrics, SweepRequest, VariationCorner,
+        VariationGrid,
+    };
+    let mc = McOptions {
+        tubes: 50,
+        ..McOptions::default()
+    };
+    let inv = CellRequest::new(StdCellKind::Inv);
+    let options = |edit: fn(&mut GenerateOptions)| {
+        let mut options = GenerateOptions::default();
+        edit(&mut options);
+        Some(options)
+    };
+
+    let cell = CellRequest::new(StdCellKind::Nand(2));
+    let cells = vec![
+        ("kind", with(&cell, |r| r.kind = StdCellKind::Nor(2))),
+        ("strength", with(&cell, |r| r.strength = 2)),
+        ("name", with(&cell, |r| r.name = Some("N".into()))),
+        (
+            "options.style",
+            with(&cell, |r| {
+                r.options = options(|o| o.style = cnfet::core::Style::OldEtched)
+            }),
+        ),
+        (
+            "options.scheme",
+            with(&cell, |r| {
+                r.options = options(|o| o.scheme = Scheme::Scheme2)
+            }),
+        ),
+        (
+            "options.sizing",
+            with(&cell, |r| {
+                r.options = options(|o| o.sizing = cnfet::core::Sizing::Uniform { width_lambda: 4 })
+            }),
+        ),
+        (
+            "options.row_policy",
+            with(&cell, |r| {
+                r.options = options(|o| o.row_policy = cnfet::core::RowPolicy::FullEuler)
+            }),
+        ),
+        (
+            "options.rules",
+            with(&cell, |r| r.options = options(|o| o.rules.pin += 1)),
+        ),
+    ];
+
+    let library = LibraryRequest::new(Scheme::Scheme1);
+    let libraries = vec![("scheme", LibraryRequest::new(Scheme::Scheme2).into())];
+
+    let immunity = ImmunityRequest::monte_carlo(StdCellKind::Nand(2), mc.clone());
+    let mc_of = |r: &mut ImmunityRequest| match &r.engine {
+        ImmunityEngine::MonteCarlo(mc) => mc.clone(),
+        _ => unreachable!(),
+    };
+    let immunities = vec![
+        ("cell", with(&immunity, |r| r.cell = inv.clone())),
+        (
+            "engine certify",
+            with(&immunity, |r| r.engine = ImmunityEngine::Certify),
+        ),
+        (
+            "engine both",
+            with(&immunity, |r| r.engine = ImmunityEngine::Both(mc_of(r))),
+        ),
+        (
+            "mc.tubes",
+            with(&immunity, |r| {
+                r.engine = ImmunityEngine::MonteCarlo(McOptions {
+                    tubes: 51,
+                    ..mc_of(r)
+                })
+            }),
+        ),
+        (
+            "mc.tau",
+            with(&immunity, |r| {
+                r.engine = ImmunityEngine::MonteCarlo(McOptions {
+                    tau: 0.5,
+                    ..mc_of(r)
+                })
+            }),
+        ),
+        (
+            "mc.segment_len_lambda",
+            with(&immunity, |r| {
+                r.engine = ImmunityEngine::MonteCarlo(McOptions {
+                    segment_len_lambda: 4.0,
+                    ..mc_of(r)
+                })
+            }),
+        ),
+        (
+            "mc.seed",
+            with(&immunity, |r| {
+                r.engine = ImmunityEngine::MonteCarlo(McOptions {
+                    seed: 1,
+                    ..mc_of(r)
+                })
+            }),
+        ),
+        (
+            "mc.metallic_fraction",
+            with(&immunity, |r| {
+                r.engine = ImmunityEngine::MonteCarlo(McOptions {
+                    metallic_fraction: 0.5,
+                    ..mc_of(r)
+                })
+            }),
+        ),
+    ];
+
+    let flow = FlowRequest::cnfet(FlowSource::FullAdder, Scheme::Scheme1);
+    let sim = SimSpec {
+        toggle_in: "a".into(),
+        ties: [("b".to_string(), true)].into_iter().collect(),
+        watch_out: "s".into(),
+    };
+    let flows = vec![
+        (
+            "source verilog",
+            with(&flow, |r| {
+                r.source = FlowSource::Verilog("module m; endmodule".into())
+            }),
+        ),
+        (
+            "source netlist",
+            with(&flow, |r| r.source = FlowSource::Netlist(netlist(&["a"]))),
+        ),
+        (
+            "source netlist inputs",
+            with(&flow, |r| r.source = FlowSource::Netlist(netlist(&["b"]))),
+        ),
+        (
+            "target scheme",
+            with(&flow, |r| {
+                r.target = cnfet::FlowTarget::Cnfet(Scheme::Scheme2)
+            }),
+        ),
+        (
+            "target cmos",
+            with(&flow, |r| r.target = cnfet::FlowTarget::Cmos),
+        ),
+        ("sim", with(&flow, |r| r.sim = Some(sim.clone()))),
+        (
+            "sim.ties",
+            with(&flow, |r| {
+                let mut sim = sim.clone();
+                sim.ties.insert("b".into(), false);
+                r.sim = Some(sim);
+            }),
+        ),
+        ("emit_gds", with(&flow, |r| r.emit_gds = true)),
+    ];
+
+    let sweep = SweepRequest::new([StdCellKind::Inv, StdCellKind::Nand(2)])
+        .grid(VariationGrid::nominal().seeds([1, 2]))
+        .mc(mc.clone());
+    let sweeps = vec![
+        ("cells", with(&sweep, |r| r.cells.push(inv.clone()))),
+        (
+            "cells[0].strength",
+            with(&sweep, |r| r.cells[0].strength = 2),
+        ),
+        (
+            "grid.tube_counts",
+            with(&sweep, |r| r.grid.tube_counts = vec![10]),
+        ),
+        (
+            "grid.pitch_scales",
+            with(&sweep, |r| r.grid.pitch_scales = vec![0.9]),
+        ),
+        (
+            "grid.metallic_fractions",
+            with(&sweep, |r| r.grid.metallic_fractions = vec![0.01]),
+        ),
+        ("grid.seeds", with(&sweep, |r| r.grid.seeds = vec![1, 3])),
+        (
+            "metrics.immunity",
+            with(&sweep, |r| r.metrics.immunity = false),
+        ),
+        ("metrics.timing", with(&sweep, |r| r.metrics.timing = false)),
+        (
+            "metrics.liberty",
+            with(&sweep, |r| r.metrics.liberty = false),
+        ),
+        (
+            "metrics.retain_waveforms",
+            with(&sweep, |r| r.metrics.retain_waveforms = true),
+        ),
+        ("mc.tubes", with(&sweep, |r| r.mc.tubes = 51)),
+        ("mc.tau", with(&sweep, |r| r.mc.tau = 0.5)),
+        (
+            "mc.segment_len_lambda",
+            with(&sweep, |r| r.mc.segment_len_lambda = 4.0),
+        ),
+        ("loads_f", with(&sweep, |r| r.loads_f = vec![2e-15])),
+        (
+            "one cell, one corner",
+            with(&sweep, |r| {
+                r.cells.truncate(1);
+                r.grid = VariationGrid::nominal();
+            }),
+        ),
+    ];
+
+    // The corner of the one-cell, one-corner sweep above: the two share
+    // every field value, yet never a key.
+    let corner = SweepCornerRequest {
+        cell: inv.clone(),
+        corner: VariationCorner::nominal(),
+        metrics: SweepMetrics::ALL,
+        mc: mc.clone(),
+        loads_f: vec![1e-15],
+    };
+    let corners = vec![
+        ("cell", with(&corner, |r| r.cell.kind = StdCellKind::Nor(2))),
+        (
+            "corner.tubes_per_4lambda",
+            with(&corner, |r| r.corner.tubes_per_4lambda = 10),
+        ),
+        (
+            "corner.pitch_scale",
+            with(&corner, |r| r.corner.pitch_scale = 0.9),
+        ),
+        (
+            "corner.metallic_fraction",
+            with(&corner, |r| r.corner.metallic_fraction = 0.01),
+        ),
+        ("corner.seed", with(&corner, |r| r.corner.seed = 1)),
+        (
+            "metrics",
+            with(&corner, |r| r.metrics = SweepMetrics::IMMUNITY),
+        ),
+        ("mc.tubes", with(&corner, |r| r.mc.tubes = 51)),
+        ("mc.tau", with(&corner, |r| r.mc.tau = 0.5)),
+        (
+            "mc.segment_len_lambda",
+            with(&corner, |r| r.mc.segment_len_lambda = 4.0),
+        ),
+        ("loads_f", with(&corner, |r| r.loads_f.push(2e-15))),
+    ];
+
+    let lot = RepairRequest::new([StdCellKind::Inv, StdCellKind::Nand(2)]).dies(4);
+    let params = |edit: fn(&mut DefectParams)| {
+        let mut params = DefectParams::default();
+        edit(&mut params);
+        params
+    };
+    let lots = vec![
+        ("cells", with(&lot, |r| r.cells.truncate(1))),
+        ("dies", with(&lot, |r| r.dies = 5)),
+        ("base_seed", with(&lot, |r| r.base_seed = 1)),
+        ("spares", with(&lot, |r| r.spares = 2)),
+        (
+            "params.metallic_fraction",
+            with(&lot, |r| r.params = params(|p| p.metallic_fraction = 0.5)),
+        ),
+        (
+            "params.open_fraction",
+            with(&lot, |r| r.params = params(|p| p.open_fraction = 0.5)),
+        ),
+        (
+            "params.misposition_fraction",
+            with(&lot, |r| {
+                r.params = params(|p| p.misposition_fraction = 0.5)
+            }),
+        ),
+        (
+            "params.tubes_per_site",
+            with(&lot, |r| r.params = params(|p| p.tubes_per_site = 9)),
+        ),
+        (
+            "params.open_tolerance",
+            with(&lot, |r| r.params = params(|p| p.open_tolerance = 0.5)),
+        ),
+        (
+            "params.tau",
+            with(&lot, |r| r.params = params(|p| p.tau = 0.5)),
+        ),
+        (
+            "params.segment_len_lambda",
+            with(&lot, |r| r.params = params(|p| p.segment_len_lambda = 4.0)),
+        ),
+        ("solver", with(&lot, |r| r.solver = Solver::Sat)),
+        ("adjacent", with(&lot, |r| r.adjacent = vec![(0, 1)])),
+    ];
+
+    // Die index four of the lot above: the same field values as the
+    // four-die lot, yet never its key.
+    let die = DieRequest {
+        cells: lot.cells.clone(),
+        die: 4,
+        base_seed: lot.base_seed,
+        spares: lot.spares,
+        params: lot.params,
+        solver: lot.solver,
+        adjacent: lot.adjacent.clone(),
+    };
+    let dies = vec![
+        ("cells", with(&die, |r| r.cells.truncate(1))),
+        ("die", with(&die, |r| r.die = 5)),
+        ("base_seed", with(&die, |r| r.base_seed = 1)),
+        ("spares", with(&die, |r| r.spares = 2)),
+        (
+            "params.tubes_per_site",
+            with(&die, |r| r.params = params(|p| p.tubes_per_site = 9)),
+        ),
+        (
+            "params.tau",
+            with(&die, |r| r.params = params(|p| p.tau = 0.5)),
+        ),
+        ("solver", with(&die, |r| r.solver = Solver::Matching)),
+        ("adjacent", with(&die, |r| r.adjacent = vec![(1, 0)])),
+    ];
+
+    let search = OptimizeRequest::new([StdCellKind::Inv])
+        .grid(VariationGrid::nominal().tube_counts([26, 10]).seeds([7]))
+        .target(OptimizeTarget::new().min_yield(0.5))
+        .passes(1)
+        .metrics(SweepMetrics::IMMUNITY)
+        .mc(mc.clone());
+    let searches = vec![
+        ("cells", with(&search, |r| r.cells.push(inv.clone()))),
+        (
+            "grid.tube_counts",
+            with(&search, |r| r.grid.tube_counts = vec![26, 8]),
+        ),
+        (
+            "grid.pitch_scales",
+            with(&search, |r| r.grid.pitch_scales = vec![0.9]),
+        ),
+        (
+            "grid.metallic_fractions",
+            with(&search, |r| r.grid.metallic_fractions = vec![0.01]),
+        ),
+        ("grid.seeds", with(&search, |r| r.grid.seeds = vec![8])),
+        (
+            "target.min_yield",
+            with(&search, |r| r.target.min_yield = Some(0.6)),
+        ),
+        (
+            "target.max_delay_s",
+            with(&search, |r| r.target.max_delay_s = Some(1e-9)),
+        ),
+        (
+            "target.max_energy_j",
+            with(&search, |r| r.target.max_energy_j = Some(1e-12)),
+        ),
+        ("passes", with(&search, |r| r.passes = 2)),
+        ("metrics", with(&search, |r| r.metrics = SweepMetrics::ALL)),
+        ("mc.tubes", with(&search, |r| r.mc.tubes = 51)),
+        ("mc.tau", with(&search, |r| r.mc.tau = 0.5)),
+        (
+            "mc.segment_len_lambda",
+            with(&search, |r| r.mc.segment_len_lambda = 4.0),
+        ),
+        ("loads_f", with(&search, |r| r.loads_f = vec![2e-15])),
+    ];
+
+    let adder = MacroRequest::new(AdderKind::Ripple, 8);
+    let adders = vec![
+        ("kind", with(&adder, |r| r.kind = AdderKind::Cla)),
+        ("width", with(&adder, |r| r.width = 32)),
+        ("scheme", with(&adder, |r| r.scheme = Scheme::Scheme1)),
+        ("seed", with(&adder, |r| r.seed = 7)),
+    ];
+
+    // Bit zero of an 8-bit ripple adder: the macro's fields plus a bit.
+    let slice = MacroSliceRequest {
+        kind: adder.kind,
+        width: adder.width,
+        bit: 0,
+        scheme: adder.scheme,
+        seed: adder.seed,
+    };
+    let slices = vec![
+        ("kind", with(&slice, |r| r.kind = AdderKind::Cla)),
+        ("width", with(&slice, |r| r.width = 32)),
+        ("bit", with(&slice, |r| r.bit = 1)),
+        ("scheme", with(&slice, |r| r.scheme = Scheme::Scheme1)),
+        ("seed", with(&slice, |r| r.seed = 7)),
+    ];
+
+    vec![
+        ("cell", cell.into(), cells),
+        ("library", library.into(), libraries),
+        ("immunity", immunity.into(), immunities),
+        ("flow", flow.into(), flows),
+        ("sweep", sweep.into(), sweeps),
+        ("sweep corner", corner.into(), corners),
+        ("repair", lot.into(), lots),
+        ("die", die.into(), dies),
+        ("optimize", search.into(), searches),
+        ("macro", adder.into(), adders),
+        ("macro slice", slice.into(), slices),
+    ]
+}
+
+/// Pairs of requests that must share one key: `-0.0` folds to `0.0` in
+/// every float a key holds, and a sweep, corner or search key leaves
+/// out the `mc.seed` and `mc.metallic_fraction` that every corner
+/// replaces with its own.
+fn shared_key_pairs() -> Vec<(&'static str, RequestKind, RequestKind)> {
+    use cnfet::immunity::McOptions;
+    use cnfet::repair::DefectParams;
+    use cnfet::{
+        OptimizeRequest, OptimizeTarget, RepairRequest, SweepCornerRequest, SweepMetrics,
+        SweepRequest, VariationCorner, VariationGrid,
+    };
+    let mc = |tau: f64, seed: u64, metallic_fraction: f64| McOptions {
+        tubes: 50,
+        tau,
+        seed,
+        metallic_fraction,
+        ..McOptions::default()
+    };
+    let immunity =
+        |tau, metallic| ImmunityRequest::monte_carlo(StdCellKind::Inv, mc(tau, 1, metallic)).into();
+    let sweep = |pitch: f64, metallic: f64, mc: McOptions, load: f64| {
+        SweepRequest::new([StdCellKind::Inv])
+            .grid(
+                VariationGrid::nominal()
+                    .pitch_scales([pitch])
+                    .metallic_fractions([metallic]),
+            )
+            .mc(mc)
+            .loads([load])
+            .into()
+    };
+    let corner = |pitch: f64, metallic: f64, mc: McOptions, load: f64| {
+        SweepCornerRequest {
+            cell: StdCellKind::Inv.into(),
+            corner: VariationCorner {
+                pitch_scale: pitch,
+                metallic_fraction: metallic,
+                ..VariationCorner::nominal()
+            },
+            metrics: SweepMetrics::ALL,
+            mc,
+            loads_f: vec![load],
+        }
+        .into()
+    };
+    let search = |metallic: f64, min_yield: f64, mc: McOptions, load: f64| {
+        OptimizeRequest::new([StdCellKind::Inv])
+            .grid(VariationGrid::nominal().metallic_fractions([metallic]))
+            .target(OptimizeTarget::new().min_yield(min_yield))
+            .mc(mc)
+            .loads([load])
+            .into()
+    };
+    let lot = |open_fraction: f64, tau: f64| {
+        RepairRequest::new([StdCellKind::Inv])
+            .params(DefectParams {
+                open_fraction,
+                tau,
+                ..DefectParams::default()
+            })
+            .into()
+    };
+    vec![
+        ("immunity mc.tau", immunity(0.0, 0.0), immunity(-0.0, 0.0)),
+        (
+            "immunity mc.metallic_fraction",
+            immunity(1.0, 0.0),
+            immunity(1.0, -0.0),
+        ),
+        (
+            "sweep grid.pitch_scales",
+            sweep(0.0, 0.0, mc(1.0, 1, 0.0), 1e-15),
+            sweep(-0.0, 0.0, mc(1.0, 1, 0.0), 1e-15),
+        ),
+        (
+            "sweep grid.metallic_fractions",
+            sweep(1.0, 0.0, mc(1.0, 1, 0.0), 1e-15),
+            sweep(1.0, -0.0, mc(1.0, 1, 0.0), 1e-15),
+        ),
+        (
+            "sweep mc.tau",
+            sweep(1.0, 0.0, mc(0.0, 1, 0.0), 1e-15),
+            sweep(1.0, 0.0, mc(-0.0, 1, 0.0), 1e-15),
+        ),
+        (
+            "sweep loads_f",
+            sweep(1.0, 0.0, mc(1.0, 1, 0.0), 0.0),
+            sweep(1.0, 0.0, mc(1.0, 1, 0.0), -0.0),
+        ),
+        (
+            "sweep mc.seed",
+            sweep(1.0, 0.0, mc(1.0, 1, 0.0), 1e-15),
+            sweep(1.0, 0.0, mc(1.0, 2, 0.0), 1e-15),
+        ),
+        (
+            "sweep mc.metallic_fraction",
+            sweep(1.0, 0.0, mc(1.0, 1, 0.0), 1e-15),
+            sweep(1.0, 0.0, mc(1.0, 1, 0.5), 1e-15),
+        ),
+        (
+            "corner.pitch_scale",
+            corner(0.0, 0.0, mc(1.0, 1, 0.0), 1e-15),
+            corner(-0.0, 0.0, mc(1.0, 1, 0.0), 1e-15),
+        ),
+        (
+            "corner.metallic_fraction",
+            corner(1.0, 0.0, mc(1.0, 1, 0.0), 1e-15),
+            corner(1.0, -0.0, mc(1.0, 1, 0.0), 1e-15),
+        ),
+        (
+            "corner mc.tau",
+            corner(1.0, 0.0, mc(0.0, 1, 0.0), 1e-15),
+            corner(1.0, 0.0, mc(-0.0, 1, 0.0), 1e-15),
+        ),
+        (
+            "corner mc.seed",
+            corner(1.0, 0.0, mc(1.0, 1, 0.0), 1e-15),
+            corner(1.0, 0.0, mc(1.0, 2, 0.0), 1e-15),
+        ),
+        (
+            "corner mc.metallic_fraction",
+            corner(1.0, 0.0, mc(1.0, 1, 0.0), 1e-15),
+            corner(1.0, 0.0, mc(1.0, 1, 0.5), 1e-15),
+        ),
+        (
+            "search grid.metallic_fractions",
+            search(0.0, 0.5, mc(1.0, 1, 0.0), 1e-15),
+            search(-0.0, 0.5, mc(1.0, 1, 0.0), 1e-15),
+        ),
+        (
+            "search target.min_yield",
+            search(0.0, 0.0, mc(1.0, 1, 0.0), 1e-15),
+            search(0.0, -0.0, mc(1.0, 1, 0.0), 1e-15),
+        ),
+        (
+            "search mc.tau",
+            search(0.0, 0.5, mc(0.0, 1, 0.0), 1e-15),
+            search(0.0, 0.5, mc(-0.0, 1, 0.0), 1e-15),
+        ),
+        (
+            "search mc.seed",
+            search(0.0, 0.5, mc(1.0, 1, 0.0), 1e-15),
+            search(0.0, 0.5, mc(1.0, 2, 0.0), 1e-15),
+        ),
+        (
+            "search loads_f",
+            search(0.0, 0.5, mc(1.0, 1, 0.0), 0.0),
+            search(0.0, 0.5, mc(1.0, 1, 0.0), -0.0),
+        ),
+        ("repair params.open_fraction", lot(0.0, 1.0), lot(-0.0, 1.0)),
+        ("repair params.tau", lot(0.04, 0.0), lot(0.04, -0.0)),
+    ]
+}
+
+/// Cache identity across every keyed kind: equal requests share a key,
+/// any one identity field tells keys apart (across kinds too), `-0.0`
+/// folds to `0.0`, a corner's overridden MC fields never split an
+/// entry, and adjacent names cannot run together.
+#[test]
+fn every_keyed_kind_keys_exactly_its_identity() {
+    let session = Session::new();
+    let key = |request: &RequestKind| {
+        key_of(request, &session).unwrap_or_else(|| panic!("no key for {request:?}"))
+    };
+
+    let mut all = Vec::new();
+    for (kind, base, variants) in identity_table() {
+        assert_eq!(key(&base), key(&base.clone()), "{kind}: equal requests");
+        all.push((format!("{kind} base"), key(&base)));
+        for (field, variant) in variants {
+            assert_eq!(key(&variant), key(&variant.clone()), "{kind} {field}");
+            all.push((format!("{kind} {field}"), key(&variant)));
+        }
+    }
+    for (i, (a_name, a)) in all.iter().enumerate() {
+        for (b_name, b) in &all[i + 1..] {
+            assert_ne!(a, b, "{a_name} and {b_name} share a key");
+        }
+    }
+
+    for (name, a, b) in shared_key_pairs() {
+        assert_eq!(key(&a), key(&b), "{name} splits the entry");
+    }
+
+    // Implicit and explicit session defaults are one cell.
+    let explicit = CellRequest::new(StdCellKind::Inv).options(session.defaults().clone());
+    assert_eq!(
+        key(&explicit.into()),
+        key(&CellRequest::new(StdCellKind::Inv).into())
+    );
+
+    // Strings are length-prefixed: moving a character from one name to
+    // the next is a different request.
+    let named = |names: [&str; 2]| {
+        let cells = names.map(|name| CellRequest::new(StdCellKind::Inv).named(name));
+        cnfet::SweepRequest::new(cells).into()
+    };
+    assert_ne!(key(&named(["ab", "c"])), key(&named(["a", "bc"])));
+    let gate = |inputs: [&str; 2]| {
+        FlowRequest::cnfet(FlowSource::Netlist(netlist(&inputs)), Scheme::Scheme1).into()
+    };
+    assert_ne!(key(&gate(["ab", "c"])), key(&gate(["a", "bc"])));
 }

@@ -1015,3 +1015,174 @@ fn composites_over_max_fanout_are_invalid_before_fan_out() {
     assert_eq!(stats.submitted, 0, "nothing reached the pool");
     assert_eq!(stats.repairs.requests() + stats.sweeps.requests(), 0);
 }
+
+/// Tube counts past their bounds are invalid requests that get no key
+/// and sample nothing: `mc.tubes` on every request that runs the
+/// Monte-Carlo engine, `params.tubes_per_site` on lots and dies.
+#[test]
+fn tube_counts_past_their_bounds_are_invalid_before_any_work() {
+    use cnfet::immunity::McOptions;
+    use cnfet::{MAX_MC_TUBES, MAX_TUBES_PER_SITE};
+    let session = Session::new();
+    let field_of = |result: Result<(), CnfetError>| match result {
+        Err(CnfetError::InvalidRequest { field, .. }) => field,
+        other => panic!("expected an invalid request, got {other:?}"),
+    };
+    let mc = |tubes: usize| McOptions {
+        tubes,
+        ..McOptions::default()
+    };
+    let monte_carlo = |tubes| ImmunityRequest::monte_carlo(StdCellKind::Inv, mc(tubes));
+    assert!(monte_carlo(MAX_MC_TUBES).validate().is_ok());
+    assert!(ImmunityRequest::certify(StdCellKind::Inv)
+        .validate()
+        .is_ok());
+
+    let over = MAX_MC_TUBES + 1;
+    let both = ImmunityRequest {
+        cell: StdCellKind::Inv.into(),
+        engine: ImmunityEngine::Both(mc(usize::MAX)),
+    };
+    for request in [monte_carlo(over), both] {
+        assert_eq!(field_of(request.validate()), "mc.tubes");
+        assert!(request.cache_key(&session).is_none());
+        assert_eq!(field_of(session.run(&request).map(drop)), "mc.tubes");
+    }
+    let sweep = SweepRequest::new([StdCellKind::Inv]).mc(mc(over));
+    assert!(sweep.cache_key(&session).is_none());
+    assert_eq!(field_of(session.run(&sweep).map(drop)), "mc.tubes");
+    let corner = cnfet::SweepCornerRequest {
+        cell: StdCellKind::Inv.into(),
+        corner: cnfet::VariationCorner::nominal(),
+        metrics: SweepMetrics::IMMUNITY,
+        mc: mc(over),
+        loads_f: vec![],
+    };
+    assert!(corner.cache_key(&session).is_none());
+    assert_eq!(field_of(session.run(&corner).map(drop)), "mc.tubes");
+    let search = small_optimize().mc(mc(over));
+    assert!(search.cache_key(&session).is_none());
+    assert_eq!(field_of(session.run(&search).map(drop)), "mc.tubes");
+    let candidate = cnfet::OptimizeCandidateRequest {
+        cells: vec![StdCellKind::Inv.into()],
+        tubes_per_4lambda: 26,
+        pitch_scale: 1.0,
+        metallic_fraction: 0.0,
+        seeds: vec![7],
+        metrics: SweepMetrics::IMMUNITY,
+        mc: mc(over),
+        loads_f: vec![],
+    };
+    assert_eq!(field_of(session.run(&candidate).map(drop)), "mc.tubes");
+
+    let params = |tubes_per_site| cnfet::repair::DefectParams {
+        tubes_per_site,
+        ..Default::default()
+    };
+    let lot = |tubes| cnfet::RepairRequest::new([StdCellKind::Inv]).params(params(tubes));
+    assert!(lot(MAX_TUBES_PER_SITE).validate().is_ok());
+    for tubes in [MAX_TUBES_PER_SITE + 1, u32::MAX] {
+        let lot = lot(tubes);
+        assert_eq!(field_of(lot.validate()), "params.tubes_per_site");
+        assert!(lot.cache_key(&session).is_none());
+        assert_eq!(
+            field_of(session.run(&lot).map(drop)),
+            "params.tubes_per_site"
+        );
+        let die = cnfet::DieRequest {
+            cells: lot.cells.clone(),
+            die: 0,
+            base_seed: lot.base_seed,
+            spares: lot.spares,
+            params: lot.params,
+            solver: lot.solver,
+            adjacent: vec![],
+        };
+        assert!(die.cache_key(&session).is_none());
+        assert_eq!(
+            field_of(session.run(&die).map(drop)),
+            "params.tubes_per_site"
+        );
+    }
+
+    let stats = session.stats();
+    assert_eq!(
+        stats.requests(),
+        0,
+        "nothing was cached, counted or generated"
+    );
+    assert_eq!(stats.submitted, 0, "nothing reached the pool");
+}
+
+/// Timing or liberty metrics over an empty load list would measure
+/// nothing yet report an energy of zero: every request that
+/// characterizes refuses them, naming `loads_f`. Immunity-only sweeps
+/// read no loads and still take an empty list.
+#[test]
+fn characterizing_requests_refuse_an_empty_load_list() {
+    let session = Session::new();
+    let field_of = |result: Result<(), CnfetError>| match result {
+        Err(CnfetError::InvalidRequest { field, .. }) => field,
+        other => panic!("expected an invalid request, got {other:?}"),
+    };
+    let no_loads: [f64; 0] = [];
+    for metrics in [
+        SweepMetrics::TIMING,
+        SweepMetrics::ALL,
+        SweepMetrics {
+            liberty: true,
+            ..SweepMetrics::IMMUNITY
+        },
+    ] {
+        let sweep = SweepRequest::new([StdCellKind::Inv])
+            .metrics(metrics)
+            .loads(no_loads);
+        assert_eq!(field_of(sweep.validate()), "loads_f");
+        assert!(sweep.cache_key(&session).is_none());
+        assert_eq!(field_of(session.run(&sweep).map(drop)), "loads_f");
+
+        let corner = cnfet::SweepCornerRequest {
+            cell: StdCellKind::Inv.into(),
+            corner: cnfet::VariationCorner::nominal(),
+            metrics,
+            mc: Default::default(),
+            loads_f: vec![],
+        };
+        assert!(corner.cache_key(&session).is_none());
+        assert_eq!(field_of(session.run(&corner).map(drop)), "loads_f");
+
+        let search = small_optimize().metrics(metrics).loads(no_loads);
+        assert!(search.cache_key(&session).is_none());
+        assert_eq!(field_of(session.run(&search).map(drop)), "loads_f");
+
+        let candidate = cnfet::OptimizeCandidateRequest {
+            cells: vec![StdCellKind::Inv.into()],
+            tubes_per_4lambda: 26,
+            pitch_scale: 1.0,
+            metallic_fraction: 0.0,
+            seeds: vec![7],
+            metrics,
+            mc: Default::default(),
+            loads_f: vec![],
+        };
+        assert_eq!(field_of(candidate.validate()), "loads_f");
+    }
+    let stats = session.stats();
+    assert_eq!(
+        stats.requests(),
+        0,
+        "nothing was cached, counted or generated"
+    );
+
+    let immunity_only = SweepRequest::new([StdCellKind::Inv])
+        .metrics(SweepMetrics::IMMUNITY)
+        .mc(cnfet::immunity::McOptions {
+            tubes: 20,
+            ..Default::default()
+        })
+        .loads(no_loads);
+    assert!(immunity_only.cache_key(&session).is_some());
+    let report = session.run(&immunity_only).unwrap();
+    assert_eq!(report.rows[0].energy_j(), None);
+    assert!(report.rows[0].yield_frac().is_some());
+}
