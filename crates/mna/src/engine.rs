@@ -70,8 +70,8 @@ const SOURCE_RAMP_STEPS: usize = 4;
 pub const MAX_TRAN_STEPS: usize = 1_000_000;
 /// Largest system dimension (node plus branch-current unknowns) an
 /// [`Engine`] takes. Its LU stores two dense `dim × dim` value arrays,
-/// 16 MiB at this bound (AC's `2·dim` embedding, four times that); the
-/// decks, cells and netlists in this workspace reach dim 63. Callers
+/// 16 MiB at this bound; the decks, cells and netlists in this
+/// workspace reach dim 63. Callers
 /// taking a circuit from outside check it before [`Engine::new`], which
 /// panics past it.
 pub const MAX_DENSE_DIM: usize = 1024;

@@ -1,5 +1,5 @@
 //! Reusable-factorization MNA engine: symbolic structure split from
-//! numeric values, with transient and AC small-signal analysis.
+//! numeric values, with DC and transient analysis.
 //!
 //! The crate separates *what a circuit is shaped like* from *what its
 //! values are*:
@@ -11,12 +11,12 @@
 //!   branches) and per-element stamping plans. A [`PatternCache`]
 //!   memoizes patterns, so same-topology circuits — sweep corners, load
 //!   points — do zero symbolic re-analysis.
-//! - [`Engine`] owns the numeric half: a preallocated [`LuFactor`] that
-//!   is re-stamped and re-factored **in place** per Newton iteration and
-//!   per timestep, reusing the recorded pivot order
-//!   ([`LuFactor::refactor`]) so steady-state solving allocates nothing
-//!   and searches no pivots. The factorization walks only the positions
-//!   the pattern's elements stamp plus the fill-in of its pivot order,
+//! - [`Engine`] owns the numeric half: a preallocated LU working set
+//!   that is re-stamped and re-factored **in place** per Newton iteration
+//!   and per timestep, reusing the recorded pivot order, so steady-state
+//!   solving allocates nothing and searches no pivots. The working set
+//!   is built from the positions the pattern's elements stamp, and the
+//!   factorization walks only those plus the fill-in of its pivot order,
 //!   derived once per pivot order, so a ladder's solve is O(n). A
 //!   circuit without FETs skips the matrix altogether while its system
 //!   (DC, or the companion step) is unchanged: each step stamps and
@@ -29,11 +29,9 @@
 //! Steps that repeat an exact fixed-point step (same solution, state,
 //! source values and step length, bit for bit) are recorded without
 //! solving, so settled stretches cost almost nothing and change no bit
-//! ([`SolveStats::repeated_steps`] counts them). AC
-//! analysis ([`Engine::ac`]) linearizes about the DC operating point and
-//! sweeps a log frequency grid through a real 2n×2n embedding of the
-//! complex system. The [`measure`] module extracts `.measure`-style
-//! quantities (crossings, delay, slew, supply energy) from waveforms.
+//! ([`SolveStats::repeated_steps`] counts them). The [`measure`] module
+//! extracts `.measure`-style quantities (crossings, delay, slew, supply
+//! energy) from waveforms.
 //!
 //! ```
 //! use cnfet_mna::{Engine, MnaCircuit, Pattern, SourceWave, TranSpec};
@@ -55,7 +53,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-mod ac;
 mod circuit;
 mod engine;
 pub mod measure;
@@ -64,12 +61,11 @@ mod solver;
 mod stamp;
 mod waveform;
 
-pub use ac::{AcResult, AcSpec};
 pub use circuit::{MnaCircuit, MnaElement, SourceWave};
 pub use engine::{
     Engine, MnaError, TranSpec, GMIN, MAX_DENSE_DIM, MAX_TRAN_STEPS, MAX_WAVEFORM_SAMPLES,
 };
 pub use pattern::{Pattern, PatternCache};
-pub use solver::{LuFactor, Singular, SolveStats};
+pub use solver::SolveStats;
 pub use stamp::Method;
 pub use waveform::{Probe, Waveform};

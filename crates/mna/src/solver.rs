@@ -6,9 +6,9 @@
 //! and the factor's nonzero structure — so a transient loop performs
 //! **zero allocation per solve**. Storage is dense (`n × n` values), but
 //! work follows the structure: every position stamping may touch is
-//! declared when the working set is built ([`LuFactor::new`] declares
-//! all of them), and [`LuFactor::factor`] adds the symbolic fill-in of
-//! the pivot order it picks. That structure — per-row lists of the L and
+//! declared when the working set is built (the positions its pattern's
+//! elements stamp), and [`LuFactor::factor`] adds the symbolic fill-in
+//! of the pivot order it picks. That structure — per-row lists of the L and
 //! U entries and per-column lists of the rows below each pivot — is
 //! derived once per pivot order, never from numeric values (an entry can
 //! be exactly zero on one step and nonzero on the next), and
@@ -44,15 +44,7 @@ const NEG_ZERO: u64 = (-0.0f64).to_bits();
 
 /// The matrix was numerically singular.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Singular;
-
-impl std::fmt::Display for Singular {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "singular matrix")
-    }
-}
-
-impl std::error::Error for Singular {}
+pub(crate) struct Singular;
 
 /// Counters describing how much factorization work a solver instance did.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -69,7 +61,7 @@ pub struct SolveStats {
     /// Transient steps recorded without solving, because the step before
     /// them was an exact fixed point of the step map (see
     /// [`crate::Engine::tran`]). Only an engine counts these; a bare
-    /// [`LuFactor`] reports 0.
+    /// LU working set reports 0.
     pub repeated_steps: u64,
 }
 
@@ -107,7 +99,7 @@ impl Lists {
 /// stored densely; work walks the nonzero structure (see the module
 /// docs).
 #[derive(Clone, Debug)]
-pub struct LuFactor {
+pub(crate) struct LuFactor {
     n: usize,
     /// Stamping target (row-major); survives factorization.
     vals: Vec<f64>,
@@ -134,12 +126,6 @@ pub struct LuFactor {
 }
 
 impl LuFactor {
-    /// Creates an `n × n` working set with all values zero, any of which
-    /// may be stamped.
-    pub fn new(n: usize) -> LuFactor {
-        LuFactor::with_structure(n, (0..n).flat_map(|r| (0..n).map(move |c| (r, c))))
-    }
-
     /// Creates an `n × n` working set whose stamps only ever touch the
     /// `(row, column)` positions of `entries`; every other value stays
     /// an exact zero, and no work is spent on it.
@@ -170,11 +156,6 @@ impl LuFactor {
         }
     }
 
-    /// Dimension.
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
     /// Resets all stamped values to zero, keeping allocations, the
     /// structure and the recorded pivot order.
     pub fn clear(&mut self) {
@@ -189,18 +170,6 @@ impl LuFactor {
             "stamp at ({r}, {c}) outside the declared structure"
         );
         self.vals[r * self.n + c] += v;
-    }
-
-    /// Stamped value at `(r, c)`.
-    #[inline]
-    pub fn at(&self, r: usize, c: usize) -> f64 {
-        self.vals[r * self.n + c]
-    }
-
-    /// Direct access to the row-major stamping target, for bulk fills.
-    /// A working set from [`LuFactor::new`] reads every position.
-    pub fn values_mut(&mut self) -> &mut [f64] {
-        &mut self.vals
     }
 
     /// Factorization-work counters.
@@ -426,6 +395,11 @@ mod tests {
     use cnfet_rng::rngs::StdRng;
     use cnfet_rng::{Rng, SeedableRng};
 
+    /// An `n × n` working set any of whose positions may be stamped.
+    fn full(n: usize) -> LuFactor {
+        LuFactor::with_structure(n, (0..n).flat_map(|r| (0..n).map(move |c| (r, c))))
+    }
+
     fn solve(m: &mut LuFactor, b: &[f64]) -> Vec<f64> {
         let mut x = b.to_vec();
         m.solve_in_place(&mut x);
@@ -558,7 +532,7 @@ mod tests {
         assert_eq!(got, want, "{what}");
         if got.is_ok() {
             for _ in 0..3 {
-                let b: Vec<f64> = (0..lu.n())
+                let b: Vec<f64> = (0..lu.n)
                     .map(|_| match rng.gen_range(0..4u32) {
                         0 => -0.0,
                         1 => 0.0,
@@ -632,51 +606,6 @@ mod tests {
         assert!(singular > 0, "no singular round");
     }
 
-    /// AC's real embedding `[[G, −ωC], [ωC, G]]`, bulk-filled through
-    /// [`LuFactor::values_mut`] into a full-structure working set (its
-    /// `−ω·0` entries are −0.0), solves like dense elimination too.
-    #[test]
-    fn ac_shaped_embeddings_match_dense_elimination_bit_for_bit() {
-        let mut rng = StdRng::seed_from_u64(6);
-        for case in 0..40 {
-            let dim = rng.gen_range(1..=16usize);
-            let mut g = vec![0.0; dim * dim];
-            let mut c = vec![0.0; dim * dim];
-            for r in 0..dim {
-                g[r * dim + r] = rng.gen_range(0.5..2.0);
-                for _ in 0..2 {
-                    let k = rng.gen_range(0..dim);
-                    g[r * dim + k] -= rng.gen_range(0.0..0.5);
-                    if rng.gen_range(0..2u32) == 0 {
-                        c[r * dim + k] += rng.gen_range(0.0..1e-3);
-                    }
-                }
-            }
-            let n = 2 * dim;
-            let mut lu = LuFactor::new(n);
-            let mut dense = DenseLu::new(n);
-            for w in [0.0, 1e2, 1e4, 1e6] {
-                for vals in [lu.values_mut(), &mut dense.vals[..]] {
-                    for r in 0..dim {
-                        for k in 0..dim {
-                            let (gv, wc) = (g[r * dim + k], w * c[r * dim + k]);
-                            vals[r * n + k] = gv;
-                            vals[r * n + dim + k] = -wc;
-                            vals[(dim + r) * n + k] = wc;
-                            vals[(dim + r) * n + dim + k] = gv;
-                        }
-                    }
-                }
-                assert_same_solves(
-                    &mut rng,
-                    &mut lu,
-                    &mut dense,
-                    &format!("case {case} w {w:e}"),
-                );
-            }
-        }
-    }
-
     /// A ladder's elimination fills nothing, and a structure whose pivot
     /// order creates fill keeps it: an arrow matrix pivoted on its dense
     /// row first fills every other row.
@@ -723,7 +652,7 @@ mod tests {
 
     #[test]
     fn solves_identity() {
-        let mut m = LuFactor::new(3);
+        let mut m = full(3);
         for i in 0..3 {
             m.stamp(i, i, 1.0);
         }
@@ -733,7 +662,7 @@ mod tests {
 
     #[test]
     fn solves_requiring_pivot() {
-        let mut m = LuFactor::new(2);
+        let mut m = full(2);
         m.stamp(0, 1, 1.0);
         m.stamp(1, 0, 1.0);
         m.factor().unwrap();
@@ -744,7 +673,7 @@ mod tests {
 
     #[test]
     fn detects_singular() {
-        let mut m = LuFactor::new(2);
+        let mut m = full(2);
         m.stamp(0, 0, 1.0);
         m.stamp(0, 1, 2.0);
         m.stamp(1, 0, 2.0);
@@ -758,7 +687,7 @@ mod tests {
         use cnfet_rng::{Rng, SeedableRng};
         let mut rng = cnfet_rng::rngs::StdRng::seed_from_u64(7);
         let n = 12;
-        let mut m = LuFactor::new(n);
+        let mut m = full(n);
         for round in 0..5 {
             m.clear();
             for r in 0..n {
@@ -769,7 +698,7 @@ mod tests {
             }
             let x_true: Vec<f64> = (0..n).map(|i| i as f64 - 2.5).collect();
             let b: Vec<f64> = (0..n)
-                .map(|r| (0..n).map(|c| m.at(r, c) * x_true[c]).sum())
+                .map(|r| (0..n).map(|c| m.vals[r * n + c] * x_true[c]).sum())
                 .collect();
             m.refactor().unwrap();
             let x = solve(&mut m, &b);
@@ -787,7 +716,7 @@ mod tests {
 
     #[test]
     fn stale_pivot_order_falls_back_to_full_factorization() {
-        let mut m = LuFactor::new(2);
+        let mut m = full(2);
         m.stamp(0, 0, 1.0);
         m.stamp(1, 1, 1.0);
         m.factor().unwrap(); // records the identity pivot order
@@ -807,10 +736,10 @@ mod tests {
 
     #[test]
     fn clear_keeps_dimension_and_pivots() {
-        let mut m = LuFactor::new(2);
+        let mut m = full(2);
         m.stamp(0, 0, 5.0);
         m.clear();
-        assert_eq!(m.at(0, 0), 0.0);
-        assert_eq!(m.n(), 2);
+        assert_eq!(m.vals, [0.0; 4]);
+        assert_eq!(m.n, 2);
     }
 }

@@ -173,7 +173,7 @@ fn stamp_conductance(lu: &mut LuFactor, a: Option<usize>, b: Option<usize>, g: f
 
 /// Drain current (into the drain) at the given terminal voltages, with
 /// polarity and source/drain symmetry handled.
-pub(crate) fn fet_current(model: &dyn FetModel, vd: f64, vg: f64, vs: f64) -> f64 {
+fn fet_current(model: &dyn FetModel, vd: f64, vg: f64, vs: f64) -> f64 {
     use cnfet_device::Polarity;
     match model.polarity() {
         Polarity::N => {
@@ -196,12 +196,7 @@ pub(crate) fn fet_current(model: &dyn FetModel, vd: f64, vg: f64, vs: f64) -> f6
 
 /// Small-signal conductances `(gds, gm, gs)` about a terminal-voltage
 /// point, by numerical differentiation (robust against model kinks).
-pub(crate) fn fet_small_signal(
-    model: &dyn FetModel,
-    vd: f64,
-    vg: f64,
-    vs: f64,
-) -> (f64, f64, f64, f64) {
+fn fet_small_signal(model: &dyn FetModel, vd: f64, vg: f64, vs: f64) -> (f64, f64, f64, f64) {
     let id0 = fet_current(model, vd, vg, vs);
     let h = 1e-6;
     let gds = (fet_current(model, vd + h, vg, vs) - id0) / h;

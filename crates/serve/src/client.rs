@@ -5,11 +5,10 @@
 //!
 //! Requests are built with [`Client::request`]: a typed builder that
 //! carries the method, path, optional JSON body, and the negotiated
-//! result [`Format`]. On top of it sit two job-protocol helpers:
-//! [`Client::submit_and_wait`] (submit, then poll to settlement) and
-//! [`Client::submit_and_stream`] (submit, then consume the chunked
+//! result [`Format`]. On top of it sits one job-protocol helper,
+//! [`Client::submit_and_stream`]: submit, then consume the chunked
 //! `/stream` response incrementally as [`StreamEvent`]s — in either
-//! negotiated format, through one callback).
+//! negotiated format, through one callback.
 
 use crate::encode::{self, Format};
 use crate::json::{self, Json};
@@ -161,32 +160,6 @@ impl Client {
             path: path.to_string(),
             body: None,
             accept: Format::Json,
-        }
-    }
-
-    /// Submits one request to `/v1/submit` and polls its job to
-    /// settlement, returning the final poll response (`done` /
-    /// `error` / `canceled` body). A non-`202` submit answer (e.g.
-    /// `429` backpressure) is returned as-is instead.
-    ///
-    /// # Errors
-    ///
-    /// Propagates connection and protocol failures.
-    pub fn submit_and_wait(&mut self, request: &Json) -> io::Result<ClientResponse> {
-        let submitted = self.submit_one(request)?;
-        let id = match submitted {
-            Ok(id) => id,
-            Err(response) => return Ok(response),
-        };
-        let path = format!("/v1/jobs/{id}");
-        loop {
-            let response = self.request("GET", &path).send()?;
-            let pending = response.status == 200
-                && response.body.get("status").and_then(Json::as_str) == Some("pending");
-            if !pending {
-                return Ok(response);
-            }
-            std::thread::sleep(Duration::from_millis(5));
         }
     }
 

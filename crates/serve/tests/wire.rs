@@ -1597,7 +1597,38 @@ fn tube_counts_past_their_bounds_answer_400_and_a_one_worker_server_keeps_servin
             Json::obj([("tubes_per_site", Json::from(u64::from(u32::MAX)))]),
         ),
     ]);
-    for (body, field) in [(immunity, "mc.tubes"), (lot, "params.tubes_per_site")] {
+    // Each analysis or site within its bound, the request's total past
+    // `MAX_TOTAL_TUBES`: 17 immunity rows of `MAX_MC_TUBES` tubes, and a
+    // 200,000-die lot of three cells and two spares.
+    let sweep = Json::obj([
+        ("type", Json::str("sweep")),
+        ("cells", Json::Arr(vec![cell_fields("inv")])),
+        ("grid", Json::obj([("seeds", (0..17u64).collect::<Json>())])),
+        ("metrics", Json::str("immunity")),
+        (
+            "mc",
+            Json::obj([("tubes", Json::from(cnfet::MAX_MC_TUBES))]),
+        ),
+    ]);
+    let big_lot = Json::obj([
+        ("type", Json::str("repair")),
+        (
+            "cells",
+            Json::Arr(vec![
+                cell_fields("inv"),
+                cell_fields("nand2"),
+                cell_fields("nor2"),
+            ]),
+        ),
+        ("dies", Json::from(200_000u64)),
+        ("spares", Json::from(2u64)),
+    ]);
+    for (body, field) in [
+        (immunity, "mc.tubes"),
+        (lot, "params.tubes_per_site"),
+        (sweep, "mc.tubes"),
+        (big_lot, "params.tubes_per_site"),
+    ] {
         let response = client
             .request("POST", "/v1/run")
             .body(&body)

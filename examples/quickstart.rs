@@ -6,7 +6,7 @@
 
 use cnfet::core::{check_drc, DesignRules, GenerateOptions, Sizing, StdCellKind, Style};
 use cnfet::geom::render_svg;
-use cnfet::{CellRequest, ImmunityRequest, SessionBuilder};
+use cnfet::{CellRequest, ImmunityRequest, RequestClass, SessionBuilder};
 
 fn main() -> cnfet::Result<()> {
     // The cache behind the session is sharded and bounded; both knobs are
@@ -80,7 +80,7 @@ fn main() -> cnfet::Result<()> {
         stats.immunity.hits,
         stats.submitted
     );
-    let cache = session.cell_cache_stats();
+    let cache = session.cache_stats(RequestClass::Cell);
     println!(
         "  cell cache: {} entries over {} shards (capacity {})",
         cache.entries,

@@ -106,8 +106,8 @@
 //!   65 nm baseline, FO4 analytics;
 //! * [`mna`] — the reusable-factorization MNA engine: one symbolic
 //!   analysis per topology, in-place LU re-factorization per timestep
-//!   (once per step size for linear circuits), transient + AC analysis,
-//!   `.measure`-style extraction;
+//!   (once per step size for linear circuits), DC and transient
+//!   analysis, `.measure`-style extraction;
 //! * [`spice`] — named-node netlists and deck parsing/rendering over
 //!   [`mna`]'s circuit form;
 //! * [`core`] — the paper's contribution: the compact misaligned-CNT-immune
@@ -180,7 +180,7 @@ pub use session::{
     CellRequest, CellResult, FlowRequest, FlowResult, FlowSource, FlowTarget, ImmunityEngine,
     ImmunityReport, ImmunityRequest, LibraryRequest, Observer, RequestStats, Session,
     SessionBuilder, SessionStats, SimSpec, TranRequest, TranResult, MAX_FANOUT, MAX_MC_TUBES,
-    MAX_TUBES_PER_SITE,
+    MAX_TOTAL_TUBES, MAX_TUBES_PER_SITE,
 };
 pub use snapshot::SnapshotError;
 pub use sweep::{

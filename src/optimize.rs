@@ -357,7 +357,9 @@ impl OptimizeRequest {
     /// cell, one pass, a non-empty value list on every axis (including
     /// seeds), valid grid floats and loads (at least one for timing or
     /// liberty metrics), at most [`MAX_MC_TUBES`](crate::MAX_MC_TUBES)
-    /// Monte-Carlo tubes, a valid target, and at most
+    /// Monte-Carlo tubes per analysis (and, with the immunity metric, at
+    /// most [`MAX_TOTAL_TUBES`](crate::MAX_TOTAL_TUBES) over candidates
+    /// × cells × seeds), a valid target, and at most
     /// [`MAX_FANOUT`](crate::MAX_FANOUT) candidates and rows per
     /// candidate sweep (cells × seeds).
     ///
@@ -391,10 +393,14 @@ impl OptimizeRequest {
         }
         self.grid.validate("grid")?;
         check_loads(&self.loads_f, self.metrics.needs_characterization())?;
-        check_mc_tubes(&self.mc)?;
         self.target.validate("target")?;
         check_fanout(self.candidate_count(), "passes", "candidates")?;
-        check_sweep_rows(self.cells.len(), self.grid.seeds.len(), "grid.seeds")
+        check_sweep_rows(self.cells.len(), self.grid.seeds.len(), "grid.seeds")?;
+        let candidate_rows = self
+            .candidate_count()
+            .saturating_mul(self.cells.len())
+            .saturating_mul(self.grid.seeds.len());
+        check_mc_tubes(&self.mc, self.metrics.mc_analyses(candidate_rows))
     }
 
     /// The per-candidate sub-request at one coordinate triple.
@@ -445,7 +451,10 @@ impl OptimizeCandidateRequest {
     /// seed, at most [`MAX_FANOUT`](crate::MAX_FANOUT) sweep rows
     /// (cells × seeds), finite non-negative float coordinates and loads
     /// (at least one for timing or liberty metrics), and at most
-    /// [`MAX_MC_TUBES`](crate::MAX_MC_TUBES) Monte-Carlo tubes.
+    /// [`MAX_MC_TUBES`](crate::MAX_MC_TUBES) Monte-Carlo tubes per
+    /// analysis (and its sweep's rows × `mc.tubes` at most
+    /// [`MAX_TOTAL_TUBES`](crate::MAX_TOTAL_TUBES) with the immunity
+    /// metric).
     ///
     /// # Errors
     ///
@@ -466,7 +475,8 @@ impl OptimizeCandidateRequest {
         check_axis_value(self.pitch_scale, || "pitch_scale".to_string())?;
         check_axis_value(self.metallic_fraction, || "metallic_fraction".to_string())?;
         check_loads(&self.loads_f, self.metrics.needs_characterization())?;
-        check_mc_tubes(&self.mc)
+        let rows = self.cells.len().saturating_mul(self.seeds.len());
+        check_mc_tubes(&self.mc, self.metrics.mc_analyses(rows))
     }
 
     /// The candidate's coordinates with the floats in canonical form
@@ -1083,8 +1093,10 @@ mod tests {
         assert!(long.cache_key(&session).is_none());
 
         let seeds = |n: u64| VariationGrid::nominal().seeds(0..n);
+        // Timing-only, so no Monte-Carlo total applies.
         let wide = OptimizeRequest::new([StdCellKind::Inv, StdCellKind::Nand(2)])
-            .grid(seeds(MAX_FANOUT as u64 / 2));
+            .grid(seeds(MAX_FANOUT as u64 / 2))
+            .metrics(SweepMetrics::TIMING);
         assert!(wide.validate().is_ok());
         let wider = wide.clone().grid(seeds(MAX_FANOUT as u64 / 2 + 1));
         assert_eq!(field_of(wider.validate()), "grid.seeds");

@@ -61,7 +61,9 @@ pub use cnfet_repair::{
 
 use crate::error::{CnfetError, Result};
 use crate::immunity::TraceMap;
-use crate::session::{CellRequest, CellResult, Observer, Session, MAX_TUBES_PER_SITE};
+use crate::session::{
+    check_total_tubes, CellRequest, CellResult, Observer, Session, MAX_TUBES_PER_SITE,
+};
 use crate::sweep::check_axis_value;
 use cnfet_repair::site_count;
 use std::sync::Arc;
@@ -184,8 +186,10 @@ impl RepairRequest {
 
     /// Checks that the lot has at most [`MAX_FANOUT`](crate::MAX_FANOUT)
     /// dies, that a die's site count (one per cell plus the spares) fits
-    /// in a `u32`, that a site grows at most [`MAX_TUBES_PER_SITE`] tubes
-    /// and that every [`DefectParams`] float is finite and non-negative.
+    /// in a `u32`, that a site grows at most [`MAX_TUBES_PER_SITE`] tubes,
+    /// that dies × cells × sites × tubes is at most
+    /// [`MAX_TOTAL_TUBES`](crate::MAX_TOTAL_TUBES) and that every
+    /// [`DefectParams`] float is finite and non-negative.
     /// An invalid lot gets no cache key and `execute` rejects it before
     /// any die is allocated.
     ///
@@ -195,7 +199,12 @@ impl RepairRequest {
     /// (`dies`, `spares`, `params.tubes_per_site`, or e.g. `params.tau`).
     pub fn validate(&self) -> Result<()> {
         crate::session::check_fanout(self.die_count(), "dies", "dies per lot")?;
-        validate_die(self.cells.len(), self.spares, &self.params)
+        validate_dies(
+            self.die_count(),
+            self.cells.len(),
+            self.spares,
+            &self.params,
+        )
     }
 
     /// The per-die sub-request of one die index.
@@ -236,13 +245,13 @@ pub struct DieRequest {
 }
 
 impl DieRequest {
-    /// The same checks as [`RepairRequest::validate`].
+    /// The same checks as [`RepairRequest::validate`], for one die.
     ///
     /// # Errors
     ///
     /// [`CnfetError::InvalidRequest`] naming the offending field.
     pub fn validate(&self) -> Result<()> {
-        validate_die(self.cells.len(), self.spares, &self.params)
+        validate_dies(1, self.cells.len(), self.spares, &self.params)
     }
 }
 
@@ -258,8 +267,8 @@ fn param_floats(params: &DefectParams) -> [(&'static str, f64); 6] {
     ]
 }
 
-fn validate_die(cells: usize, spares: u32, params: &DefectParams) -> Result<()> {
-    if site_count(cells, spares).is_none() {
+fn validate_dies(dies: usize, cells: usize, spares: u32, params: &DefectParams) -> Result<()> {
+    let Some(sites) = site_count(cells, spares) else {
         return Err(CnfetError::InvalidRequest {
             field: "spares".into(),
             message: format!(
@@ -267,13 +276,18 @@ fn validate_die(cells: usize, spares: u32, params: &DefectParams) -> Result<()> 
                 u32::MAX
             ),
         });
-    }
+    };
     if params.tubes_per_site > MAX_TUBES_PER_SITE {
         return Err(CnfetError::InvalidRequest {
             field: "params.tubes_per_site".into(),
             message: format!("more than {MAX_TUBES_PER_SITE} tubes per site"),
         });
     }
+    let tubes = dies
+        .saturating_mul(cells.max(1))
+        .saturating_mul(sites as usize)
+        .saturating_mul(params.tubes_per_site.max(1) as usize);
+    check_total_tubes(tubes, "params.tubes_per_site")?;
     for (name, value) in param_floats(params) {
         check_axis_value(value, || format!("params.{name}"))?;
     }
@@ -626,8 +640,16 @@ mod tests {
             session.run(&wide.die_request(0)),
             Err(CnfetError::InvalidRequest { .. })
         ));
-        // The largest count that fits is valid.
-        assert!(three.clone().spares(u32::MAX - 3).validate().is_ok());
+        // The largest count that fits passes the site check; its dies'
+        // tubes are past the request total.
+        let widest = three.clone().spares(u32::MAX - 3);
+        assert_eq!(field_of(widest.validate()), "params.tubes_per_site");
+        // A die still samples every site with no cells, and tests every
+        // cell against every site with no tubes.
+        let tubeless = with_params(&widest, |p| p.tubes_per_site = 0);
+        assert_eq!(field_of(tubeless.validate()), "params.tubes_per_site");
+        let cellless = RepairRequest::new(Vec::<StdCellKind>::new()).spares(u32::MAX);
+        assert_eq!(field_of(cellless.validate()), "params.tubes_per_site");
 
         for (field, (name, _)) in param_floats(&three.params).into_iter().enumerate() {
             for bad in [f64::NAN, f64::INFINITY, -1.0] {

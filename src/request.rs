@@ -1142,44 +1142,6 @@ pub enum RequestKind {
 }
 
 impl RequestKind {
-    /// The wrapped sweep, if this is a [`RequestKind::Sweep`]. Mutable so
-    /// embedders can attach an [`Observer`](crate::Observer) to a
-    /// composite arriving in a heterogeneous mix before handing the mix
-    /// to [`Session::submit_all`](crate::Session::submit_all).
-    pub fn as_sweep_mut(&mut self) -> Option<&mut SweepRequest> {
-        match self {
-            RequestKind::Sweep(r) => Some(r),
-            _ => None,
-        }
-    }
-
-    /// The wrapped repair lot, if this is a [`RequestKind::Repair`];
-    /// mutable for the same reason as [`RequestKind::as_sweep_mut`].
-    pub fn as_repair_mut(&mut self) -> Option<&mut RepairRequest> {
-        match self {
-            RequestKind::Repair(r) => Some(r),
-            _ => None,
-        }
-    }
-
-    /// The wrapped optimization, if this is a [`RequestKind::Optimize`];
-    /// mutable for the same reason as [`RequestKind::as_sweep_mut`].
-    pub fn as_optimize_mut(&mut self) -> Option<&mut OptimizeRequest> {
-        match self {
-            RequestKind::Optimize(r) => Some(r),
-            _ => None,
-        }
-    }
-
-    /// The wrapped macro, if this is a [`RequestKind::Macro`]; mutable
-    /// for the same reason as [`RequestKind::as_sweep_mut`].
-    pub fn as_macro_mut(&mut self) -> Option<&mut MacroRequest> {
-        match self {
-            RequestKind::Macro(r) => Some(r),
-            _ => None,
-        }
-    }
-
     /// Which request class this wraps, or `None` for the uncached
     /// [`RequestKind::Tran`].
     pub fn class(&self) -> Option<RequestClass> {

@@ -230,7 +230,7 @@ impl ImmunityRequest {
         match &self.engine {
             ImmunityEngine::Certify => Ok(()),
             ImmunityEngine::MonteCarlo(mc) | ImmunityEngine::Both(mc) => {
-                crate::sweep::check_mc_tubes(mc)
+                crate::sweep::check_mc_tubes(mc, 1)
             }
         }
     }
@@ -822,16 +822,6 @@ impl Session {
         self.core.caches[class.index()].stats()
     }
 
-    /// Per-shard counters of the cell cache.
-    pub fn cell_cache_stats(&self) -> CacheStats {
-        self.cache_stats(RequestClass::Cell)
-    }
-
-    /// Per-shard counters of the library cache.
-    pub fn library_cache_stats(&self) -> CacheStats {
-        self.cache_stats(RequestClass::Library)
-    }
-
     /// Number of distinct cell layouts currently cached.
     pub fn cached_cells(&self) -> usize {
         self.core.caches[RequestClass::Cell.index()].len()
@@ -1185,8 +1175,27 @@ pub const MAX_FANOUT: usize = 1 << 20;
 /// a candidate. Checked by each request's `validate` before a key is
 /// built; a request over it is an
 /// [`InvalidRequest`](crate::CnfetError::InvalidRequest). The largest
-/// run in the repository samples 100,000 tubes.
+/// run in the repository samples 100,000 tubes. A composite runs one
+/// analysis per immunity row, so its total is bounded separately by
+/// [`MAX_TOTAL_TUBES`].
 pub const MAX_MC_TUBES: usize = 1 << 20;
+
+/// The most tubes one request may sample over all of its work, so that
+/// no single valid request holds the pool for minutes (one
+/// [`MAX_MC_TUBES`] analysis of a NAND2 takes about 0.85 s in a release
+/// build on a 2-vCPU machine). A sweep or corner counts rows ×
+/// `mc.tubes` and a search candidates × cells × seeds × `mc.tubes`, both
+/// only when their metrics include immunity. A repair lot counts dies ×
+/// cells × sites × `params.tubes_per_site`, with cells and tubes counted
+/// at least once: every die samples each site's tubes and tests each
+/// cell's layout against them. Checked after the fan-out bound, before a
+/// key is built or a child allocated; a request over it is an
+/// [`InvalidRequest`](crate::CnfetError::InvalidRequest) naming its tube
+/// field. Sixteen [`MAX_MC_TUBES`] analyses fit, and so does a
+/// [`MAX_FANOUT`]-die lot of one cell at the default spare and tube
+/// counts; the largest request in the examples and benchmarks samples
+/// 120,000 tubes.
+pub const MAX_TOTAL_TUBES: usize = 1 << 24;
 
 /// The most tubes one physical site of a repair lot may grow
 /// ([`DefectParams::tubes_per_site`](crate::repair::DefectParams::tubes_per_site)),
@@ -1202,6 +1211,18 @@ pub(crate) fn check_fanout(count: usize, field: &str, children: &str) -> Result<
         return Err(crate::CnfetError::InvalidRequest {
             field: field.to_string(),
             message: format!("more than {MAX_FANOUT} {children}"),
+        });
+    }
+    Ok(())
+}
+
+/// Rejects a request that samples `tubes` tubes in total — computed
+/// with saturating arithmetic — over [`MAX_TOTAL_TUBES`], naming `field`.
+pub(crate) fn check_total_tubes(tubes: usize, field: &str) -> Result<()> {
+    if tubes > MAX_TOTAL_TUBES {
+        return Err(crate::CnfetError::InvalidRequest {
+            field: field.to_string(),
+            message: format!("more than {MAX_TOTAL_TUBES} tubes in total"),
         });
     }
     Ok(())

@@ -168,16 +168,17 @@ pub(crate) fn check_loads(loads_f: &[f64], characterize: bool) -> Result<()> {
     Ok(())
 }
 
-/// Rejects Monte-Carlo options over [`MAX_MC_TUBES`](crate::MAX_MC_TUBES),
-/// naming `mc.tubes`.
-pub(crate) fn check_mc_tubes(mc: &McOptions) -> Result<()> {
+/// Rejects Monte-Carlo options over [`MAX_MC_TUBES`](crate::MAX_MC_TUBES)
+/// per analysis, or `analyses` analyses of them over
+/// [`MAX_TOTAL_TUBES`](crate::MAX_TOTAL_TUBES), naming `mc.tubes`.
+pub(crate) fn check_mc_tubes(mc: &McOptions, analyses: usize) -> Result<()> {
     if mc.tubes > crate::MAX_MC_TUBES {
         return Err(crate::CnfetError::InvalidRequest {
             field: "mc.tubes".to_string(),
             message: format!("more than {} Monte-Carlo tubes", crate::MAX_MC_TUBES),
         });
     }
-    Ok(())
+    crate::session::check_total_tubes(analyses.saturating_mul(mc.tubes), "mc.tubes")
 }
 
 /// A cross-product variation grid: every combination of the four axes is
@@ -374,6 +375,16 @@ impl SweepMetrics {
     pub(crate) fn needs_characterization(&self) -> bool {
         self.timing || self.liberty
     }
+
+    /// The Monte-Carlo analyses `rows` rows run under these metrics: one
+    /// per row with the immunity metric, none without.
+    pub(crate) fn mc_analyses(&self, rows: usize) -> usize {
+        if self.immunity {
+            rows
+        } else {
+            0
+        }
+    }
 }
 
 impl Default for SweepMetrics {
@@ -481,7 +492,9 @@ impl SweepRequest {
 
     /// Checks every grid float and load is finite and non-negative, that
     /// timing or liberty metrics have at least one load, that `mc.tubes`
-    /// is at most [`MAX_MC_TUBES`](crate::MAX_MC_TUBES), and that the
+    /// is at most [`MAX_MC_TUBES`](crate::MAX_MC_TUBES) (and, with the
+    /// immunity metric, rows × `mc.tubes` at most
+    /// [`MAX_TOTAL_TUBES`](crate::MAX_TOTAL_TUBES)), and that the
     /// sweep has at most [`MAX_FANOUT`](crate::MAX_FANOUT) rows and grid
     /// corners (a sweep with no cells still allocates its corners). An
     /// invalid sweep gets no cache key and `execute` rejects it before
@@ -495,12 +508,12 @@ impl SweepRequest {
     pub fn validate(&self) -> Result<()> {
         self.grid.validate("grid")?;
         check_loads(&self.loads_f, self.metrics.needs_characterization())?;
-        check_mc_tubes(&self.mc)?;
         crate::session::check_fanout(
             self.row_count().max(self.grid.len()),
             "grid",
             "grid corners or rows (cells × grid corners)",
-        )
+        )?;
+        check_mc_tubes(&self.mc, self.metrics.mc_analyses(self.row_count()))
     }
 
     /// The per-corner sub-request of one (cell, corner) pair.
@@ -538,8 +551,10 @@ impl SweepCornerRequest {
     /// Checks the corner's floats and every load are finite and
     /// non-negative, that timing or liberty metrics have at least one
     /// load and that `mc.tubes` is at most
-    /// [`MAX_MC_TUBES`](crate::MAX_MC_TUBES). An invalid corner gets no
-    /// cache key and `execute` rejects it.
+    /// [`MAX_MC_TUBES`](crate::MAX_MC_TUBES) (a corner is one row, so
+    /// this is also its [`MAX_TOTAL_TUBES`](crate::MAX_TOTAL_TUBES)
+    /// check). An invalid corner gets no cache key and `execute` rejects
+    /// it.
     ///
     /// # Errors
     ///
@@ -549,7 +564,7 @@ impl SweepCornerRequest {
     pub fn validate(&self) -> Result<()> {
         self.corner.validate("corner")?;
         check_loads(&self.loads_f, self.metrics.needs_characterization())?;
-        check_mc_tubes(&self.mc)
+        check_mc_tubes(&self.mc, self.metrics.mc_analyses(1))
     }
 }
 
@@ -1103,13 +1118,18 @@ mod tests {
         use crate::{CnfetError, Session, MAX_FANOUT};
         let session = Session::new();
         // 1,024 tube counts × 1,024 seeds is exactly the bound per cell.
+        // Timing-only, so no Monte-Carlo total applies.
         let grid = VariationGrid::nominal()
             .tube_counts(1..=1024)
             .seeds(0..1024);
-        let one = SweepRequest::new([StdCellKind::Inv]).grid(grid.clone());
+        let one = SweepRequest::new([StdCellKind::Inv])
+            .grid(grid.clone())
+            .metrics(SweepMetrics::TIMING);
         assert_eq!(one.row_count(), MAX_FANOUT);
         assert!(one.validate().is_ok());
-        let two = SweepRequest::new([StdCellKind::Inv, StdCellKind::Nand(2)]).grid(grid);
+        let two = SweepRequest::new([StdCellKind::Inv, StdCellKind::Nand(2)])
+            .grid(grid)
+            .metrics(SweepMetrics::TIMING);
         match two.validate() {
             Err(CnfetError::InvalidRequest { field, .. }) => assert_eq!(field, "grid"),
             other => panic!("expected an invalid request, got {other:?}"),

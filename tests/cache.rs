@@ -81,7 +81,7 @@ fn eviction_counters_aggregate_over_shards() {
         }
     }
 
-    let cache = session.cell_cache_stats();
+    let cache = session.cache_stats(RequestClass::Cell);
     assert_eq!(cache.capacity, 6);
     assert!(
         cache.entries <= 6 + cache.shards.len(),
@@ -237,7 +237,7 @@ fn hot_key_hits_survive_eviction_churn() {
     let stats = session.stats().cells;
     assert_eq!(stats.hits + stats.misses, issued, "every request counted");
     assert!(stats.hits >= 32, "the uncontended tail hits");
-    let cache = session.cell_cache_stats();
+    let cache = session.cache_stats(RequestClass::Cell);
     assert!(
         stats.misses >= cache.entries as u64 + stats.evictions,
         "every resident or evicted entry was built by a miss"

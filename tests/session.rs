@@ -1018,11 +1018,12 @@ fn composites_over_max_fanout_are_invalid_before_fan_out() {
 
 /// Tube counts past their bounds are invalid requests that get no key
 /// and sample nothing: `mc.tubes` on every request that runs the
-/// Monte-Carlo engine, `params.tubes_per_site` on lots and dies.
+/// Monte-Carlo engine, `params.tubes_per_site` on lots and dies, both
+/// per analysis or site and over the whole request's work.
 #[test]
 fn tube_counts_past_their_bounds_are_invalid_before_any_work() {
     use cnfet::immunity::McOptions;
-    use cnfet::{MAX_MC_TUBES, MAX_TUBES_PER_SITE};
+    use cnfet::{MAX_MC_TUBES, MAX_TOTAL_TUBES, MAX_TUBES_PER_SITE};
     let session = Session::new();
     let field_of = |result: Result<(), CnfetError>| match result {
         Err(CnfetError::InvalidRequest { field, .. }) => field,
@@ -1075,6 +1076,38 @@ fn tube_counts_past_their_bounds_are_invalid_before_any_work() {
     };
     assert_eq!(field_of(session.run(&candidate).map(drop)), "mc.tubes");
 
+    // Each analysis within its bound, 17 of them past the total: a sweep,
+    // a search and a candidate over 17 or more rows of MAX_MC_TUBES. The
+    // same requests without the immunity metric sample nothing and pass.
+    const { assert!(17 * MAX_MC_TUBES > MAX_TOTAL_TUBES) };
+    let seeds = || VariationGrid::nominal().seeds(0..17);
+    let sweep = SweepRequest::new([StdCellKind::Inv])
+        .grid(seeds())
+        .mc(mc(MAX_MC_TUBES));
+    let search = small_optimize()
+        .grid(seeds().tube_counts([6, 26]))
+        .mc(mc(MAX_MC_TUBES));
+    let candidate = cnfet::OptimizeCandidateRequest {
+        seeds: (0..17).collect(),
+        mc: mc(MAX_MC_TUBES),
+        ..candidate
+    };
+    let timing_only = SweepMetrics::TIMING;
+    assert!(sweep.clone().metrics(timing_only).validate().is_ok());
+    assert!(search.clone().metrics(timing_only).validate().is_ok());
+    let timed_candidate = cnfet::OptimizeCandidateRequest {
+        metrics: timing_only,
+        loads_f: vec![1e-15],
+        ..candidate.clone()
+    };
+    assert!(timed_candidate.validate().is_ok());
+    assert!(sweep.cache_key(&session).is_none());
+    assert_eq!(field_of(session.run(&sweep).map(drop)), "mc.tubes");
+    assert!(search.cache_key(&session).is_none());
+    assert_eq!(field_of(session.run(&search).map(drop)), "mc.tubes");
+    assert_eq!(field_of(candidate.validate()), "mc.tubes");
+    assert_eq!(field_of(session.run(&candidate).map(drop)), "mc.tubes");
+
     let params = |tubes_per_site| cnfet::repair::DefectParams {
         tubes_per_site,
         ..Default::default()
@@ -1104,6 +1137,33 @@ fn tube_counts_past_their_bounds_are_invalid_before_any_work() {
             "params.tubes_per_site"
         );
     }
+
+    // A 200,000-die lot of the benchmark's shape (three cells, two
+    // spares, eight tubes per site) tests 24 million tubes; one die with
+    // two million spares samples 16.8 million.
+    let cells = [StdCellKind::Inv, StdCellKind::Nand(2), StdCellKind::Nor(2)];
+    let lot = cnfet::RepairRequest::new(cells).spares(2).dies(200_000);
+    let die = cnfet::DieRequest {
+        cells: vec![StdCellKind::Inv.into()],
+        die: 0,
+        base_seed: lot.base_seed,
+        spares: 1 << 21,
+        params: lot.params,
+        solver: lot.solver,
+        adjacent: vec![],
+    };
+    assert!(lot.clone().dies(1_000).validate().is_ok());
+    assert_eq!(field_of(lot.validate()), "params.tubes_per_site");
+    assert!(lot.cache_key(&session).is_none());
+    assert_eq!(
+        field_of(session.run(&lot).map(drop)),
+        "params.tubes_per_site"
+    );
+    assert!(die.cache_key(&session).is_none());
+    assert_eq!(
+        field_of(session.run(&die).map(drop)),
+        "params.tubes_per_site"
+    );
 
     let stats = session.stats();
     assert_eq!(
